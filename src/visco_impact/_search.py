@@ -14,6 +14,11 @@ from .errors import PlasticImpactError
 # tangency dips near the plastic threshold are handled separately below.
 _SAMPLES_PER_PERIOD = 400
 
+# Scan limit for the contact end, in oscillation periods, shared by every
+# closed-form model; the oracle keeps its own horizon as the independent
+# reference.
+SCAN_HORIZON_PERIODS = 10.0
+
 _BRENTQ_KW = dict(xtol=1e-30, rtol=1e-15)
 
 

@@ -17,7 +17,6 @@ flagged by :func:`linearity_report`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,12 +24,13 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, NoCrossingError, ParseError, SingularityError
+from .errors import DomainError, NoCrossingError, SingularityError
 from .models import (
     KelvinVoigtParams,
     MaxwellParams,
     StandardSolidParams,
     Trajectory,
+    read_numeric_csv,
 )
 
 __all__ = [
@@ -289,52 +289,26 @@ def ingest_table(path: str | Path) -> list[ExperimentRecord]:
     ParseError
         On a missing or unknown column, a malformed row, or an empty file.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if header != EXPERIMENT_HEADER:
-            missing = set(EXPERIMENT_HEADER) - set(header)
-            unknown = set(header) - set(EXPERIMENT_HEADER)
-            parts = [f"missing column {name!r}" for name in sorted(missing)]
-            parts += [f"unknown column {name!r}" for name in sorted(unknown)]
-            detail = "; ".join(parts) if parts else "columns are out of order"
-            raise ParseError(f"{path}: {detail}")
-        records = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(EXPERIMENT_HEADER):
-                raise ParseError(
-                    f"{path}: expected {len(EXPERIMENT_HEADER)} fields", row=i
-                )
-            values = {}
-            for name, text in zip(EXPERIMENT_HEADER, row):
-                try:
-                    values[name] = float(text)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric value {text!r}", row=i, column=name
-                    ) from None
-            records.append(
-                ExperimentRecord(
-                    h0=values["h0_mm"] * 1e-3,
-                    v0=values["v0_ms"],
-                    E_max=values["Emax_MPa"] * 1e6,
-                    E_max_sd=values["Emax_sd"] * 1e6,
-                    E_10=values["E10_MPa"] * 1e6,
-                    E_10_sd=values["E10_sd"] * 1e6,
-                    sigma_max=values["sigmax_MPa"] * 1e6,
-                    sigma_max_sd=values["sigmax_sd"] * 1e6,
-                    eps_max=values["epsmax"],
-                    eps_max_sd=values["epsmax_sd"],
-                    e_star=values["estar"],
-                    e_star_sd=values["estar_sd"],
-                    delta_m=values["dm_pct"],
-                )
+    records = []
+    for row in read_numeric_csv(path, EXPERIMENT_HEADER).tolist():
+        values = dict(zip(EXPERIMENT_HEADER, row))
+        records.append(
+            ExperimentRecord(
+                h0=values["h0_mm"] * 1e-3,
+                v0=values["v0_ms"],
+                E_max=values["Emax_MPa"] * 1e6,
+                E_max_sd=values["Emax_sd"] * 1e6,
+                E_10=values["E10_MPa"] * 1e6,
+                E_10_sd=values["E10_sd"] * 1e6,
+                sigma_max=values["sigmax_MPa"] * 1e6,
+                sigma_max_sd=values["sigmax_sd"] * 1e6,
+                eps_max=values["epsmax"],
+                eps_max_sd=values["epsmax_sd"],
+                e_star=values["estar"],
+                e_star_sd=values["estar_sd"],
+                delta_m=values["dm_pct"],
             )
+        )
     return records
 
 

@@ -17,7 +17,6 @@ All quantities are SI: Pa, m, s, N.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ParseError
-from .models import MaxwellParams
+from .errors import DomainError
+from .models import MaxwellParams, load_flat_json, read_numeric_csv
 
 __all__ = [
     "BiphasicLayer",
@@ -274,34 +273,9 @@ def load_layer_json(path: str | Path) -> BiphasicLayer:
 
     Exactly the keys ``mu_s, lambda_s, kappa, h, a`` are accepted.
     """
-    from .models import _check_keys, _load_flat_json
-
-    data = _load_flat_json(path)
-    _check_keys(path, set(data), _LAYER_KEYS, frozenset())
-    return BiphasicLayer(**data)
+    return BiphasicLayer(**load_flat_json(path, _LAYER_KEYS))
 
 
 def load_delta0_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a depth history CSV with header ``t,delta0``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if tuple(header) != _DELTA0_HEADER:
-            raise ParseError(
-                f"{path}: expected header 't,delta0', got {','.join(header)!r}"
-            )
-        times, depths = [], []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}: expected 2 fields", row=i)
-            try:
-                times.append(float(row[0]))
-                depths.append(float(row[1]))
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric value", row=i) from None
-    return np.array(times), np.array(depths)
+    return tuple(read_numeric_csv(path, _DELTA0_HEADER).T)

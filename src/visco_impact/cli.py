@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 I/O or parse failure, 2 domain violation,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import os
@@ -20,6 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -66,9 +66,12 @@ from .models import (
     KelvinVoigtParams,
     MaxwellParams,
     Trajectory,
+    load_flat_json,
     load_kv_params,
     load_maxwell_params,
     load_sls_params,
+    read_numeric_csv,
+    write_csv_rows,
 )
 from .oracle import RelaxationKernel, integrate_impact, integrate_impact_with_gravity
 from .standard_solid import (
@@ -97,8 +100,6 @@ EXIT_VERIFY = 4
 
 THREADS_ENV = "VISCO_IMPACT_THREADS"
 
-_FLOAT_FMT = "%.17g"
-
 SWEEP_HEADER = (
     "param",
     "tc_scaled",
@@ -123,14 +124,61 @@ ANALYZE_HEADER = (
 
 VERIFY_HEADER = ("suite", "max_error", "tolerance", "status")
 
-_SWEEP_PARAMS = {
-    "kv": ("eta", "eps0"),
-    "maxwell": ("zeta", "eps0"),
-    "sls": ("rho", "Lambda"),
-}
-
 # Defaults for the quantity a sweep holds fixed, overridable by --params.
 _SWEEP_FIXED_DEFAULTS = {"eta": 0.3, "zeta": 0.3, "rho": 0.1, "Lambda": 0.25}
+
+
+@dataclass(frozen=True)
+class _Model:
+    """What the CLI runs for one contact model.
+
+    ``unit_params`` builds a parameter set with unit mass, frequency and
+    speed from the sweep groups (loss factors, ``rho``, ``Lambda`` and
+    ``eps0``).  A model without drop closed forms integrates the drop.
+    """
+
+    load: Callable
+    metrics: Callable
+    trajectory: Callable
+    drop_metrics: Callable | None
+    drop_trajectory: Callable | None
+    sweep_params: tuple[str, ...]
+    unit_params: Callable[[dict], object]
+
+
+_MODELS = {
+    "kv": _Model(
+        load=load_kv_params,
+        metrics=kv_metrics,
+        trajectory=kv_trajectory,
+        drop_metrics=kv_drop_metrics_asymptotic,
+        drop_trajectory=kv_drop_trajectory,
+        sweep_params=("eta", "eps0"),
+        unit_params=lambda q: KelvinVoigtParams(
+            m=1.0, k=1.0, b=2.0 * q["eta"], v0=1.0, g=q["eps0"]
+        ),
+    ),
+    "maxwell": _Model(
+        load=load_maxwell_params,
+        metrics=mx_metrics,
+        trajectory=mx_trajectory,
+        drop_metrics=mx_drop_metrics_asymptotic,
+        drop_trajectory=mx_drop_trajectory,
+        sweep_params=("zeta", "eps0"),
+        unit_params=lambda q: MaxwellParams(
+            m=1.0, k=1.0, b=0.5 / q["zeta"], v0=1.0, g=q["eps0"]
+        ),
+    ),
+    "sls": _Model(
+        load=load_sls_params,
+        metrics=sls_metrics,
+        trajectory=sls_trajectory,
+        drop_metrics=None,
+        drop_trajectory=None,
+        sweep_params=("rho", "Lambda"),
+        unit_params=lambda q: params_from_groups(q["Lambda"], q["rho"]),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -148,7 +196,7 @@ class SweepSpec:
     fixed: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        known = {"eta", "zeta", "rho", "eps0", "Lambda"}
+        known = {name for model in _MODELS.values() for name in model.sweep_params}
         if self.param not in known:
             raise DomainError(
                 f"unknown sweep parameter {self.param!r}; choose from {sorted(known)}"
@@ -195,13 +243,9 @@ def _thread_count() -> int:
     return n
 
 
-def _write_rows(stream, header, rows) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [_FLOAT_FMT % v if isinstance(v, float) else v for v in row]
-        )
+# Every CSV the CLI writes goes through this name; perfbench's traced run
+# wraps it to time those writes.
+_write_rows = write_csv_rows
 
 
 def _emit_csv(out: str | None, header, rows) -> None:
@@ -214,28 +258,7 @@ def _emit_csv(out: str | None, header, rows) -> None:
 
 def read_csv_rows(path: str | Path, expected_header: tuple[str, ...]) -> np.ndarray:
     """Read back a numeric CSV written by this module, header-checked."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if header != expected_header:
-            raise ParseError(
-                f"{path}: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(f"{path}: expected {len(expected_header)} fields", row=i)
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric value", row=i) from None
-    return np.array(rows)
+    return read_numeric_csv(path, expected_header)
 
 
 def _print_metrics(metrics: ImpactMetrics, label: str = "") -> None:
@@ -267,73 +290,54 @@ def _samples_from_dt(t_c_scaled: float, dt: float | None) -> int:
     return max(2, int(math.ceil(t_c_scaled / dt)) + 1)
 
 
+def _closed_form(params, dt, metrics_fn, trajectory_fn, label: str = ""):
+    """Metrics and a trajectory sampled at scaled spacing ``dt``, metrics printed."""
+    metrics = metrics_fn(params)
+    n = _samples_from_dt(params.derived.omega0 * metrics.t_c, dt)
+    traj = trajectory_fn(params, n_samples=n)
+    _print_metrics(metrics, label)
+    return metrics, traj
+
+
+def _integrate_directly(params, args, g: float, reason: str) -> Trajectory:
+    """Oracle trajectory for an impact without a usable closed form."""
+    print(f"{reason}; integrating directly", file=sys.stderr)
+    traj = integrate_impact_with_gravity(
+        RelaxationKernel.from_params(params),
+        params.m,
+        params.v0,
+        g,
+        dt_scaled=args.dt,
+        horizon_scaled=args.horizon,
+    )
+    _print_metrics(_metrics_from_trajectory(traj, params.v0), "integrated")
+    return traj
+
+
 def cmd_simulate(args) -> int:
     """Run one impact and write its sampled trajectory."""
-    if args.model == "kv":
-        params = load_kv_params(args.params)
-        if args.gravity:
-            if params.g == 0.0:
-                params = dataclasses.replace(params, g=STANDARD_GRAVITY)
-            metrics = kv_drop_metrics_asymptotic(params)
-            n = _samples_from_dt(params.derived.omega0 * metrics.t_c, args.dt)
-            traj = kv_drop_trajectory(params, n_samples=n)
-            _print_metrics(metrics, "weight included, small-eps0 expansion")
-        else:
-            metrics = kv_metrics(params)
-            n = _samples_from_dt(params.derived.omega0 * metrics.t_c, args.dt)
-            traj = kv_trajectory(params, n_samples=n)
-            _print_metrics(metrics)
-    elif args.model == "maxwell":
-        params = load_maxwell_params(args.params)
-        if args.gravity:
-            if params.g == 0.0:
-                params = dataclasses.replace(params, g=STANDARD_GRAVITY)
-            metrics = mx_drop_metrics_asymptotic(params)
-            n = _samples_from_dt(params.derived.omega0 * metrics.t_c, args.dt)
-            traj = mx_drop_trajectory(params, n_samples=n)
-            _print_metrics(metrics, "weight included, small-eps0 expansion")
-        else:
-            metrics = mx_metrics(params)
-            n = _samples_from_dt(params.derived.omega0 * metrics.t_c, args.dt)
-            traj = mx_trajectory(params, n_samples=n)
-            _print_metrics(metrics)
+    model = _MODELS[args.model]
+    params = model.load(args.params)
+    if args.gravity and model.drop_metrics is None:
+        traj = _integrate_directly(
+            params, args, STANDARD_GRAVITY, "three-element drop has no closed form"
+        )
+    elif args.gravity:
+        if params.g == 0.0:
+            params = dataclasses.replace(params, g=STANDARD_GRAVITY)
+        _, traj = _closed_form(
+            params,
+            args.dt,
+            model.drop_metrics,
+            model.drop_trajectory,
+            "weight included, small-eps0 expansion",
+        )
     else:
-        params = load_sls_params(args.params)
-        if args.gravity:
-            print(
-                "three-element drop has no closed form; integrating directly",
-                file=sys.stderr,
-            )
-            kernel = RelaxationKernel.from_params(params)
-            traj = integrate_impact_with_gravity(
-                kernel,
-                params.m,
-                params.v0,
-                STANDARD_GRAVITY,
-                dt_scaled=args.dt,
-                horizon_scaled=args.horizon,
-            )
-            _print_metrics(_metrics_from_trajectory(traj, params.v0), "integrated")
-        else:
-            try:
-                metrics = sls_metrics(params)
-                n = _samples_from_dt(params.derived.omega0 * metrics.t_c, args.dt)
-                traj = sls_trajectory(params, n_samples=n)
-                _print_metrics(metrics)
-            except DiscriminantError as exc:
-                print(
-                    f"closed form unavailable ({exc}); integrating directly",
-                    file=sys.stderr,
-                )
-                kernel = RelaxationKernel.from_params(params)
-                traj = integrate_impact(
-                    kernel,
-                    params.m,
-                    params.v0,
-                    dt_scaled=args.dt,
-                    horizon_scaled=args.horizon,
-                )
-                _print_metrics(_metrics_from_trajectory(traj, params.v0), "integrated")
+        try:
+            _, traj = _closed_form(params, args.dt, model.metrics, model.trajectory)
+        except DiscriminantError as exc:
+            # Only the three-element solid's characteristic cubic raises this.
+            traj = _integrate_directly(params, args, 0.0, f"closed form unavailable ({exc})")
     if args.out is not None:
         traj.to_csv(args.out)
     return EXIT_OK
@@ -342,50 +346,44 @@ def cmd_simulate(args) -> int:
 def _load_fixed(path: str | None) -> dict:
     if path is None:
         return {}
-    from .models import _check_keys, _load_flat_json
-
-    data = _load_flat_json(path)
-    _check_keys(
-        path, set(data), frozenset(), frozenset({"eta", "zeta", "rho", "Lambda"})
-    )
-    return data
+    return load_flat_json(path, frozenset(), frozenset(_SWEEP_FIXED_DEFAULTS))
 
 
 def _scaled_metrics(model: str, spec: SweepSpec, value: float):
     """Metrics at one grid point, with unit mass, frequency, and speed."""
-    fixed = spec.fixed
-    if model == "kv":
-        if spec.param == "eta":
-            return kv_metrics(KelvinVoigtParams(m=1.0, k=1.0, b=2.0 * value, v0=1.0)), None
-        eta = fixed.get("eta", _SWEEP_FIXED_DEFAULTS["eta"])
-        params = KelvinVoigtParams(m=1.0, k=1.0, b=2.0 * eta, v0=1.0, g=value)
-        return kv_drop_metrics_asymptotic(params), None
-    if model == "maxwell":
-        if spec.param == "zeta":
-            return mx_metrics(MaxwellParams(m=1.0, k=1.0, b=0.5 / value, v0=1.0)), None
-        zeta = fixed.get("zeta", _SWEEP_FIXED_DEFAULTS["zeta"])
-        params = MaxwellParams(m=1.0, k=1.0, b=0.5 / zeta, v0=1.0, g=value)
-        return mx_drop_metrics_asymptotic(params), None
-    if spec.param == "Lambda":
-        rho = fixed.get("rho", _SWEEP_FIXED_DEFAULTS["rho"])
-        return sls_metrics(params_from_groups(value, rho)), None
+    if model == "sls" and spec.param == "rho":
+        return _rho_expansion_point(spec.fixed, value)
+    entry = _MODELS[model]
+    groups = {**_SWEEP_FIXED_DEFAULTS, "eps0": 0.0, **spec.fixed, spec.param: value}
+    params = entry.unit_params(groups)
+    if spec.param == "eps0":
+        return entry.drop_metrics(params), None
+    return entry.metrics(params), None
+
+
+def _rho_expansion_point(fixed: dict, rho: float):
+    """Three-element metrics near a pair limit and their first-order expansion.
+
+    The limit is the series pair when ``fixed`` holds ``zeta``, the
+    parallel pair otherwise.
+    """
     if "zeta" in fixed:
-        params = params_near_maxwell(fixed["zeta"], value)
-        asym = sls_perturb_maxwell(fixed["zeta"], value)
+        params = params_near_maxwell(fixed["zeta"], rho)
+        asym = sls_perturb_maxwell(fixed["zeta"], rho)
     else:
         eta = fixed.get("eta", _SWEEP_FIXED_DEFAULTS["eta"])
-        params = params_near_kv(eta, value)
-        asym = sls_perturb_kv(eta, value)
+        params = params_near_kv(eta, rho)
+        asym = sls_perturb_kv(eta, rho)
     return sls_metrics(params), asym
 
 
 def cmd_sweep(args) -> int:
     """Evaluate scaled impact metrics over a one-parameter grid."""
     spec = parse_sweep_arg(args.sweep)
-    if spec.param not in _SWEEP_PARAMS[args.model]:
+    sweep_params = _MODELS[args.model].sweep_params
+    if spec.param not in sweep_params:
         raise DomainError(
-            f"model {args.model!r} sweeps one of {_SWEEP_PARAMS[args.model]}, "
-            f"not {spec.param!r}"
+            f"model {args.model!r} sweeps one of {sweep_params}, not {spec.param!r}"
         )
     fixed = _load_fixed(args.params)
     spec = dataclasses.replace(spec, fixed=fixed)
@@ -547,8 +545,7 @@ def cmd_verify(args, suites=None) -> int:
         print(f"{r.name}: {r.status} (max error {r.max_error:.3e}, tolerance {r.tolerance:.1e})")
     if args.out is not None:
         rows = [(r.name, r.max_error, r.tolerance, r.status) for r in results]
-        with open(args.out, "w", newline="") as fh:
-            _write_rows(fh, VERIFY_HEADER, rows)
+        _emit_csv(args.out, VERIFY_HEADER, rows)
     if any(not r.passed for r in results):
         return EXIT_VERIFY
     return EXIT_OK
@@ -584,10 +581,7 @@ def cmd_biphasic(args) -> int:
         _print_metrics(metrics, "integrated")
     else:
         params = reduce_to_maxwell(layer, args.m, args.v0)
-        metrics = mx_metrics(params)
-        n = _samples_from_dt(params.derived.omega0 * metrics.t_c, args.dt)
-        traj = mx_trajectory(params, n_samples=n)
-        _print_metrics(metrics)
+        metrics, traj = _closed_form(params, args.dt, mx_metrics, mx_trajectory)
     if metrics.t_c > usable:
         print(
             f"contact lasts {metrics.t_c:.3g} s, beyond the usable window "
@@ -629,8 +623,7 @@ def cmd_analyze(args) -> int:
             )
         )
     if args.out is not None:
-        with open(args.out, "w", newline="") as fh:
-            _write_rows(fh, ANALYZE_HEADER, rows)
+        _emit_csv(args.out, ANALYZE_HEADER, rows)
     return EXIT_OK
 
 
@@ -646,7 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one impact and write its trajectory")
-    p.add_argument("model", choices=("kv", "maxwell", "sls"))
+    p.add_argument("model", choices=tuple(_MODELS))
     p.add_argument("--params", required=True, help="JSON parameter file")
     p.add_argument("--out", help="trajectory CSV path")
     p.add_argument(
@@ -662,7 +655,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="scaled metrics over a parameter grid")
-    p.add_argument("--model", required=True, choices=("kv", "maxwell", "sls"))
+    p.add_argument("--model", required=True, choices=tuple(_MODELS))
     p.add_argument("--sweep", required=True, help="param:lo:hi:steps")
     p.add_argument("--params", help="JSON file of fixed quantities (eta, zeta, rho, Lambda)")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")

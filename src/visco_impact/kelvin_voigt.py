@@ -10,12 +10,13 @@ to zero.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 from scipy.optimize import golden
 
-from ._search import first_force_zero
+from ._search import SCAN_HORIZON_PERIODS, first_force_zero
 from .errors import DomainError, PlasticImpactError
 from .models import (
     DEFAULT_SAMPLES,
@@ -36,9 +37,6 @@ __all__ = [
 # The force maximum moves to the initial dashpot jump once the loss factor
 # reaches one half.
 _ETA_FORCE_BRANCH = 0.5
-
-# Search horizon for the gravity-extended contact, in damped periods.
-_DROP_HORIZON_PERIODS = 10.0
 
 
 def _contact_duration(derived) -> float:
@@ -176,7 +174,7 @@ def kv_drop_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPL
         return params.k * x + params.b * xdot
 
     horizon = max(
-        _DROP_HORIZON_PERIODS * period, 2.0 * kv_drop_metrics_asymptotic(params).t_c
+        SCAN_HORIZON_PERIODS * period, 2.0 * kv_drop_metrics_asymptotic(params).t_c
     )
     t_c = first_force_zero(force, period, horizon)
 
@@ -202,16 +200,7 @@ def kv_drop_metrics_asymptotic(params: KelvinVoigtParams) -> ImpactMetrics:
     eps0 = d.eps0
     t_c = base.t_c + eps0 * (1.0 + base.e_star) / (base.e_star * d.omega0)
     e_star = base.e_star * (1.0 - 2.0 * d.eta * eps0)
-    return ImpactMetrics(
-        t_c=t_c,
-        e_star=e_star,
-        t_m=base.t_m,
-        x_m=base.x_m,
-        t_M=base.t_M,
-        F_M=base.F_M,
-        x_M=base.x_M,
-        F_m=base.F_m,
-    )
+    return dataclasses.replace(base, t_c=t_c, e_star=e_star)
 
 
 def kv_find_critical_eps0(eta: float, tol: float = 1e-6) -> float:
@@ -242,7 +231,7 @@ def kv_find_critical_eps0(eta: float, tol: float = 1e-6) -> float:
             return p.k * x + p.b * xdot
 
         try:
-            first_force_zero(force, period, _DROP_HORIZON_PERIODS * period)
+            first_force_zero(force, period, SCAN_HORIZON_PERIODS * period)
         except PlasticImpactError:
             return True
         return False

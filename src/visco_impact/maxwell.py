@@ -13,11 +13,12 @@ a secular drift term; the closed forms here satisfy the initial conditions
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from ._search import first_force_zero
+from ._search import SCAN_HORIZON_PERIODS, first_force_zero
 from .models import (
     DEFAULT_SAMPLES,
     ImpactMetrics,
@@ -31,8 +32,6 @@ __all__ = [
     "mx_drop_trajectory",
     "mx_drop_metrics_asymptotic",
 ]
-
-_DROP_HORIZON_PERIODS = 10.0
 
 
 def mx_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
@@ -116,7 +115,7 @@ def mx_drop_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) 
         return params.m * v0 * omega0 * _drop_force_scaled(params, t)
 
     horizon = max(
-        _DROP_HORIZON_PERIODS * period, 2.0 * mx_drop_metrics_asymptotic(params).t_c
+        SCAN_HORIZON_PERIODS * period, 2.0 * mx_drop_metrics_asymptotic(params).t_c
     )
     t_c = first_force_zero(force, period, horizon)
 
@@ -163,13 +162,4 @@ def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:
     eps0 = d.eps0
     t_c = base.t_c + eps0 * (1.0 + base.e_star) / (base.e_star * d.omega0)
     e_star = base.e_star - 2.0 * d.zeta * eps0
-    return ImpactMetrics(
-        t_c=t_c,
-        e_star=e_star,
-        t_m=base.t_m,
-        x_m=base.x_m,
-        t_M=base.t_M,
-        F_M=base.F_M,
-        x_M=base.x_M,
-        F_m=base.F_m,
-    )
+    return dataclasses.replace(base, t_c=t_c, e_star=e_star)

@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +40,9 @@ __all__ = [
     "load_kv_params",
     "load_maxwell_params",
     "load_sls_params",
+    "load_flat_json",
+    "read_numeric_csv",
+    "write_csv_rows",
 ]
 
 DEFAULT_SAMPLES = 1000
@@ -365,41 +369,80 @@ class Trajectory:
         bit-exactly through :meth:`from_csv`.
         """
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRAJECTORY_HEADER)
-            for row in zip(self.times, self.x, self.xdot, self.xddot, self.F):
-                writer.writerow([_FLOAT_FMT % v for v in row])
+            write_csv_rows(
+                fh, TRAJECTORY_HEADER, zip(self.times, self.x, self.xdot, self.xddot, self.F)
+            )
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Trajectory":
         """Read a trajectory written by :meth:`to_csv`."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        return cls(*read_numeric_csv(path, TRAJECTORY_HEADER).T)
+
+
+def write_csv_rows(stream, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to an open text stream as CSV.
+
+    Floats carry 17 significant digits, so :func:`read_numeric_csv` reads
+    them back bit-exactly; other values are written as they are.
+    """
+    writer = csv.writer(stream)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+
+
+def read_numeric_csv(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
+    """Read a CSV file whose first line is ``header`` and whose cells are numbers.
+
+    Blank lines are skipped.
+
+    Returns
+    -------
+    ndarray
+        Shape ``(rows, len(header))``, also when the file holds only the
+        header.
+
+    Raises
+    ------
+    ParseError
+        On an empty file, a header other than ``header``, a row with the
+        wrong number of fields (with its row), or a cell that is not a
+        number (with its row and column).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            found = tuple(next(reader))
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if found != header:
+            parts = [f"missing column {name!r}" for name in sorted(set(header) - set(found))]
+            parts += [f"unknown column {name!r}" for name in sorted(set(found) - set(header))]
+            if not parts:
+                # Same names: a permutation when the lengths agree, repeats otherwise.
+                same_length = len(found) == len(header)
+                parts.append("columns are out of order" if same_length else "columns are repeated")
+            raise ParseError(
+                f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}: "
+                + "; ".join(parts)
+            )
+        values: list[float] = []
+        for i, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}: expected {len(header)} fields", row=i)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file") from None
-            if tuple(header) != TRAJECTORY_HEADER:
-                raise ParseError(
-                    f"{path}: expected header {','.join(TRAJECTORY_HEADER)!r}, "
-                    f"got {','.join(header)!r}"
-                )
-            cols: list[list[float]] = [[], [], [], [], []]
-            for i, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 5:
-                    raise ParseError(f"{path}: expected 5 fields", row=i)
-                for j, cell in enumerate(row):
+                values.extend(map(float, row))
+            except ValueError:
+                for name, cell in zip(header, row):
                     try:
-                        cols[j].append(float(cell))
+                        float(cell)
                     except ValueError:
                         raise ParseError(
-                            f"{path}: non-numeric value {cell!r}",
-                            row=i,
-                            column=TRAJECTORY_HEADER[j],
+                            f"{path}: non-numeric value {cell!r}", row=i, column=name
                         ) from None
-        return cls(*[np.array(c) for c in cols])
+    return np.array(values, dtype=float).reshape(-1, len(header))
 
 
 @dataclass(frozen=True)
@@ -437,7 +480,36 @@ _SLS_SERIES_REQUIRED = frozenset({"m", "k1", "k2", "b", "v0"})
 _SLS_PARALLEL_REQUIRED = frozenset({"m", "kappa1", "kappa2", "beta", "v0"})
 
 
-def _load_flat_json(path: str | Path) -> dict[str, float]:
+def _sls_required(present: set[str]) -> frozenset[str]:
+    """Key set of the configuration a three-element file is written in."""
+    if "k1" in present or "k2" in present:
+        return _SLS_SERIES_REQUIRED
+    return _SLS_PARALLEL_REQUIRED
+
+
+def load_flat_json(
+    path: str | Path,
+    required: frozenset[str] | Callable[[set[str]], frozenset[str]],
+    optional: frozenset[str] = frozenset(),
+) -> dict[str, float]:
+    """Load a flat JSON object of numbers and check its keys.
+
+    Parameters
+    ----------
+    path : str or Path
+        JSON file holding one object whose values are all numbers.
+    required : frozenset of str, or callable
+        Keys that must be present, or a function that picks them from the
+        set of keys present (for files accepted in more than one layout).
+    optional : frozenset of str, optional
+        Keys that may be present.
+
+    Raises
+    ------
+    ConfigError
+        On invalid JSON, a value that is not a number, or a key that is
+        unknown or missing.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -450,16 +522,16 @@ def _load_flat_json(path: str | Path) -> dict[str, float]:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: key {key!r} must be a number, got {value!r}")
         out[key] = float(value)
-    return out
-
-
-def _check_keys(path, present: set[str], required: frozenset[str], optional: frozenset[str]):
+    present = set(out)
+    if callable(required):
+        required = required(present)
     unknown = present - required - optional
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     missing = required - present
     if missing:
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
+    return out
 
 
 def load_kv_params(path: str | Path) -> KelvinVoigtParams:
@@ -468,8 +540,7 @@ def load_kv_params(path: str | Path) -> KelvinVoigtParams:
     Required keys are ``m, k, b, v0``; ``g`` is optional and defaults to
     zero.  Unknown keys are rejected.
     """
-    data = _load_flat_json(path)
-    _check_keys(path, set(data), _KV_REQUIRED, frozenset({"g"}))
+    data = load_flat_json(path, _KV_REQUIRED, frozenset({"g"}))
     return KelvinVoigtParams(
         m=data["m"], k=data["k"], b=data["b"], v0=data["v0"], g=data.get("g", 0.0)
     )
@@ -480,8 +551,7 @@ def load_maxwell_params(path: str | Path) -> MaxwellParams:
 
     Same key set as :func:`load_kv_params`.
     """
-    data = _load_flat_json(path)
-    _check_keys(path, set(data), _KV_REQUIRED, frozenset({"g"}))
+    data = load_flat_json(path, _KV_REQUIRED, frozenset({"g"}))
     return MaxwellParams(
         m=data["m"], k=data["k"], b=data["b"], v0=data["v0"], g=data.get("g", 0.0)
     )
@@ -494,12 +564,9 @@ def load_sls_params(path: str | Path) -> StandardSolidParams:
     configuration, or ``m, kappa1, kappa2, beta, v0`` for the parallel one
     (converted on load).  Unknown keys are rejected.
     """
-    data = _load_flat_json(path)
-    present = set(data)
-    if "k1" in present or "k2" in present:
-        _check_keys(path, present, _SLS_SERIES_REQUIRED, frozenset())
+    data = load_flat_json(path, _sls_required)
+    if "k1" in data:
         k1, k2, b = data["k1"], data["k2"], data["b"]
     else:
-        _check_keys(path, present, _SLS_PARALLEL_REQUIRED, frozenset())
         k1, k2, b = convert_configurations(data["kappa1"], data["kappa2"], data["beta"])
     return StandardSolidParams(m=data["m"], k1=k1, k2=k2, b=b, v0=data["v0"])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import golden
 
-from ._search import first_force_zero
+from ._search import SCAN_HORIZON_PERIODS, first_force_zero
 from .errors import DiscriminantError, DomainError
 from .models import (
     DEFAULT_SAMPLES,
@@ -45,8 +45,6 @@ __all__ = [
     "params_near_maxwell",
     "params_from_groups",
 ]
-
-_HORIZON_PERIODS = 10.0
 
 # Grid used to bracket interior extrema before golden-section polishing.
 _PEAK_GRID = 512
@@ -178,7 +176,7 @@ def _scaled_contact_end(roots: CubicRoots) -> float:
     """First zero of the scaled contact force ``-xi''`` after its rise."""
     _, _, xi_dd = _scaled_solution(roots)
     period = 2.0 * math.pi / roots.zeta1
-    return first_force_zero(lambda tau: -xi_dd(tau), period, _HORIZON_PERIODS * period)
+    return first_force_zero(lambda tau: -xi_dd(tau), period, SCAN_HORIZON_PERIODS * period)
 
 
 def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
