@@ -108,10 +108,10 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("study", "case", "parameter", "error", "ratio"))
-            for label, frac, err, ratio, _ in int_rows:
-                writer.writerow(("step-halving", label, frac, repr(err), repr(ratio)))
-            for label, rho, err, ratio in exp_rows:
-                writer.writerow(("rho-halving", label, rho, repr(err), repr(ratio)))
+            studies = [("step-halving", row[:4]) for row in int_rows]
+            studies += [("rho-halving", row) for row in exp_rows]
+            for study, (label, param, err, ratio) in studies:
+                writer.writerow((study, label, param, repr(float(err)), repr(float(ratio))))
         print(f"wrote {args.out}")
 
     orders = [o for *_, o in int_rows if not math.isnan(o)]

@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import PlasticImpactError
+from .errors import NoSeparationError, PlasticImpactError
 
 # Scan resolution per oscillation period.  Force zeros are at least half a
 # period apart, so this comfortably resolves every sign change; narrow
@@ -18,6 +18,11 @@ _SAMPLES_PER_PERIOD = 400
 # closed-form model; the oracle keeps its own horizon as the independent
 # reference.
 SCAN_HORIZON_PERIODS = 10.0
+
+# Largest scan grid, in samples.  It is above every scan that completes
+# (the largest, 6.75e6, is a series-pair drop at zeta = 0.99 and
+# eps0 = 1e-4); longer ones would allocate hundreds of megabytes or more.
+MAX_SCAN_SAMPLES = 10_000_000
 
 _BRENTQ_KW = dict(xtol=1e-30, rtol=1e-15)
 
@@ -33,8 +38,19 @@ def first_force_zero(force: Callable, period: float, horizon: float) -> float:
         Oscillation period used to size the scan grid.
     horizon : float
         Scan limit.  No zero within it raises :class:`PlasticImpactError`.
+
+    Raises
+    ------
+    NoSeparationError
+        When the grid would need more than :data:`MAX_SCAN_SAMPLES` samples.
     """
-    n = max(int(round(_SAMPLES_PER_PERIOD * horizon / period)), _SAMPLES_PER_PERIOD) + 1
+    samples = _SAMPLES_PER_PERIOD * horizon / period
+    if not samples <= MAX_SCAN_SAMPLES:
+        raise NoSeparationError(
+            f"contact-end scan gives up: it needs {samples:.3g} samples, "
+            f"more than the {MAX_SCAN_SAMPLES:.3g} allowed"
+        )
+    n = max(int(round(samples)), _SAMPLES_PER_PERIOD) + 1
     ts = np.linspace(0.0, horizon, n)
     fs = np.asarray(force(ts), dtype=float)
 

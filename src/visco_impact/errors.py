@@ -51,7 +51,8 @@ class PlasticImpactError(ViscoImpactError):
 
 
 class NoSeparationError(ViscoImpactError):
-    """Numeric integration found no force zero within the horizon."""
+    """No force zero was found: numeric integration reached its horizon, or
+    a contact-end search gave up because its grid would exceed its cap."""
 
 
 class DiscriminantError(ViscoImpactError):

@@ -105,6 +105,9 @@ def mx_drop_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) 
     ------
     PlasticImpactError
         When no force zero exists within the search horizon.
+    NoSeparationError
+        When that horizon needs a scan past ``_search.MAX_SCAN_SAMPLES``,
+        as it does for ``zeta`` near 1.
     """
     d = params.derived
     v0, g = params.v0, params.g

@@ -120,6 +120,13 @@ class TestSimulate:
         assert rc == EXIT_PLASTIC
         assert "error:" in capsys.readouterr().err
 
+    def test_unbounded_drop_scan_exits_plastic(self, tmp_path, capsys):
+        """zeta = 0.999 needs a scan far past its cap: a typed error, no traceback."""
+        params = _write_json(tmp_path, "mx.json", {"m": 1.0, "k": 1.0, "b": 0.5005, "v0": 1.0})
+        rc = main(["simulate", "maxwell", "--params", params, "--gravity"])
+        assert rc == EXIT_PLASTIC
+        assert "contact-end scan gives up" in capsys.readouterr().err
+
     def test_three_element_fallback_note(self, tmp_path, capsys):
         """Inside the dead discriminant window the CLI integrates directly."""
         p = params_from_groups(0.316, 0.1)

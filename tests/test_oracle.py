@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
+from visco_impact import oracle
 from visco_impact.errors import ConfigError, NoSeparationError
-from visco_impact.kelvin_voigt import kv_metrics
+from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_metrics
 from visco_impact.maxwell import mx_metrics
 from visco_impact.models import KelvinVoigtParams, MaxwellParams
 from visco_impact.oracle import (
@@ -265,3 +266,96 @@ class TestInvarianceProbe:
     def test_needs_two_velocities(self):
         with pytest.raises(ConfigError, match="two velocities"):
             restitution_invariance_probe(RelaxationKernel.elastic(1.0), 1.0, [1.0])
+
+
+DEFAULT_BLOCK = oracle._BLOCK
+
+
+def _rk4_reference(A, c, y, h):
+    """Textbook four-stage RK4 step of ``y' = A y + c``."""
+    def rate(z):
+        return A @ z + c
+
+    k1 = rate(y)
+    k2 = rate(y + 0.5 * h * k1)
+    k3 = rate(y + 0.5 * h * k2)
+    k4 = rate(y + h * k3)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _contact_end(kernel, dt_scaled):
+    traj = integrate_impact(kernel, 1.0, 1.0, dt_scaled=dt_scaled)
+    return traj.t_c, -traj.xdot[-1], traj.times.size
+
+
+class TestPropagator:
+    """The blocked step map reproduces classical RK4 on linear kernels."""
+
+    def test_one_step_matches_four_stage_rk4(self):
+        rng = np.random.default_rng(11)
+        Q = rng.standard_normal((4, 4))
+        # Negative-definite symmetric part plus a rotation: a stable system.
+        A = -(Q @ Q.T) - 0.5 * np.eye(4) + (Q - Q.T)
+        c, y = rng.standard_normal(4), rng.standard_normal(4)
+        for h in (1e-3, 0.05):
+            D, q = oracle._rk4_increment(A, c, h)
+            expected = _rk4_reference(A, c, y, h)
+            err = np.max(np.abs(y + (D @ y + q) - expected))
+            assert err <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize(
+        "nodes_before_end, kernel",
+        [
+            (40, RelaxationKernel.elastic(1.0)),  # inside the first block
+            (DEFAULT_BLOCK, RelaxationKernel.elastic(1.0)),  # straddles its end
+            (None, RelaxationKernel.sls(1.0, 0.5, 0.5)),  # default step
+        ],
+        ids=["first-block", "block-boundary", "default-dt"],
+    )
+    def test_block_size_does_not_change_contact_end(
+        self, monkeypatch, nodes_before_end, kernel
+    ):
+        # The elastic contact ends near tau = pi, half a step past node
+        # ``nodes_before_end``.
+        dt = None if nodes_before_end is None else math.pi / (nodes_before_end + 0.5)
+        blocked = _contact_end(kernel, dt)
+        monkeypatch.setattr(oracle, "_BLOCK", 1)
+        stepwise = _contact_end(kernel, dt)
+        if nodes_before_end is not None:
+            assert blocked[2] == stepwise[2] == nodes_before_end + 2
+        assert blocked[0] == pytest.approx(stepwise[0], abs=1e-13)
+        assert blocked[1] == pytest.approx(stepwise[1], abs=1e-13)
+
+    def test_increment_form_keeps_rounding_below_truncation(self):
+        """Default-step agreement with the closed forms stays near 1e-14.
+
+        Applying the step as ``(I + D) y + q`` instead would round every
+        step by an ulp of ``y`` and lift this error to about 1.4e-13.
+        """
+        cases = [
+            (KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0), kv_metrics),
+            (MaxwellParams(m=1.0, k=1.0, b=1.0 / 0.6, v0=1.0), mx_metrics),
+            (params_from_groups(0.25, 0.5), sls_metrics),
+        ]
+        for params, metrics in cases:
+            met = metrics(params)
+            traj = integrate_impact(RelaxationKernel.from_params(params), 1.0, 1.0)
+            assert abs(-traj.xdot[-1] - met.e_star) < 3e-14
+            assert abs(traj.t_c - met.t_c) < 3e-14
+
+    def test_horizon_inside_first_block_raises(self):
+        kern = RelaxationKernel.elastic(1.0)
+        horizon = 0.5 * DEFAULT_BLOCK * 0.01
+        with pytest.raises(NoSeparationError, match="never returned to zero"):
+            integrate_impact(kern, 1.0, 1.0, dt_scaled=0.01, horizon_scaled=horizon)
+
+
+@pytest.mark.parametrize("eta, eps0", [(0.2, 0.01), (0.6, 0.05)])
+def test_gravity_kv_limit_matches_drop_closed_form(eta, eps0):
+    params = KelvinVoigtParams(m=1.0, k=1.0, b=2.0 * eta, v0=1.0, g=eps0)
+    exact = kv_drop_trajectory(params)
+    traj = integrate_impact_with_gravity(
+        RelaxationKernel.from_params(params), params.m, params.v0, params.g
+    )
+    assert -traj.xdot[-1] == pytest.approx(-exact.xdot[-1], abs=1e-12)
+    assert traj.t_c == pytest.approx(exact.t_c, abs=1e-12)
