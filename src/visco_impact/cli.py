@@ -14,15 +14,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from ._search import MAX_SCAN_SAMPLES
 from .analysis import (
     STANDARD_GRAVITY,
     bundled_experiments_path,
@@ -97,8 +96,6 @@ EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_PLASTIC = 3
 EXIT_VERIFY = 4
-
-THREADS_ENV = "VISCO_IMPACT_THREADS"
 
 SWEEP_HEADER = (
     "param",
@@ -185,15 +182,14 @@ _MODELS = {
 class SweepSpec:
     """One-parameter sweep over a scaled metrics grid.
 
-    ``param`` names the swept quantity; ``fixed`` supplies values held
-    constant (for example the loss factor of a ``rho`` sweep).
+    ``param`` names the swept quantity; ``steps`` grid points span
+    ``[lo, hi]``.
     """
 
     param: str
     lo: float
     hi: float
     steps: int
-    fixed: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         known = {name for model in _MODELS.values() for name in model.sweep_params}
@@ -201,10 +197,17 @@ class SweepSpec:
             raise DomainError(
                 f"unknown sweep parameter {self.param!r}; choose from {sorted(known)}"
             )
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError("sweep range needs finite lo and hi")
         if not (self.lo < self.hi):
             raise DomainError("sweep range needs lo < hi")
         if self.steps < 2:
             raise DomainError("sweep needs at least 2 steps")
+        if self.steps > MAX_SCAN_SAMPLES:
+            raise DomainError(
+                f"sweep has {self.steps:.3g} steps, more than the "
+                f"{MAX_SCAN_SAMPLES:.3g} allowed"
+            )
         if self.param in ("eta", "zeta", "rho") and not (
             0.0 < self.lo and self.hi < 1.0
         ):
@@ -228,19 +231,6 @@ def parse_sweep_arg(text: str) -> SweepSpec:
     except ValueError:
         raise ParseError(f"malformed sweep range in {text!r}") from None
     return SweepSpec(param=parts[0], lo=lo, hi=hi, steps=steps)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"{THREADS_ENV} must be at least 1, got {n}")
-    return n
 
 
 # Every CSV the CLI writes goes through this name; perfbench's traced run
@@ -282,46 +272,64 @@ def _metrics_from_trajectory(traj: Trajectory, v0: float) -> ImpactMetrics:
     )
 
 
-def _samples_from_dt(t_c_scaled: float, dt: float | None) -> int:
+def _samples_from_dt(t_c_scaled: float, dt: float | None, probe: Callable) -> int:
+    """Trajectory samples at scaled spacing ``dt``, capped at ``MAX_SCAN_SAMPLES``.
+
+    ``probe`` runs a cheap trajectory before a too-fine spacing is
+    rejected: an impact whose contact end cannot be found fails at any
+    spacing, so its own error is the one to report.
+    """
     if dt is None:
         return DEFAULT_SAMPLES
     if dt <= 0.0:
         raise ConfigError(f"--dt must be positive, got {dt}")
-    return max(2, int(math.ceil(t_c_scaled / dt)) + 1)
+    if not math.isfinite(dt):
+        raise ConfigError(f"--dt must be finite, got {dt}")
+    spans = t_c_scaled / dt
+    if not spans <= MAX_SCAN_SAMPLES - 1:
+        probe()
+        raise ConfigError(
+            f"--dt {dt:g} needs {spans + 1:.3g} samples, "
+            f"more than the {MAX_SCAN_SAMPLES:.3g} allowed"
+        )
+    return max(2, int(math.ceil(spans)) + 1)
 
 
 def _closed_form(params, dt, metrics_fn, trajectory_fn, label: str = ""):
     """Metrics and a trajectory sampled at scaled spacing ``dt``, metrics printed."""
     metrics = metrics_fn(params)
-    n = _samples_from_dt(params.derived.omega0 * metrics.t_c, dt)
+    n = _samples_from_dt(
+        params.derived.omega0 * metrics.t_c, dt, lambda: trajectory_fn(params, n_samples=2)
+    )
     traj = trajectory_fn(params, n_samples=n)
     _print_metrics(metrics, label)
     return metrics, traj
 
 
-def _integrate_directly(params, args, g: float, reason: str) -> Trajectory:
-    """Oracle trajectory for an impact without a usable closed form."""
+def _integrate_directly(kernel, m, v0, g, dt, horizon, reason: str):
+    """Oracle metrics and trajectory for an impact without a usable closed form."""
     print(f"{reason}; integrating directly", file=sys.stderr)
     traj = integrate_impact_with_gravity(
-        RelaxationKernel.from_params(params),
-        params.m,
-        params.v0,
-        g,
-        dt_scaled=args.dt,
-        horizon_scaled=args.horizon,
+        kernel, m, v0, g, dt_scaled=dt, horizon_scaled=horizon
     )
-    _print_metrics(_metrics_from_trajectory(traj, params.v0), "integrated")
-    return traj
+    metrics = _metrics_from_trajectory(traj, v0)
+    _print_metrics(metrics, "integrated")
+    return metrics, traj
 
 
 def cmd_simulate(args) -> int:
     """Run one impact and write its sampled trajectory."""
     model = _MODELS[args.model]
     params = model.load(args.params)
-    if args.gravity and model.drop_metrics is None:
-        traj = _integrate_directly(
-            params, args, STANDARD_GRAVITY, "three-element drop has no closed form"
+
+    def integrate(g: float, reason: str):
+        kernel = RelaxationKernel.from_params(params)
+        return _integrate_directly(
+            kernel, params.m, params.v0, g, args.dt, args.horizon, reason
         )
+
+    if args.gravity and model.drop_metrics is None:
+        _, traj = integrate(STANDARD_GRAVITY, "three-element drop has no closed form")
     elif args.gravity:
         if params.g == 0.0:
             params = dataclasses.replace(params, g=STANDARD_GRAVITY)
@@ -337,7 +345,7 @@ def cmd_simulate(args) -> int:
             _, traj = _closed_form(params, args.dt, model.metrics, model.trajectory)
         except DiscriminantError as exc:
             # Only the three-element solid's characteristic cubic raises this.
-            traj = _integrate_directly(params, args, 0.0, f"closed form unavailable ({exc})")
+            _, traj = integrate(0.0, f"closed form unavailable ({exc})")
     if args.out is not None:
         traj.to_csv(args.out)
     return EXIT_OK
@@ -349,16 +357,21 @@ def _load_fixed(path: str | None) -> dict:
     return load_flat_json(path, frozenset(), frozenset(_SWEEP_FIXED_DEFAULTS))
 
 
-def _scaled_metrics(model: str, spec: SweepSpec, value: float):
-    """Metrics at one grid point, with unit mass, frequency, and speed."""
-    if model == "sls" and spec.param == "rho":
-        return _rho_expansion_point(spec.fixed, value)
+def _scaled_metrics(model: str, param: str, value: float, fixed: dict):
+    """Metrics at one grid point, with unit mass, frequency, and speed.
+
+    The second item holds the extra columns of the row: the first-order
+    expansion for a three-element ``rho`` sweep, nothing otherwise.
+    """
+    if model == "sls" and param == "rho":
+        return _rho_expansion_point(fixed, value)
     entry = _MODELS[model]
-    groups = {**_SWEEP_FIXED_DEFAULTS, "eps0": 0.0, **spec.fixed, spec.param: value}
-    params = entry.unit_params(groups)
-    if spec.param == "eps0":
-        return entry.drop_metrics(params), None
-    return entry.metrics(params), None
+    params = entry.unit_params(
+        {**_SWEEP_FIXED_DEFAULTS, "eps0": 0.0, **fixed, param: value}
+    )
+    if param == "eps0":
+        return entry.drop_metrics(params), ()
+    return entry.metrics(params), ()
 
 
 def _rho_expansion_point(fixed: dict, rho: float):
@@ -386,47 +399,28 @@ def cmd_sweep(args) -> int:
             f"model {args.model!r} sweeps one of {sweep_params}, not {spec.param!r}"
         )
     fixed = _load_fixed(args.params)
-    spec = dataclasses.replace(spec, fixed=fixed)
     with_asym = args.model == "sls" and spec.param == "rho"
     header = SWEEP_ASYM_HEADER if with_asym else SWEEP_HEADER
     nan_row = (math.nan,) * (len(header) - 1)
-
-    def point(value: float):
+    rows = []
+    code = EXIT_OK
+    for value in map(float, spec.grid()):
         try:
-            metrics, asym = _scaled_metrics(args.model, spec, float(value))
+            met, asym = _scaled_metrics(args.model, spec.param, value, fixed)
         except (DomainError, DiscriminantError) as exc:
-            return (float(value), *nan_row), "domain", str(exc)
+            skip, code = exc, EXIT_DOMAIN
         except (PlasticImpactError, NoSeparationError) as exc:
-            return (float(value), *nan_row), "plastic", str(exc)
-        row = (
-            float(value),
-            metrics.t_c,
-            metrics.e_star,
-            metrics.t_m,
-            metrics.t_M,
-            metrics.x_m,
-            metrics.F_M,
-        )
-        if with_asym:
-            row += asym if asym is not None else (math.nan, math.nan)
-        return row, None, None
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(pool.map(point, spec.grid()))
-
-    rows = [row for row, _, _ in results]
+            # A domain skip anywhere in the grid outranks a plastic one.
+            skip, code = exc, code or EXIT_PLASTIC
+        else:
+            rows.append(
+                (value, met.t_c, met.e_star, met.t_m, met.t_M, met.x_m, met.F_M, *asym)
+            )
+            continue
+        print(f"{spec.param} = {value:g} skipped: {skip}", file=sys.stderr)
+        rows.append((value, *nan_row))
     _emit_csv(args.out, header, rows)
-    domain_hit = plastic_hit = False
-    for row, kind, message in results:
-        if kind is not None:
-            print(f"{spec.param} = {row[0]:g} skipped: {message}", file=sys.stderr)
-            domain_hit = domain_hit or kind == "domain"
-            plastic_hit = plastic_hit or kind == "plastic"
-    if domain_hit:
-        return EXIT_DOMAIN
-    if plastic_hit:
-        return EXIT_PLASTIC
-    return EXIT_OK
+    return code
 
 
 @dataclass(frozen=True)
@@ -566,19 +560,17 @@ def cmd_biphasic(args) -> int:
     if args.out is None:
         return EXIT_OK
     if zeta >= 1.0:
-        print(
-            f"loss factor {zeta:.3g} >= 1: no oscillatory rebound; integrating directly",
-            file=sys.stderr,
-        )
-        kernel = RelaxationKernel.maxwell(eq.k, eq.tau_R)
         # The force decays on the relaxation scale, so a few dozen
         # relaxation times settle whether separation ever happens.
-        horizon = 50.0 if args.horizon is None else args.horizon
-        traj = integrate_impact(
-            kernel, args.m, args.v0, dt_scaled=args.dt, horizon_scaled=horizon
+        metrics, traj = _integrate_directly(
+            RelaxationKernel.maxwell(eq.k, eq.tau_R),
+            args.m,
+            args.v0,
+            0.0,
+            args.dt,
+            50.0 if args.horizon is None else args.horizon,
+            f"loss factor {zeta:.3g} >= 1: no oscillatory rebound",
         )
-        metrics = _metrics_from_trajectory(traj, args.v0)
-        _print_metrics(metrics, "integrated")
     else:
         params = reduce_to_maxwell(layer, args.m, args.v0)
         metrics, traj = _closed_form(params, args.dt, mx_metrics, mx_trajectory)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from visco_impact.cli import (
     EXIT_VERIFY,
     SWEEP_ASYM_HEADER,
     SWEEP_HEADER,
-    THREADS_ENV,
     VERIFY_HEADER,
     SweepSpec,
     cmd_verify,
@@ -83,6 +82,12 @@ class TestSweepSpec:
             SweepSpec(param="xi", lo=0.1, hi=0.9, steps=5)
         with pytest.raises(DomainError, match="positive"):
             SweepSpec(param="Lambda", lo=-1.0, hi=1.0, steps=5)
+        with pytest.raises(DomainError, match="finite"):
+            SweepSpec(param="eps0", lo=0.0, hi=math.inf, steps=3)
+        with pytest.raises(DomainError, match="finite"):
+            SweepSpec(param="Lambda", lo=math.nan, hi=1.0, steps=3)
+        with pytest.raises(DomainError, match="allowed"):
+            parse_sweep_arg("eta:0.1:0.9:100000000000000000000")
 
 
 class TestSimulate:
@@ -121,11 +126,29 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
     def test_unbounded_drop_scan_exits_plastic(self, tmp_path, capsys):
-        """zeta = 0.999 needs a scan far past its cap: a typed error, no traceback."""
+        """zeta = 0.999 needs a scan far past its cap: a typed error, no traceback.
+
+        With a --dt too fine for the sample cap, the failed scan is still
+        what gets reported.
+        """
         params = _write_json(tmp_path, "mx.json", {"m": 1.0, "k": 1.0, "b": 0.5005, "v0": 1.0})
-        rc = main(["simulate", "maxwell", "--params", params, "--gravity"])
-        assert rc == EXIT_PLASTIC
-        assert "contact-end scan gives up" in capsys.readouterr().err
+        for extra in ([], ["--dt", "0.01"]):
+            rc = main(["simulate", "maxwell", "--params", params, "--gravity", *extra])
+            assert rc == EXIT_PLASTIC
+            assert "contact-end scan gives up" in capsys.readouterr().err
+
+    def test_non_finite_dt_rejected(self, tmp_path, capsys):
+        params = _write_json(tmp_path, "kv.json", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0})
+        rc = main(["simulate", "kv", "--params", params, "--dt", "nan"])
+        assert rc == EXIT_IO
+        assert "--dt must be finite" in capsys.readouterr().err
+
+    def test_dt_beyond_sample_cap_rejected(self, tmp_path, capsys):
+        """A tiny --dt is refused before it sizes a huge trajectory."""
+        params = _write_json(tmp_path, "kv.json", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0})
+        rc = main(["simulate", "kv", "--params", params, "--dt", "1e-300"])
+        assert rc == EXIT_IO
+        assert "samples, more than the 1e+07 allowed" in capsys.readouterr().err
 
     def test_three_element_fallback_note(self, tmp_path, capsys):
         """Inside the dead discriminant window the CLI integrates directly."""
@@ -177,6 +200,23 @@ class TestSweep:
         assert dead.tolist() == [False, False, False, True, True, False, False]
         assert np.all(np.isfinite(data[~dead]))
         assert captured.err.count("skipped") == 2
+
+    def test_runs_in_callers_thread(self, monkeypatch, capsys):
+        """No worker thread is started; skips are reported in grid order."""
+
+        def refuse(self):
+            raise RuntimeError("sweep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        rc = main(["sweep", "--model", "sls", "--sweep", "Lambda:0.30:0.33:7"])
+        assert rc == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        data = _parse_csv(captured.out, SWEEP_HEADER)
+        dead = data[np.isnan(data[:, 1]), 0]
+        skipped = [line for line in captured.err.splitlines() if "skipped" in line]
+        assert len(skipped) == dead.size == 2
+        for line, value in zip(skipped, dead):
+            assert line.startswith(f"Lambda = {value:g} skipped: ")
 
     def test_rho_sweep_reports_expansion(self, capsys):
         assert main(["sweep", "--model", "sls", "--sweep", "rho:0.02:0.2:5"]) == EXIT_OK
@@ -321,19 +361,4 @@ class TestAnalyze:
         bad = tmp_path / "table.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["analyze", str(bad)]) == EXIT_IO
-        assert "error:" in capsys.readouterr().err
-
-
-class TestThreads:
-    def test_env_honored(self, monkeypatch, capsys):
-        monkeypatch.setenv(THREADS_ENV, "2")
-        assert main(["sweep", "--model", "kv", "--sweep", "eta:0.1:0.9:5"]) == EXIT_OK
-        data = _parse_csv(capsys.readouterr().out, SWEEP_HEADER)
-        assert data.shape[0] == 5
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_env_invalid(self, monkeypatch, capsys, value):
-        monkeypatch.setenv(THREADS_ENV, value)
-        rc = main(["sweep", "--model", "kv", "--sweep", "eta:0.1:0.9:5"])
-        assert rc == EXIT_IO
         assert "error:" in capsys.readouterr().err
