@@ -169,30 +169,23 @@ def _check_history(times: np.ndarray, delta0: np.ndarray) -> tuple[np.ndarray, n
     return times, delta0
 
 
-def _exp_weighted_depth(times, delta0, chi, t_eval: float) -> float:
-    """``integral_0^t exp(-chi (t - s)) delta0(s) ds`` for piecewise-linear depth.
+def _relaxed_depths(times: np.ndarray, delta0: np.ndarray, tau_R: float) -> np.ndarray:
+    """``integral_0^t exp(-(t-s)/tau_R) delta0'(s) ds`` at every sample.
 
-    Exact per segment; the running value decays by ``exp(-chi dt)`` across
-    each segment and gains the closed-form segment contribution.
+    The history is piecewise linear, so its rate is piecewise constant and
+    each segment integrates in closed form: the running value decays by
+    ``exp(-dt / tau_R)`` across a segment and gains that segment's part.
     """
-    if t_eval < 0.0 or t_eval > times[-1]:
-        raise DomainError(f"t = {t_eval!r} lies outside the sampled history")
+    out = np.empty_like(times)
+    out[0] = 0.0
     acc = 0.0
     for i in range(times.size - 1):
-        t0, t1 = times[i], times[i + 1]
-        if t0 >= t_eval:
-            break
-        seg_end = min(t1, t_eval)
-        dt = seg_end - t0
-        slope = (delta0[i + 1] - delta0[i]) / (t1 - t0)
-        d_end = delta0[i] + slope * dt
-        E = math.exp(-chi * dt)
-        acc = E * acc + d_end * (1.0 - E) / chi - slope * (
-            1.0 - E * (1.0 + chi * dt)
-        ) / chi**2
-        if seg_end == t_eval:
-            break
-    return acc
+        dt = times[i + 1] - times[i]
+        slope = (delta0[i + 1] - delta0[i]) / dt
+        E = math.exp(-dt / tau_R)
+        acc = E * acc + slope * tau_R * (1.0 - E)
+        out[i + 1] = acc
+    return out
 
 
 def pressure_profile(layer: BiphasicLayer, times, delta0, r, t: float) -> np.ndarray:
@@ -203,8 +196,10 @@ def pressure_profile(layer: BiphasicLayer, times, delta0, r, t: float) -> np.nda
         P(r, t) = 3 mu_s / (8 pi h**3) * (a**2 - r**2)
                   * [delta0(t) - chi * integral exp(-chi (t-s)) delta0(s) ds]
 
-    so its integral over the contact disk reproduces
-    :func:`biphasic_force` at every sampled instant.
+    The bracket equals ``integral exp(-chi (t-s)) delta0'(s) ds`` (by parts,
+    as ``delta0(0) = 0``), the relaxed depth that :func:`biphasic_force`
+    recurses, so the profile's integral over the contact disk reproduces
+    that force at every sampled instant.
 
     Parameters
     ----------
@@ -220,9 +215,16 @@ def pressure_profile(layer: BiphasicLayer, times, delta0, r, t: float) -> np.nda
     r = np.asarray(r, dtype=float)
     if np.any(np.abs(r) > layer.a):
         raise DomainError("radial stations must lie inside the contact radius")
+    if not 0.0 <= t <= times[-1]:
+        raise DomainError(f"t = {t!r} lies outside the sampled history")
     eq = equivalent_maxwell(layer)
-    depth = float(np.interp(t, times, delta0))
-    relaxed = depth - eq.chi * _exp_weighted_depth(times, delta0, eq.chi, t)
+    # The force recursion, carried to t across the interpolated partial segment.
+    before = int(np.searchsorted(times, t))
+    relaxed = _relaxed_depths(
+        np.append(times[:before], t),
+        np.append(delta0[:before], np.interp(t, times, delta0)),
+        eq.tau_R,
+    )[-1]
     prefactor = 3.0 * layer.mu_s / (8.0 * math.pi * layer.h**3)
     return prefactor * (layer.a**2 - r**2) * relaxed
 
@@ -238,16 +240,7 @@ def biphasic_force(layer: BiphasicLayer, times, delta0) -> np.ndarray:
     """
     times, delta0 = _check_history(times, delta0)
     eq = equivalent_maxwell(layer)
-    F = np.empty_like(times)
-    F[0] = 0.0
-    acc = 0.0
-    for i in range(times.size - 1):
-        dt = times[i + 1] - times[i]
-        slope = (delta0[i + 1] - delta0[i]) / dt
-        E = math.exp(-dt / eq.tau_R)
-        acc = E * acc + slope * eq.tau_R * (1.0 - E)
-        F[i + 1] = eq.k * acc
-    return F
+    return eq.k * _relaxed_depths(times, delta0, eq.tau_R)
 
 
 def biphasic_loss_factor(layer: BiphasicLayer, m: float) -> float:
@@ -258,8 +251,8 @@ def biphasic_loss_factor(layer: BiphasicLayer, m: float) -> float:
     permeability and shear modulus and falls with thickness and contact
     radius, so thicker layers and larger indenters rebound more.
     """
-    if not (m > 0.0):
-        raise DomainError(f"m must be positive, got {m!r}")
+    if not (m > 0.0) or not math.isfinite(m):
+        raise DomainError(f"m must be positive and finite, got {m!r}")
     return 2.0 * math.sqrt(3.0 * m * layer.mu_s) * layer.kappa / (
         layer.a**2 * math.sqrt(layer.h)
     )

@@ -272,12 +272,13 @@ def _metrics_from_trajectory(traj: Trajectory, v0: float) -> ImpactMetrics:
     )
 
 
-def _samples_from_dt(t_c_scaled: float, dt: float | None, probe: Callable) -> int:
+def _samples_from_dt(params, dt: float | None, trajectory_fn: Callable) -> int:
     """Trajectory samples at scaled spacing ``dt``, capped at ``MAX_SCAN_SAMPLES``.
 
-    ``probe`` runs a cheap trajectory before a too-fine spacing is
-    rejected: an impact whose contact end cannot be found fails at any
-    spacing, so its own error is the one to report.
+    The samples span the contact end of the trajectory itself, taken from
+    a two-sample run: for a drop that is the scanned root, not the
+    expansion's estimate.  An impact whose contact end cannot be found
+    raises its own error there.
     """
     if dt is None:
         return DEFAULT_SAMPLES
@@ -285,9 +286,9 @@ def _samples_from_dt(t_c_scaled: float, dt: float | None, probe: Callable) -> in
         raise ConfigError(f"--dt must be positive, got {dt}")
     if not math.isfinite(dt):
         raise ConfigError(f"--dt must be finite, got {dt}")
-    spans = t_c_scaled / dt
+    t_c = trajectory_fn(params, n_samples=2).t_c
+    spans = params.derived.omega0 * t_c / dt
     if not spans <= MAX_SCAN_SAMPLES - 1:
-        probe()
         raise ConfigError(
             f"--dt {dt:g} needs {spans + 1:.3g} samples, "
             f"more than the {MAX_SCAN_SAMPLES:.3g} allowed"
@@ -298,10 +299,7 @@ def _samples_from_dt(t_c_scaled: float, dt: float | None, probe: Callable) -> in
 def _closed_form(params, dt, metrics_fn, trajectory_fn, label: str = ""):
     """Metrics and a trajectory sampled at scaled spacing ``dt``, metrics printed."""
     metrics = metrics_fn(params)
-    n = _samples_from_dt(
-        params.derived.omega0 * metrics.t_c, dt, lambda: trajectory_fn(params, n_samples=2)
-    )
-    traj = trajectory_fn(params, n_samples=n)
+    traj = trajectory_fn(params, n_samples=_samples_from_dt(params, dt, trajectory_fn))
     _print_metrics(metrics, label)
     return metrics, traj
 

@@ -6,6 +6,11 @@ during contact.  All results are exact evaluations of the oscillatory
 solution of ``m x'' + b x' + k x = m g`` with ``x(0) = 0, x'(0) = v0``;
 contact ends at the first return of the transmitted force ``k x + b x'``
 to zero.
+
+The equation is linear, so the drop solution is the free response (``g = 0``)
+plus the response to the impactor's weight alone (``v0 = 0``).  Each column
+is written once in that form, and the zero-gravity trajectory is the drop
+solution at ``g = 0`` with its contact end in closed form.
 """
 
 from __future__ import annotations
@@ -44,6 +49,27 @@ def _contact_duration(derived) -> float:
     return 2.0 / derived.omega * math.atan2(derived.omega, derived.beta)
 
 
+def _columns(params: KelvinVoigtParams, g: float, t):
+    """Displacement, velocity and force at times ``t`` under gravity ``g``."""
+    d = params.derived
+    v0, omega0, omega, beta = params.v0, d.omega0, d.omega, d.beta
+    envelope, phase = np.exp(-beta * t), omega * t
+    s, c = np.sin(phase), np.cos(phase)
+    x = v0 / omega * envelope * s
+    xdot = v0 / omega * envelope * (omega * c - beta * s)
+    if g:
+        x = x + g / omega0**2 * (1.0 - envelope * (c + beta / omega * s))
+        xdot = xdot + g / omega * envelope * s
+    return x, xdot, params.k * x + params.b * xdot
+
+
+def _sample(params: KelvinVoigtParams, g: float, t_c: float, n_samples: int) -> Trajectory:
+    """Trajectory under gravity ``g`` on a uniform grid spanning ``[0, t_c]``."""
+    t = np.linspace(0.0, t_c, n_samples)
+    x, xdot, F = _columns(params, g, t)
+    return Trajectory(times=t, x=x, xdot=xdot, xddot=g - F / params.m, F=F)
+
+
 def kv_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Sample the zero-gravity contact history on a uniform grid.
 
@@ -60,17 +86,7 @@ def kv_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -
         With ``x[0] = 0``, ``xdot[0] = v0`` and the force satisfying
         ``F = k x + b xdot`` at every sample.
     """
-    d = params.derived
-    v0, omega, beta = params.v0, d.omega, d.beta
-    t_c = _contact_duration(d)
-    t = np.linspace(0.0, t_c, n_samples)
-    envelope = np.exp(-beta * t)
-    s, c = np.sin(omega * t), np.cos(omega * t)
-    x = v0 / omega * envelope * s
-    xdot = v0 / omega * envelope * (omega * c - beta * s)
-    xddot = -v0 / omega * envelope * ((omega**2 - beta**2) * s + 2.0 * beta * omega * c)
-    F = params.k * x + params.b * xdot
-    return Trajectory(times=t, x=x, xdot=xdot, xddot=xddot, F=F)
+    return _sample(params, 0.0, _contact_duration(params.derived), n_samples)
 
 
 def kv_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
@@ -138,16 +154,11 @@ def kv_fm_minimizer(tol: float = 1e-12) -> tuple[float, float]:
     return eta_star, _peak_force_scaled(eta_star)
 
 
-def _drop_kinematics(params: KelvinVoigtParams, t: np.ndarray):
-    """Displacement and velocity of the gravity-extended contact."""
-    d = params.derived
-    v0, g = params.v0, params.g
-    omega0, omega, beta = d.omega0, d.omega, d.beta
-    envelope = np.exp(-beta * t)
-    s, c = np.sin(omega * t), np.cos(omega * t)
-    x = v0 / omega * envelope * s + g / omega0**2 * (1.0 - envelope * (c + beta / omega * s))
-    xdot = v0 / omega * envelope * (omega * c - beta * s) + g / omega * envelope * s
-    return x, xdot
+def _drop_contact_end(params: KelvinVoigtParams, min_horizon: float = 0.0) -> float:
+    """First force zero with gravity acting, scanned over at least ten periods."""
+    period = 2.0 * math.pi / params.derived.omega
+    horizon = max(SCAN_HORIZON_PERIODS * period, min_horizon)
+    return first_force_zero(lambda t: _columns(params, params.g, t)[2], period, horizon)
 
 
 def kv_drop_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
@@ -166,23 +177,8 @@ def kv_drop_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPL
         If the force never returns to zero within ten damped periods
         (the impactor stays embedded).
     """
-    d = params.derived
-    period = 2.0 * math.pi / d.omega
-
-    def force(t):
-        x, xdot = _drop_kinematics(params, t)
-        return params.k * x + params.b * xdot
-
-    horizon = max(
-        SCAN_HORIZON_PERIODS * period, 2.0 * kv_drop_metrics_asymptotic(params).t_c
-    )
-    t_c = first_force_zero(force, period, horizon)
-
-    t = np.linspace(0.0, t_c, n_samples)
-    x, xdot = _drop_kinematics(params, t)
-    F = params.k * x + params.b * xdot
-    xddot = params.g - F / params.m
-    return Trajectory(times=t, x=x, xdot=xdot, xddot=xddot, F=F)
+    t_c = _drop_contact_end(params, 2.0 * kv_drop_metrics_asymptotic(params).t_c)
+    return _sample(params, params.g, t_c, n_samples)
 
 
 def kv_drop_metrics_asymptotic(params: KelvinVoigtParams) -> ImpactMetrics:
@@ -222,16 +218,8 @@ def kv_find_critical_eps0(eta: float, tol: float = 1e-6) -> float:
     b = 2.0 * eta
 
     def embeds(eps0: float) -> bool:
-        p = KelvinVoigtParams(m=1.0, k=1.0, b=b, v0=1.0, g=eps0)
-        d = p.derived
-        period = 2.0 * math.pi / d.omega
-
-        def force(t):
-            x, xdot = _drop_kinematics(p, t)
-            return p.k * x + p.b * xdot
-
         try:
-            first_force_zero(force, period, SCAN_HORIZON_PERIODS * period)
+            _drop_contact_end(KelvinVoigtParams(m=1.0, k=1.0, b=b, v0=1.0, g=eps0))
         except PlasticImpactError:
             return True
         return False

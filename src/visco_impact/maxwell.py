@@ -6,9 +6,12 @@ The series pair relaxes stress exponentially with time constant
 ends at exactly half a damped period, and a permanent indentation
 ``2 zeta v0 / omega0`` remains after separation.
 
-With gravity acting during contact the force acquires a constant offset and
-a secular drift term; the closed forms here satisfy the initial conditions
-``x(0) = 0, x'(0) = v0, x''(0) = g`` exactly.
+The problem is linear, so with gravity acting during contact the solution
+is the free response (``g = 0``) plus the response to the impactor's weight
+alone (``v0 = 0``): a force offset ``m g`` and the series dashpot's creep
+at ``2 zeta g / omega0``.  Each column is written once in that form, and the
+zero-gravity trajectory is the drop solution at ``g = 0``.  Both parts
+vanish at ``t = 0``, so ``x(0) = 0, x'(0) = v0, x''(0) = g`` hold exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +37,51 @@ __all__ = [
 ]
 
 
+def _phases(params: MaxwellParams, t):
+    """Envelope ``exp(-beta t)`` and phases ``sin(omega t)``, ``cos(omega t)``."""
+    d = params.derived
+    phase = d.omega * t
+    return np.exp(-d.beta * t), np.sin(phase), np.cos(phase)
+
+
+def _force(params: MaxwellParams, g: float, envelope, s, c):
+    """Contact force under gravity ``g``; the weight's part rises to ``m g``."""
+    d = params.derived
+    F = params.k * params.v0 / d.omega * envelope * s
+    if g:
+        F = F + params.m * g * (1.0 - envelope * (c + d.beta / d.omega * s))
+    return F
+
+
+def _sample(params: MaxwellParams, g: float, t_c: float, n_samples: int) -> Trajectory:
+    """Trajectory under gravity ``g`` on a uniform grid spanning ``[0, t_c]``."""
+    d = params.derived
+    v0, omega0, omega, zeta = params.v0, d.omega0, d.omega, d.zeta
+    t = np.linspace(0.0, t_c, n_samples)
+    envelope, s, c = _phases(params, t)
+    x = v0 / omega0 * (
+        envelope * (omega0 * (1.0 - 2.0 * zeta**2) / omega * s - 2.0 * zeta * c)
+        + 2.0 * zeta
+    )
+    xdot = v0 * envelope * (c + zeta * omega0 / omega * s)
+    F = _force(params, g, envelope, s, c)
+    # Adding g only when it is nonzero keeps the zero-gravity column exactly
+    # -F / m, down to the sign of its zero at t = 0.
+    xddot = -F / params.m
+    if g:
+        settled = 1.0 - envelope * c
+        x = x + g / omega0**2 * (
+            (1.0 - 4.0 * zeta**2) * settled
+            + 2.0 * zeta * omega0 * t
+            - zeta * (3.0 - 4.0 * zeta**2) * omega0 / omega * envelope * s
+        )
+        xdot = xdot + g / omega0 * (
+            2.0 * zeta * settled + (1.0 - 2.0 * zeta**2) * omega0 / omega * envelope * s
+        )
+        xddot = g + xddot
+    return Trajectory(times=t, x=x, xdot=xdot, xddot=xddot, F=F)
+
+
 def mx_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Sample the zero-gravity contact history on a uniform grid.
 
@@ -41,20 +89,7 @@ def mx_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Tr
     also the exact hereditary convolution of the velocity with the
     exponential relaxation kernel.
     """
-    d = params.derived
-    v0, omega0, omega, beta, zeta = params.v0, d.omega0, d.omega, d.beta, d.zeta
-    t_c = math.pi / omega
-    t = np.linspace(0.0, t_c, n_samples)
-    envelope = np.exp(-beta * t)
-    s, c = np.sin(omega * t), np.cos(omega * t)
-    x = v0 / omega0 * (
-        envelope * (omega0 * (1.0 - 2.0 * zeta**2) / omega * s - 2.0 * zeta * c)
-        + 2.0 * zeta
-    )
-    xdot = v0 * envelope * (c + zeta * omega0 / omega * s)
-    F = params.k * v0 / omega * envelope * s
-    xddot = -F / params.m
-    return Trajectory(times=t, x=x, xdot=xdot, xddot=xddot, F=F)
+    return _sample(params, 0.0, math.pi / params.derived.omega, n_samples)
 
 
 def mx_metrics(params: MaxwellParams) -> ImpactMetrics:
@@ -83,15 +118,6 @@ def mx_metrics(params: MaxwellParams) -> ImpactMetrics:
     )
 
 
-def _drop_force_scaled(params: MaxwellParams, t: np.ndarray) -> np.ndarray:
-    """Contact force over ``m v0 omega0`` with gravity acting."""
-    d = params.derived
-    omega0, omega, beta, zeta, eps0 = d.omega0, d.omega, d.beta, d.zeta, d.eps0
-    envelope = np.exp(-beta * t)
-    s, c = np.sin(omega * t), np.cos(omega * t)
-    return eps0 + envelope * (omega0 / omega * (1.0 - zeta * eps0) * s - eps0 * c)
-
-
 def mx_drop_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Contact history with gravity acting throughout contact.
 
@@ -109,46 +135,13 @@ def mx_drop_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) 
         When that horizon needs a scan past ``_search.MAX_SCAN_SAMPLES``,
         as it does for ``zeta`` near 1.
     """
-    d = params.derived
-    v0, g = params.v0, params.g
-    omega0, omega, beta, zeta, eps0 = d.omega0, d.omega, d.beta, d.zeta, d.eps0
-    period = 2.0 * math.pi / omega
-
-    def force(t):
-        return params.m * v0 * omega0 * _drop_force_scaled(params, t)
-
+    period = 2.0 * math.pi / params.derived.omega
     horizon = max(
         SCAN_HORIZON_PERIODS * period, 2.0 * mx_drop_metrics_asymptotic(params).t_c
     )
-    t_c = first_force_zero(force, period, horizon)
-
-    t = np.linspace(0.0, t_c, n_samples)
-    envelope = np.exp(-beta * t)
-    s, c = np.sin(omega * t), np.cos(omega * t)
-    offset = 2.0 * zeta + eps0 - 4.0 * zeta**2 * eps0
-    x = v0 / omega0 * (
-        envelope
-        * (
-            omega0
-            / omega
-            * (1.0 - 2.0 * zeta**2 - 3.0 * zeta * eps0 + 4.0 * zeta**3 * eps0)
-            * s
-            - offset * c
-        )
-        + offset
-        + 2.0 * zeta * eps0 * omega0 * t
-    )
-    xdot = (
-        envelope
-        * (
-            v0 * (1.0 - 2.0 * zeta * eps0) * c
-            + omega0 / omega * v0 * (zeta + eps0 - 2.0 * zeta**2 * eps0) * s
-        )
-        + 2.0 * zeta * eps0 * v0
-    )
-    F = params.m * v0 * omega0 * _drop_force_scaled(params, t)
-    xddot = g - F / params.m
-    return Trajectory(times=t, x=x, xdot=xdot, xddot=xddot, F=F)
+    g = params.g
+    t_c = first_force_zero(lambda t: _force(params, g, *_phases(params, t)), period, horizon)
+    return _sample(params, g, t_c, n_samples)
 
 
 def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:

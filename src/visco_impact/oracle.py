@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._search import MAX_SCAN_SAMPLES
 from .errors import ConfigError, NoSeparationError
 from .models import (
     KelvinVoigtParams,
@@ -440,18 +441,23 @@ def _resolve_grid(kernel, m, dt_scaled, horizon_scaled):
         raise ConfigError(f"dt_scaled must be positive, got {dt!r}")
     if not (horizon > dt):
         raise ConfigError("horizon_scaled must exceed the step size")
+    steps = horizon / dt
+    if not steps <= MAX_SCAN_SAMPLES:
+        raise ConfigError(
+            f"horizon {horizon:.6g} at step {dt:.6g} needs {steps:.3g} steps, "
+            f"more than the {MAX_SCAN_SAMPLES:.3g} allowed"
+        )
     return dt, horizon
 
 
 def _integrate(kernel, m, v0, g, dt_scaled, horizon_scaled):
     if not isinstance(kernel, RelaxationKernel):
         raise ConfigError("kernel must be a RelaxationKernel")
-    if not (m > 0.0):
-        raise ConfigError(f"m must be positive, got {m!r}")
-    if not (v0 > 0.0):
-        raise ConfigError(f"v0 must be positive, got {v0!r}")
-    if g < 0.0:
-        raise ConfigError(f"g must be nonnegative, got {g!r}")
+    for name, value in (("m", m), ("v0", v0)):
+        if not (value > 0.0) or not math.isfinite(value):
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    if not (g >= 0.0) or not math.isfinite(g):
+        raise ConfigError(f"g must be nonnegative and finite, got {g!r}")
     dt, horizon = _resolve_grid(kernel, m, dt_scaled, horizon_scaled)
     if kernel.kind == "table":
         return _integrate_table(kernel, m, v0, g, dt, horizon)
@@ -485,6 +491,13 @@ def integrate_impact(
     -------
     Trajectory
         Node samples up to contact end, including the refined final instant.
+
+    Raises
+    ------
+    ConfigError
+        For a non-finite or non-positive ``m`` or ``v0``, or when
+        ``horizon_scaled / dt_scaled`` is not finite or exceeds
+        ``_search.MAX_SCAN_SAMPLES`` steps.
     """
     return _integrate(kernel, m, v0, 0.0, dt_scaled, horizon_scaled)
 

@@ -172,9 +172,8 @@ def _scaled_solution(roots: CubicRoots) -> tuple[_DampedMode, _DampedMode, _Damp
     return xi, xi_d, xi_d.derivative()
 
 
-def _scaled_contact_end(roots: CubicRoots) -> float:
+def _scaled_contact_end(roots: CubicRoots, xi_dd: _DampedMode) -> float:
     """First zero of the scaled contact force ``-xi''`` after its rise."""
-    _, _, xi_dd = _scaled_solution(roots)
     period = 2.0 * math.pi / roots.zeta1
     return first_force_zero(lambda tau: -xi_dd(tau), period, SCAN_HORIZON_PERIODS * period)
 
@@ -193,7 +192,7 @@ def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES
     d = params.derived
     roots = sls_characteristic_roots(d.Lambda, d.rho)
     xi, xi_d, xi_dd = _scaled_solution(roots)
-    tau_c = _scaled_contact_end(roots)
+    tau_c = _scaled_contact_end(roots, xi_dd)
     tau_R, v0 = d.tau_R, params.v0
 
     tau = np.linspace(0.0, tau_c, n_samples)
@@ -221,7 +220,7 @@ def sls_metrics(params: StandardSolidParams) -> ImpactMetrics:
     d = params.derived
     roots = sls_characteristic_roots(d.Lambda, d.rho)
     xi, xi_d, xi_dd = _scaled_solution(roots)
-    tau_c = _scaled_contact_end(roots)
+    tau_c = _scaled_contact_end(roots, xi_dd)
     tau_R, v0, m = d.tau_R, params.v0, params.m
 
     tau_m = _golden_peak(lambda t: -xi(t), 0.0, tau_c)

@@ -124,6 +124,11 @@ class TestReduction:
         with pytest.raises(DomainError, match="m must be positive"):
             biphasic_loss_factor(_layer(), 0.0)
 
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_loss_factor_needs_finite_mass(self, m):
+        with pytest.raises(DomainError, match="finite"):
+            biphasic_loss_factor(_layer(), m)
+
 
 class TestForce:
     def test_linear_ramp_closed_form(self):

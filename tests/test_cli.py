@@ -8,6 +8,7 @@ import io
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,26 @@ class TestSimulate:
             assert rc == EXIT_PLASTIC
             assert "contact-end scan gives up" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            ("kv", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0, "g": 0.2}),
+            ("maxwell", {"m": 1.0, "k": 1.0, "b": 1.0 / 0.6, "v0": 1.0, "g": 0.15}),
+        ],
+    )
+    def test_gravity_dt_bounds_spacing(self, tmp_path, model, params):
+        """The samples span the scanned contact end, so no step exceeds --dt.
+
+        The weight delays separation past the expansion's t_c, which would
+        stretch a grid sized from it.
+        """
+        path = _write_json(tmp_path, f"{model}.json", params)
+        out = tmp_path / "traj.csv"
+        argv = ["simulate", model, "--params", path, "--gravity", "--dt", "0.01"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        # Unit mass and stiffness: omega0 = 1, so the scaled spacing is in seconds.
+        assert np.max(np.diff(Trajectory.from_csv(out).times)) <= 0.01 * (1.0 + 1e-12)
+
     def test_non_finite_dt_rejected(self, tmp_path, capsys):
         params = _write_json(tmp_path, "kv.json", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0})
         rc = main(["simulate", "kv", "--params", params, "--dt", "nan"])
@@ -149,6 +170,25 @@ class TestSimulate:
         rc = main(["simulate", "kv", "--params", params, "--dt", "1e-300"])
         assert rc == EXIT_IO
         assert "samples, more than the 1e+07 allowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [["--horizon", "inf"], ["--dt", "1e-9"]])
+    def test_oracle_grid_past_step_cap_rejected(self, tmp_path, capsys, grid):
+        """The three-element drop is integrated; a grid past the step cap exits 1.
+
+        It must do so before the integrator allocates anything sized by it.
+        """
+        params = _write_json(
+            tmp_path, "sls.json", {"m": 1.0, "k1": 1.0, "k2": 1.0, "b": 1.0, "v0": 1.0}
+        )
+        tracemalloc.start()
+        try:
+            rc = main(["simulate", "sls", "--params", params, "--gravity", *grid])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_IO
+        assert "steps, more than the 1e+07 allowed" in capsys.readouterr().err
+        assert peak < 20e6
 
     def test_three_element_fallback_note(self, tmp_path, capsys):
         """Inside the dead discriminant window the CLI integrates directly."""
@@ -329,6 +369,15 @@ class TestBiphasic:
         err = capsys.readouterr().err
         assert "no oscillatory rebound" in err
         assert "never returned to zero" in err
+
+    def test_non_finite_mass_exits_domain(self, tmp_path, capsys):
+        layer = {"mu_s": 0.25e6, "lambda_s": 0.25e6, "kappa": 2e-15, "h": 0.5e-3, "a": 2.5e-3}
+        params = _write_json(tmp_path, "layer.json", layer)
+        out = tmp_path / "f.csv"
+        rc = main(["biphasic", "--params", params, "--m", "inf", "--out", str(out)])
+        assert rc == EXIT_DOMAIN
+        assert "m must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_layer_key(self, tmp_path, capsys):
         params = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, phi=0.8))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from visco_impact._search import _SAMPLES_PER_PERIOD, MAX_SCAN_SAMPLES, first_force_zero
@@ -129,6 +129,29 @@ class TestDrop:
     def test_initial_conditions_exact(self):
         params = _params(0.3, g=0.05)
         traj = mx_drop_trajectory(params, n_samples=200)
+        assert traj.x[0] == 0.0
+        assert traj.xdot[0] == params.v0
+        assert traj.xddot[0] == params.g
+
+    @given(
+        zeta=st.floats(min_value=0.01, max_value=0.9, exclude_min=True, exclude_max=True),
+        eps0=st.floats(min_value=1e-4, max_value=0.1),
+        m=st.floats(min_value=1e-2, max_value=1e2),
+        k=st.floats(min_value=1e-2, max_value=1e4),
+        v0=st.floats(min_value=1e-2, max_value=1e2),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_superposition_starts_exactly(self, zeta, eps0, m, k, v0):
+        """The free and the weight responses each vanish at t = 0.
+
+        So the drop history starts at exactly ``x = 0, xdot = v0,
+        xddot = g`` for any scales, not just to rounding.
+        """
+        params = _params(zeta, m=m, k=k, v0=v0, g=eps0 * math.sqrt(k / m) * v0)
+        try:
+            traj = mx_drop_trajectory(params, n_samples=3)
+        except PlasticImpactError:
+            assume(False)
         assert traj.x[0] == 0.0
         assert traj.xdot[0] == params.v0
         assert traj.xddot[0] == params.g

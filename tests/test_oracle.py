@@ -236,6 +236,33 @@ class TestGravityAndTermination:
         with pytest.raises(ConfigError, match="RelaxationKernel"):
             integrate_impact("kernel", 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "grid, needed",
+        [({"horizon_scaled": math.inf}, "inf steps"), ({"dt_scaled": 1e-9}, "3.14e+10 steps")],
+    )
+    def test_grid_past_step_cap_rejected(self, grid, needed):
+        """A horizon too long for its step is refused before any state is built."""
+        kern = RelaxationKernel.maxwell(1.0, 1.0)
+        with pytest.raises(ConfigError) as info:
+            integrate_impact(kern, 1.0, 1.0, **grid)
+        assert needed in str(info.value)
+        assert "more than the 1e+07 allowed" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "m, v0, g",
+        [
+            (math.inf, 1.0, 0.0),
+            (1.0, math.inf, 0.0),
+            (1.0, math.nan, 0.0),
+            (1.0, 1.0, math.inf),
+            (1.0, 1.0, math.nan),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, m, v0, g):
+        kern = RelaxationKernel.maxwell(1.0, 1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            integrate_impact_with_gravity(kern, m, v0, g)
+
     def test_default_step_respects_fast_relaxation(self):
         """Stiff kernels cap the default step at half the fastest decay."""
         kern = RelaxationKernel(
