@@ -174,7 +174,9 @@ def _relaxed_depths(times: np.ndarray, delta0: np.ndarray, tau_R: float) -> np.n
 
     The history is piecewise linear, so its rate is piecewise constant and
     each segment integrates in closed form: the running value decays by
-    ``exp(-dt / tau_R)`` across a segment and gains that segment's part.
+    ``exp(-dt / tau_R)`` across a segment and gains that segment's part,
+    whose factor ``1 - exp(-dt / tau_R)`` comes from ``expm1`` so that short
+    segments keep every digit.
     """
     out = np.empty_like(times)
     out[0] = 0.0
@@ -182,8 +184,8 @@ def _relaxed_depths(times: np.ndarray, delta0: np.ndarray, tau_R: float) -> np.n
     for i in range(times.size - 1):
         dt = times[i + 1] - times[i]
         slope = (delta0[i + 1] - delta0[i]) / dt
-        E = math.exp(-dt / tau_R)
-        acc = E * acc + slope * tau_R * (1.0 - E)
+        gain = -math.expm1(-dt / tau_R)
+        acc = math.exp(-dt / tau_R) * acc + slope * tau_R * gain
         out[i + 1] = acc
     return out
 

@@ -19,10 +19,13 @@ Both state equations are linear with constant coefficients,
 ``y' = A y + c``, so one RK4 step is exactly the affine map
 ``y <- y + (D y + q)`` with ``D = M + M^2/2 + M^3/6 + M^4/24``, ``M = dt A``:
 the same scheme, kept in increment form so that no step rounds ``I + D``.
-Blocks of steps advance at once from precomputed powers of that map.
+Blocks of steps advance at once from precomputed powers of that map, and
+only the block starts are chained one after another.
 Tabulated kernels fall back to a second-order predictor-corrector with
-trapezoid history summation, whose cost grows quadratically with the step
-count.
+trapezoid history summation.  Its steps are linear too, so a block of them
+is one product with a precomputed matrix once the history over earlier
+nodes is known; that part comes from one convolution per block, so the
+cost is O(n^2) multiply-adds in compiled code, not a Python loop per step.
 """
 
 from __future__ import annotations
@@ -60,11 +63,17 @@ DEFAULT_HORIZON_HALF_PERIODS = 10.0
 # interpolated force zero at contact end.
 _REFINE_TOL = 1e-12
 
-# RK4 steps advanced at once from precomputed powers of the step map.  A
-# block end is reached from the block start in one product, so rounding in
-# the powers grows with the block; 64 steps keep the default-step agreement
-# with the closed forms below 1e-14, and longer blocks gain little speed.
+# Steps advanced at once: RK4 steps from precomputed powers of the step
+# map, or table-kernel steps from one precomputed linear map.  A block end
+# is reached from the block start in one product, so rounding in the powers
+# grows with the block; 64 steps keep the default-step agreement with the
+# closed forms below 1e-14, and longer blocks gain little speed.
 _BLOCK = 64
+
+# RK4 blocks expanded by one product once their starts are chained.  A
+# batch of 4096 steps leaves little Python per step at the default 1e4-step
+# contact and bounds the steps computed past its end.
+_BATCH = 64
 
 _KINDS = ("exp_sum", "kv_limit", "table")
 
@@ -283,44 +292,72 @@ def _linear_system(kernel, m, v0, g):
     return A, c, fvec, t_unit, gain
 
 
+def _step_powers(D, q):
+    """``(D_j, S_j)`` for j = 1 .. ``_BLOCK``: j steps from y give ``y + (D_j y + S_j)``.
+
+    Built by doubling, ``D_{j+k} = D_j + D_k + D_k D_j`` and
+    ``S_{j+k} = S_j + S_k + D_k S_j``, one batched product per doubling.
+    """
+    Ds, Ss = D[None], q[None]
+    while len(Ds) < _BLOCK:
+        k = min(len(Ds), _BLOCK - len(Ds))
+        Dp, Sp = Ds[-1], Ss[-1]
+        Ds = np.concatenate([Ds, Ds[:k] + Dp + Dp @ Ds[:k]])
+        Ss = np.concatenate([Ss, Ss[:k] + Sp + Ss[:k] @ Dp.T])
+    return Ds, Ss
+
+
+def _first_return(fs, started):
+    """First index of ``fs`` where the force is back to ``<= 0`` after its rise.
+
+    Returns that index, or None, and whether the force has risen by the
+    end of ``fs``; ``started`` says whether it had risen before it.
+    """
+    hit = fs <= 0.0
+    if not started:
+        # A node with fs <= 0 is not itself a start, so an inclusive
+        # running "any positive" marks the nodes after the rise.
+        risen = np.logical_or.accumulate(fs > 0.0)
+        hit &= risen
+        started = bool(risen[-1])
+    return (int(hit.argmax()) if hit.any() else None), started
+
+
 def _integrate_linear(kernel, m, v0, g, dt, horizon):
     """March RK4 until the force returns to zero after its initial rise.
 
-    Whole blocks of ``_BLOCK`` steps advance at once from precomputed
-    powers of the step map.  The zero is located on a cubic Hermite
-    interpolant of the force over the bracketing step (endpoint values and
-    rates), bisected to a fixed fraction of the step, and the terminal state
-    comes from one partial Runge-Kutta step, preserving the scheme's order.
+    Only the block starts are chained, ``_BLOCK`` steps at a time; one
+    product then expands ``_BATCH`` blocks from precomputed powers of the
+    step map, so every node is its block start plus one product.  The zero
+    is located on a cubic Hermite interpolant of the force over the
+    bracketing step (endpoint values and rates), bisected to a fixed
+    fraction of the step, and the terminal state comes from one partial
+    Runge-Kutta step, preserving the scheme's order.
     """
     A, c, fvec, t_unit, gain = _linear_system(kernel, m, v0, g)
     n = c.size
-    D, q = _rk4_increment(A, c, dt)
-    # j steps from y give y + (D_j y + S_j), for j = 1 .. _BLOCK.
-    Ds, Ss = [D], [q]
-    for _ in range(_BLOCK - 1):
-        Ds.append(D + Ds[-1] + D @ Ds[-1])
-        Ss.append(Ss[-1] + (D @ Ss[-1] + q))
-    D_blk, S_blk = np.concatenate(Ds), np.stack(Ss)
+    Ds, Ss = _step_powers(*_rk4_increment(A, c, dt))
+    D_blk, D_end, S_end = Ds.reshape(-1, n), Ds[-1], Ss[-1]
 
     n_max = int(math.ceil(horizon / dt)) + 1
     y = np.zeros(n)
     y[1] = 1.0
     f = fvec @ y
     started = f > 0.0
-    blocks = [y[None, :]]
+    batches = [y[None, :]]
     i = 0  # node index of y
     while i < n_max:
-        ys = (y + ((D_blk @ y).reshape(_BLOCK, n) + S_blk))[: n_max - i]
+        starts, z = [y], y
+        for _ in range(_BATCH):
+            z = z + (D_end @ z + S_end)
+            starts.append(z)
+        starts = np.array(starts)
+        ys = starts[:-1, None, :] + ((starts[:-1] @ D_blk.T).reshape(_BATCH, _BLOCK, n) + Ss)
+        ys[:, -1] = starts[1:]  # each block ends where the next one starts
+        ys = ys.reshape(-1, n)[: n_max - i]
         fs = ys @ fvec
-        hit = fs <= 0.0
-        if not started:
-            # A node with fs <= 0 is not itself a start, so an inclusive
-            # running "any positive" marks the nodes after the rise.
-            risen = np.logical_or.accumulate(fs > 0.0)
-            hit &= risen
-            started = bool(risen[-1])
-        if hit.any():
-            j = int(hit.argmax())
+        j, started = _first_return(fs, started)
+        if j is not None:
             y0, f0 = (ys[j - 1], fs[j - 1]) if j else (y, f)
             y1, f1 = ys[j], fs[j]
             d0, d1 = fvec @ (A @ y0 + c), fvec @ (A @ y1 + c)
@@ -333,7 +370,7 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
                     hi = mid
             s = 0.5 * (lo + hi)
             D_s, q_s = _rk4_increment(A, c, s * dt)
-            states = np.vstack(blocks + [ys[:j], y0 + (D_s @ y0 + q_s)])
+            states = np.vstack(batches + [ys[:j], y0 + (D_s @ y0 + q_s)])
             tau = np.append(np.arange(i + j + 1) * dt, (i + j) * dt + s * dt)
             forces = states @ fvec
             return Trajectory(
@@ -343,57 +380,85 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
                 xddot=v0 / t_unit * (c[1] - gain * forces),
                 F=m * v0 / t_unit * gain * forces,
             )
-        blocks.append(ys)
+        batches.append(ys)
         y, f = ys[-1], fs[-1]
         i += len(ys)
     raise _no_separation(horizon)
 
 
+def _heun_block_map(psi, dt, alpha):
+    """``_BLOCK`` Heun steps of the table scheme as one linear map.
+
+    The steps are linear in ``u = (v, acc, xi, gamma, lag_0 .. lag_{B-1})``:
+    the start node's state, the gravity term and each target node's
+    history sum over the nodes before the block.  Running the steps once on
+    the basis vectors of ``u`` gives the ``(4B, B + 4)`` matrix whose product
+    with ``u`` is the rows of v, acc, xi and F at the B target nodes.  The
+    matrix is the same for every block: within a block the trapezoid
+    weights depend only on node offsets.
+    """
+
+    def step(v, acc, xi, gamma, hist):
+        # ``hist`` is the trapezoid history without the new node's own term.
+        # v and xi come back as increments, so that, as with RK4's ``D``,
+        # no step rounds a coefficient near 1.
+        v_pred = v + dt * acc
+        acc_pred = gamma - alpha * (dt * (hist + 0.5 * psi[0] * v_pred))
+        dv = 0.5 * dt * (acc + acc_pred)
+        F = dt * (hist + 0.5 * psi[0] * (v + dv))
+        return dv, gamma - alpha * F, 0.5 * dt * (v + v_pred), F
+
+    P = np.array(step(*np.eye(5)))
+    B = _BLOCK
+    w = psi[B:0:-1].copy()  # w[B - r:] weighs the in-block nodes before node r
+    basis = np.eye(B + 4)
+    X = basis[:5].copy()  # v, acc, xi, gamma and the history sum
+    rows = np.empty((4, B, B + 4))
+    for r in range(B):
+        X[4] = basis[4 + r] + w[B - r :] @ rows[0, :r]
+        out = P @ X
+        out[0] += X[0]
+        out[2] += X[2]
+        rows[:, r] = out
+        X[:3] = out[:3]
+    return rows.reshape(4 * B, B + 4)
+
+
 def _integrate_table(kernel, m, v0, g, dt, horizon):
     """Heun predictor-corrector with trapezoid history convolution.
 
-    Second-order accurate; each step re-sums the full history against the
-    kernel samples, so cost grows with the square of the step count.
+    Second-order accurate.  Each block of ``_BLOCK`` target nodes takes its
+    lagged history, the part over earlier nodes, from one convolution, and
+    advances by one product with :func:`_heun_block_map`; the history cost
+    grows with the square of the step count.
     """
     alpha = kernel.alpha_per_mass / m
     gamma = g * kernel.tau_R / v0
     n_max = int(math.ceil(horizon / dt)) + 1
-    psi = np.asarray(kernel.psi(np.arange(n_max + 2) * dt))
+    B = _BLOCK
+    size = 1 + B * -(-(n_max + 1) // B)  # node 0, then whole blocks over nodes 1 .. n_max + 1
+    psi = np.asarray(kernel.psi(np.arange(size) * dt))
+    step = _heun_block_map(psi, dt, alpha)
 
-    xi = np.zeros(n_max + 2)
-    v = np.zeros(n_max + 2)
-    acc = np.zeros(n_max + 2)
-    fs = np.zeros(n_max + 2)
+    Y = np.zeros((4, size))  # v, acc, xi and F at every node
+    v, acc, xi, fs = Y
     v[0] = 1.0
     acc[0] = gamma
-
-    def history_force(k_idx: int, v_tail: float) -> float:
-        # Trapezoid quadrature of Psi(tau_k - s) v(s) over the node grid,
-        # with v_tail standing in for the newest node value.
-        if k_idx == 0:
-            return 0.0
-        w = psi[k_idx::-1]
-        vs = v[: k_idx + 1]
-        total = w[:-1] @ vs[:-1] + w[k_idx] * v_tail
-        total -= 0.5 * (w[0] * vs[0] + w[k_idx] * v_tail)
-        return dt * total
-
+    u = np.empty(B + 4)
+    u[3] = gamma
     started = False
-    for k_idx in range(n_max + 1):
-        v_pred = v[k_idx] + dt * acc[k_idx]
-        force_pred = history_force(k_idx + 1, v_pred)
-        acc_pred = gamma - alpha * force_pred
-        v[k_idx + 1] = v[k_idx] + 0.5 * dt * (acc[k_idx] + acc_pred)
-        xi[k_idx + 1] = xi[k_idx] + 0.5 * dt * (v[k_idx] + v_pred)
-        f_new = history_force(k_idx + 1, v[k_idx + 1])
-        fs[k_idx + 1] = f_new
-        acc[k_idx + 1] = gamma - alpha * f_new
-        if started and f_new <= 0.0:
-            f_prev = fs[k_idx]
-            s = f_prev / (f_prev - f_new) if f_new != f_prev else 1.0
-            tau_c = (k_idx + s) * dt
-            n = k_idx + 1
-            tau = np.append(np.arange(n) * dt, tau_c)
+    for K0 in range(1, n_max + 2, B):
+        u[:3] = Y[:3, K0 - 1]
+        # History of each target node over the nodes before the block,
+        # with the trapezoid's half weight on the first node.
+        u[4:] = np.convolve(v[:K0], psi[1 : K0 + B], "valid") - 0.5 * v[0] * psi[K0 : K0 + B]
+        Y[:, K0 : K0 + B] = (step @ u).reshape(4, B)
+        j, started = _first_return(fs[K0 : min(K0 + B, n_max + 2)], started)
+        if j is not None:
+            n = K0 + j
+            f_prev, f_end = fs[n - 1], fs[n]
+            s = f_prev / (f_prev - f_end) if f_end != f_prev else 1.0
+            tau = np.append(np.arange(n) * dt, (n - 1 + s) * dt)
 
             def lerp(a):
                 return np.append(a[:n], a[n - 1] + s * (a[n] - a[n - 1]))
@@ -407,8 +472,6 @@ def _integrate_table(kernel, m, v0, g, dt, horizon):
                 xddot=v0 / tau_R * (gamma - alpha * forces),
                 F=kernel.k0 * v0 * tau_R * forces,
             )
-        if not started and f_new > 0.0:
-            started = True
     raise _no_separation(horizon)
 
 
@@ -432,13 +495,19 @@ def _resolve_grid(kernel, m, dt_scaled, horizon_scaled):
             dt = min(dt, 0.5 * min(kernel.thetas))
     else:
         dt = dt_scaled
-    horizon = (
-        DEFAULT_HORIZON_HALF_PERIODS * half_period
-        if horizon_scaled is None
-        else horizon_scaled
-    )
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ConfigError(f"dt_scaled must be positive, got {dt!r}")
+    if horizon_scaled is not None:
+        horizon = horizon_scaled
+    else:
+        horizon = DEFAULT_HORIZON_HALF_PERIODS * half_period
+        if kernel.kind != "table":
+            # Near critical damping the contact outlasts the nominal half
+            # periods; give it a whole period of the slowest oscillating
+            # mode, within the step cap.
+            rates = np.abs(np.linalg.eigvals(_linear_system(kernel, m, 1.0, 0.0)[0]).imag)
+            slowest = np.min(rates, where=rates > 0.0, initial=np.inf)
+            horizon = max(horizon, min(2.0 * math.pi / slowest, (MAX_SCAN_SAMPLES - 1) * dt))
     if not (horizon > dt):
         raise ConfigError("horizon_scaled must exceed the step size")
     steps = horizon / dt
@@ -485,7 +554,10 @@ def integrate_impact(
         nominal half period.
     horizon_scaled : float, optional
         Give up and raise :class:`NoSeparationError` past this scaled time.
-        Defaults to ten nominal half periods.
+        Defaults to ten nominal half periods.  For exponential-sum and
+        spring-dashpot kernels it stretches to one period of the slowest
+        oscillating mode of the state equation, as far as
+        ``_search.MAX_SCAN_SAMPLES`` steps allow.
 
     Returns
     -------

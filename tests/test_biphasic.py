@@ -142,6 +142,16 @@ class TestForce:
         assert np.max(np.abs(F - expected)) < 1e-12 * np.max(expected)
         assert F[0] == 0.0
 
+    def test_slow_relaxation_keeps_full_precision(self):
+        """Steps far shorter than tau_R lose no digits to ``1 - exp``."""
+        layer = _layer()
+        eq = equivalent_maxwell(layer)
+        c = 2e-3
+        t = np.arange(201) * 2.5e-4
+        F = biphasic_force(layer, t, c * t)
+        expected = eq.k * c * eq.tau_R * -np.expm1(-t / eq.tau_R)
+        assert np.max(np.abs(F[1:] / expected[1:] - 1.0)) < 1e-14
+
     def test_recursion_invariant_under_refinement(self):
         """Splitting segments of the same piecewise-linear history is a no-op."""
         layer = _layer()

@@ -376,6 +376,161 @@ class TestPropagator:
         with pytest.raises(NoSeparationError, match="never returned to zero"):
             integrate_impact(kern, 1.0, 1.0, dt_scaled=0.01, horizon_scaled=horizon)
 
+    @pytest.mark.parametrize(
+        "nodes_before_end",
+        [DEFAULT_BLOCK * oracle._BATCH, 2 * DEFAULT_BLOCK * oracle._BATCH + 100],
+        ids=["batch-boundary", "past-first-batch"],
+    )
+    def test_batching_does_not_change_contact_end(self, monkeypatch, nodes_before_end):
+        kern = RelaxationKernel.sls(1.0, 1.0, 0.5)
+        # Place the contact end half a step past node ``nodes_before_end``.
+        t_c = integrate_impact(kern, 1.0, 1.0).t_c
+        dt = t_c / (nodes_before_end + 0.5)
+        blocked = _contact_end(kern, dt)
+        monkeypatch.setattr(oracle, "_BLOCK", 1)
+        stepwise = _contact_end(kern, dt)
+        assert blocked[2] == stepwise[2] == nodes_before_end + 2
+        assert blocked[0] == pytest.approx(stepwise[0], abs=1e-13)
+        assert blocked[1] == pytest.approx(stepwise[1], abs=1e-13)
+
+    def test_doubled_powers_match_sequential_recurrence(self):
+        kern = RelaxationKernel(k0=2.0, tau_R=1.0, c_inf=0.3, cs=(0.4, 0.3), thetas=(0.5, 2.0))
+        A, c = oracle._linear_system(kern, 1.0, 1.0, 0.2)[:2]
+        for dt in (1e-3, 0.05):
+            D, q = oracle._rk4_increment(A, c, dt)
+            Ds, Ss = oracle._step_powers(D, q)
+            assert Ds.shape[0] == Ss.shape[0] == DEFAULT_BLOCK
+            D_j, S_j = D, q
+            for j in range(DEFAULT_BLOCK):
+                assert np.max(np.abs(Ds[j] - D_j)) <= 1e-14 * np.max(np.abs(D_j))
+                assert np.max(np.abs(Ss[j] - S_j)) <= 1e-14 * np.max(np.abs(S_j))
+                D_j, S_j = D + D_j + D @ D_j, S_j + (D @ S_j + q)
+
+
+def _heun_reference(kernel, m, v0, g, dt, horizon):
+    """Step-by-step Heun loop with full trapezoid history sums per step."""
+    alpha = kernel.alpha_per_mass / m
+    gamma = g * kernel.tau_R / v0
+    n_max = int(math.ceil(horizon / dt)) + 1
+    psi = np.asarray(kernel.psi(np.arange(n_max + 2) * dt))
+    xi, v, acc, fs = (np.zeros(n_max + 2) for _ in range(4))
+    v[0] = 1.0
+    acc[0] = gamma
+
+    def history_force(k_idx, v_tail):
+        w = psi[k_idx::-1]
+        vs = v[: k_idx + 1]
+        total = w[:-1] @ vs[:-1] + w[k_idx] * v_tail
+        total -= 0.5 * (w[0] * vs[0] + w[k_idx] * v_tail)
+        return dt * total
+
+    started = False
+    for k_idx in range(n_max + 1):
+        v_pred = v[k_idx] + dt * acc[k_idx]
+        acc_pred = gamma - alpha * history_force(k_idx + 1, v_pred)
+        v[k_idx + 1] = v[k_idx] + 0.5 * dt * (acc[k_idx] + acc_pred)
+        xi[k_idx + 1] = xi[k_idx] + 0.5 * dt * (v[k_idx] + v_pred)
+        fs[k_idx + 1] = history_force(k_idx + 1, v[k_idx + 1])
+        acc[k_idx + 1] = gamma - alpha * fs[k_idx + 1]
+        if started and fs[k_idx + 1] <= 0.0:
+            n = k_idx + 1
+            s = fs[k_idx] / (fs[k_idx] - fs[n]) if fs[n] != fs[k_idx] else 1.0
+
+            def lerp(a):
+                return np.append(a[:n], a[n - 1] + s * (a[n] - a[n - 1]))
+
+            forces = np.append(fs[:n], 0.0)
+            tau_R = kernel.tau_R
+            return {
+                "times": np.append(np.arange(n) * dt, (k_idx + s) * dt) * tau_R,
+                "x": v0 * tau_R * lerp(xi),
+                "xdot": v0 * lerp(v),
+                "xddot": v0 / tau_R * (gamma - alpha * forces),
+                "F": kernel.k0 * v0 * tau_R * forces,
+            }
+        started = started or fs[k_idx + 1] > 0.0
+    raise AssertionError("reference loop found no contact end")
+
+
+def _sls_table(params, dt):
+    """The three-element kernel of ``params`` tabulated at spacing ``dt``."""
+    kern = RelaxationKernel.from_params(params)
+    rho = params.derived.rho
+    tau = np.arange(0.0, 40.0 + dt, dt)
+    return RelaxationKernel.from_table(
+        tau, rho + (1.0 - rho) * np.exp(-tau), k0=kern.k0, tau_R=kern.tau_R
+    )
+
+
+class TestTableScheme:
+    """The blocked table path is the stepwise Heun loop, regrouped."""
+
+    @pytest.mark.parametrize("g", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "nodes_before_end",
+        [40, DEFAULT_BLOCK, 5 * DEFAULT_BLOCK + 17],
+        ids=["first-block", "block-boundary", "several-blocks"],
+    )
+    def test_matches_stepwise_loop(self, g, nodes_before_end):
+        table = _sls_table(params_from_groups(0.5, 0.4), 1e-3)
+        # Place the contact end half a step past node ``nodes_before_end``.
+        t_c = integrate_impact_with_gravity(table, 1.0, 1.0, g, dt_scaled=1e-3).t_c
+        dt = t_c / table.tau_R / (nodes_before_end + 0.5)
+        horizon = 40.0
+        ref = _heun_reference(table, 1.0, 1.0, g, dt, horizon)
+        traj = integrate_impact_with_gravity(
+            table, 1.0, 1.0, g, dt_scaled=dt, horizon_scaled=horizon
+        )
+        assert traj.times.size == ref["times"].size == nodes_before_end + 2
+        for name, expected in ref.items():
+            got = getattr(traj, name)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected)), name
+
+    def test_horizon_inside_first_block_raises(self):
+        """Nodes past the horizon are computed with their block, never used."""
+        elastic = RelaxationKernel.from_table([0.0, 1.0], [1.0, 1.0], k0=1.0, tau_R=1.0)
+        dt = math.pi / 40.5
+        assert integrate_impact(elastic, 1.0, 1.0, dt_scaled=dt).times.size == 42
+        with pytest.raises(NoSeparationError, match="never returned to zero"):
+            integrate_impact(elastic, 1.0, 1.0, dt_scaled=dt, horizon_scaled=30 * dt)
+
+    @pytest.mark.parametrize("Lam, rho", [(0.25, 0.5), (1.0, 0.3), (4.0, 0.7)])
+    def test_step_halving_second_order(self, Lam, rho):
+        """Halving the step must cut the contact-duration error about 4-fold."""
+        params = params_from_groups(Lam, rho)
+        exact = sls_metrics(params).t_c
+        alpha = RelaxationKernel.from_params(params).alpha_per_mass / params.m
+        errors = []
+        for frac in (8e-3, 4e-3, 2e-3):
+            # Tabulated on the step's own nodes, so interpolation adds nothing.
+            dt = frac * math.pi / math.sqrt(alpha)
+            traj = integrate_impact(_sls_table(params, dt), params.m, params.v0, dt_scaled=dt)
+            errors.append(params.derived.omega0 * abs(traj.t_c - exact))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.0 < coarse / fine < 5.0
+
+
+@pytest.mark.parametrize("zeta", [0.996, 0.997])
+def test_default_horizon_covers_near_critical_series_pair(zeta):
+    """A contact longer than ten nominal half periods still ends in the horizon."""
+    params = MaxwellParams(m=1.0, k=1.0, b=0.5 / zeta, v0=1.0)
+    met = mx_metrics(params)
+    traj = integrate_impact(RelaxationKernel.from_params(params), 1.0, 1.0)
+    assert traj.t_c == pytest.approx(met.t_c, abs=1e-9)
+    assert -traj.xdot[-1] == pytest.approx(met.e_star, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["maxwell", "kv"])
+def test_default_horizon_stays_within_step_cap(kind):
+    """However slow the slowest mode, a default grid is never refused."""
+    if kind == "maxwell":
+        params = MaxwellParams(m=1.0, k=1.0, b=0.5 / (1.0 - 1e-12), v0=1.0)
+        kern = RelaxationKernel.from_params(params)
+    else:
+        kern = RelaxationKernel.kv_limit(1.0, 2.0 * (1.0 - 1e-12))
+    dt, horizon = oracle._resolve_grid(kern, 1.0, None, None)
+    assert 0.99 * oracle.MAX_SCAN_SAMPLES < horizon / dt <= oracle.MAX_SCAN_SAMPLES
+
 
 @pytest.mark.parametrize("eta, eps0", [(0.2, 0.01), (0.6, 0.05)])
 def test_gravity_kv_limit_matches_drop_closed_form(eta, eps0):
