@@ -51,8 +51,7 @@ class PlasticImpactError(ViscoImpactError):
 
 
 class NoSeparationError(ViscoImpactError):
-    """No force zero was found: numeric integration reached its horizon, or
-    a contact-end search gave up because its grid would exceed its cap."""
+    """No force zero was found: numeric integration reached its horizon."""
 
 
 class DiscriminantError(ViscoImpactError):

@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.optimize import golden
 
-from ._search import SCAN_HORIZON_PERIODS, first_force_zero
+from ._search import SCAN_HORIZON_PERIODS, DampedMode, first_force_zero
 from .errors import DomainError, PlasticImpactError
 from .models import (
     DEFAULT_SAMPLES,
@@ -49,6 +49,16 @@ def _contact_duration(derived) -> float:
     return 2.0 / derived.omega * math.atan2(derived.omega, derived.beta)
 
 
+def _force(params: KelvinVoigtParams, g: float) -> DampedMode:
+    """Transmitted force ``k x + b xdot`` under gravity ``g``."""
+    d = params.derived
+    v0, omega, beta, mg = params.v0, d.omega, d.beta, params.m * g
+    return DampedMode(
+        beta, omega, (v0 * (params.k - params.b * beta) + mg * beta) / omega,
+        params.b * v0 - mg, mg,
+    )
+
+
 def _columns(params: KelvinVoigtParams, g: float, t):
     """Displacement, velocity and force at times ``t`` under gravity ``g``."""
     d = params.derived
@@ -60,7 +70,7 @@ def _columns(params: KelvinVoigtParams, g: float, t):
     if g:
         x = x + g / omega0**2 * (1.0 - envelope * (c + beta / omega * s))
         xdot = xdot + g / omega * envelope * s
-    return x, xdot, params.k * x + params.b * xdot
+    return x, xdot, _force(params, g).combine(envelope, s, c, t)
 
 
 def _sample(params: KelvinVoigtParams, g: float, t_c: float, n_samples: int) -> Trajectory:
@@ -154,11 +164,10 @@ def kv_fm_minimizer(tol: float = 1e-12) -> tuple[float, float]:
     return eta_star, _peak_force_scaled(eta_star)
 
 
-def _drop_contact_end(params: KelvinVoigtParams, min_horizon: float = 0.0) -> float:
-    """First force zero with gravity acting, scanned over at least ten periods."""
+def _drop_contact_end(params: KelvinVoigtParams) -> float:
+    """First force zero with gravity acting, walked over at most ten periods."""
     period = 2.0 * math.pi / params.derived.omega
-    horizon = max(SCAN_HORIZON_PERIODS * period, min_horizon)
-    return first_force_zero(lambda t: _columns(params, params.g, t)[2], period, horizon)
+    return first_force_zero(_force(params, params.g), period, SCAN_HORIZON_PERIODS * period)
 
 
 def kv_drop_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
@@ -167,17 +176,17 @@ def kv_drop_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPL
     Gravity adds a particular solution that delays separation and, beyond a
     damping-dependent threshold of ``eps0 = g / (omega0 v0)``, suppresses it
     entirely.  The contact end is the first zero of the transmitted force,
-    found by a bracketing scan refined with Brent's method; the scan window
-    is sized from the first-order duration estimate of
-    :func:`kv_drop_metrics_asymptotic`.
+    found by :func:`~visco_impact._search.first_force_zero`'s walk over the
+    half periods of its oscillating mode.
 
     Raises
     ------
     PlasticImpactError
-        If the force never returns to zero within ten damped periods
-        (the impactor stays embedded).
+        If the force is proved never to return to zero (the impactor stays
+        embedded); the proof takes the first full negative half period.
     """
-    t_c = _drop_contact_end(params, 2.0 * kv_drop_metrics_asymptotic(params).t_c)
+    # Without gravity the contact end is in closed form.
+    t_c = _drop_contact_end(params) if params.g else _contact_duration(params.derived)
     return _sample(params, params.g, t_c, n_samples)
 
 

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from ._search import SCAN_HORIZON_PERIODS, first_force_zero
+from ._search import SCAN_HORIZON_PERIODS, DampedMode, first_force_zero
+from .errors import DomainError
 from .models import (
     DEFAULT_SAMPLES,
     ImpactMetrics,
@@ -37,20 +38,11 @@ __all__ = [
 ]
 
 
-def _phases(params: MaxwellParams, t):
-    """Envelope ``exp(-beta t)`` and phases ``sin(omega t)``, ``cos(omega t)``."""
-    d = params.derived
-    phase = d.omega * t
-    return np.exp(-d.beta * t), np.sin(phase), np.cos(phase)
-
-
-def _force(params: MaxwellParams, g: float, envelope, s, c):
+def _force(params: MaxwellParams, g: float) -> DampedMode:
     """Contact force under gravity ``g``; the weight's part rises to ``m g``."""
     d = params.derived
-    F = params.k * params.v0 / d.omega * envelope * s
-    if g:
-        F = F + params.m * g * (1.0 - envelope * (c + d.beta / d.omega * s))
-    return F
+    mg = params.m * g
+    return DampedMode(d.beta, d.omega, (params.k * params.v0 - mg * d.beta) / d.omega, -mg, mg)
 
 
 def _sample(params: MaxwellParams, g: float, t_c: float, n_samples: int) -> Trajectory:
@@ -58,13 +50,14 @@ def _sample(params: MaxwellParams, g: float, t_c: float, n_samples: int) -> Traj
     d = params.derived
     v0, omega0, omega, zeta = params.v0, d.omega0, d.omega, d.zeta
     t = np.linspace(0.0, t_c, n_samples)
-    envelope, s, c = _phases(params, t)
+    envelope, phase = np.exp(-d.beta * t), omega * t
+    s, c = np.sin(phase), np.cos(phase)
     x = v0 / omega0 * (
         envelope * (omega0 * (1.0 - 2.0 * zeta**2) / omega * s - 2.0 * zeta * c)
         + 2.0 * zeta
     )
     xdot = v0 * envelope * (c + zeta * omega0 / omega * s)
-    F = _force(params, g, envelope, s, c)
+    F = _force(params, g).combine(envelope, s, c, t)
     # Adding g only when it is nonzero keeps the zero-gravity column exactly
     # -F / m, down to the sign of its zero at t = 0.
     xddot = -F / params.m
@@ -130,17 +123,12 @@ def mx_drop_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) 
     Raises
     ------
     PlasticImpactError
-        When no force zero exists within the search horizon.
-    NoSeparationError
-        When that horizon needs a scan past ``_search.MAX_SCAN_SAMPLES``,
-        as it does for ``zeta`` near 1.
+        When the force is proved never to return to zero; near ``zeta = 1``
+        a tiny ``eps0`` already embeds the impactor.
     """
     period = 2.0 * math.pi / params.derived.omega
-    horizon = max(
-        SCAN_HORIZON_PERIODS * period, 2.0 * mx_drop_metrics_asymptotic(params).t_c
-    )
     g = params.g
-    t_c = first_force_zero(lambda t: _force(params, g, *_phases(params, t)), period, horizon)
+    t_c = first_force_zero(_force(params, g), period, SCAN_HORIZON_PERIODS * period)
     return _sample(params, g, t_c, n_samples)
 
 
@@ -152,10 +140,23 @@ def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:
     the standard first-order estimate ``e0 - 2 zeta eps0``; its residual
     decays only linearly in ``eps0``, so prefer :func:`mx_drop_trajectory`
     when accuracy matters.  Peak fields keep their zero-gravity values.
+
+    Raises
+    ------
+    DomainError
+        When ``e0`` underflows to 0 (``zeta`` above about 0.99999) and
+        ``eps0 > 0``: the duration correction is then unbounded.
     """
     base = mx_metrics(params)
     d = params.derived
     eps0 = d.eps0
+    if base.e_star == 0.0:
+        if eps0 == 0.0:
+            return base
+        raise DomainError(
+            f"the first-order eps0 expansion needs e0 > 0, but e0 underflows to 0 "
+            f"at zeta = {d.zeta!r}"
+        )
     t_c = base.t_c + eps0 * (1.0 + base.e_star) / (base.e_star * d.omega0)
     e_star = base.e_star - 2.0 * d.zeta * eps0
     return dataclasses.replace(base, t_c=t_c, e_star=e_star)

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import golden
+from scipy.optimize import golden  # noqa: F401  (perfbench's traced pass wraps this name)
 
-from ._search import SCAN_HORIZON_PERIODS, first_force_zero
+from ._search import SCAN_HORIZON_PERIODS, DampedMode, first_force_zero
 from .errors import DiscriminantError, DomainError
 from .models import (
     DEFAULT_SAMPLES,
@@ -45,10 +45,6 @@ __all__ = [
     "params_near_maxwell",
     "params_from_groups",
 ]
-
-# Grid used to bracket interior extrema before golden-section polishing.
-_PEAK_GRID = 512
-
 
 @dataclass(frozen=True)
 class CubicRoots:
@@ -126,34 +122,7 @@ def sls_characteristic_roots(Lambda: float, rho: float) -> CubicRoots:
     return CubicRoots(lambda1=lambda1, beta1=beta1, zeta1=zeta1, D=D)
 
 
-class _DampedMode:
-    """Damped sinusoid plus exponential, with exact differentiation.
-
-    Represents ``e**(-beta1 tau) (cs sin zeta1 tau + cc cos zeta1 tau)
-    + ce e**(-lambda1 tau)`` in relaxation-time units.
-    """
-
-    def __init__(self, roots: CubicRoots, cs: float, cc: float, ce: float):
-        self.roots = roots
-        self.cs, self.cc, self.ce = cs, cc, ce
-
-    def __call__(self, tau):
-        r = self.roots
-        tau = np.asarray(tau, dtype=float)
-        osc = self.cs * np.sin(r.zeta1 * tau) + self.cc * np.cos(r.zeta1 * tau)
-        return np.exp(-r.beta1 * tau) * osc + self.ce * np.exp(-r.lambda1 * tau)
-
-    def derivative(self) -> "_DampedMode":
-        r = self.roots
-        return _DampedMode(
-            r,
-            cs=-r.beta1 * self.cs - r.zeta1 * self.cc,
-            cc=r.zeta1 * self.cs - r.beta1 * self.cc,
-            ce=-r.lambda1 * self.ce,
-        )
-
-
-def _scaled_solution(roots: CubicRoots) -> tuple[_DampedMode, _DampedMode, _DampedMode]:
+def _scaled_solution(roots: CubicRoots) -> tuple[DampedMode, DampedMode, DampedMode]:
     """Indentation and its two derivatives in relaxation-time units.
 
     The returned modes satisfy ``xi(0) = 0`` and ``xi'(0) = 1``; the
@@ -162,20 +131,15 @@ def _scaled_solution(roots: CubicRoots) -> tuple[_DampedMode, _DampedMode, _Damp
     lam, bet, zet = roots.lambda1, roots.beta1, roots.zeta1
     M = (bet - lam) ** 2 + zet**2
     A = (1.0 - bet) * (lam - bet) + zet**2
-    xi = _DampedMode(
-        roots,
-        cs=A / (zet * M),
-        cc=-(1.0 - lam) / M,
-        ce=(1.0 - lam) / M,
-    )
+    xi = DampedMode(bet, zet, A / (zet * M), -(1.0 - lam) / M, (1.0 - lam) / M, lam)
     xi_d = xi.derivative()
     return xi, xi_d, xi_d.derivative()
 
 
-def _scaled_contact_end(roots: CubicRoots, xi_dd: _DampedMode) -> float:
-    """First zero of the scaled contact force ``-xi''`` after its rise."""
-    period = 2.0 * math.pi / roots.zeta1
-    return first_force_zero(lambda tau: -xi_dd(tau), period, SCAN_HORIZON_PERIODS * period)
+def _first_zero(mode: DampedMode) -> float:
+    """First zero of a scaled mode after its rise, in relaxation-time units."""
+    period = 2.0 * math.pi / mode.omega
+    return first_force_zero(mode, period, SCAN_HORIZON_PERIODS * period)
 
 
 def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
@@ -192,7 +156,7 @@ def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES
     d = params.derived
     roots = sls_characteristic_roots(d.Lambda, d.rho)
     xi, xi_d, xi_dd = _scaled_solution(roots)
-    tau_c = _scaled_contact_end(roots, xi_dd)
+    tau_c = _first_zero(-xi_dd)
     tau_R, v0 = d.tau_R, params.v0
 
     tau = np.linspace(0.0, tau_c, n_samples)
@@ -202,29 +166,21 @@ def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES
     return Trajectory(times=tau * tau_R, x=x, xdot=xdot, xddot=xddot, F=-params.m * xddot)
 
 
-def _golden_peak(f, lo: float, hi: float) -> float:
-    """Interior minimizer of ``f`` on [lo, hi] by bracketed golden section."""
-    ts = np.linspace(lo, hi, _PEAK_GRID)
-    vals = f(ts)
-    i = int(np.argmin(vals[1:-1])) + 1
-    return float(golden(lambda t: float(f(t)), brack=(ts[i - 1], ts[i], ts[i + 1]), tol=1e-12))
-
-
 def sls_metrics(params: StandardSolidParams) -> ImpactMetrics:
     """Scalar impact metrics of the three-element solid.
 
-    Duration and restitution come from the contact-end root; the interior
-    indentation and force peaks are polished by golden-section search on
-    the analytic expressions (tolerance 1e-12 in relaxation-time units).
+    Duration and restitution come from the first zero of the contact force
+    ``-xi''``; the indentation and force peaks are the first zeros of
+    ``xi'`` and ``-xi'''``.  The same walk finds all three, each to Brent's
+    relative tolerance of 1e-15.
     """
     d = params.derived
     roots = sls_characteristic_roots(d.Lambda, d.rho)
     xi, xi_d, xi_dd = _scaled_solution(roots)
-    tau_c = _scaled_contact_end(roots, xi_dd)
+    tau_c = _first_zero(-xi_dd)
     tau_R, v0, m = d.tau_R, params.v0, params.m
-
-    tau_m = _golden_peak(lambda t: -xi(t), 0.0, tau_c)
-    tau_M = _golden_peak(xi_dd, 0.0, tau_c)
+    tau_m = _first_zero(xi_d)
+    tau_M = _first_zero(-xi_dd.derivative())
 
     return ImpactMetrics(
         t_c=tau_c * tau_R,

@@ -127,16 +127,16 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
     def test_unbounded_drop_scan_exits_plastic(self, tmp_path, capsys):
-        """zeta = 0.999 needs a scan far past its cap: a typed error, no traceback.
+        """zeta = 0.999 is a proved embedding: a typed error, no traceback.
 
-        With a --dt too fine for the sample cap, the failed scan is still
+        With a --dt too fine for the sample cap, the embedding is still
         what gets reported.
         """
         params = _write_json(tmp_path, "mx.json", {"m": 1.0, "k": 1.0, "b": 0.5005, "v0": 1.0})
         for extra in ([], ["--dt", "0.01"]):
             rc = main(["simulate", "maxwell", "--params", params, "--gravity", *extra])
             assert rc == EXIT_PLASTIC
-            assert "contact-end scan gives up" in capsys.readouterr().err
+            assert "impactor stays embedded" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "model, params",

@@ -107,16 +107,20 @@ class TestCharacteristicRoots:
 
 class TestMetricsAndTrajectory:
     def test_reference_metrics(self):
-        """Frozen metrics at (Lambda, rho) = (1/4, 1/2), unit scales."""
+        """Frozen metrics at (Lambda, rho) = (1/4, 1/2), unit scales.
+
+        The peak times are the exact roots of the analytic derivatives of
+        the indentation, found by ``brentq`` independently of the package.
+        """
         met = sls_metrics(params_from_groups(0.25, 0.5))
         assert met.t_c == pytest.approx(3.8467851624465403, rel=1e-10)
         assert met.e_star == pytest.approx(0.7026422505652281, rel=1e-10)
-        assert met.t_m == pytest.approx(1.951060901952221, rel=1e-9)
+        assert met.t_m == pytest.approx(1.951060926139032, rel=1e-12)
         assert met.x_m == pytest.approx(1.1756238753202426, rel=1e-10)
-        assert met.t_M == pytest.approx(1.5837675348942553, rel=1e-9)
+        assert met.t_M == pytest.approx(1.5837675485448082, rel=1e-12)
         assert met.F_M == pytest.approx(0.6899915735927215, rel=1e-10)
-        assert met.x_M == pytest.approx(1.1300399888610735, rel=1e-10)
-        assert met.F_m == pytest.approx(0.6619303041380797, rel=1e-10)
+        assert met.x_M == pytest.approx(1.1300399922729358, rel=1e-12)
+        assert met.F_m == pytest.approx(0.6619303005527061, rel=1e-12)
 
     def test_trajectory_boundaries_and_force(self):
         params = params_from_groups(0.25, 0.5, m=0.2, v0=1.2)
