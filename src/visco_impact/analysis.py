@@ -25,6 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError, NoCrossingError, SingularityError
+from .maxwell import mx_metrics
 from .models import (
     KelvinVoigtParams,
     MaxwellParams,
@@ -251,12 +252,11 @@ def solve_e10(
         return 0.0, E_max
     d = params.derived
     omega, beta = d.omega, d.beta
-    t_M = math.atan2(omega, beta) / omega
-    F_M = (params.k * params.v0 / d.omega0) * math.exp(-beta * t_M)
+    peak = mx_metrics(params)
     F_target = geom.area * sigma_target
-    if F_M < F_target:
+    if peak.F_M < F_target:
         raise NoCrossingError(
-            f"peak force {F_M:.6g} N stays below the "
+            f"peak force {peak.F_M:.6g} N stays below the "
             f"{F_target:.6g} N needed for sigma = {sigma_target:.6g} Pa"
         )
     rhs = geom.area * omega * sigma_target / (params.k * params.v0)
@@ -264,7 +264,7 @@ def solve_e10(
     def rise(t: float) -> float:
         return math.exp(-beta * t) * math.sin(omega * t) - rhs
 
-    t_10 = brentq(rise, 0.0, t_M, xtol=1e-15 * t_M, rtol=1e-15)
+    t_10 = brentq(rise, 0.0, peak.t_M, xtol=1e-15 * peak.t_M, rtol=1e-15)
     ratio = beta / omega
     s, c = math.sin(omega * t_10), math.cos(omega * t_10)
     E_10 = E_max * (c - ratio * s) / (c + ratio * s)

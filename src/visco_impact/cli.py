@@ -5,8 +5,7 @@ plot-ready CSV.  Scaled sweep outputs use the nondimensional conventions
 ``omega0 t``, ``omega0 x / v0``, ``F / (m v0 omega0)``, so one sweep file
 overlays directly onto another regardless of the dimensional parameters.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 domain violation,
-3 plastic impact (no separation), 4 verification failure.
+Exit codes follow the error class; :mod:`visco_impact.errors` lists them.
 """
 
 from __future__ import annotations
@@ -37,14 +36,16 @@ from .biphasic import (
     validity_window,
 )
 from .errors import (
+    EXIT_DOMAIN,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PLASTIC,
+    EXIT_VERIFY,
     ConfigError,
     DiscriminantError,
     DomainError,
-    NoCrossingError,
-    NoSeparationError,
     ParseError,
     PlasticImpactError,
-    SingularityError,
     ViscoImpactError,
 )
 from .kelvin_voigt import (
@@ -84,18 +85,17 @@ from .standard_solid import (
 )
 
 __all__ = [
+    "EXIT_OK",
+    "EXIT_IO",
+    "EXIT_DOMAIN",
+    "EXIT_PLASTIC",
+    "EXIT_VERIFY",
     "SweepSpec",
     "SuiteResult",
     "main",
     "run_verification",
     "read_csv_rows",
 ]
-
-EXIT_OK = 0
-EXIT_IO = 1
-EXIT_DOMAIN = 2
-EXIT_PLASTIC = 3
-EXIT_VERIFY = 4
 
 SWEEP_HEADER = (
     "param",
@@ -298,8 +298,9 @@ def _samples_from_dt(params, dt: float | None, trajectory_fn: Callable) -> int:
 
 def _closed_form(params, dt, metrics_fn, trajectory_fn, label: str = ""):
     """Metrics and a trajectory sampled at scaled spacing ``dt``, metrics printed."""
-    metrics = metrics_fn(params)
+    # The trajectory goes first: a plastic drop outranks a failing expansion.
     traj = trajectory_fn(params, n_samples=_samples_from_dt(params, dt, trajectory_fn))
+    metrics = metrics_fn(params)
     _print_metrics(metrics, label)
     return metrics, traj
 
@@ -307,6 +308,9 @@ def _closed_form(params, dt, metrics_fn, trajectory_fn, label: str = ""):
 def _integrate_directly(kernel, m, v0, g, dt, horizon, reason: str):
     """Oracle metrics and trajectory for an impact without a usable closed form."""
     print(f"{reason}; integrating directly", file=sys.stderr)
+    # dt and horizon are in omega0 t; the oracle counts relaxation times, omega0 tau_R.
+    unit = math.sqrt(kernel.alpha_per_mass / m)
+    dt, horizon = (None if v is None else v / unit for v in (dt, horizon))
     traj = integrate_impact_with_gravity(
         kernel, m, v0, g, dt_scaled=dt, horizon_scaled=horizon
     )
@@ -405,11 +409,9 @@ def cmd_sweep(args) -> int:
     for value in map(float, spec.grid()):
         try:
             met, asym = _scaled_metrics(args.model, spec.param, value, fixed)
-        except (DomainError, DiscriminantError) as exc:
-            skip, code = exc, EXIT_DOMAIN
-        except (PlasticImpactError, NoSeparationError) as exc:
-            # A domain skip anywhere in the grid outranks a plastic one.
-            skip, code = exc, code or EXIT_PLASTIC
+        except (DomainError, PlasticImpactError) as exc:
+            # A domain skip anywhere outranks a plastic one: EXIT_DOMAIN < EXIT_PLASTIC.
+            skip, code = exc, min(code or exc.exit_code, exc.exit_code)
         else:
             rows.append(
                 (value, met.t_c, met.e_star, met.t_m, met.t_M, met.x_m, met.F_M, *asym)
@@ -436,12 +438,19 @@ class SuiteResult:
         return "pass" if self.passed else "FAIL"
 
 
+def _oracle_gap(params, met: ImpactMetrics) -> float:
+    """Restitution and ``omega0``-scaled duration gaps between ``met`` and the oracle."""
+    traj = integrate_impact(RelaxationKernel.from_params(params), params.m, params.v0)
+    return max(
+        abs(met.e_star + traj.xdot[-1] / params.v0),
+        params.derived.omega0 * abs(met.t_c - traj.t_c),
+    )
+
+
 def _suite_elastic_limit() -> tuple[float, float]:
     params = KelvinVoigtParams(m=1.0, k=1.0, b=0.0, v0=1.0)
     met = kv_metrics(params)
-    err = max(abs(met.e_star - 1.0), abs(met.t_c - math.pi))
-    traj = integrate_impact(RelaxationKernel.elastic(1.0), 1.0, 1.0)
-    err = max(err, abs(-traj.xdot[-1] - 1.0), abs(traj.t_c - math.pi))
+    err = max(abs(met.e_star - 1.0), abs(met.t_c - math.pi), _oracle_gap(params, met))
     return err, 1e-6
 
 
@@ -465,21 +474,17 @@ def _suite_series_pair_termination() -> tuple[float, float]:
 
 def _suite_analytic_vs_oracle() -> tuple[float, float]:
     err = 0.0
-    for eta in (0.2, 0.8):
-        params = KelvinVoigtParams(m=1.0, k=1.0, b=2.0 * eta, v0=1.0)
-        met = kv_metrics(params)
-        traj = integrate_impact(RelaxationKernel.from_params(params), 1.0, 1.0)
-        err = max(err, abs(met.e_star + traj.xdot[-1]), abs(met.t_c - traj.t_c))
-    for zeta in (0.2, 0.8):
-        params = MaxwellParams(m=1.0, k=1.0, b=0.5 / zeta, v0=1.0)
-        met = mx_metrics(params)
-        traj = integrate_impact(RelaxationKernel.from_params(params), 1.0, 1.0)
-        err = max(err, abs(met.e_star + traj.xdot[-1]), abs(met.t_c - traj.t_c))
-    for Lam, rho in ((0.25, 0.5), (0.5, 0.3)):
-        params = params_from_groups(Lam, rho)
-        met = sls_metrics(params)
-        traj = integrate_impact(RelaxationKernel.from_params(params), 1.0, 1.0)
-        err = max(err, abs(met.e_star + traj.xdot[-1]), abs(met.t_c - traj.t_c))
+    for name, groups in (
+        ("kv", {"eta": 0.2}),
+        ("kv", {"eta": 0.8}),
+        ("maxwell", {"zeta": 0.2}),
+        ("maxwell", {"zeta": 0.8}),
+        ("sls", {"Lambda": 0.25, "rho": 0.5}),
+        ("sls", {"Lambda": 0.5, "rho": 0.3}),
+    ):
+        model = _MODELS[name]
+        params = model.unit_params({"eps0": 0.0, **groups})
+        err = max(err, _oracle_gap(params, model.metrics(params)))
     return err, 1e-6
 
 
@@ -488,26 +493,18 @@ def _suite_biphasic_pipeline() -> tuple[float, float]:
 
     layer = BiphasicLayer(mu_s=0.25e6, lambda_s=0.25e6, kappa=2e-15, h=0.5e-3, a=2.5e-3)
     params = reduce_to_maxwell(layer, m=0.2, v0=1.0)
-    met = mx_metrics(params)
-    kernel = RelaxationKernel.maxwell(params.k, params.b / params.k)
-    traj = integrate_impact(kernel, 0.2, 1.0)
-    omega0 = params.derived.omega0
-    return (
-        max(abs(met.e_star + traj.xdot[-1]), omega0 * abs(met.t_c - traj.t_c)),
-        1e-6,
-    )
+    return _oracle_gap(params, mx_metrics(params)), 1e-6
 
 
 def _suite_energy_identity() -> tuple[float, float]:
     err = 0.0
-    for params in (
-        KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0),
-        MaxwellParams(m=1.0, k=1.0, b=1.25, v0=1.0),
+    for params, metrics in (
+        (KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0), kv_metrics),
+        (MaxwellParams(m=1.0, k=1.0, b=1.25, v0=1.0), mx_metrics),
     ):
         traj = integrate_impact(RelaxationKernel.from_params(params), 1.0, 1.0)
         lost = 1.0 - traj.xdot[-1] ** 2
-        met = kv_metrics(params) if isinstance(params, KelvinVoigtParams) else mx_metrics(params)
-        err = max(err, abs(energy_dissipation(met.e_star) - lost))
+        err = max(err, abs(energy_dissipation(metrics(params).e_star) - lost))
     return err, 1e-8
 
 
@@ -558,15 +555,15 @@ def cmd_biphasic(args) -> int:
     if args.out is None:
         return EXIT_OK
     if zeta >= 1.0:
-        # The force decays on the relaxation scale, so a few dozen
-        # relaxation times settle whether separation ever happens.
+        # The force decays on the relaxation scale, so 50 relaxation times
+        # (25 / zeta in omega0 t) settle whether separation ever happens.
         metrics, traj = _integrate_directly(
             RelaxationKernel.maxwell(eq.k, eq.tau_R),
             args.m,
             args.v0,
             0.0,
             args.dt,
-            50.0 if args.horizon is None else args.horizon,
+            25.0 / zeta if args.horizon is None else args.horizon,
             f"loss factor {zeta:.3g} >= 1: no oscillatory rebound",
         )
     else:
@@ -641,7 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--dt", type=float, help="scaled sample spacing (omega0 dt)")
-    p.add_argument("--horizon", type=float, help="scaled integration horizon")
+    p.add_argument("--horizon", type=float, help="scaled integration horizon (omega0 t)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="scaled metrics over a parameter grid")
@@ -660,8 +657,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, required=True, help="impactor mass [kg]")
     p.add_argument("--v0", type=float, default=1.0, help="impact velocity [m/s]")
     p.add_argument("--out", help="trajectory CSV path (also runs the impact)")
-    p.add_argument("--dt", type=float, help="scaled sample spacing")
-    p.add_argument("--horizon", type=float, help="scaled integration horizon")
+    p.add_argument("--dt", type=float, help="scaled sample spacing (omega0 dt)")
+    p.add_argument("--horizon", type=float, help="scaled integration horizon (omega0 t)")
     p.set_defaults(func=cmd_biphasic)
 
     p = sub.add_parser("analyze", help="check linear predictions on drop-test records")
@@ -676,16 +673,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DomainError, DiscriminantError, SingularityError, NoCrossingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (PlasticImpactError, NoSeparationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLASTIC
     except ViscoImpactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -49,6 +49,14 @@ def _contact_duration(derived) -> float:
     return 2.0 / derived.omega * math.atan2(derived.omega, derived.beta)
 
 
+def _peak_angle(eta: float) -> float:
+    """Damped phase ``omega t_M`` of the force peak below the branch at one half."""
+    return math.atan2(
+        math.sqrt(1.0 - eta * eta) * (1.0 - 4.0 * eta * eta),
+        eta * (3.0 - 4.0 * eta * eta),
+    )
+
+
 def _force(params: KelvinVoigtParams, g: float) -> DampedMode:
     """Transmitted force ``k x + b xdot`` under gravity ``g``."""
     d = params.derived
@@ -124,13 +132,7 @@ def kv_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
         F_M = 2.0 * eta * m * v0 * omega0
         x_M = 0.0
     else:
-        t_M = (
-            math.atan2(
-                math.sqrt(1.0 - eta * eta) * (1.0 - 4.0 * eta * eta),
-                eta * (3.0 - 4.0 * eta * eta),
-            )
-            / omega
-        )
+        t_M = _peak_angle(eta) / omega
         F_M = m * v0 * omega0 * math.exp(-beta * t_M)
         x_M = v0 / omega * math.exp(-beta * t_M) * math.sin(omega * t_M)
 
@@ -143,11 +145,7 @@ def _peak_force_scaled(eta: float) -> float:
     """Peak force over ``m v0 omega0`` as a function of the loss factor."""
     if eta >= _ETA_FORCE_BRANCH:
         return 2.0 * eta
-    omega_t = math.atan2(
-        math.sqrt(1.0 - eta * eta) * (1.0 - 4.0 * eta * eta),
-        eta * (3.0 - 4.0 * eta * eta),
-    )
-    return math.exp(-eta / math.sqrt(1.0 - eta * eta) * omega_t)
+    return math.exp(-eta / math.sqrt(1.0 - eta * eta) * _peak_angle(eta))
 
 
 def kv_fm_minimizer(tol: float = 1e-12) -> tuple[float, float]:

@@ -136,7 +136,9 @@ class RelaxationKernel:
                 )
 
     def psi(self, tau):
-        """Evaluate the normalized kernel at scaled time ``tau``."""
+        """Evaluate the normalized kernel at scaled time ``tau`` (singular for ``kv_limit``)."""
+        if self.kind == "kv_limit":
+            raise ConfigError("a kv_limit kernel is singular; it has no finite Psi")
         tau = np.asarray(tau, dtype=float)
         if self.kind == "table":
             return np.interp(tau, self.table_tau, self.table_psi)

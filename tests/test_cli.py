@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from visco_impact import cli, errors
 from visco_impact.cli import (
     ANALYZE_HEADER,
     EXIT_DOMAIN,
@@ -58,6 +59,48 @@ def _parse_csv(text, expected_header):
     rows = list(csv.reader(io.StringIO(text)))
     assert tuple(rows[0]) == expected_header
     return np.array([[float(v) for v in row] for row in rows[1:]])
+
+
+# The class -> exit code table documented in the errors module and README.
+EXIT_CODES = {
+    "ViscoImpactError": EXIT_IO,
+    "ConfigError": EXIT_IO,
+    "ParseError": EXIT_IO,
+    "DomainError": EXIT_DOMAIN,
+    "DiscriminantError": EXIT_DOMAIN,
+    "SingularityError": EXIT_DOMAIN,
+    "NoCrossingError": EXIT_DOMAIN,
+    "PlasticImpactError": EXIT_PLASTIC,
+    "NoSeparationError": EXIT_PLASTIC,
+}
+
+
+class TestExitCodes:
+    def test_table_covers_every_error_class(self):
+        assert set(errors.__all__) == set(EXIT_CODES)
+
+    def test_shared_outcomes_share_a_parent(self):
+        """A library caller catches each outcome by one class, whichever path found it."""
+        assert issubclass(errors.NoSeparationError, errors.PlasticImpactError)
+        for name in ("DiscriminantError", "SingularityError", "NoCrossingError"):
+            assert issubclass(getattr(errors, name), errors.DomainError)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_class_carries_documented_code(self, name):
+        assert getattr(errors, name).exit_code == EXIT_CODES[name]
+
+    @pytest.mark.parametrize(
+        "exc_type, code",
+        [*((getattr(errors, n), c) for n, c in sorted(EXIT_CODES.items())), (OSError, EXIT_IO)],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+    )
+    def test_main_returns_the_code(self, monkeypatch, capsys, exc_type, code):
+        def fail(args):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli, "cmd_analyze", fail)
+        assert main(["analyze"]) == code
+        assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestSweepSpec:
@@ -143,6 +186,8 @@ class TestSimulate:
         [
             ("kv", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0, "g": 0.2}),
             ("maxwell", {"m": 1.0, "k": 1.0, "b": 1.0 / 0.6, "v0": 1.0, "g": 0.15}),
+            # Integrated by the oracle, which counts relaxation times (Lambda = 4).
+            ("sls", {"m": 1.0, "k1": 1.0, "k2": 0.25, "b": 2.5, "v0": 1000.0}),
         ],
     )
     def test_gravity_dt_bounds_spacing(self, tmp_path, model, params):

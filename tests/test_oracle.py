@@ -64,6 +64,11 @@ class TestKernelValidation:
         with pytest.raises(ConfigError, match="b > 0"):
             RelaxationKernel.kv_limit(1.0, 0.0)
 
+    def test_kv_limit_psi_refused(self):
+        """The pair's kernel is singular; a finite Psi would be another kernel's."""
+        with pytest.raises(ConfigError, match="singular"):
+            RelaxationKernel.kv_limit(1.0, 0.5).psi(np.linspace(0.0, 1.0, 3))
+
     def test_sls_rho_range(self):
         with pytest.raises(ConfigError):
             RelaxationKernel.sls(1.0, 1.0, 0.0)

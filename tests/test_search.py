@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from visco_impact import _search, maxwell
-from visco_impact.cli import EXIT_DOMAIN, main
+from visco_impact.cli import EXIT_PLASTIC, main
 from visco_impact.errors import DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_find_critical_eps0
 from visco_impact.maxwell import mx_drop_metrics_asymptotic, mx_drop_trajectory, mx_metrics
@@ -245,9 +245,10 @@ class TestCriticalDamping:
         with pytest.raises(DomainError, match="underflows"):
             mx_drop_metrics_asymptotic(self._params(1e-4))
 
-    def test_cli_exits_domain_without_traceback(self, tmp_path, capsys):
+    def test_cli_exits_plastic_without_traceback(self, tmp_path, capsys):
+        """The drop trajectory proves the impact plastic before the expansion fails."""
         path = tmp_path / "mx.json"
         path.write_text(json.dumps({"m": 1.0, "k": 1.0, "b": 0.5 / 0.999999, "v0": 1.0}))
-        assert main(["simulate", "maxwell", "--params", str(path), "--gravity"]) == EXIT_DOMAIN
+        assert main(["simulate", "maxwell", "--params", str(path), "--gravity"]) == EXIT_PLASTIC
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
