@@ -272,6 +272,16 @@ def _metrics_from_trajectory(traj: Trajectory, v0: float) -> ImpactMetrics:
     )
 
 
+def _require_scaled(option: str, value: float | None) -> None:
+    """Refuse a ``--dt`` or ``--horizon`` that is not positive and finite."""
+    if value is None:
+        return
+    if value <= 0.0:
+        raise ConfigError(f"{option} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{option} must be finite, got {value}")
+
+
 def _samples_from_dt(params, dt: float | None, trajectory_fn: Callable) -> int:
     """Trajectory samples at scaled spacing ``dt``, capped at ``MAX_SCAN_SAMPLES``.
 
@@ -282,10 +292,7 @@ def _samples_from_dt(params, dt: float | None, trajectory_fn: Callable) -> int:
     """
     if dt is None:
         return DEFAULT_SAMPLES
-    if dt <= 0.0:
-        raise ConfigError(f"--dt must be positive, got {dt}")
-    if not math.isfinite(dt):
-        raise ConfigError(f"--dt must be finite, got {dt}")
+    _require_scaled("--dt", dt)
     t_c = trajectory_fn(params, n_samples=2).t_c
     spans = params.derived.omega0 * t_c / dt
     if not spans <= MAX_SCAN_SAMPLES - 1:
@@ -307,6 +314,9 @@ def _closed_form(params, dt, metrics_fn, trajectory_fn, label: str = ""):
 
 def _integrate_directly(kernel, m, v0, g, dt, horizon, reason: str):
     """Oracle metrics and trajectory for an impact without a usable closed form."""
+    _require_scaled("--dt", dt)
+    if horizon != math.inf:  # an unbounded horizon meets the oracle's step cap
+        _require_scaled("--horizon", horizon)
     print(f"{reason}; integrating directly", file=sys.stderr)
     # dt and horizon are in omega0 t; the oracle counts relaxation times, omega0 tau_R.
     unit = math.sqrt(kernel.alpha_per_mass / m)
@@ -331,7 +341,7 @@ def cmd_simulate(args) -> int:
         )
 
     if args.gravity and model.drop_metrics is None:
-        _, traj = integrate(STANDARD_GRAVITY, "three-element drop has no closed form")
+        _, traj = integrate(params.g or STANDARD_GRAVITY, "three-element drop has no closed form")
     elif args.gravity:
         if params.g == 0.0:
             params = dataclasses.replace(params, g=STANDARD_GRAVITY)
@@ -419,7 +429,7 @@ def cmd_sweep(args) -> int:
             continue
         print(f"{spec.param} = {value:g} skipped: {skip}", file=sys.stderr)
         rows.append((value, *nan_row))
-    _emit_csv(args.out, header, rows)
+    _emit_csv(args.out, header, np.array(rows, dtype=float))
     return code
 
 
@@ -610,7 +620,7 @@ def cmd_analyze(args) -> int:
             )
         )
     if args.out is not None:
-        _emit_csv(args.out, ANALYZE_HEADER, rows)
+        _emit_csv(args.out, ANALYZE_HEADER, np.array(rows, dtype=float))
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -51,6 +52,8 @@ TRAJECTORY_HEADER = ("t", "x", "xdot", "xddot", "F")
 
 # 17 significant digits round-trip an IEEE double exactly.
 _FLOAT_FMT = "%.17g"
+# Rows formatted per write: bounds the text and Python floats held at once.
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,9 @@ class StandardSolidParams:
     is ``k_inf = k1 k2 / (k1 + k2)``.  The equivalent parallel configuration
     (spring ``kappa1`` in parallel with a spring ``kappa2`` in series with a
     dashpot ``beta_dashpot``) maps onto these fields through
-    :func:`convert_configurations`.
+    :func:`convert_configurations`.  ``g`` is the gravitational
+    acceleration of a drop, zero by default; only the integrated drop uses
+    it, since the closed forms have no weight term.
     """
 
     m: float
@@ -190,6 +195,7 @@ class StandardSolidParams:
     k2: float
     b: float
     v0: float
+    g: float = 0.0
     derived: DerivedGroups = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -198,6 +204,7 @@ class StandardSolidParams:
         _require_positive("k2", self.k2)
         _require_positive("b", self.b)
         _require_positive("v0", self.v0)
+        _require_nonnegative("g", self.g)
         object.__setattr__(self, "derived", derive_sls(self))
 
     @property
@@ -370,7 +377,9 @@ class Trajectory:
         """
         with open(path, "w", newline="") as fh:
             write_csv_rows(
-                fh, TRAJECTORY_HEADER, zip(self.times, self.x, self.xdot, self.xddot, self.F)
+                fh,
+                TRAJECTORY_HEADER,
+                np.column_stack((self.times, self.x, self.xdot, self.xddot, self.F)),
             )
 
     @classmethod
@@ -382,19 +391,33 @@ class Trajectory:
 def write_csv_rows(stream, header, rows) -> None:
     """Write ``header`` and then ``rows`` to an open text stream as CSV.
 
-    Floats carry 17 significant digits, so :func:`read_numeric_csv` reads
-    them back bit-exactly; other values are written as they are.
+    ``rows`` is either a 2-D float array, formatted ``_CSV_BLOCK_ROWS``
+    rows at a time with one ``%`` operation per block, or an iterable of
+    rows whose cells may be text.  Floats carry 17 significant digits, so
+    :func:`read_numeric_csv` reads them back bit-exactly; other values are
+    written as they are.  Both forms give the bytes ``csv.writer`` gives.
     """
     writer = csv.writer(stream)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+    if not isinstance(rows, np.ndarray):
+        for row in rows:
+            writer.writerow([_FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+        return
+    # "%.17g" never yields a delimiter, quote or line break, so no cell
+    # needs quoting and the writer's "\r\n" ends every row.
+    line = ",".join([_FLOAT_FMT] * len(header)) + "\r\n"
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start : start + _CSV_BLOCK_ROWS]
+        stream.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_numeric_csv(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
     """Read a CSV file whose first line is ``header`` and whose cells are numbers.
 
-    Blank lines are skipped.
+    Blank lines are skipped.  The body is parsed by one ``np.loadtxt``
+    call.  Only a body it rejects is read again row by row: that pass
+    accepts what ``csv`` and ``float`` accept (quoted cells, ``1_0``) or
+    reports the first bad row.
 
     Returns
     -------
@@ -426,6 +449,19 @@ def read_numeric_csv(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
                 f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}: "
                 + "; ".join(parts)
             )
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is valid: no rows, no warning.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if data.size == 0 or data.shape[1] == len(header):
+                return data.reshape(-1, len(header))
+        # The diagnostic path: the same body again, row by row.
+        fh.seek(0)
+        next(reader)
         values: list[float] = []
         for i, row in enumerate(reader, start=2):
             if not row:
@@ -562,11 +598,14 @@ def load_sls_params(path: str | Path) -> StandardSolidParams:
 
     Two key sets are accepted: ``m, k1, k2, b, v0`` for the series
     configuration, or ``m, kappa1, kappa2, beta, v0`` for the parallel one
-    (converted on load).  Unknown keys are rejected.
+    (converted on load).  Either may add ``g``, which defaults to zero.
+    Unknown keys are rejected.
     """
-    data = load_flat_json(path, _sls_required)
+    data = load_flat_json(path, _sls_required, frozenset({"g"}))
     if "k1" in data:
         k1, k2, b = data["k1"], data["k2"], data["b"]
     else:
         k1, k2, b = convert_configurations(data["kappa1"], data["kappa2"], data["beta"])
-    return StandardSolidParams(m=data["m"], k1=k1, k2=k2, b=b, v0=data["v0"])
+    return StandardSolidParams(
+        m=data["m"], k1=k1, k2=k2, b=b, v0=data["v0"], g=data.get("g", 0.0)
+    )

@@ -30,15 +30,20 @@ from visco_impact.cli import (
     parse_sweep_arg,
     read_csv_rows,
 )
+from visco_impact.analysis import STANDARD_GRAVITY
 from visco_impact.errors import DomainError, ParseError
 from visco_impact.kelvin_voigt import kv_metrics
-from visco_impact.models import KelvinVoigtParams, Trajectory
+from visco_impact.models import KelvinVoigtParams, Trajectory, load_sls_params
+from visco_impact.oracle import RelaxationKernel, integrate_impact_with_gravity
 from visco_impact.standard_solid import (
     params_from_groups,
     params_near_maxwell,
     sls_metrics,
     sls_perturb_maxwell,
 )
+
+# A three-element solid at Lambda = 4, rho = 0.2; its drop is integrated.
+SLS_DROP = {"m": 1.0, "k1": 1.0, "k2": 0.25, "b": 2.5, "v0": 1000.0}
 
 REFERENCE_LAYER = {
     "mu_s": 0.25e6,
@@ -235,6 +240,54 @@ class TestSimulate:
         assert "steps, more than the 1e+07 allowed" in capsys.readouterr().err
         assert peak < 20e6
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--dt", "-1"], "--dt must be positive, got -1.0"),
+            (["--dt", "0"], "--dt must be positive, got 0.0"),
+            (["--dt", "nan"], "--dt must be finite, got nan"),
+            (["--dt", "inf"], "--dt must be finite, got inf"),
+            (["--horizon", "-1"], "--horizon must be positive, got -1.0"),
+            (["--horizon", "0"], "--horizon must be positive, got 0.0"),
+            (["--horizon", "nan"], "--horizon must be finite, got nan"),
+        ],
+    )
+    def test_integrated_grid_refused_in_cli_terms(self, tmp_path, capsys, grid, message):
+        """The integrated drop checks --dt and --horizon as the closed forms check --dt."""
+        params = _write_json(tmp_path, "sls.json", SLS_DROP)
+        rc = main(["simulate", "sls", "--params", params, "--gravity", *grid])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err
+        assert "_scaled" not in err
+
+    def test_three_element_drop_takes_g_from_params(self, tmp_path):
+        path = _write_json(tmp_path, "sls.json", dict(SLS_DROP, g=0.5))
+        out = tmp_path / "traj.csv"
+        rc = main(["simulate", "sls", "--params", path, "--gravity", "--out", str(out)])
+        assert rc == EXIT_OK
+        kernel = RelaxationKernel.from_params(load_sls_params(path))
+        t_c = integrate_impact_with_gravity(kernel, 1.0, 1000.0, 0.5).t_c
+        assert Trajectory.from_csv(out).t_c == t_c
+        assert t_c != integrate_impact_with_gravity(kernel, 1.0, 1000.0, STANDARD_GRAVITY).t_c
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            ("kv", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0}),
+            ("maxwell", {"m": 1.0, "k": 1.0, "b": 1.0 / 0.6, "v0": 1.0}),
+            ("sls", SLS_DROP),
+        ],
+    )
+    def test_g_ignored_without_gravity(self, tmp_path, model, params):
+        written = []
+        for name, payload in (("plain", params), ("weighted", dict(params, g=0.5))):
+            path = _write_json(tmp_path, f"{name}.json", payload)
+            out = tmp_path / f"{name}.csv"
+            assert main(["simulate", model, "--params", path, "--out", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_three_element_fallback_note(self, tmp_path, capsys):
         """Inside the dead discriminant window the CLI integrates directly."""
         p = params_from_groups(0.316, 0.1)
@@ -414,6 +467,16 @@ class TestBiphasic:
         err = capsys.readouterr().err
         assert "no oscillatory rebound" in err
         assert "never returned to zero" in err
+
+    def test_overdamped_layer_horizon_refused_in_cli_terms(self, tmp_path, capsys):
+        params = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, kappa=1e-8))
+        out = tmp_path / "traj.csv"
+        rc = main(
+            ["biphasic", "--params", params, "--m", "0.1", "--out", str(out), "--horizon", "-1"]
+        )
+        assert rc == EXIT_IO
+        assert "error: --horizon must be positive, got -1.0\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_mass_exits_domain(self, tmp_path, capsys):
         layer = {"mu_s": 0.25e6, "lambda_s": 0.25e6, "kappa": 2e-15, "h": 0.5e-3, "a": 2.5e-3}

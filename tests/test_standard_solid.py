@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,12 @@ from hypothesis import strategies as st
 from visco_impact.errors import DiscriminantError, DomainError
 from visco_impact.kelvin_voigt import kv_metrics
 from visco_impact.maxwell import mx_metrics
-from visco_impact.models import KelvinVoigtParams, MaxwellParams
+from visco_impact.models import (
+    KelvinVoigtParams,
+    MaxwellParams,
+    StandardSolidParams,
+    load_sls_params,
+)
 from visco_impact.standard_solid import (
     params_from_groups,
     params_near_kv,
@@ -191,6 +197,17 @@ class TestParameterMakers:
             params_from_groups(0.0, 0.5)
         with pytest.raises(DomainError):
             params_from_groups(0.25, 1.5)
+
+
+    def test_weight_is_optional_and_nonnegative(self, tmp_path):
+        assert params_from_groups(0.25, 0.5).g == 0.0
+        for g in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                StandardSolidParams(m=1.0, k1=1.0, k2=1.0, b=1.0, v0=1.0, g=g)
+        for keys in ({"k1": 2.0, "k2": 1.0, "b": 0.5}, {"kappa1": 1.0, "kappa2": 1.0, "beta": 1.0}):
+            path = tmp_path / "sls.json"
+            path.write_text(json.dumps({"m": 1.0, "v0": 1.0, "g": 0.5, **keys}))
+            assert load_sls_params(path).g == 0.5
 
 
 class TestPairLimits:
