@@ -21,6 +21,11 @@ a long half period decides one.
 When ``beta > lam`` and ``c > 0``, ``g`` grows by a period shift, so a full
 negative half period without a zero leaves ``F`` positive for good: that is
 a proof of a plastic impact, reached after O(1) evaluations.
+
+:func:`brentq` and :func:`golden` are ports of SciPy's routines of the same
+names (Brent, *Algorithms for Minimization without Derivatives*, 1973),
+step for step: they return the same floats without loading
+``scipy.optimize``, which would take most of a CLI process's start.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.optimize import minimize_scalar  # noqa: F401  (perfbench's traced pass wraps this name)
 
 from .errors import PlasticImpactError
 
@@ -43,6 +46,126 @@ SCAN_HORIZON_PERIODS = 10.0
 MAX_SCAN_SAMPLES = 10_000_000
 
 _BRENTQ_KW = dict(xtol=1e-30, rtol=1e-15)
+
+# SciPy's iteration caps; no caller changes them.
+_BRENTQ_MAXITER = 100
+_GOLDEN_MAXITER = 5000
+
+# SciPy's golden-section ratio, rounded as SciPy rounds it, so the iterates
+# match its own.
+_GOLDEN_R = 0.61803399
+
+
+def _nan_error(x: float) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Zero of ``f`` on ``[a, b]`` by Brent's method, as ``scipy.optimize.brentq``.
+
+    A port of SciPy's ``brentq.c`` at its default iteration cap: the same
+    steps give the same root for the same ``f``.  ``rtol`` must be at least
+    ``4 eps``, as SciPy requires.
+
+    Raises
+    ------
+    ValueError
+        For ends of the same sign, or a NaN value of ``f``.
+    RuntimeError
+        When the iterations do not converge.
+    """
+    # Doubles in and out, as in C: no NumPy scalar reaches the iterates.
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(a), float(b)
+    fpre = float(f(xpre))
+    if fpre != fpre:
+        raise _nan_error(xpre)
+    fcur = float(f(xcur))
+    if fcur != fcur:
+        raise _nan_error(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to an infinite or NaN step, which bisects.
+                stry = math.inf
+            # C's MIN(a, b), which differs from min() on a NaN.
+            short = abs(spre)
+            limit = 3.0 * abs(sbis) - delta
+            if 2.0 * abs(stry) < (short if short < limit else limit):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise _nan_error(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENTQ_MAXITER} iterations.")
+
+
+def golden(f, brack: tuple[float, float, float], tol: float) -> float:
+    """Minimizer of ``f`` by golden-section search, as ``scipy.optimize.golden``.
+
+    Only SciPy's three-point form, taken as given: ``brack = (xa, xb, xc)``
+    with ``xa < xb < xc`` and ``f(xb)`` below both ends.  ``tol`` is relative.
+    """
+    xa, xb, xc = brack
+    gR = _GOLDEN_R
+    gC = 1.0 - gR
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gC * (xc - xb)
+    else:
+        x1, x2 = xb - gC * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(_GOLDEN_MAXITER):
+        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1 = x1, x2
+            x2 = gR * x1 + gC * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = gR * x2 + gC * x0
+            f2, f1 = f1, f(x1)
+    return x1 if f1 < f2 else x2
+
+
+# The benchmark's traced pass wraps this name, which no caller uses; the name
+# and its perfbench entry go together (ROADMAP item 2).
+minimize_scalar = golden
 
 
 class DampedMode:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._search import brentq
 from .errors import DomainError, NoCrossingError, SingularityError
 from .maxwell import mx_metrics
 from .models import (

@@ -44,6 +44,7 @@ from .errors import (
     ConfigError,
     DiscriminantError,
     DomainError,
+    GridError,
     ParseError,
     PlasticImpactError,
     ViscoImpactError,
@@ -320,10 +321,20 @@ def _integrate_directly(kernel, m, v0, g, dt, horizon, reason: str):
     print(f"{reason}; integrating directly", file=sys.stderr)
     # dt and horizon are in omega0 t; the oracle counts relaxation times, omega0 tau_R.
     unit = math.sqrt(kernel.alpha_per_mass / m)
-    dt, horizon = (None if v is None else v / unit for v in (dt, horizon))
-    traj = integrate_impact_with_gravity(
-        kernel, m, v0, g, dt_scaled=dt, horizon_scaled=horizon
-    )
+    dt_scaled, horizon_scaled = (None if v is None else v / unit for v in (dt, horizon))
+    try:
+        traj = integrate_impact_with_gravity(
+            kernel, m, v0, g, dt_scaled=dt_scaled, horizon_scaled=horizon_scaled
+        )
+    except GridError as exc:
+        # The oracle's grid back in omega0 t, named as the command line sets it.
+        def named(flag, given, scaled):
+            return f"{'' if given is not None else 'the default '}{flag} {scaled * unit:.6g}"
+
+        raise ConfigError(
+            f"{named('--horizon', horizon, exc.horizon)} must exceed the step size, "
+            f"{named('--dt', dt, exc.step)}"
+        ) from exc
     metrics = _metrics_from_trajectory(traj, v0)
     _print_metrics(metrics, "integrated")
     return metrics, traj

@@ -3,7 +3,8 @@
 Each class carries as ``exit_code`` what the command line returns when the
 error ends a command (an ``OSError`` exits 1, a failed ``verify`` exits 4):
 
-- 1 ``EXIT_IO``: ``ViscoImpactError``, ``ConfigError``, ``ParseError``
+- 1 ``EXIT_IO``: ``ViscoImpactError``, ``ConfigError``, ``GridError``,
+  ``ParseError``
 - 2 ``EXIT_DOMAIN``: ``DomainError``, ``DiscriminantError``,
   ``SingularityError``, ``NoCrossingError``
 - 3 ``EXIT_PLASTIC``: ``PlasticImpactError``, ``NoSeparationError``
@@ -15,6 +16,7 @@ __all__ = [
     "ViscoImpactError",
     "DomainError",
     "ConfigError",
+    "GridError",
     "ParseError",
     "PlasticImpactError",
     "NoSeparationError",
@@ -44,6 +46,20 @@ class DomainError(ViscoImpactError):
 
 class ConfigError(ViscoImpactError):
     """A configuration value (step size, horizon, kernel spec) is invalid."""
+
+
+class GridError(ConfigError):
+    """The integration horizon does not exceed the step.
+
+    Carries both when they are known, in the oracle's scaled time, so a
+    caller can name them in its own units.
+    """
+
+    def __init__(self, message: str, step: float | None = None,
+                 horizon: float | None = None):
+        self.step = step
+        self.horizon = horizon
+        super().__init__(message)
 
 
 class ParseError(ViscoImpactError):

@@ -19,9 +19,8 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.optimize import golden
 
-from ._search import SCAN_HORIZON_PERIODS, DampedMode, first_force_zero
+from ._search import SCAN_HORIZON_PERIODS, DampedMode, first_force_zero, golden
 from .errors import DomainError, PlasticImpactError
 from .models import (
     DEFAULT_SAMPLES,

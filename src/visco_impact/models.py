@@ -376,10 +376,8 @@ class Trajectory:
         bit-exactly through :meth:`from_csv`.
         """
         with open(path, "w", newline="") as fh:
-            write_csv_rows(
-                fh,
-                TRAJECTORY_HEADER,
-                np.column_stack((self.times, self.x, self.xdot, self.xddot, self.F)),
+            _write_csv_columns(
+                fh, TRAJECTORY_HEADER, (self.times, self.x, self.xdot, self.xddot, self.F)
             )
 
     @classmethod
@@ -391,23 +389,34 @@ class Trajectory:
 def write_csv_rows(stream, header, rows) -> None:
     """Write ``header`` and then ``rows`` to an open text stream as CSV.
 
-    ``rows`` is either a 2-D float array, formatted ``_CSV_BLOCK_ROWS``
-    rows at a time with one ``%`` operation per block, or an iterable of
-    rows whose cells may be text.  Floats carry 17 significant digits, so
-    :func:`read_numeric_csv` reads them back bit-exactly; other values are
-    written as they are.  Both forms give the bytes ``csv.writer`` gives.
+    ``rows`` is either a 2-D float array, written as its columns are (see
+    :func:`_write_csv_columns`), or an iterable of rows whose cells may be
+    text.  Floats carry 17 significant digits, so :func:`read_numeric_csv`
+    reads them back bit-exactly; other values are written as they are.
+    Both forms give the bytes ``csv.writer`` gives.
     """
+    if isinstance(rows, np.ndarray):
+        _write_csv_columns(stream, header, rows.T)
+        return
     writer = csv.writer(stream)
     writer.writerow(header)
-    if not isinstance(rows, np.ndarray):
-        for row in rows:
-            writer.writerow([_FLOAT_FMT % v if isinstance(v, float) else v for v in row])
-        return
+    for row in rows:
+        writer.writerow([_FLOAT_FMT % v if isinstance(v, float) else v for v in row])
+
+
+def _write_csv_columns(stream, header, columns) -> None:
+    """Write ``header`` and then equal-length float ``columns`` as CSV rows.
+
+    Rows are stacked and formatted ``_CSV_BLOCK_ROWS`` at a time, with one
+    ``%`` operation per block, so no copy of the whole table is made.
+    """
+    csv.writer(stream).writerow(header)
     # "%.17g" never yields a delimiter, quote or line break, so no cell
     # needs quoting and the writer's "\r\n" ends every row.
     line = ",".join([_FLOAT_FMT] * len(header)) + "\r\n"
-    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        block = rows[start : start + _CSV_BLOCK_ROWS]
+    n_rows = len(columns[0]) if len(columns) else 0
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
         stream.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ._search import MAX_SCAN_SAMPLES
-from .errors import ConfigError, NoSeparationError
+from .errors import ConfigError, GridError, NoSeparationError
 from .models import (
     KelvinVoigtParams,
     MaxwellParams,
@@ -511,7 +511,7 @@ def _resolve_grid(kernel, m, dt_scaled, horizon_scaled):
             slowest = np.min(rates, where=rates > 0.0, initial=np.inf)
             horizon = max(horizon, min(2.0 * math.pi / slowest, (MAX_SCAN_SAMPLES - 1) * dt))
     if not (horizon > dt):
-        raise ConfigError("horizon_scaled must exceed the step size")
+        raise GridError("horizon_scaled must exceed the step size", step=dt, horizon=horizon)
     steps = horizon / dt
     if not steps <= MAX_SCAN_SAMPLES:
         raise ConfigError(

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import golden  # noqa: F401  (perfbench's traced pass wraps this name)
 
 from ._search import SCAN_HORIZON_PERIODS, DampedMode, first_force_zero
+from ._search import golden  # noqa: F401  (perfbench's traced pass wraps this name)
 from .errors import DiscriminantError, DomainError
 from .models import (
     DEFAULT_SAMPLES,
@@ -45,6 +45,7 @@ __all__ = [
     "params_near_maxwell",
     "params_from_groups",
 ]
+
 
 @dataclass(frozen=True)
 class CubicRoots:

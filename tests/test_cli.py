@@ -70,6 +70,7 @@ def _parse_csv(text, expected_header):
 EXIT_CODES = {
     "ViscoImpactError": EXIT_IO,
     "ConfigError": EXIT_IO,
+    "GridError": EXIT_IO,
     "ParseError": EXIT_IO,
     "DomainError": EXIT_DOMAIN,
     "DiscriminantError": EXIT_DOMAIN,
@@ -250,6 +251,15 @@ class TestSimulate:
             (["--horizon", "-1"], "--horizon must be positive, got -1.0"),
             (["--horizon", "0"], "--horizon must be positive, got 0.0"),
             (["--horizon", "nan"], "--horizon must be finite, got nan"),
+            (["--dt", "1", "--horizon", "0.5"], "--horizon 0.5 must exceed the step size, --dt 1"),
+            (
+                ["--horizon", "1e-6"],
+                "--horizon 1e-06 must exceed the step size, the default --dt 0.000314159",
+            ),
+            (
+                ["--dt", "100"],
+                "the default --horizon 31.4159 must exceed the step size, --dt 100",
+            ),
         ],
     )
     def test_integrated_grid_refused_in_cli_terms(self, tmp_path, capsys, grid, message):

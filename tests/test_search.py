@@ -4,17 +4,28 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import visco_impact
 from visco_impact import _search, maxwell
 from visco_impact.cli import EXIT_PLASTIC, main
 from visco_impact.errors import DomainError, PlasticImpactError
-from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_find_critical_eps0
+from visco_impact.kelvin_voigt import (
+    _peak_force_scaled,
+    kv_drop_trajectory,
+    kv_find_critical_eps0,
+    kv_fm_minimizer,
+)
 from visco_impact.maxwell import mx_drop_metrics_asymptotic, mx_drop_trajectory, mx_metrics
 from visco_impact.models import KelvinVoigtParams, MaxwellParams
 from visco_impact.oracle import RelaxationKernel, integrate_impact
@@ -252,3 +263,100 @@ class TestCriticalDamping:
         assert main(["simulate", "maxwell", "--params", str(path), "--gravity"]) == EXIT_PLASTIC
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+
+# --- The in-house Brent root and golden search against SciPy's -------------
+
+
+@st.composite
+def _sign_changes(draw):
+    """A smooth ``f``, a zero of it and a bracket ``[a, b]``, ``b > 0``, around that zero.
+
+    Each bracket holds one sign change by construction, so none is drawn
+    only to be thrown away.
+    """
+    family = draw(st.sampled_from(["damped sine", "shifted cubic", "tanh step"]))
+    root = draw(st.floats(0.1, 9.0))
+    if family == "damped sine":
+        d, w = draw(st.floats(0.0, 3.0)), draw(st.floats(0.1, 20.0))
+        # One zero inside: the sine's neighbours are a half period away.
+        a = root - draw(st.floats(1e-3, 0.999)) * math.pi / w
+        b = root + draw(st.floats(1e-3, 0.999)) * math.pi / w
+        return (lambda x: math.exp(-d * x) * math.sin(w * (x - root))), a, b
+    a = root - draw(st.floats(1e-6, 5.0))
+    b = root + draw(st.floats(1e-6, 5.0))
+    if family == "shifted cubic":
+        s = draw(st.floats(0.0, 5.0))
+        return (lambda x: (x - root) ** 3 + s * (x - root)), a, b
+    k, c = 10.0 ** draw(st.floats(-1.0, 3.0)), draw(st.floats(-0.9, 0.9))
+    shift = root + math.atanh(c) / k
+    return (lambda x: math.tanh(k * (x - shift)) + c), a, b
+
+
+def _outcome(fn, *args, **kwargs):
+    """The root, or the type and message of what ``fn`` raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # compared, not hidden: both solvers must raise alike
+        return type(exc), str(exc)
+
+
+@given(case=_sign_changes())
+@settings(deadline=None, max_examples=300)
+def test_brentq_is_scipys(case):
+    """Bit-identical roots at each tolerance the package uses.
+
+    Where SciPy runs out of iterations (a flat cubic at the package's
+    tolerances) the port raises the same error.
+    """
+    f, a, b = case
+    for kw in (_search._BRENTQ_KW, dict(xtol=1e-15 * b, rtol=1e-15)):
+        ours = _outcome(_search.brentq, f, a, b, **kw)
+        assert type(ours) in (float, tuple)
+        assert ours == _outcome(scipy.optimize.brentq, f, a, b, **kw)
+
+
+def _nan_inside(x):
+    """NaN on (0.45, 0.9), where the first secant step from [0, 1] lands."""
+    return math.nan if 0.45 < x < 0.9 else math.tanh(5.0 * (x - 0.6))
+
+
+@pytest.mark.parametrize(
+    "f, a, b, error",
+    [
+        (lambda x: math.nan, 0.0, 1.0, ValueError),
+        (_nan_inside, 0, 1.0, ValueError),
+        (lambda x: x + 1.0, 0.0, 1.0, ValueError),
+        # Too flat at the root for 100 iterations at these tolerances.
+        (lambda x: (x - 0.3) ** 3, 0.0, 1.0, RuntimeError),
+    ],
+    ids=["nan-at-a", "nan-inside", "same-sign", "no-convergence"],
+)
+def test_brentq_errors_are_scipys(f, a, b, error):
+    """Each refusal raises SciPy's type with SciPy's message."""
+    ours = _outcome(_search.brentq, f, a, b, **_search._BRENTQ_KW)
+    assert ours[0] is error
+    assert ours == _outcome(scipy.optimize.brentq, f, a, b, **_search._BRENTQ_KW)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
+def test_kv_fm_minimizer_is_scipys_golden(tol):
+    eta_star, peak = kv_fm_minimizer(tol)
+    expected = scipy.optimize.golden(_peak_force_scaled, brack=(1e-3, 0.25, 0.7), tol=tol)
+    assert eta_star == expected
+    assert peak == _peak_force_scaled(expected)
+
+
+def test_cli_runs_without_importing_scipy():
+    """Neither the package nor a whole ``verify`` loads any part of SciPy."""
+    code = (
+        "import sys, visco_impact, visco_impact.cli as cli\n"
+        "rc = cli.main(['verify'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(visco_impact.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.splitlines()[-1] == "0 []"
