@@ -1,26 +1,39 @@
-"""First zeros of closed-form forces, walked over the half periods of one mode.
+"""First zeros of closed-form forces, walked over the monotone pieces of one mode.
 
 Every closed-form force in the package has the form
 
     F(t) = e**(-beta t) (A sin omega t + B cos omega t) + c e**(-lam t)
 
 (:class:`DampedMode`), and so do the derivatives of the three-element
-indentation.  Write the oscillating part as ``R sin(omega t + phi)``.  Then
+indentation.  Write the oscillating part as ``R sin(omega t + phi)`` and
+``r = beta - lam``.  Then
 
-    g(t) = e**(beta t) F(t) = R sin(omega t + phi) + c e**((beta - lam) t)
+    G(t) = e**(lam t) F(t) = e**(-r t) R sin(omega t + phi) + c
 
-has the sign of F, and on each interval between consecutive zeros of the
-sine either both terms share a sign, so F has no zero there, or ``g`` is
-convex or concave, so ``g'`` changes sign at most once.  One bracketed root
-of ``g'`` then splits the interval into two monotone pieces, and Brent's
-method finds the first zero on the piece where ``g`` falls through zero.
-Signs are taken from ``g`` scaled by a decaying factor, never from ``F``,
-so neither the overflow of ``e**(beta t)`` nor the underflow of ``F`` over
-a long half period decides one.
+has the sign of F, and
 
-When ``beta > lam`` and ``c > 0``, ``g`` grows by a period shift, so a full
-negative half period without a zero leaves ``F`` positive for good: that is
-a proof of a plastic impact, reached after O(1) evaluations.
+    G'(t) = e**(-r t) R hypot(omega, r) cos(omega t + phi + psi),
+    psi = atan2(r, omega).
+
+So G is monotone between the critical points
+``t_n = (pi/2 + n pi - phi - psi) / omega``, half a period apart, and each
+such piece holds at most one zero of F.  The walk takes the pieces in turn
+and makes one Brent solve, on the first piece that falls from ``G > 0`` to
+``G <= 0``.  At the critical points the sine is ``+-cos(psi)`` exactly, so
+
+    G(t_n) = c +- R cos(psi) e**(-r t_n),
+
+and the signs at the piece ends come from this closed form, never from a
+sine evaluated next to its zero.  When ``c = 0`` the zeros of F are those
+of the sine, so ``psi = 0`` and the pieces are the sine's own.  Values are
+taken from G scaled by a decaying factor, never from ``F``, so neither the
+overflow of ``e**(r t)`` nor the underflow of ``F`` over a long half period
+decides a sign.
+
+When ``r > 0`` and ``c > 0`` the minima ``c - |R| cos(psi) e**(-r t_n)``
+only rise, so a falling piece that ends with ``G > 0`` leaves ``F``
+positive for good: that is a proof of a plastic impact, reached after
+O(1) evaluations.  Otherwise the walk stops at its horizon.
 
 :func:`brentq` and :func:`golden` are ports of SciPy's routines of the same
 names (Brent, *Algorithms for Minimization without Derivatives*, 1973),
@@ -173,7 +186,7 @@ class DampedMode:
 
     Calling a mode evaluates it (vectorized), and :meth:`combine` does so
     from phases a caller already holds; :func:`first_force_zero` solves it
-    through :meth:`scaled` alone.
+    through :meth:`scaled` and :meth:`lifted`.
     """
 
     def __init__(self, beta: float, omega: float, A: float, B: float,
@@ -218,45 +231,20 @@ class DampedMode:
         x = self.rate * a + math.log(abs(self.c))
         return math.copysign(math.exp(x) if x < 709.0 else math.inf, self.c)
 
-    def scaled(self, t: float, a: float, weight: float, order: int = 0) -> float:
-        """``g`` (``order`` 0) or ``g'`` (1) at ``t >= a``, times ``e**(-damp (t - a))``.
+    def scaled(self, t: float, a: float, weight: float) -> float:
+        """``e**(beta t) F(t)`` at ``t >= a``, times ``e**(-damp (t - a))``.
 
         ``damp = max(beta - lam, 0)`` keeps both terms from growing past
         ``a``, and ``weight`` is :meth:`weight` at ``a``.  Without a weight
         the factor is 1, so the sine is never scaled away.
         """
-        u = t - a
-        theta = self.omega * t + self.phi
-        osc = self.omega * math.cos(theta) if order else math.sin(theta)
+        return self.lifted(self.R * math.sin(self.omega * t + self.phi), t - a, weight)
+
+    def lifted(self, osc: float, u: float, weight: float) -> float:
+        """:meth:`scaled` at ``u`` past the anchor, from ``R sin(omega t + phi)``."""
         if not weight:
-            return self.R * osc
-        rest = weight * self.rate if order else weight
-        return (self.R * osc * math.exp(-self.damp * u)
-                + rest * math.exp((self.rate - self.damp) * u))
-
-
-def _falling_zero(f, x0: float, y0: float, x1: float, y1: float) -> float | None:
-    """Zero of ``f`` on [x0, x1] where it falls from positive to at most 0."""
-    if not y0 > 0.0 >= y1:
-        return None
-    if y1 == 0.0 or x1 == x0:
-        return x1
-    # The end values are exact; the bracket ends must not be re-evaluated.
-    return brentq(lambda t: y0 if t == x0 else y1 if t == x1 else f(t), x0, x1, **_BRENTQ_KW)
-
-
-def _interval_zero(mode: DampedMode, lo: float, hi: float, g_lo: float, g_hi: float,
-                   weight: float) -> float | None:
-    """First falling zero of ``g`` on [lo, hi], where ``g'`` is monotone."""
-    g = lambda t: mode.scaled(t, lo, weight)  # noqa: E731
-    dg = lambda t: mode.scaled(t, lo, weight, 1)  # noqa: E731
-    d_lo, d_hi = dg(lo), dg(hi)
-    if d_lo > 0.0 > d_hi or d_lo < 0.0 < d_hi:
-        t_ext = brentq(dg, lo, hi, **_BRENTQ_KW)
-        g_ext = g(t_ext)
-        zero = _falling_zero(g, lo, g_lo, t_ext, g_ext)
-        return zero if zero is not None else _falling_zero(g, t_ext, g_ext, hi, g_hi)
-    return _falling_zero(g, lo, g_lo, hi, g_hi)
+            return osc
+        return osc * math.exp(-self.damp * u) + weight * math.exp((self.rate - self.damp) * u)
 
 
 def first_force_zero(force: DampedMode, period: float, horizon: float) -> float:
@@ -281,33 +269,38 @@ def first_force_zero(force: DampedMode, period: float, horizon: float) -> float:
         positive for good.
     """
     half = 0.5 * period
-    provable = force.rate > 0.0 and force.c > 0.0
-    # The first interval runs from t = 0 to the first zero of the sine;
-    # the sine's sign on it is -sign(R), and it flips from one to the next.
-    lo, hi = 0.0, -force.phi / force.omega
-    sign = -math.copysign(1.0, force.R)
+    omega, rate, c = force.omega, force.rate, force.c
+    psi = math.atan2(rate, omega) if c else 0.0
+    # R sin(omega t_n + phi) = +-R cos(psi): the oscillating part of e**(beta t) F
+    # at the critical points, its sign alternating from one to the next.
+    osc = force.R * (omega / math.hypot(omega, rate) if c else 1.0)
+    # t_n = (first + n) half, with the first critical point in (0, half].
+    first = (0.5 * math.pi - force.phi - psi) / math.pi
+    shift = math.ceil(first) - 1
+    first -= shift
+    if shift % 2:
+        osc = -osc
+    provable = rate > 0.0 and c > 0.0
+    # The start value is F(0) as the mode evaluates it: contact may start at 0 exactly.
+    lo, g_lo, weight = 0.0, float(force(0.0)), force.weight(0.0)
+    n = 0
     while lo < horizon:
-        weight = force.weight(lo)
-        # g at the sine's zero hi is exactly the exponential term.
-        g_hi = weight * math.exp((force.rate - force.damp) * (hi - lo))
-        if not hi > lo:
-            zero = None
-        elif sign * weight > 0.0:
-            # Same signs leave no zero inside; a positive g falls to zero
-            # at hi only where its exponential term underflows.
-            zero = hi if sign > 0.0 and g_hi == 0.0 else None
-        else:
-            # g' is monotone here; g(0) is F(0) as the mode evaluates it.
-            g_lo = force.B + force.c if lo == 0.0 else weight
-            zero = _interval_zero(force, lo, hi, g_lo, g_hi, weight)
-        if zero is not None:
+        hi = (first + n) * half
+        g_hi = force.lifted(osc, hi - lo, weight)
+        if g_lo > 0.0 >= g_hi:
+            # The end values are exact; the bracket ends must not be re-evaluated.
+            zero = hi if g_hi == 0.0 else brentq(
+                lambda t: g_lo if t == lo else g_hi if t == hi else force.scaled(t, lo, weight),
+                lo, hi, **_BRENTQ_KW,
+            )
             if zero > horizon:
                 break
             return zero
-        # A full negative half period with g > 0 bounds every later one.
-        if provable and sign < 0.0 and lo > 0.0:
+        # A minimum above zero bounds every later one.
+        if provable and osc < 0.0 and g_hi > 0.0:
             raise PlasticImpactError(
                 "contact force never returns to zero: the impactor stays embedded"
             )
-        lo, hi, sign = hi, hi + half, -sign
+        lo, weight, n = hi, force.weight(hi), n + 1
+        g_lo, osc = osc + weight, -osc
     raise PlasticImpactError("contact force never returns to zero within the horizon")

@@ -576,20 +576,15 @@ def cmd_biphasic(args) -> int:
     if args.out is None:
         return EXIT_OK
     if zeta >= 1.0:
-        # The force decays on the relaxation scale, so 50 relaxation times
-        # (25 / zeta in omega0 t) settle whether separation ever happens.
-        metrics, traj = _integrate_directly(
-            RelaxationKernel.maxwell(eq.k, eq.tau_R),
-            args.m,
-            args.v0,
-            0.0,
-            args.dt,
-            25.0 / zeta if args.horizon is None else args.horizon,
-            f"loss factor {zeta:.3g} >= 1: no oscillatory rebound",
+        # An overdamped series pair pushes back with k v0 (e**(r1 t) - e**(r2 t)) / (r1 - r2),
+        # and with k v0 t e**(-beta t) at zeta = 1: positive for every t > 0.
+        _require_scaled("--dt", args.dt)
+        raise PlasticImpactError(
+            f"loss factor {zeta:.3g} >= 1: no oscillatory rebound, "
+            "so the contact force never returned to zero"
         )
-    else:
-        params = reduce_to_maxwell(layer, args.m, args.v0)
-        metrics, traj = _closed_form(params, args.dt, mx_metrics, mx_trajectory)
+    params = reduce_to_maxwell(layer, args.m, args.v0)
+    metrics, traj = _closed_form(params, args.dt, mx_metrics, mx_trajectory)
     if metrics.t_c > usable:
         print(
             f"contact lasts {metrics.t_c:.3g} s, beyond the usable window "
@@ -679,7 +674,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v0", type=float, default=1.0, help="impact velocity [m/s]")
     p.add_argument("--out", help="trajectory CSV path (also runs the impact)")
     p.add_argument("--dt", type=float, help="scaled sample spacing (omega0 dt)")
-    p.add_argument("--horizon", type=float, help="scaled integration horizon (omega0 t)")
     p.set_defaults(func=cmd_biphasic)
 
     p = sub.add_parser("analyze", help="check linear predictions on drop-test records")

@@ -174,13 +174,13 @@ def kv_drop_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPL
     damping-dependent threshold of ``eps0 = g / (omega0 v0)``, suppresses it
     entirely.  The contact end is the first zero of the transmitted force,
     found by :func:`~visco_impact._search.first_force_zero`'s walk over the
-    half periods of its oscillating mode.
+    monotone pieces of its mode.
 
     Raises
     ------
     PlasticImpactError
         If the force is proved never to return to zero (the impactor stays
-        embedded); the proof takes the first full negative half period.
+        embedded); the proof takes the first minimum that stays above zero.
     """
     # Without gravity the contact end is in closed form.
     t_c = _drop_contact_end(params) if params.g else _contact_duration(params.derived)

@@ -478,14 +478,24 @@ class TestBiphasic:
         assert "no oscillatory rebound" in err
         assert "never returned to zero" in err
 
-    def test_overdamped_layer_horizon_refused_in_cli_terms(self, tmp_path, capsys):
+    def test_overdamped_layer_is_plastic_without_integrating(self, tmp_path, monkeypatch):
+        """The loss factor alone decides a layer at zeta >= 1; the oracle never runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        for name in ("integrate_impact", "integrate_impact_with_gravity"):
+            monkeypatch.setattr(cli, name, refuse)
         params = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, kappa=1e-8))
         out = tmp_path / "traj.csv"
-        rc = main(
-            ["biphasic", "--params", params, "--m", "0.1", "--out", str(out), "--horizon", "-1"]
-        )
+        assert main(["biphasic", "--params", params, "--m", "0.1", "--out", str(out)]) == EXIT_PLASTIC
+        assert not out.exists()
+
+    def test_overdamped_layer_dt_refused_first(self, tmp_path, capsys):
+        params = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, kappa=1e-8))
+        out = tmp_path / "traj.csv"
+        rc = main(["biphasic", "--params", params, "--m", "0.1", "--out", str(out), "--dt", "-1"])
         assert rc == EXIT_IO
-        assert "error: --horizon must be positive, got -1.0\n" in capsys.readouterr().err
+        assert "error: --dt must be positive, got -1.0\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_mass_exits_domain(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Contact end from the modal form: the half-period walk of ``_search``."""
+"""Contact end from the modal form: the monotone-piece walk of ``_search``."""
 
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from visco_impact.standard_solid import (
     params_from_groups,
     sls_characteristic_roots,
     sls_metrics,
+    sls_trajectory,
 )
 
 # Dense reference: this many samples per oscillation period, then Brent on
@@ -187,9 +188,14 @@ def _small_discriminant_lattice():
     return points
 
 
-@pytest.mark.parametrize("Lam, rho", _small_discriminant_lattice())
+# Slow relaxation, where splitting each half period at an extremum of the
+# force once ran that extra Brent solve out of iterations.
+_LARGE_LAMBDA = [(654080.1550896134, 0.5505628176572535), (4634.7445860570015, 0.9297104517002204)]
+
+
+@pytest.mark.parametrize("Lam, rho", _small_discriminant_lattice() + _LARGE_LAMBDA)
 def test_small_discriminant_matches_oracle(Lam, rho):
-    """A half period spans about 1e4 relaxation times here; F underflows long before."""
+    """On the lattice a half period spans about 1e4 relaxation times; F underflows long before."""
     params = params_from_groups(Lam, rho)
     met = sls_metrics(params)
     traj = integrate_impact(RelaxationKernel.from_params(params), 1.0, 1.0)
@@ -199,6 +205,75 @@ def test_small_discriminant_matches_oracle(Lam, rho):
 
 def test_small_discriminant_lattice_size():
     assert len(_small_discriminant_lattice()) == 18
+
+
+def _magnitude(draw) -> float:
+    return 10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
+
+
+@st.composite
+def _raw_modes(draw):
+    """Modes over every branch of the walk, physical or not.
+
+    ``c`` is negative, zero or positive; ``lam`` lies on either side of
+    ``beta``; half the draws start at ``F(0) = 0`` and the rest at any
+    ``F(0)``, positive as behind the parallel pair's dashpot jump or
+    negative.  A large positive ``c`` with ``beta > lam`` gives modes the
+    walk proves plastic.
+    """
+    omega = _magnitude(draw)
+    beta = omega * draw(st.floats(min_value=0.0, max_value=3.0))
+    lam = beta + omega * draw(st.floats(min_value=-3.0, max_value=3.0))
+    c = draw(st.sampled_from((-1.0, 0.0, 1.0))) * _magnitude(draw)
+    A = draw(st.sampled_from((-1.0, 1.0))) * _magnitude(draw)
+    B = -c if draw(st.booleans()) else draw(st.sampled_from((-1.0, 1.0))) * _magnitude(draw)
+    return _search.DampedMode(beta, omega, A, B, c, lam)
+
+
+@given(mode=_raw_modes())
+@settings(deadline=None, max_examples=200)
+def test_raw_modes_match_dense_reference(mode):
+    """The walk and the dense scan agree on the outcome and ``t_c`` of any mode.
+
+    Excluded: starts at ``F(0) = 0`` whose ``|F'(0)|`` is below 0.03 of
+    ``|R| hypot(beta, omega) + |lam c|``.  There the force can fall back to
+    zero within a few dense samples, and that zero comes from a cancellation
+    of O(1) terms: both solvers miss a 50-digit root of it by up to ~1e-10.
+    """
+    if mode.B + mode.c == 0.0:
+        slope = mode.omega * mode.A - mode.beta * mode.B - mode.lam * mode.c
+        assume(abs(slope) >= 0.03 * (abs(mode.R) * math.hypot(mode.beta, mode.omega)
+                                     + abs(mode.lam * mode.c)))
+    period = 2.0 * math.pi / mode.omega
+    horizon = _search.SCAN_HORIZON_PERIODS * period
+    try:
+        walk = _search.first_force_zero(mode, period, horizon)
+    except PlasticImpactError:
+        walk = None
+    _assert_same_end(walk, _dense_first_zero(mode, period, horizon))
+
+
+_SLS_UNIT = params_from_groups(1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "run, solves",
+    [
+        (lambda: kv_drop_trajectory(
+            KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0, g=0.05), n_samples=2), 1),
+        (lambda: mx_drop_trajectory(
+            MaxwellParams(m=1.0, k=1.0, b=0.5 / 0.3, v0=1.0, g=0.05), n_samples=2), 1),
+        (lambda: sls_metrics(_SLS_UNIT), 3),
+        (lambda: sls_trajectory(_SLS_UNIT, n_samples=2), 1),
+    ],
+    ids=["kv_drop_trajectory", "mx_drop_trajectory", "sls_metrics", "sls_trajectory"],
+)
+def test_one_brent_solve_per_contact_end(monkeypatch, run, solves):
+    """Each walk solves one piece; the piece ends need no solve."""
+    calls, solve = [], _search.brentq
+    monkeypatch.setattr(_search, "brentq", lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+    run()
+    assert len(calls) == solves
 
 
 class _CountingMode(_search.DampedMode):
