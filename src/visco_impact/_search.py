@@ -1,12 +1,13 @@
 """First zeros of closed-form forces, walked over the monotone pieces of one mode.
 
-Every closed-form force in the package has the form
+The contact forces of the two-element pairs, with or without a weight,
+have the form
 
     F(t) = e**(-beta t) (A sin omega t + B cos omega t) + c e**(-lam t)
 
 (:class:`DampedMode`), and so do the derivatives of the three-element
-indentation.  Write the oscillating part as ``R sin(omega t + phi)`` and
-``r = beta - lam``.  Then
+indentation when its cubic has a conjugate pair.  Write the oscillating
+part as ``R sin(omega t + phi)`` and ``r = beta - lam``.  Then
 
     G(t) = e**(lam t) F(t) = e**(-r t) R sin(omega t + phi) + c
 
@@ -34,6 +35,13 @@ When ``r > 0`` and ``c > 0`` the minima ``c - |R| cos(psi) e**(-r t_n)``
 only rise, so a falling piece that ends with ``G > 0`` leaves ``F``
 positive for good: that is a proof of a plastic impact, reached after
 O(1) evaluations.  Otherwise the walk stops at its horizon.
+
+Two more forms take the same walk over their own monotone pieces.  A
+:class:`RealMode` has three real rates in place of the oscillation and at
+most two pieces, the last one reaching to infinity.  An :class:`OffsetMode`
+adds a constant, the weight of a drop, to a decaying mode.  The constant
+differentiates away, so F is monotone between the zeros of ``F'`` (Rolle):
+its pieces are those of ``F'`` split at the zeros of ``F'``.
 
 :func:`brentq` and :func:`golden` are ports of SciPy's routines of the same
 names (Brent, *Algorithms for Minimization without Derivatives*, 1973),
@@ -246,8 +254,160 @@ class DampedMode:
             return osc
         return osc * math.exp(-self.damp * u) + weight * math.exp((self.rate - self.damp) * u)
 
+    def pieces(self, period: float):
+        """Monotone pieces ``(lo, hi, g_lo, g_hi, g)`` of ``G``, half a period long.
 
-def first_force_zero(force: DampedMode, period: float, horizon: float) -> float:
+        ``g`` is a positive multiple of ``F`` on ``[lo, hi]``, and ``g_lo``,
+        ``g_hi`` are its exact values at the ends.  The pieces run on until a
+        minimum above zero proves ``F`` positive for good.
+        """
+        half = 0.5 * period
+        omega, rate, c = self.omega, self.rate, self.c
+        psi = math.atan2(rate, omega) if c else 0.0
+        # R sin(omega t_n + phi) = +-R cos(psi): the oscillating part of e**(beta t) F
+        # at the critical points, its sign alternating from one to the next.
+        osc = self.R * (omega / math.hypot(omega, rate) if c else 1.0)
+        # t_n = (first + n) half, with the first critical point in (0, half].
+        first = (0.5 * math.pi - self.phi - psi) / math.pi
+        shift = math.ceil(first) - 1
+        first -= shift
+        if shift % 2:
+            osc = -osc
+        provable = rate > 0.0 and c > 0.0
+        # The start value is F(0) as the mode evaluates it: contact may start at 0 exactly.
+        lo, g_lo, weight = 0.0, float(self(0.0)), self.weight(0.0)
+        n = 0
+        while True:
+            hi = (first + n) * half
+            g_hi = self.lifted(osc, hi - lo, weight)
+            # The end values are exact; the bracket ends must not be re-evaluated.
+            yield lo, hi, g_lo, g_hi, (
+                lambda t, lo=lo, hi=hi, g_lo=g_lo, g_hi=g_hi, w=weight:
+                g_lo if t == lo else g_hi if t == hi else self.scaled(t, lo, w)
+            )
+            # A minimum above zero bounds every later one.
+            if provable and osc < 0.0 and g_hi > 0.0:
+                return
+            lo, weight, n = hi, self.weight(hi), n + 1
+            g_lo, osc = osc + weight, -osc
+
+
+class RealMode:
+    """``e**(-beta t) (C cosh kappa t + S sinh(kappa t) / kappa) + c e**(-lam t)``.
+
+    Three real rates, ``beta -+ kappa`` and ``lam``.  The first two stay one
+    pair, finite as they coalesce (at ``kappa = 0`` it is ``C + S t``).
+    ``G' = e**(-r t) (P cosh kappa t + Q sinh(kappa t) / kappa)`` changes
+    sign at most once, where ``tanh(kappa t) / kappa = -P / Q``: G has at
+    most two monotone pieces, and the last reaches to infinity.
+    """
+
+    omega = 0.0
+
+    def __init__(self, beta: float, kappa: float, C: float, S: float,
+                 c: float = 0.0, lam: float = 0.0):
+        self.beta, self.kappa, self.C, self.S, self.c, self.lam = beta, kappa, C, S, c, lam
+        self.slow = min(beta - kappa, lam) if c else beta - kappa
+
+    def __call__(self, t, s: float = 0.0):
+        """``e**(s t) F(t)``, from decaying exponentials alone for ``s <= slow``."""
+        t, k = np.asarray(t, dtype=float), self.kappa
+        sinh = -np.expm1(-2.0 * k * t) / (2.0 * k) if k else t
+        out = np.exp((s - self.beta + k) * t) * (
+            0.5 * self.C * (1.0 + np.exp(-2.0 * k * t)) + self.S * sinh
+        )
+        return out + self.c * np.exp((s - self.lam) * t) if self.c else out
+
+    def derivative(self) -> "RealMode":
+        b, k = self.beta, self.kappa
+        return RealMode(b, k, self.S - b * self.C, k * k * self.C - b * self.S,
+                        -self.lam * self.c, self.lam)
+
+    def __neg__(self) -> "RealMode":
+        return RealMode(self.beta, self.kappa, -self.C, -self.S, -self.c, self.lam)
+
+    def pieces(self, period: float):
+        """Monotone pieces of ``G``, as :meth:`DampedMode.pieces`; ``period`` is unused.
+
+        ``g = e**(slow t) F`` keeps the slowest term, whose coefficient is
+        its sign at infinity.
+        """
+        def g(t):
+            return float(self(t, self.slow))
+
+        r, k = self.beta - self.lam, self.kappa
+        P, Q = self.S - r * self.C, k * k * self.C - r * self.S
+        u = -P / Q if Q else 0.0
+        lo, g_lo = 0.0, g(0.0)
+        if u > 0.0 and k * u < 1.0:
+            hi = math.atanh(k * u) / k if k else u
+            g_hi = g(hi)
+            yield lo, hi, g_lo, g_hi, g
+            lo, g_lo = hi, g_hi
+        limit = self.c if self.c and self.lam == self.slow else 0.0
+        if self.beta - k == self.slow:
+            # At kappa = 0 the term S t outgrows the rest.
+            limit = limit + 0.5 * (self.C + self.S / k) if k else self.S or limit + self.C
+        yield from _tail(g, lo, g_lo, limit)
+
+
+class OffsetMode:
+    """``mode + offset`` for a decaying mode, as the force of a drop.
+
+    The offset differentiates away, so F is monotone between the zeros of
+    ``mode'`` (Rolle), and it tends to the offset.
+    """
+
+    def __init__(self, mode, offset: float):
+        self.mode, self.offset, self.omega = mode, offset, mode.omega
+
+    def __call__(self, t):
+        return self.mode(t) + self.offset
+
+    def derivative(self):
+        return self.mode.derivative()
+
+    def pieces(self, period: float):
+        """Monotone pieces of F: those of ``mode'`` split at its zeros."""
+        def f(t):
+            return float(self(t))
+
+        lo, f_lo = 0.0, f(0.0)
+        for a, b, m_a, m_b, m in self.derivative().pieces(period):
+            for hi in (_root(m, a, b, m_b), b) if _crosses(m_a, m_b) else (b,):
+                if hi > lo:
+                    f_hi = f(hi)
+                    yield lo, hi, f_lo, f_hi, f
+                    lo, f_lo = hi, f_hi
+        yield from _tail(f, lo, f_lo, self.offset)
+
+
+def _crosses(g_lo: float, g_hi: float) -> bool:
+    """Whether a monotone piece holds a zero after its start."""
+    return g_lo > 0.0 >= g_hi or g_lo < 0.0 <= g_hi
+
+
+def _root(g, lo: float, hi: float, g_hi: float) -> float:
+    return hi if g_hi == 0.0 else brentq(g, lo, hi, **_BRENTQ_KW)
+
+
+def _tail(g, lo: float, g_lo: float, limit: float):
+    """The last piece, ``[lo, inf)``, cut where monotone ``g`` takes the sign of its limit.
+
+    None when the limit is zero or keeps the sign of ``g_lo``.  The cut
+    doubles its distance from ``lo`` until the sign changes.
+    """
+    if limit == 0.0 or (limit > 0.0) == (g_lo > 0.0):
+        return
+    step = lo or 1.0
+    while lo + step < math.inf:
+        if _crosses(g_lo, g_hi := g(lo + step)):
+            yield lo, lo + step, g_lo, g_hi, g
+            return
+        step *= 2.0
+
+
+def first_force_zero(force, period: float, horizon: float) -> float:
     """First instant after ``t = 0`` where the force falls to zero.
 
     Contact starts at ``t = 0`` by construction, so a force that starts at
@@ -255,12 +415,14 @@ def first_force_zero(force: DampedMode, period: float, horizon: float) -> float:
 
     Parameters
     ----------
-    force : DampedMode
+    force : DampedMode, RealMode or OffsetMode
         The force history.
     period : float
         Its oscillation period ``2 pi / omega``; the walk steps by half of it.
     horizon : float
         Walk limit.  No zero up to it raises :class:`PlasticImpactError`.
+        A force that does not oscillate has finitely many pieces, and the
+        walk takes them all.
 
     Raises
     ------
@@ -268,39 +430,18 @@ def first_force_zero(force: DampedMode, period: float, horizon: float) -> float:
         When no zero lies within the horizon, or when ``F`` is proved to stay
         positive for good.
     """
-    half = 0.5 * period
-    omega, rate, c = force.omega, force.rate, force.c
-    psi = math.atan2(rate, omega) if c else 0.0
-    # R sin(omega t_n + phi) = +-R cos(psi): the oscillating part of e**(beta t) F
-    # at the critical points, its sign alternating from one to the next.
-    osc = force.R * (omega / math.hypot(omega, rate) if c else 1.0)
-    # t_n = (first + n) half, with the first critical point in (0, half].
-    first = (0.5 * math.pi - force.phi - psi) / math.pi
-    shift = math.ceil(first) - 1
-    first -= shift
-    if shift % 2:
-        osc = -osc
-    provable = rate > 0.0 and c > 0.0
-    # The start value is F(0) as the mode evaluates it: contact may start at 0 exactly.
-    lo, g_lo, weight = 0.0, float(force(0.0)), force.weight(0.0)
-    n = 0
-    while lo < horizon:
-        hi = (first + n) * half
-        g_hi = force.lifted(osc, hi - lo, weight)
+    if not force.omega:
+        horizon = math.inf
+    for lo, hi, g_lo, g_hi, g in force.pieces(period):
+        if lo >= horizon:
+            break
         if g_lo > 0.0 >= g_hi:
-            # The end values are exact; the bracket ends must not be re-evaluated.
-            zero = hi if g_hi == 0.0 else brentq(
-                lambda t: g_lo if t == lo else g_hi if t == hi else force.scaled(t, lo, weight),
-                lo, hi, **_BRENTQ_KW,
-            )
+            zero = _root(g, lo, hi, g_hi)
             if zero > horizon:
                 break
             return zero
-        # A minimum above zero bounds every later one.
-        if provable and osc < 0.0 and g_hi > 0.0:
-            raise PlasticImpactError(
-                "contact force never returns to zero: the impactor stays embedded"
-            )
-        lo, weight, n = hi, force.weight(hi), n + 1
-        g_lo, osc = osc + weight, -osc
+    else:
+        raise PlasticImpactError(
+            "contact force never returns to zero: the impactor stays embedded"
+        )
     raise PlasticImpactError("contact force never returns to zero within the horizon")

@@ -42,9 +42,7 @@ from .errors import (
     EXIT_PLASTIC,
     EXIT_VERIFY,
     ConfigError,
-    DiscriminantError,
     DomainError,
-    GridError,
     ParseError,
     PlasticImpactError,
     ViscoImpactError,
@@ -66,7 +64,6 @@ from .models import (
     ImpactMetrics,
     KelvinVoigtParams,
     MaxwellParams,
-    Trajectory,
     load_flat_json,
     load_kv_params,
     load_maxwell_params,
@@ -74,11 +71,13 @@ from .models import (
     read_numeric_csv,
     write_csv_rows,
 )
-from .oracle import RelaxationKernel, integrate_impact, integrate_impact_with_gravity
+from .oracle import RelaxationKernel, integrate_impact
 from .standard_solid import (
     params_from_groups,
     params_near_kv,
     params_near_maxwell,
+    sls_drop_metrics,
+    sls_drop_trajectory,
     sls_metrics,
     sls_perturb_kv,
     sls_perturb_maxwell,
@@ -132,16 +131,18 @@ class _Model:
 
     ``unit_params`` builds a parameter set with unit mass, frequency and
     speed from the sweep groups (loss factors, ``rho``, ``Lambda`` and
-    ``eps0``).  A model without drop closed forms integrates the drop.
+    ``eps0``).  ``drop_label`` says how ``simulate --gravity`` got its
+    metrics.
     """
 
     load: Callable
     metrics: Callable
     trajectory: Callable
-    drop_metrics: Callable | None
-    drop_trajectory: Callable | None
+    drop_metrics: Callable
+    drop_trajectory: Callable
     sweep_params: tuple[str, ...]
     unit_params: Callable[[dict], object]
+    drop_label: str = "weight included, small-eps0 expansion"
 
 
 _MODELS = {
@@ -171,10 +172,11 @@ _MODELS = {
         load=load_sls_params,
         metrics=sls_metrics,
         trajectory=sls_trajectory,
-        drop_metrics=None,
-        drop_trajectory=None,
+        drop_metrics=sls_drop_metrics,
+        drop_trajectory=sls_drop_trajectory,
         sweep_params=("rho", "Lambda"),
         unit_params=lambda q: params_from_groups(q["Lambda"], q["rho"]),
+        drop_label="weight included",
     ),
 }
 
@@ -259,28 +261,14 @@ def _print_metrics(metrics: ImpactMetrics, label: str = "") -> None:
         print(f"  {name} = {getattr(metrics, name):.12g}", file=sys.stderr)
 
 
-def _metrics_from_trajectory(traj: Trajectory, v0: float) -> ImpactMetrics:
-    i_m = int(np.argmax(traj.x))
-    i_M = int(np.argmax(traj.F))
-    return ImpactMetrics(
-        t_c=traj.t_c,
-        e_star=-traj.xdot[-1] / v0,
-        t_m=float(traj.times[i_m]),
-        x_m=float(traj.x[i_m]),
-        t_M=float(traj.times[i_M]),
-        F_M=float(traj.F[i_M]),
-        x_M=float(traj.x[i_M]),
-    )
-
-
-def _require_scaled(option: str, value: float | None) -> None:
-    """Refuse a ``--dt`` or ``--horizon`` that is not positive and finite."""
-    if value is None:
+def _require_dt(dt: float | None) -> None:
+    """Refuse a ``--dt`` that is not positive and finite."""
+    if dt is None:
         return
-    if value <= 0.0:
-        raise ConfigError(f"{option} must be positive, got {value}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{option} must be finite, got {value}")
+    if dt <= 0.0:
+        raise ConfigError(f"--dt must be positive, got {dt}")
+    if not math.isfinite(dt):
+        raise ConfigError(f"--dt must be finite, got {dt}")
 
 
 def _samples_from_dt(params, dt: float | None, trajectory_fn: Callable) -> int:
@@ -293,7 +281,7 @@ def _samples_from_dt(params, dt: float | None, trajectory_fn: Callable) -> int:
     """
     if dt is None:
         return DEFAULT_SAMPLES
-    _require_scaled("--dt", dt)
+    _require_dt(dt)
     t_c = trajectory_fn(params, n_samples=2).t_c
     spans = params.derived.omega0 * t_c / dt
     if not spans <= MAX_SCAN_SAMPLES - 1:
@@ -313,62 +301,18 @@ def _closed_form(params, dt, metrics_fn, trajectory_fn, label: str = ""):
     return metrics, traj
 
 
-def _integrate_directly(kernel, m, v0, g, dt, horizon, reason: str):
-    """Oracle metrics and trajectory for an impact without a usable closed form."""
-    _require_scaled("--dt", dt)
-    if horizon != math.inf:  # an unbounded horizon meets the oracle's step cap
-        _require_scaled("--horizon", horizon)
-    print(f"{reason}; integrating directly", file=sys.stderr)
-    # dt and horizon are in omega0 t; the oracle counts relaxation times, omega0 tau_R.
-    unit = math.sqrt(kernel.alpha_per_mass / m)
-    dt_scaled, horizon_scaled = (None if v is None else v / unit for v in (dt, horizon))
-    try:
-        traj = integrate_impact_with_gravity(
-            kernel, m, v0, g, dt_scaled=dt_scaled, horizon_scaled=horizon_scaled
-        )
-    except GridError as exc:
-        # The oracle's grid back in omega0 t, named as the command line sets it.
-        def named(flag, given, scaled):
-            return f"{'' if given is not None else 'the default '}{flag} {scaled * unit:.6g}"
-
-        raise ConfigError(
-            f"{named('--horizon', horizon, exc.horizon)} must exceed the step size, "
-            f"{named('--dt', dt, exc.step)}"
-        ) from exc
-    metrics = _metrics_from_trajectory(traj, v0)
-    _print_metrics(metrics, "integrated")
-    return metrics, traj
-
-
 def cmd_simulate(args) -> int:
     """Run one impact and write its sampled trajectory."""
     model = _MODELS[args.model]
     params = model.load(args.params)
-
-    def integrate(g: float, reason: str):
-        kernel = RelaxationKernel.from_params(params)
-        return _integrate_directly(
-            kernel, params.m, params.v0, g, args.dt, args.horizon, reason
-        )
-
-    if args.gravity and model.drop_metrics is None:
-        _, traj = integrate(params.g or STANDARD_GRAVITY, "three-element drop has no closed form")
-    elif args.gravity:
+    if args.gravity:
         if params.g == 0.0:
             params = dataclasses.replace(params, g=STANDARD_GRAVITY)
         _, traj = _closed_form(
-            params,
-            args.dt,
-            model.drop_metrics,
-            model.drop_trajectory,
-            "weight included, small-eps0 expansion",
+            params, args.dt, model.drop_metrics, model.drop_trajectory, model.drop_label
         )
     else:
-        try:
-            _, traj = _closed_form(params, args.dt, model.metrics, model.trajectory)
-        except DiscriminantError as exc:
-            # Only the three-element solid's characteristic cubic raises this.
-            _, traj = integrate(0.0, f"closed form unavailable ({exc})")
+        _, traj = _closed_form(params, args.dt, model.metrics, model.trajectory)
     if args.out is not None:
         traj.to_csv(args.out)
     return EXIT_OK
@@ -578,7 +522,7 @@ def cmd_biphasic(args) -> int:
     if zeta >= 1.0:
         # An overdamped series pair pushes back with k v0 (e**(r1 t) - e**(r2 t)) / (r1 - r2),
         # and with k v0 t e**(-beta t) at zeta = 1: positive for every t > 0.
-        _require_scaled("--dt", args.dt)
+        _require_dt(args.dt)
         raise PlasticImpactError(
             f"loss factor {zeta:.3g} >= 1: no oscillatory rebound, "
             "so the contact force never returned to zero"
@@ -654,7 +598,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--dt", type=float, help="scaled sample spacing (omega0 dt)")
-    p.add_argument("--horizon", type=float, help="scaled integration horizon (omega0 t)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="scaled metrics over a parameter grid")

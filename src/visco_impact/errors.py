@@ -49,17 +49,7 @@ class ConfigError(ViscoImpactError):
 
 
 class GridError(ConfigError):
-    """The integration horizon does not exceed the step.
-
-    Carries both when they are known, in the oracle's scaled time, so a
-    caller can name them in its own units.
-    """
-
-    def __init__(self, message: str, step: float | None = None,
-                 horizon: float | None = None):
-        self.step = step
-        self.horizon = horizon
-        super().__init__(message)
+    """The integration horizon does not exceed the step."""
 
 
 class ParseError(ViscoImpactError):

@@ -186,8 +186,7 @@ class StandardSolidParams:
     (spring ``kappa1`` in parallel with a spring ``kappa2`` in series with a
     dashpot ``beta_dashpot``) maps onto these fields through
     :func:`convert_configurations`.  ``g`` is the gravitational
-    acceleration of a drop, zero by default; only the integrated drop uses
-    it, since the closed forms have no weight term.
+    acceleration of a drop, zero by default.
     """
 
     m: float

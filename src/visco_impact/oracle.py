@@ -511,7 +511,7 @@ def _resolve_grid(kernel, m, dt_scaled, horizon_scaled):
             slowest = np.min(rates, where=rates > 0.0, initial=np.inf)
             horizon = max(horizon, min(2.0 * math.pi / slowest, (MAX_SCAN_SAMPLES - 1) * dt))
     if not (horizon > dt):
-        raise GridError("horizon_scaled must exceed the step size", step=dt, horizon=horizon)
+        raise GridError(f"horizon_scaled {horizon:.6g} must exceed the step size {dt:.6g}")
     steps = horizon / dt
     if not steps <= MAX_SCAN_SAMPLES:
         raise ConfigError(

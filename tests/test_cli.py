@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from visco_impact import cli, errors
+from visco_impact import cli, errors, oracle
 from visco_impact.cli import (
     ANALYZE_HEADER,
     EXIT_DOMAIN,
@@ -34,15 +34,16 @@ from visco_impact.analysis import STANDARD_GRAVITY
 from visco_impact.errors import DomainError, ParseError
 from visco_impact.kelvin_voigt import kv_metrics
 from visco_impact.models import KelvinVoigtParams, Trajectory, load_sls_params
-from visco_impact.oracle import RelaxationKernel, integrate_impact_with_gravity
 from visco_impact.standard_solid import (
     params_from_groups,
     params_near_maxwell,
+    sls_drop_trajectory,
     sls_metrics,
     sls_perturb_maxwell,
+    sls_trajectory,
 )
 
-# A three-element solid at Lambda = 4, rho = 0.2; its drop is integrated.
+# A three-element solid at Lambda = 4, rho = 0.2.
 SLS_DROP = {"m": 1.0, "k1": 1.0, "k2": 0.25, "b": 2.5, "v0": 1000.0}
 
 REFERENCE_LAYER = {
@@ -58,6 +59,16 @@ def _write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _refuse_oracle(monkeypatch):
+    """Make every oracle entry point fail the test if it runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    for module, name in ((cli, "integrate_impact"), (oracle, "integrate_impact"),
+                         (oracle, "integrate_impact_with_gravity")):
+        monkeypatch.setattr(module, name, refuse)
 
 
 def _parse_csv(text, expected_header):
@@ -192,7 +203,6 @@ class TestSimulate:
         [
             ("kv", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0, "g": 0.2}),
             ("maxwell", {"m": 1.0, "k": 1.0, "b": 1.0 / 0.6, "v0": 1.0, "g": 0.15}),
-            # Integrated by the oracle, which counts relaxation times (Lambda = 4).
             ("sls", {"m": 1.0, "k1": 1.0, "k2": 0.25, "b": 2.5, "v0": 1000.0}),
         ],
     )
@@ -222,24 +232,13 @@ class TestSimulate:
         assert rc == EXIT_IO
         assert "samples, more than the 1e+07 allowed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", [["--horizon", "inf"], ["--dt", "1e-9"]])
-    def test_oracle_grid_past_step_cap_rejected(self, tmp_path, capsys, grid):
-        """The three-element drop is integrated; a grid past the step cap exits 1.
-
-        It must do so before the integrator allocates anything sized by it.
-        """
-        params = _write_json(
-            tmp_path, "sls.json", {"m": 1.0, "k1": 1.0, "k2": 1.0, "b": 1.0, "v0": 1.0}
-        )
-        tracemalloc.start()
-        try:
-            rc = main(["simulate", "sls", "--params", params, "--gravity", *grid])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == EXIT_IO
-        assert "steps, more than the 1e+07 allowed" in capsys.readouterr().err
-        assert peak < 20e6
+    def test_horizon_flag_is_gone(self, tmp_path, capsys):
+        """Nothing integrates, so nothing reads a horizon: argparse refuses the flag."""
+        params = _write_json(tmp_path, "sls.json", SLS_DROP)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "sls", "--params", params, "--gravity", "--horizon", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --horizon" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -248,22 +247,10 @@ class TestSimulate:
             (["--dt", "0"], "--dt must be positive, got 0.0"),
             (["--dt", "nan"], "--dt must be finite, got nan"),
             (["--dt", "inf"], "--dt must be finite, got inf"),
-            (["--horizon", "-1"], "--horizon must be positive, got -1.0"),
-            (["--horizon", "0"], "--horizon must be positive, got 0.0"),
-            (["--horizon", "nan"], "--horizon must be finite, got nan"),
-            (["--dt", "1", "--horizon", "0.5"], "--horizon 0.5 must exceed the step size, --dt 1"),
-            (
-                ["--horizon", "1e-6"],
-                "--horizon 1e-06 must exceed the step size, the default --dt 0.000314159",
-            ),
-            (
-                ["--dt", "100"],
-                "the default --horizon 31.4159 must exceed the step size, --dt 100",
-            ),
         ],
     )
     def test_integrated_grid_refused_in_cli_terms(self, tmp_path, capsys, grid, message):
-        """The integrated drop checks --dt and --horizon as the closed forms check --dt."""
+        """The three-element drop checks --dt in the CLI's words, as every closed form does."""
         params = _write_json(tmp_path, "sls.json", SLS_DROP)
         rc = main(["simulate", "sls", "--params", params, "--gravity", *grid])
         assert rc == EXIT_IO
@@ -271,15 +258,17 @@ class TestSimulate:
         assert f"error: {message}\n" in err
         assert "_scaled" not in err
 
-    def test_three_element_drop_takes_g_from_params(self, tmp_path):
+    def test_three_element_drop_takes_g_from_params(self, tmp_path, monkeypatch):
         path = _write_json(tmp_path, "sls.json", dict(SLS_DROP, g=0.5))
         out = tmp_path / "traj.csv"
+        _refuse_oracle(monkeypatch)
         rc = main(["simulate", "sls", "--params", path, "--gravity", "--out", str(out)])
         assert rc == EXIT_OK
-        kernel = RelaxationKernel.from_params(load_sls_params(path))
-        t_c = integrate_impact_with_gravity(kernel, 1.0, 1000.0, 0.5).t_c
+        params = load_sls_params(path)
+        t_c = sls_drop_trajectory(params, n_samples=2).t_c
         assert Trajectory.from_csv(out).t_c == t_c
-        assert t_c != integrate_impact_with_gravity(kernel, 1.0, 1000.0, STANDARD_GRAVITY).t_c
+        standard = dataclasses.replace(params, g=STANDARD_GRAVITY)
+        assert t_c != sls_drop_trajectory(standard, n_samples=2).t_c
 
     @pytest.mark.parametrize(
         "model, params",
@@ -298,18 +287,23 @@ class TestSimulate:
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
-    def test_three_element_fallback_note(self, tmp_path, capsys):
-        """Inside the dead discriminant window the CLI integrates directly."""
+    def test_three_element_fallback_note(self, tmp_path, capsys, monkeypatch):
+        """Inside the D <= 0 window the CLI takes the closed form: no fallback, no oracle."""
         p = params_from_groups(0.316, 0.1)
         params = _write_json(
             tmp_path,
             "sls.json",
             {"m": p.m, "k1": p.k1, "k2": p.k2, "b": p.b, "v0": p.v0},
         )
-        assert main(["simulate", "sls", "--params", params]) == EXIT_OK
+        out = tmp_path / "traj.csv"
+        _refuse_oracle(monkeypatch)
+        assert main(["simulate", "sls", "--params", params, "--out", str(out)]) == EXIT_OK
         err = capsys.readouterr().err
-        assert "closed form unavailable" in err
-        assert "integrating directly" in err
+        assert err.startswith("impact metrics:\n")
+        assert "integrat" not in err
+        traj = Trajectory.from_csv(out)
+        assert traj.t_c == sls_trajectory(load_sls_params(params), n_samples=2).t_c
+        assert f"t_c = {sls_metrics(p).t_c:.12g}" in err
 
     def test_missing_params_file(self, tmp_path, capsys):
         rc = main(["simulate", "kv", "--params", str(tmp_path / "absent.json")])
@@ -339,32 +333,36 @@ class TestSweep:
         assert data[:, 1] == pytest.approx(math.pi / np.sqrt(1.0 - zeta**2), rel=1e-12)
 
     def test_lambda_sweep_dead_window(self, capsys):
-        """Grid points with D <= 0 produce NaN rows and a domain exit."""
+        """Grid points with D <= 0 (the 4th and 5th) get closed-form rows too."""
         rc = main(["sweep", "--model", "sls", "--sweep", "Lambda:0.30:0.33:7"])
-        assert rc == EXIT_DOMAIN
+        assert rc == EXIT_OK
         captured = capsys.readouterr()
         data = _parse_csv(captured.out, SWEEP_HEADER)
-        dead = np.isnan(data[:, 1])
-        assert dead.tolist() == [False, False, False, True, True, False, False]
-        assert np.all(np.isfinite(data[~dead]))
-        assert captured.err.count("skipped") == 2
+        assert np.all(np.isfinite(data))
+        assert np.all((0.0 < data[:, 2]) & (data[:, 2] < 1.0))
+        assert "skipped" not in captured.err
 
-    def test_runs_in_callers_thread(self, monkeypatch, capsys):
-        """No worker thread is started; skips are reported in grid order."""
+    def test_runs_in_callers_thread(self, tmp_path, monkeypatch, capsys):
+        """No worker thread is started; skips are reported in grid order.
+
+        At zeta = 0.999999 the restitution underflows to 0, so the expansion
+        refuses every eps0 > 0 (exit 2).
+        """
 
         def refuse(self):
             raise RuntimeError("sweep started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        rc = main(["sweep", "--model", "sls", "--sweep", "Lambda:0.30:0.33:7"])
-        assert rc == EXIT_DOMAIN
+        fixed = _write_json(tmp_path, "fixed.json", {"zeta": 0.999999})
+        argv = ["sweep", "--model", "maxwell", "--sweep", "eps0:0:0.1:5", "--params", fixed]
+        assert main(argv) == EXIT_DOMAIN
         captured = capsys.readouterr()
         data = _parse_csv(captured.out, SWEEP_HEADER)
         dead = data[np.isnan(data[:, 1]), 0]
         skipped = [line for line in captured.err.splitlines() if "skipped" in line]
-        assert len(skipped) == dead.size == 2
+        assert len(skipped) == dead.size == 4
         for line, value in zip(skipped, dead):
-            assert line.startswith(f"Lambda = {value:g} skipped: ")
+            assert line.startswith(f"eps0 = {value:g} skipped: ")
 
     def test_rho_sweep_reports_expansion(self, capsys):
         assert main(["sweep", "--model", "sls", "--sweep", "rho:0.02:0.2:5"]) == EXIT_OK
@@ -480,11 +478,7 @@ class TestBiphasic:
 
     def test_overdamped_layer_is_plastic_without_integrating(self, tmp_path, monkeypatch):
         """The loss factor alone decides a layer at zeta >= 1; the oracle never runs."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("the oracle ran")
-
-        for name in ("integrate_impact", "integrate_impact_with_gravity"):
-            monkeypatch.setattr(cli, name, refuse)
+        _refuse_oracle(monkeypatch)
         params = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, kappa=1e-8))
         out = tmp_path / "traj.csv"
         assert main(["biphasic", "--params", params, "--m", "0.1", "--out", str(out)]) == EXIT_PLASTIC

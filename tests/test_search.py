@@ -155,7 +155,7 @@ def _assert_three_element_roots(Lam: float, rho: float):
     """Contact end and both peak times against the dense reference."""
     params = params_from_groups(Lam, rho)
     r = sls_characteristic_roots(Lam, rho)
-    _, xi_d, xi_dd = _scaled_solution(r)
+    _, xi_d, xi_dd = _scaled_solution(Lam, rho)
     period = 2.0 * math.pi / r.zeta1
     tau_c = _dense_first_zero(lambda tau: -xi_dd(tau), period,
                               _search.SCAN_HORIZON_PERIODS * period)
@@ -251,6 +251,48 @@ def test_raw_modes_match_dense_reference(mode):
     except PlasticImpactError:
         walk = None
     _assert_same_end(walk, _dense_first_zero(mode, period, horizon))
+
+
+def test_real_exponential_sum_zeros_in_order():
+    """``0.18 e**-t - 0.9 e**-2t + e**-3t`` falls through zero, then rises back.
+
+    In ``x = e**-t`` it is ``x (x - 0.3) (x - 0.6)``, so the zeros are
+    ``-ln 0.6`` and ``-ln 0.3``.  The rates 2 and 3 enter as one pair,
+    ``beta = 2.5``, ``kappa = 0.5``.  The walk finds the falling zero of the
+    sum and, in the negated sum, the later one.
+    """
+    f = _search.RealMode(2.5, 0.5, -0.9 + 1.0, 0.5 * (-0.9 - 1.0), 0.18, 1.0)
+    t = np.linspace(0.0, 3.0, 7)
+    assert f(t) == pytest.approx(0.18 * np.exp(-t) - 0.9 * np.exp(-2 * t) + np.exp(-3 * t),
+                                 rel=1e-13, abs=1e-15)
+    period = 2.0 * math.pi
+    zeros = [_search.first_force_zero(g, period, 10.0 * period) for g in (f, -f)]
+    assert zeros == pytest.approx([-math.log(0.6), -math.log(0.3)], rel=1e-14)
+    for g, zero in zip((f, -f), zeros):
+        _assert_same_end(zero, _dense_first_zero(g, period, 10.0 * period))
+
+
+@given(mode=_raw_modes(), offset=st.floats(min_value=-3.0, max_value=3.0))
+@settings(deadline=None, max_examples=100)
+def test_pair_exponential_and_constant_match_dense_reference(mode, offset):
+    """A decaying mode plus a constant: the drop force's form, walked by Rolle's pieces.
+
+    Excluded, as in the raw modes: starts at or within 1e-3 of zero, unless
+    they start at zero exactly with ``|F'(0)|`` at least 0.03 of its scale.
+    """
+    assume(mode.beta > 0.0 and mode.lam > 0.0)
+    scale = abs(mode.R) + abs(mode.c)
+    force = _search.OffsetMode(mode, offset * scale)
+    f0, slope = force(0.0), mode.derivative()(0.0)
+    assume(abs(f0) >= 1e-3 * scale or f0 == 0.0 and abs(slope) >= 0.03 * (
+        abs(mode.R) * math.hypot(mode.beta, mode.omega) + abs(mode.lam * mode.c)))
+    period = 2.0 * math.pi / mode.omega
+    horizon = _search.SCAN_HORIZON_PERIODS * period
+    try:
+        walk = _search.first_force_zero(force, period, horizon)
+    except PlasticImpactError:
+        walk = None
+    _assert_same_end(walk, _dense_first_zero(force, period, horizon))
 
 
 _SLS_UNIT = params_from_groups(1.0, 0.5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from visco_impact.errors import DiscriminantError, DomainError
+from visco_impact.errors import DiscriminantError, DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import kv_metrics
 from visco_impact.maxwell import mx_metrics
 from visco_impact.models import (
@@ -19,11 +20,19 @@ from visco_impact.models import (
     StandardSolidParams,
     load_sls_params,
 )
+from visco_impact.oracle import (
+    NoSeparationError,
+    RelaxationKernel,
+    integrate_impact,
+    integrate_impact_with_gravity,
+)
 from visco_impact.standard_solid import (
     params_from_groups,
     params_near_kv,
     params_near_maxwell,
     sls_characteristic_roots,
+    sls_drop_metrics,
+    sls_drop_trajectory,
     sls_metrics,
     sls_perturb_kv,
     sls_perturb_maxwell,
@@ -169,7 +178,7 @@ class TestMetricsAndTrajectory:
     )
     @settings(deadline=None, max_examples=40)
     def test_restitution_in_unit_interval(self, Lambda, rho, m, v0):
-        _roots_or_skip(Lambda, rho)
+        """Either sign of D: the draws cover the window at rho < 1/9."""
         met = sls_metrics(params_from_groups(Lambda, rho, m=m, v0=v0))
         assert 0.0 < met.e_star < 1.0
 
@@ -253,3 +262,113 @@ class TestPairLimits:
             sls_perturb_kv(1.5, 0.1)
         with pytest.raises(DomainError):
             sls_perturb_maxwell(0.0, 0.1)
+
+
+def _dead_window(rho):
+    """``(Lambda_lo, Lambda_hi)``, the ends of the ``D <= 0`` window at ``rho``."""
+    b = 1.0 + 18.0 * rho - 27.0 * rho**2
+    root = math.sqrt(b * b - 64.0 * rho)
+    return (b - root) / 8.0, (b + root) / 8.0
+
+
+_LO = _dead_window(0.05)[0]
+
+
+def _sampled_peak(values):
+    """Peak of a sampled curve, from the parabola through its three top samples."""
+    i = int(np.argmax(values))
+    a, b, c = values[i - 1 : i + 2]
+    return b - (a - c) ** 2 / (8.0 * (a - 2.0 * b + c))
+
+
+def _oracle_metrics(params, g=0.0):
+    """``(t_c, e_star, x_m, F_M)`` from the oracle, or None without separation."""
+    kernel = RelaxationKernel.from_params(params)
+    try:
+        traj = integrate_impact_with_gravity(kernel, params.m, params.v0, g)
+    except NoSeparationError:
+        return None
+    return traj.t_c, -traj.xdot[-1] / params.v0, _sampled_peak(traj.x), _sampled_peak(traj.F)
+
+
+def _assert_matches_oracle(met, params, rel, g=0.0):
+    ref = _oracle_metrics(params, g)
+    assert ref is not None
+    got = (met.t_c, met.e_star, met.x_m, met.F_M)
+    for name, value, expected in zip(("t_c", "e_star", "x_m", "F_M"), got, ref):
+        assert value == pytest.approx(expected, rel=rel), name
+
+
+class TestBothSignsOfD:
+    """One modal closed form on either side of ``D = 0``, checked by the oracle."""
+
+    @pytest.mark.parametrize("Lambda, rho", [(0.2, 0.05), (0.316, 0.1)])
+    def test_dead_window_matches_oracle(self, Lambda, rho):
+        params = params_from_groups(Lambda, rho)
+        with pytest.raises(DiscriminantError):
+            sls_characteristic_roots(Lambda, rho)
+        met = sls_metrics(params)
+        traj = integrate_impact(RelaxationKernel.from_params(params), params.m, params.v0)
+        assert met.t_c == pytest.approx(traj.t_c, rel=1e-9)
+        assert met.e_star == pytest.approx(-traj.xdot[-1], rel=1e-9)
+        _assert_matches_oracle(met, params, rel=1e-9)
+
+    def test_dead_window_reference_restitution(self):
+        assert sls_metrics(params_from_groups(0.2, 0.05)).e_star == pytest.approx(
+            0.1617788981, abs=1e-10
+        )
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-7, 1e-4])
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    @pytest.mark.parametrize("end", [0, 1], ids=["lo", "hi"])
+    def test_continuity_across_window_ends(self, end, side, delta):
+        """Just inside and just outside either end of the window at rho = 0.05."""
+        Lambda = _dead_window(0.05)[end] * (1.0 + side * delta)
+        params = params_from_groups(Lambda, 0.05)
+        _assert_matches_oracle(sls_metrics(params), params, rel=1e-8)
+
+    @pytest.mark.parametrize("Lambda, rho", [(0.32, 0.1), (0.3125, 0.1)])
+    def test_double_root_matches_oracle(self, Lambda, rho):
+        """At D = 0 exactly two rates coincide, and the pair becomes ``C + S t``."""
+        params = params_from_groups(Lambda, rho)
+        _assert_matches_oracle(sls_metrics(params), params, rel=1e-8)
+
+    @pytest.mark.parametrize("eps0", [0.01, 0.05])
+    @pytest.mark.parametrize(
+        "Lambda, rho",
+        [
+            (4.0, 0.2),
+            (_LO * (1.0 - 1e-3), 0.05),
+            (_LO * (1.0 + 1e-3), 0.05),
+            (0.2, 0.05),
+        ],
+        ids=["D>0", "D>0 near 0", "D<0 near 0", "D<0"],
+    )
+    def test_drop_matches_oracle(self, Lambda, rho, eps0):
+        """Unit m, k0 and v0, so ``g = eps0``; a plastic drop is plastic for both."""
+        params = dataclasses.replace(params_from_groups(Lambda, rho), g=eps0)
+        if _oracle_metrics(params, eps0) is None:
+            with pytest.raises(PlasticImpactError):
+                sls_drop_metrics(params)
+            with pytest.raises(PlasticImpactError):
+                sls_drop_trajectory(params)
+            return
+        met = sls_drop_metrics(params)
+        _assert_matches_oracle(met, params, rel=1e-9, g=eps0)
+        traj = sls_drop_trajectory(params, n_samples=50)
+        assert traj.t_c == met.t_c
+        assert traj.xdot[-1] == pytest.approx(-met.e_star, rel=1e-15)
+        assert abs(traj.F[0]) < 1e-12 * met.F_M
+        assert np.array_equal(traj.F, params.m * (eps0 - traj.xddot))
+
+    def test_drop_separates_on_both_sides(self):
+        """At eps0 = 0.01 the drops near D = 0 separate, so the comparison above is not vacuous."""
+        for Lambda in (_LO * (1.0 - 1e-3), _LO * (1.0 + 1e-3), 0.2):
+            params = dataclasses.replace(params_from_groups(Lambda, 0.05), g=0.01)
+            assert 0.0 < sls_drop_metrics(params).e_star < 1.0
+
+    @pytest.mark.parametrize("Lambda, rho", [(0.25, 0.5), (0.2, 0.05)])
+    def test_drop_at_zero_gravity_is_the_impact(self, Lambda, rho):
+        params = params_from_groups(Lambda, rho)
+        assert sls_drop_metrics(params) == sls_metrics(params)
+        assert np.array_equal(sls_drop_trajectory(params, 50).F, sls_trajectory(params, 50).F)
