@@ -3,16 +3,15 @@
 
 Writes one CSV per figure family into the output directory:
 
-    kv_eta.csv       scaled metrics vs loss factor, parallel pair
-    mx_zeta.csv      scaled metrics vs loss factor, series pair
-    sls_Lambda.csv   scaled metrics vs Lambda at fixed rho
-    sls_rho.csv      exact and first-order metrics vs rho, both limits
-    kv_eps0.csv      drop-weight expansion vs weight parameter
-    mx_eps0.csv      drop-weight expansion vs weight parameter
+    kv_eta.csv          scaled metrics vs loss factor, parallel pair
+    mx_zeta.csv         scaled metrics vs loss factor, series pair
+    sls_Lambda.csv      scaled metrics vs Lambda at fixed rho
+    sls_rho.csv         exact and first-order metrics vs rho, parallel-pair limit
+    sls_rho_series.csv  exact and first-order metrics vs rho, series-pair limit
+    kv_eps0.csv         drop-weight expansion vs weight parameter
+    mx_eps0.csv         drop-weight expansion vs weight parameter
 
-Grid points without a closed-form solution (the dead discriminant
-window of the three-element model) come out as NaN rows; the run is
-still considered successful.
+Any sweep that exits nonzero fails the run with its exit code.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from visco_impact.cli import EXIT_DOMAIN, EXIT_OK, main as cli_main
+from visco_impact.cli import EXIT_OK, main as cli_main
 
 SWEEPS = (
     ("kv_eta.csv", "kv", "eta:0.02:0.98:49", None),
@@ -51,11 +50,10 @@ def main(argv: list[str] | None = None) -> int:
             fixed_path.write_text(json.dumps(fixed))
             argv_cli += ["--params", str(fixed_path)]
         rc = cli_main(argv_cli)
-        if rc not in (EXIT_OK, EXIT_DOMAIN):
+        if rc != EXIT_OK:
             print(f"{name}: sweep failed with exit code {rc}", file=sys.stderr)
             return rc
-        note = " (with NaN rows)" if rc == EXIT_DOMAIN else ""
-        print(f"wrote {out}{note}")
+        print(f"wrote {out}")
     return 0
 
 

@@ -3,8 +3,7 @@
 Each class carries as ``exit_code`` what the command line returns when the
 error ends a command (an ``OSError`` exits 1, a failed ``verify`` exits 4):
 
-- 1 ``EXIT_IO``: ``ViscoImpactError``, ``ConfigError``, ``GridError``,
-  ``ParseError``
+- 1 ``EXIT_IO``: ``ViscoImpactError``, ``ConfigError``, ``ParseError``
 - 2 ``EXIT_DOMAIN``: ``DomainError``, ``DiscriminantError``,
   ``SingularityError``, ``NoCrossingError``
 - 3 ``EXIT_PLASTIC``: ``PlasticImpactError``, ``NoSeparationError``
@@ -16,7 +15,6 @@ __all__ = [
     "ViscoImpactError",
     "DomainError",
     "ConfigError",
-    "GridError",
     "ParseError",
     "PlasticImpactError",
     "NoSeparationError",
@@ -46,10 +44,6 @@ class DomainError(ViscoImpactError):
 
 class ConfigError(ViscoImpactError):
     """A configuration value (step size, horizon, kernel spec) is invalid."""
-
-
-class GridError(ConfigError):
-    """The integration horizon does not exceed the step."""
 
 
 class ParseError(ViscoImpactError):

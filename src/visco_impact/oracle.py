@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ._search import MAX_SCAN_SAMPLES
-from .errors import ConfigError, GridError, NoSeparationError
+from .errors import ConfigError, NoSeparationError
 from .models import (
     KelvinVoigtParams,
     MaxwellParams,
@@ -505,13 +505,16 @@ def _resolve_grid(kernel, m, dt_scaled, horizon_scaled):
         horizon = DEFAULT_HORIZON_HALF_PERIODS * half_period
         if kernel.kind != "table":
             # Near critical damping the contact outlasts the nominal half
-            # periods; give it a whole period of the slowest oscillating
-            # mode, within the step cap.
-            rates = np.abs(np.linalg.eigvals(_linear_system(kernel, m, 1.0, 0.0)[0]).imag)
-            slowest = np.min(rates, where=rates > 0.0, initial=np.inf)
-            horizon = max(horizon, min(2.0 * math.pi / slowest, (MAX_SCAN_SAMPLES - 1) * dt))
+            # periods; give it a whole period of the slowest oscillating mode,
+            # or with none ten time constants of the slowest decay (a
+            # three-element contact at D <= 0 ends within two), within the step cap.
+            ev = np.linalg.eigvals(_linear_system(kernel, m, 1.0, 0.0)[0])
+            osc = np.abs(ev.imag)
+            reach = (2.0 * math.pi / np.min(osc, where=osc > 0.0, initial=np.inf) if osc.any()
+                     else 10.0 / np.min(-ev.real, where=ev.real < 0.0, initial=np.inf))
+            horizon = max(horizon, min(reach, (MAX_SCAN_SAMPLES - 1) * dt))
     if not (horizon > dt):
-        raise GridError(f"horizon_scaled {horizon:.6g} must exceed the step size {dt:.6g}")
+        raise ConfigError(f"horizon_scaled {horizon:.6g} must exceed the step size {dt:.6g}")
     steps = horizon / dt
     if not steps <= MAX_SCAN_SAMPLES:
         raise ConfigError(

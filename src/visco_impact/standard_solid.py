@@ -8,12 +8,17 @@ order equation whose characteristic cubic is
 with the stiffness-relaxation group ``Lambda = (k0/m) tau_R**2`` and the
 stiffness ratio ``rho = k_inf / k0``.  The cubic has one real root
 ``-lambda1`` and a pair ``-beta1 +- i zeta1``: a conjugate pair when the
-discriminant ``D`` is positive (Cardano), two more real roots when
-``D <= 0`` (Viète).  The indentation is the pair's damped sinusoid, or its
-cosh and sinh when ``D <= 0``, plus a pure exponential, and all impact
-metrics follow from closed forms.  The weight of a drop adds a constant
-particular solution to the same modes, so the zero-gravity solution is the
-drop solution at ``g = 0``.
+discriminant ``D`` is positive, two more real roots when ``D <= 0``.  At
+every ``D`` the real root comes from Viète's trigonometric or hyperbolic
+form and the pair from deflation.  The indentation is the pair's damped
+sinusoid, or its cosh and sinh when ``D <= 0``, plus a pure exponential,
+and all impact metrics follow from closed forms.  The weight of a drop adds
+a constant particular solution to the same modes, so the zero-gravity
+solution is the drop solution at ``g = 0``.
+
+The modal form has one domain limit: within about 1e-11 relative of the
+triple root ``Lambda = 1/3, rho = 1/9`` its coefficients cancel to fewer
+than eight digits, and the closed forms raise :class:`DiscriminantError`.
 
 Near either end of the ``rho`` range the model degenerates into one of the
 two-element pairs, and first-order expansions in ``rho`` (or ``1 - rho``,
@@ -77,19 +82,17 @@ class CubicRoots:
 
 
 def sls_characteristic_roots(Lambda: float, rho: float) -> CubicRoots:
-    """Solve the characteristic cubic in closed form.
+    """Roots of the characteristic cubic when it has a conjugate pair.
 
-    Uses the Cardano solution with the cube-root branch chosen for
-    numerical stability (the two branches are related by the invariant
-    ``C_plus * C_minus = 1 - 3 Lambda``, so either reproduces the same
-    roots; picking the larger magnitude avoids cancellation, including
-    the removable singularity at ``Lambda = 1/3``).
+    The rates come from :func:`_rates` (Viète's trigonometric or hyperbolic
+    form for the real root, the pair by deflation), as in the closed form.
 
     Raises
     ------
     DiscriminantError
         When ``D <= 0`` and the cubic has three real roots, so no
-        conjugate pair exists.
+        conjugate pair exists; also when ``D`` and the deflated ``zeta**2``
+        differ in sign, which happens only within rounding of ``D = 0``.
     """
     if not (Lambda > 0.0) or not math.isfinite(Lambda):
         raise DomainError(f"Lambda must be positive, got {Lambda!r}")
@@ -99,51 +102,41 @@ def sls_characteristic_roots(Lambda: float, rho: float) -> CubicRoots:
     D = 4.0 * Lambda * (Lambda**2 + rho) - Lambda**2 * (
         1.0 + 18.0 * rho - 27.0 * rho**2
     )
-    if D <= 0.0:
+    lam, beta, zeta2 = _rates(Lambda, rho)
+    if not (D > 0.0 and zeta2 > 0.0):
         raise DiscriminantError(
-            f"oscillation discriminant D = {D:.6g} is not positive at "
+            f"oscillation discriminant D = {D:.6g} (zeta**2 = {zeta2:.6g}) at "
             f"Lambda = {Lambda:.6g}, rho = {rho:.6g}: the cubic has three real roots"
         )
-
-    p = 2.0 - 9.0 * Lambda + 27.0 * Lambda * rho
-    radicand = p * p - 4.0 * (1.0 - 3.0 * Lambda) ** 3
-    if radicand <= 0.0:
-        raise DiscriminantError(
-            "cube-root radicand is not positive; no conjugate pair exists"
-        )
-    Q1 = math.sqrt(radicand)
-
-    half_sum = 0.5 * (p + Q1)
-    half_diff = 0.5 * (p - Q1)
-    if abs(half_sum) >= abs(half_diff):
-        C1 = float(np.cbrt(half_sum))
-        other = (1.0 - 3.0 * Lambda) / C1
-    else:
-        other = float(np.cbrt(half_diff))
-        C1 = (1.0 - 3.0 * Lambda) / other
-
-    lambda1 = 1.0 / 3.0 + (C1 + other) / 3.0
-    beta1 = 1.0 / 3.0 - (C1 + other) / 6.0
-    zeta1 = math.sqrt(3.0) * (C1 - other) / 6.0
-    return CubicRoots(lambda1=lambda1, beta1=beta1, zeta1=zeta1, D=D)
+    return CubicRoots(lambda1=lam, beta1=beta, zeta1=math.sqrt(zeta2), D=D)
 
 
-def _isolated_rate(Lambda: float, rho: float) -> float:
-    """Rate of the real root farthest from the other two when ``D <= 0`` (Viète).
+def _rates(Lambda: float, rho: float) -> tuple[float, float, float]:
+    """``(lam, beta, zeta**2)``: the roots are ``-lam`` and ``-beta +- sqrt(-zeta**2)``.
 
-    With ``z = y - 1/3`` the cubic is ``y**3 + p y + q = 0``, ``p < 0``, with
-    roots ``y_k = 2 sqrt(-p/3) cos((theta - 2 pi k) / 3)``.  At ``theta = 0``
-    the roots ``y_1, y_2`` coalesce, at ``theta = pi`` the roots ``y_0, y_1``.
+    With ``z = y - 1/3`` the cubic is ``y**3 + p y + q = 0``.  Its real root
+    farthest from the other two, ``y = 1/3 - lam``, is Viète's
+    ``-2 sqrt(-p/3) cos(acos|x| / 3) sgn q`` with ``x = 3 q / (2 p sqrt(-p/3))``
+    when there are three real roots (``p < 0``, ``|x| <= 1``), and the
+    hyperbolic form of the one real root otherwise: cosh for ``p < 0``, sinh
+    for ``p > 0``, a cube root at ``p = 0``.  The other two rates sum to
+    ``1 - lam`` and multiply to ``Lambda rho / lam``.
     """
     p = Lambda - 1.0 / 3.0
     q = 2.0 / 27.0 - Lambda / 3.0 + Lambda * rho
-    if not p < 0.0:  # only next to Lambda = 1/3, rho = 1/9, where all three roots meet
-        raise DiscriminantError(
-            f"the cubic's three roots coincide at Lambda = {Lambda:.6g}, rho = {rho:.6g}"
-        )
-    theta = math.acos(max(-1.0, min(1.0, 1.5 * q / p * math.sqrt(-3.0 / p))))
-    k = 2.0 if theta > 0.5 * math.pi else 0.0
-    return 1.0 / 3.0 - 2.0 * math.sqrt(-p / 3.0) * math.cos((theta + k * math.pi) / 3.0)
+    if p < 0.0:
+        s = math.sqrt(-p / 3.0)
+        x = abs(1.5 * q / (p * s))
+        t = math.cos(math.acos(x) / 3.0) if x <= 1.0 else math.cosh(math.acosh(x) / 3.0)
+        y = -math.copysign(2.0 * s * t, q)
+    elif p > 0.0:
+        s = math.sqrt(p / 3.0)
+        y = -2.0 * s * math.sinh(math.asinh(1.5 * q / (p * s)) / 3.0)
+    else:
+        y = -math.copysign(abs(q) ** (1.0 / 3.0), q)
+    lam = 1.0 / 3.0 - y
+    beta = 0.5 * (1.0 - lam)
+    return lam, beta, Lambda * rho / lam - beta * beta
 
 
 def _scaled_solution(Lambda: float, rho: float, gamma: float = 0.0):
@@ -157,23 +150,25 @@ def _scaled_solution(Lambda: float, rho: float, gamma: float = 0.0):
 
     with cosh and sinh for ``zeta**2 < 0``.  No coefficient divides by
     ``zeta``, so the modes are continuous through ``D = 0``.  They are the
-    partial fractions of ``N(s) / cubic(s)``, ``N(s) = n2 s**2 + n1 s + n0``.
+    partial fractions of ``N(s) / cubic(s)``, ``N(s) = n2 s**2 + n1 s + n0``,
+    over ``M = (beta - lam)**2 + zeta**2``, which vanishes at the triple root.
+    Below ``M = 1e-8`` they cancel to fewer than eight digits, so that sliver
+    raises :class:`DiscriminantError`.
     """
-    try:
-        r = sls_characteristic_roots(Lambda, rho)
-        lam, bet, w2 = r.lambda1, r.beta1, r.zeta1**2
-    except DiscriminantError:
-        lam = _isolated_rate(Lambda, rho)
-        # The two other rates sum to 1 - lam and multiply to Lambda rho / lam.
-        bet = 0.5 * (1.0 - lam)
-        w2 = min(Lambda * rho / lam - bet * bet, 0.0)
+    lam, bet, w2 = _rates(Lambda, rho)
+    M = (bet - lam) ** 2 + w2
+    if not M > 1e-8:
+        raise DiscriminantError(
+            f"the cubic's three roots nearly coincide at Lambda = {Lambda:.6g}, rho = {rho:.6g}"
+        )
     xi_inf = gamma / (Lambda * rho)
     n2, n1, n0 = -xi_inf, 1.0 - xi_inf, gamma + 1.0 - xi_inf * Lambda
-    c = ((n2 * lam - n1) * lam + n0) / ((bet - lam) ** 2 + w2)
+    c = ((n2 * lam - n1) * lam + n0) / M
     C = n2 - c
     S = n1 - 2.0 * bet * c - C * (lam + bet)
     if w2 > 0.0:
-        xi = DampedMode(bet, r.zeta1, S / r.zeta1, C, c, lam)
+        zeta = math.sqrt(w2)
+        xi = DampedMode(bet, zeta, S / zeta, C, c, lam)
     else:
         xi = RealMode(bet, math.sqrt(-w2), C, S, c, lam)
     xi_d = xi.derivative()

@@ -81,7 +81,6 @@ def _parse_csv(text, expected_header):
 EXIT_CODES = {
     "ViscoImpactError": EXIT_IO,
     "ConfigError": EXIT_IO,
-    "GridError": EXIT_IO,
     "ParseError": EXIT_IO,
     "DomainError": EXIT_DOMAIN,
     "DiscriminantError": EXIT_DOMAIN,
@@ -464,6 +463,20 @@ class TestBiphasic:
         out_mx = tmp_path / "mx_traj.csv"
         assert main(["simulate", "maxwell", "--params", mx_path, "--out", str(out_mx)]) == EXIT_OK
         assert out_layer.read_text() == out_mx.read_text()
+
+    def test_contact_beyond_usable_window_is_noted(self, tmp_path, capsys):
+        """t_c = 0.026 s outlasts the 0.0167 s window: a note on stderr, still exit 0."""
+        layer = {"mu_s": 0.25e6, "lambda_s": 0.25e6, "kappa": 2e-12, "h": 0.5e-3, "a": 2.5e-3}
+        params = _write_json(tmp_path, "layer.json", layer)
+        out = tmp_path / "traj.csv"
+        assert main(["biphasic", "--params", params, "--m", "1", "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "usable window = 0.0166667 s" in captured.out
+        assert (
+            "contact lasts 0.026 s, beyond the usable window 0.0167 s; "
+            "the reduction is unreliable there\n"
+        ) in captured.err
+        assert Trajectory.from_csv(out).times.size == 1000
 
     def test_overdamped_layer_exits_plastic(self, tmp_path, capsys):
         """High permeability relaxes faster than the rebound can build."""

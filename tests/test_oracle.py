@@ -525,6 +525,15 @@ def test_default_horizon_covers_near_critical_series_pair(zeta):
     assert -traj.xdot[-1] == pytest.approx(met.e_star, abs=1e-9)
 
 
+def test_default_horizon_covers_three_element_without_oscillation():
+    """At D <= 0 this contact lasts 242 relaxation times, past ten nominal half periods (212)."""
+    params = params_from_groups(0.0219, 0.00212)
+    met = sls_metrics(params)
+    traj = integrate_impact(RelaxationKernel.from_params(params), params.m, params.v0)
+    assert traj.t_c == pytest.approx(met.t_c, rel=1e-9)
+    assert -traj.xdot[-1] == pytest.approx(met.e_star, rel=1e-9)
+
+
 @pytest.mark.parametrize("kind", ["maxwell", "kv"])
 def test_default_horizon_stays_within_step_cap(kind):
     """However slow the slowest mode, a default grid is never refused."""

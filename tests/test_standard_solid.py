@@ -52,7 +52,7 @@ def _roots_or_skip(Lambda, rho):
 
 class TestCharacteristicRoots:
     def test_reference_roots(self):
-        """Frozen Cardano output at Lambda = 1/4, rho = 1/2."""
+        """Frozen roots at Lambda = 1/4, rho = 1/2."""
         r = sls_characteristic_roots(0.25, 0.5)
         assert r.lambda1 == pytest.approx(0.8774388331233465, rel=1e-13)
         assert r.beta1 == pytest.approx(0.06128058343832676, rel=1e-13)
@@ -94,10 +94,30 @@ class TestCharacteristicRoots:
         with pytest.raises(DiscriminantError, match="discriminant"):
             sls_characteristic_roots(0.315, 0.1)
 
-    def test_radicand_error_message(self):
-        """A sliver past the D window fails on the Cardano radicand instead."""
-        with pytest.raises(DiscriminantError, match="radicand"):
-            sls_characteristic_roots(0.32, 0.1)
+    def test_double_root_within_rounding(self):
+        """On D = 0 the rates are 0.2 and 0.4 twice; D computes to +5.6e-17 there,
+        so the pair comes back as a near-double root."""
+        r = sls_characteristic_roots(0.32, 0.1)
+        assert r.lambda1 == pytest.approx(0.2, rel=1e-14)
+        assert r.beta1 == pytest.approx(0.4, rel=1e-14)
+        assert 0.0 < r.zeta1 < 1e-7
+
+    @pytest.mark.parametrize(
+        "Lambda, rho, lam, beta, zeta",
+        [
+            (2e-4, 1e-4, 0.9997999799959991999104698,
+             1.000100020004000447651035e-4, 1.000100030011004299576944e-4),
+            (1e6, 1e-4, 1.000000000099990047941731e-4,
+             0.4999499999999950004976029, 999.9998749749959343716802),
+            (5.8e-4, 1.5e-4, 0.9994197503608673139943447,
+             2.901248195663430028276493e-4, 5.364792725918677881334799e-5),
+        ],
+    )
+    def test_edge_roots_match_references(self, Lambda, rho, lam, beta, zeta):
+        """Rates far apart at either end of Lambda, against a 50-digit solve."""
+        r = sls_characteristic_roots(Lambda, rho)
+        for got, ref in zip((r.lambda1, r.beta1, r.zeta1), (lam, beta, zeta)):
+            assert abs(got / ref - 1.0) < 1e-11
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -110,7 +130,7 @@ class TestCharacteristicRoots:
             sls_characteristic_roots(0.25, 1.0)
 
     def test_branch_continuity_at_one_third(self):
-        """The Cardano branch switch at Lambda = 1/3 must be removable."""
+        """The switch from cosh to sinh at Lambda = 1/3 must be removable."""
         below = sls_characteristic_roots(1.0 / 3.0 - 1e-9, 0.05)
         at = sls_characteristic_roots(1.0 / 3.0, 0.05)
         above = sls_characteristic_roots(1.0 / 3.0 + 1e-9, 0.05)
@@ -327,6 +347,14 @@ class TestBothSignsOfD:
         params = params_from_groups(Lambda, 0.05)
         _assert_matches_oracle(sls_metrics(params), params, rel=1e-8)
 
+    def test_slow_pair_matches_oracle(self):
+        """At small Lambda the pair decays 1e4 times slower than the real mode."""
+        params = params_from_groups(2e-4, 1e-4)
+        met = sls_metrics(params)
+        traj = integrate_impact(RelaxationKernel.from_params(params), params.m, params.v0)
+        assert met.t_c == pytest.approx(traj.t_c, rel=1e-11)
+        assert met.e_star == pytest.approx(-traj.xdot[-1], rel=1e-11)
+
     @pytest.mark.parametrize("Lambda, rho", [(0.32, 0.1), (0.3125, 0.1)])
     def test_double_root_matches_oracle(self, Lambda, rho):
         """At D = 0 exactly two rates coincide, and the pair becomes ``C + S t``."""
@@ -372,3 +400,30 @@ class TestBothSignsOfD:
         params = params_from_groups(Lambda, rho)
         assert sls_drop_metrics(params) == sls_metrics(params)
         assert np.array_equal(sls_drop_trajectory(params, 50).F, sls_trajectory(params, 50).F)
+
+
+class TestTripleRoot:
+    """Next to ``Lambda = 1/3, rho = 1/9`` all three rates meet and the partial
+    fractions cancel; there the closed form refuses rather than answer wrong."""
+
+    def test_lattice_is_right_or_refused(self):
+        """The refused sliver lies within 1e-11 relative of the triple root."""
+        for k in range(3, 17):
+            for a in (-1, 0, 1):
+                for b in (-1, 0, 1):
+                    params = params_from_groups((1.0 / 3.0) * (1.0 + a * 10.0**-k),
+                                                (1.0 / 9.0) * (1.0 + b * 10.0**-k))
+                    try:
+                        met = sls_metrics(params)
+                    except DiscriminantError:
+                        assert k >= 12 or a == b == 0, (a, b, k)
+                        continue
+                    _assert_matches_oracle(met, params, rel=1e-8)
+
+    def test_exact_triple_root_refused(self):
+        with pytest.raises(DiscriminantError, match="coincide"):
+            sls_metrics(params_from_groups(1.0 / 3.0, 1.0 / 9.0))
+
+    def test_just_off_the_triple_root(self):
+        params = params_from_groups((1.0 / 3.0) * (1.0 + 1e-9), 1.0 / 9.0)
+        _assert_matches_oracle(sls_metrics(params), params, rel=1e-9)
