@@ -66,6 +66,9 @@ SCAN_HORIZON_PERIODS = 10.0
 # oracle's steps; longer ones would allocate hundreds of megabytes or more.
 MAX_SCAN_SAMPLES = 10_000_000
 
+# Brent's tolerances for the walk: ``rtol``, and ``xtol`` per unit of the
+# piece's width (:func:`_root`).  A fixed ``xtol`` would exceed the whole
+# contact once the period is that short (three-element Lambda above 1e60).
 _BRENTQ_KW = dict(xtol=1e-30, rtol=1e-15)
 
 # SciPy's iteration caps; no caller changes them.
@@ -388,7 +391,9 @@ def _crosses(g_lo: float, g_hi: float) -> bool:
 
 
 def _root(g, lo: float, hi: float, g_hi: float) -> float:
-    return hi if g_hi == 0.0 else brentq(g, lo, hi, **_BRENTQ_KW)
+    if g_hi == 0.0:
+        return hi
+    return brentq(g, lo, hi, xtol=_BRENTQ_KW["xtol"] * (hi - lo), rtol=_BRENTQ_KW["rtol"])
 
 
 def _tail(g, lo: float, g_lo: float, limit: float):

@@ -19,13 +19,15 @@ Both state equations are linear with constant coefficients,
 ``y' = A y + c``, so one RK4 step is exactly the affine map
 ``y <- y + (D y + q)`` with ``D = M + M^2/2 + M^3/6 + M^4/24``, ``M = dt A``:
 the same scheme, kept in increment form so that no step rounds ``I + D``.
-Blocks of steps advance at once from precomputed powers of that map, and
-only the block starts are chained one after another.
+The powers of that map for a block of steps, and of the block map for a
+batch of blocks, are built by doubling; a batch then advances in two
+products, one for its block starts and one for the nodes in every block.
 Tabulated kernels fall back to a second-order predictor-corrector with
 trapezoid history summation.  Its steps are linear too, so a block of them
-is one product with a precomputed matrix once the history over earlier
-nodes is known; that part comes from one convolution per block, so the
-cost is O(n^2) multiply-adds in compiled code, not a Python loop per step.
+is one product with a matrix, itself built by doubling, once the history
+over earlier nodes is known; that part comes from one convolution per
+block, so the cost is O(n^2) multiply-adds in compiled code, not a
+Python loop per step.
 """
 
 from __future__ import annotations
@@ -70,9 +72,9 @@ _REFINE_TOL = 1e-12
 # closed forms below 1e-14, and longer blocks gain little speed.
 _BLOCK = 64
 
-# RK4 blocks expanded by one product once their starts are chained.  A
-# batch of 4096 steps leaves little Python per step at the default 1e4-step
-# contact and bounds the steps computed past its end.
+# RK4 blocks advanced together: one product gives their starts, one more
+# their nodes.  A batch of 4096 steps leaves little Python per step at the
+# default 1e4-step contact and bounds the steps computed past its end.
 _BATCH = 64
 
 _KINDS = ("exp_sum", "kv_limit", "table")
@@ -294,15 +296,15 @@ def _linear_system(kernel, m, v0, g):
     return A, c, fvec, t_unit, gain
 
 
-def _step_powers(D, q):
-    """``(D_j, S_j)`` for j = 1 .. ``_BLOCK``: j steps from y give ``y + (D_j y + S_j)``.
+def _step_powers(D, q, count=_BLOCK):
+    """``(D_j, S_j)`` for j = 1 .. ``count``: j steps from y give ``y + (D_j y + S_j)``.
 
     Built by doubling, ``D_{j+k} = D_j + D_k + D_k D_j`` and
     ``S_{j+k} = S_j + S_k + D_k S_j``, one batched product per doubling.
     """
     Ds, Ss = D[None], q[None]
-    while len(Ds) < _BLOCK:
-        k = min(len(Ds), _BLOCK - len(Ds))
+    while len(Ds) < count:
+        k = min(len(Ds), count - len(Ds))
         Dp, Sp = Ds[-1], Ss[-1]
         Ds = np.concatenate([Ds, Ds[:k] + Dp + Dp @ Ds[:k]])
         Ss = np.concatenate([Ss, Ss[:k] + Sp + Ss[:k] @ Dp.T])
@@ -328,18 +330,22 @@ def _first_return(fs, started):
 def _integrate_linear(kernel, m, v0, g, dt, horizon):
     """March RK4 until the force returns to zero after its initial rise.
 
-    Only the block starts are chained, ``_BLOCK`` steps at a time; one
-    product then expands ``_BATCH`` blocks from precomputed powers of the
-    step map, so every node is its block start plus one product.  The zero
-    is located on a cubic Hermite interpolant of the force over the
-    bracketing step (endpoint values and rates), bisected to a fixed
-    fraction of the step, and the terminal state comes from one partial
-    Runge-Kutta step, preserving the scheme's order.
+    The step map's powers for 1 .. ``_BLOCK`` steps, and those of the
+    block map for 1 .. ``_BATCH`` blocks, are both built by doubling.  A
+    batch then takes two products: one gives its ``_BATCH`` block starts
+    from the batch start, and one expands every block from its start, so
+    every node is its block start plus one product, and each block ends
+    where the next one starts.  The zero is located on a cubic Hermite
+    interpolant of the force over the bracketing step (endpoint values and
+    rates), bisected to a fixed fraction of the step, and the terminal
+    state comes from one partial Runge-Kutta step, preserving the scheme's
+    order.
     """
     A, c, fvec, t_unit, gain = _linear_system(kernel, m, v0, g)
     n = c.size
-    Ds, Ss = _step_powers(*_rk4_increment(A, c, dt))
-    D_blk, D_end, S_end = Ds.reshape(-1, n), Ds[-1], Ss[-1]
+    Ds, Ss = _step_powers(*_rk4_increment(A, c, dt), _BLOCK)
+    D_blk = Ds.reshape(-1, n)
+    P, R = _step_powers(Ds[-1], Ss[-1], _BATCH)
 
     n_max = int(math.ceil(horizon / dt)) + 1
     y = np.zeros(n)
@@ -349,13 +355,10 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
     batches = [y[None, :]]
     i = 0  # node index of y
     while i < n_max:
-        starts, z = [y], y
-        for _ in range(_BATCH):
-            z = z + (D_end @ z + S_end)
-            starts.append(z)
-        starts = np.array(starts)
-        ys = starts[:-1, None, :] + ((starts[:-1] @ D_blk.T).reshape(_BATCH, _BLOCK, n) + Ss)
-        ys[:, -1] = starts[1:]  # each block ends where the next one starts
+        ends = y + (P @ y + R)  # where each block of the batch ends
+        starts = np.concatenate([y[None], ends[:-1]])
+        ys = starts[:, None, :] + ((starts @ D_blk.T).reshape(-1, _BLOCK, n) + Ss)
+        ys[:, -1] = ends
         ys = ys.reshape(-1, n)[: n_max - i]
         fs = ys @ fvec
         j, started = _first_return(fs, started)
@@ -393,11 +396,16 @@ def _heun_block_map(psi, dt, alpha):
 
     The steps are linear in ``u = (v, acc, xi, gamma, lag_0 .. lag_{B-1})``:
     the start node's state, the gravity term and each target node's
-    history sum over the nodes before the block.  Running the steps once on
-    the basis vectors of ``u`` gives the ``(4B, B + 4)`` matrix whose product
-    with ``u`` is the rows of v, acc, xi and F at the B target nodes.  The
-    matrix is the same for every block: within a block the trapezoid
-    weights depend only on node offsets.
+    history sum over the nodes before the block.  The map is the
+    ``(4B, B + 4)`` matrix whose product with ``u`` is the rows of v, acc,
+    xi and F at the B target nodes.  It is the same for every block: within
+    a block the trapezoid weights depend only on node offsets.
+
+    It is built by doubling from the one-step map.  The first h targets of
+    an h + k target map are the h-target map itself.  The next k are that
+    map again, started from target h - 1 with the lags
+    ``lag_{h+j} + sum_i psi[h + j - i] v_i``, which take in the first h
+    targets' velocities through one Toeplitz product.
     """
 
     def step(v, acc, xi, gamma, hist):
@@ -410,20 +418,24 @@ def _heun_block_map(psi, dt, alpha):
         F = dt * (hist + 0.5 * psi[0] * (v + dv))
         return dv, gamma - alpha * F, 0.5 * dt * (v + v_pred), F
 
-    P = np.array(step(*np.eye(5)))
     B = _BLOCK
-    w = psi[B:0:-1].copy()  # w[B - r:] weighs the in-block nodes before node r
-    basis = np.eye(B + 4)
-    X = basis[:5].copy()  # v, acc, xi, gamma and the history sum
-    rows = np.empty((4, B, B + 4))
-    for r in range(B):
-        X[4] = basis[4 + r] + w[B - r :] @ rows[0, :r]
-        out = P @ X
-        out[0] += X[0]
-        out[2] += X[2]
-        rows[:, r] = out
-        X[:3] = out[:3]
-    return rows.reshape(4 * B, B + 4)
+    maps = np.zeros((4, B, B + 4))
+    maps[:, 0, :5] = step(*np.eye(5))
+    maps[0, 0, 0] += 1.0
+    maps[2, 0, 2] += 1.0
+    h = 1
+    while h < B:
+        k = min(h, B - h)
+        cols = h + k + 4  # the columns in use once the map has h + k targets
+        # u of the next k targets, as rows over those columns.
+        u = np.zeros((h + 4, cols))
+        u[:3] = maps[:3, h - 1, :cols]
+        u[3, 3] = 1.0
+        toeplitz = psi[h + np.arange(k)[:, None] - np.arange(h)]
+        u[4 : 4 + k] = np.eye(k, cols, h + 4) + toeplitz @ maps[0, :h, :cols]
+        maps[:, h : h + k, :cols] = maps[:, :k, : h + 4] @ u
+        h += k
+    return maps.reshape(4 * B, B + 4)
 
 
 def _integrate_table(kernel, m, v0, g, dt, horizon):

@@ -72,7 +72,7 @@ class CubicRoots:
         (``-beta1 +- i zeta1``).
     D : float
         Oscillation discriminant; positive exactly when the conjugate
-        pair exists.
+        pair exists.  It overflows to ``inf`` from ``Lambda`` about 3e102.
     """
 
     lambda1: float
@@ -99,8 +99,9 @@ def sls_characteristic_roots(Lambda: float, rho: float) -> CubicRoots:
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
 
-    D = 4.0 * Lambda * (Lambda**2 + rho) - Lambda**2 * (
-        1.0 + 18.0 * rho - 27.0 * rho**2
+    # Factored so that only the leading term can overflow, to D = inf.
+    D = Lambda * (
+        4.0 * Lambda * Lambda + 4.0 * rho - Lambda * (1.0 + 18.0 * rho - 27.0 * rho**2)
     )
     lam, beta, zeta2 = _rates(Lambda, rho)
     if not (D > 0.0 and zeta2 > 0.0):
@@ -131,7 +132,8 @@ def _rates(Lambda: float, rho: float) -> tuple[float, float, float]:
         y = -math.copysign(2.0 * s * t, q)
     elif p > 0.0:
         s = math.sqrt(p / 3.0)
-        y = -2.0 * s * math.sinh(math.asinh(1.5 * q / (p * s)) / 3.0)
+        # q / p first: p * s overflows from Lambda about 1e205.
+        y = -2.0 * s * math.sinh(math.asinh(1.5 * (q / p) / s) / 3.0)
     else:
         y = -math.copysign(abs(q) ** (1.0 / 3.0), q)
     lam = 1.0 / 3.0 - y

@@ -8,7 +8,9 @@ import dataclasses
 import io
 import json
 import math
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +434,22 @@ class TestVerify:
         rc = cmd_verify(argparse.Namespace(out=None), suites=suites)
         assert rc == EXIT_VERIFY
         assert "perturbed: FAIL" in capsys.readouterr().out
+
+    def test_readme_quotes_the_suites_verify_prints(self, capsys):
+        """The README's quoted run names each suite with its tolerance, in order.
+
+        Only the tolerances are compared: the errors differ in their last
+        digits between BLAS builds, so the quoted ones need only pass.
+        """
+        line = re.compile(r"^([\w-]+): (\w+) \(max error (\S+), tolerance (\S+)\)$", re.M)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        quoted = line.findall(readme)
+        assert main(["verify"]) == EXIT_OK
+        printed = line.findall(capsys.readouterr().out)
+        assert [(name, status, tol) for name, status, _, tol in quoted] == [
+            (name, status, tol) for name, status, _, tol in printed
+        ]
+        assert all(float(err) <= float(tol) for _, _, err, tol in quoted)
 
 
 class TestBiphasic:

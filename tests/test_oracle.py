@@ -555,3 +555,75 @@ def test_gravity_kv_limit_matches_drop_closed_form(eta, eps0):
     )
     assert -traj.xdot[-1] == pytest.approx(-exact.xdot[-1], abs=1e-12)
     assert traj.t_c == pytest.approx(exact.t_c, abs=1e-12)
+
+
+def _heun_block_map_stepwise(psi, dt, alpha, B):
+    """The table scheme's block map built one Heun step at a time."""
+
+    def step(v, acc, xi, gamma, hist):
+        v_pred = v + dt * acc
+        acc_pred = gamma - alpha * (dt * (hist + 0.5 * psi[0] * v_pred))
+        dv = 0.5 * dt * (acc + acc_pred)
+        F = dt * (hist + 0.5 * psi[0] * (v + dv))
+        return dv, gamma - alpha * F, 0.5 * dt * (v + v_pred), F
+
+    P = np.array(step(*np.eye(5)))
+    w = psi[B:0:-1].copy()
+    basis = np.eye(B + 4)
+    X = basis[:5].copy()
+    rows = np.empty((4, B, B + 4))
+    for r in range(B):
+        X[4] = basis[4 + r] + w[B - r :] @ rows[0, :r]
+        out = P @ X
+        out[0] += X[0]
+        out[2] += X[2]
+        rows[:, r] = out
+        X[:3] = out[:3]
+    return rows
+
+
+class TestDoubling:
+    """The doubled block-level maps are the step-by-step ones, regrouped."""
+
+    def test_block_powers_match_sequential_blocks(self):
+        kern = RelaxationKernel(k0=2.0, tau_R=1.0, c_inf=0.3, cs=(0.4, 0.3), thetas=(0.5, 2.0))
+        A, c = oracle._linear_system(kern, 1.0, 1.0, 0.2)[:2]
+        for dt in (1e-3, 0.05):
+            Ds, Ss = oracle._step_powers(*oracle._rk4_increment(A, c, dt), DEFAULT_BLOCK)
+            D, q = Ds[-1], Ss[-1]
+            P, R = oracle._step_powers(D, q, oracle._BATCH)
+            assert P.shape[0] == R.shape[0] == oracle._BATCH
+            y = np.array([0.0, 1.0, 0.0, 0.0])
+            z = y
+            for k in range(oracle._BATCH):
+                z = z + (D @ z + q)
+                assert np.max(np.abs(y + (P[k] @ y + R[k]) - z)) <= 1e-14 * np.max(np.abs(z))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_heun_block_map_matches_stepwise_build(self, gamma):
+        table = _sls_table(params_from_groups(0.5, 0.4), 1e-3)
+        alpha = table.alpha_per_mass
+        dt = 4e-3
+        psi = table.psi(np.arange(DEFAULT_BLOCK + 1) * dt)
+        doubled = oracle._heun_block_map(psi, dt, alpha).reshape(4, DEFAULT_BLOCK, -1)
+        stepwise = _heun_block_map_stepwise(psi, dt, alpha, DEFAULT_BLOCK)
+        # A block start mid-contact: v, acc, xi, gamma and the lagged history sums.
+        u = np.concatenate([[-0.3, -0.5, 0.8, gamma], 0.7 + 0.01 * np.arange(DEFAULT_BLOCK)])
+        for got, expected in zip(doubled, stepwise):
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            assert np.max(np.abs(got @ u - expected @ u)) <= 1e-13 * np.max(np.abs(expected @ u))
+
+    @pytest.mark.parametrize("kind", ["sls", "kv_limit"])
+    def test_batch_size_does_not_change_contact_end(self, monkeypatch, kind):
+        kern = (RelaxationKernel.sls(1.0, 1.0, 0.5) if kind == "sls"
+                else RelaxationKernel.kv_limit(1.0, 0.6))
+        # Both kernels keep unit time units here.  Place the contact end half
+        # a step past a node three batches in.
+        nodes_before_end = 3 * DEFAULT_BLOCK * oracle._BATCH + 100
+        dt = integrate_impact(kern, 1.0, 1.0).t_c / (nodes_before_end + 0.5)
+        batched = _contact_end(kern, dt)
+        monkeypatch.setattr(oracle, "_BATCH", 1)
+        unbatched = _contact_end(kern, dt)
+        assert batched[2] == unbatched[2] == nodes_before_end + 2
+        assert batched[0] == pytest.approx(unbatched[0], abs=1e-13)
+        assert batched[1] == pytest.approx(unbatched[1], abs=1e-13)

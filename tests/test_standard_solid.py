@@ -427,3 +427,27 @@ class TestTripleRoot:
     def test_just_off_the_triple_root(self):
         params = params_from_groups((1.0 / 3.0) * (1.0 + 1e-9), 1.0 / 9.0)
         _assert_matches_oracle(sls_metrics(params), params, rel=1e-9)
+
+
+class TestHugeLambda:
+    """Far above the contact's time scale the dashpot locks and the solid is
+    the spring k0: with unit m, k0 and v0 the impact is the elastic one."""
+
+    @pytest.mark.parametrize("Lambda", [1e61, 1e69, 1e120, 1e160, 1e250])
+    def test_metrics_are_the_elastic_limit(self, Lambda):
+        # The scaled contact lasts pi / sqrt(Lambda), below 1e-30 here.
+        met = sls_metrics(params_from_groups(Lambda, 0.5))
+        assert met.e_star == pytest.approx(1.0, rel=1e-14)
+        assert met.t_c == pytest.approx(math.pi, rel=1e-14)
+        assert met.t_M == pytest.approx(0.5 * math.pi, rel=1e-14)
+        assert met.F_M == pytest.approx(1.0, rel=1e-14)
+        assert met.x_m == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("Lambda", [1e61, 1e69, 1e120, 1e160, 1e250])
+    def test_roots_are_finite(self, Lambda):
+        # The roots tend to -rho and -(1 - rho) / 2 +- i sqrt(Lambda).
+        r = sls_characteristic_roots(Lambda, 0.5)
+        assert r.D > 0.0
+        assert r.lambda1 == pytest.approx(0.5, rel=1e-14)
+        assert r.beta1 == pytest.approx(0.25, rel=1e-14)
+        assert r.zeta1 == pytest.approx(math.sqrt(Lambda), rel=1e-14)
