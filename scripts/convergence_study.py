@@ -3,7 +3,8 @@
 
 First table: restitution error of the direct hereditary-kernel
 integrator against the closed forms while the step halves; a fourth-
-order scheme shows error ratios near 16.
+order scheme shows error ratios near 16.  The steps ``dt/pi * pi`` are in
+relaxation times ``t / tau_R`` for every case.
 
 Second table: residuals of the first-order small-rho expansions of the
 three-element metrics against the exact solution while rho halves;

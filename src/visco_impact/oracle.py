@@ -14,14 +14,15 @@ is read off the velocity there.
 Kernels built from sums of exponentials carry auxiliary convolution states
 and integrate with classical fixed-step fourth-order Runge-Kutta, so the
 global error falls by 16 per step halving.  A spring-dashpot parallel pair
-has a singular kernel and is integrated directly as a second-order equation.
-Both state equations are linear with constant coefficients,
-``y' = A y + c``, so one RK4 step is exactly the affine map
-``y <- y + (D y + q)`` with ``D = M + M^2/2 + M^3/6 + M^4/24``, ``M = dt A``:
-the same scheme, kept in increment form so that no step rounds ``I + D``.
-The powers of that map for a block of steps, and of the block map for a
-batch of blocks, are built by doubling; a batch then advances in two
-products, one for its block starts and one for the nodes in every block.
+has the singular kernel ``Psi = 1 + delta(tau)``, whose convolution is
+``xi + xi'`` and needs no state.  The state equation is linear with
+constant coefficients, ``y' = A y + c``, so one RK4 step is exactly the
+affine map ``y <- y + (D y + q)`` with ``D = M + M^2/2 + M^3/6 + M^4/24``,
+``M = dt A``: the same scheme, kept in increment form so that no step
+rounds ``I + D``.  The powers of that map for a block of steps, and of the
+block map for a batch of blocks, are built by doubling; a batch then
+advances in two products, one for its block starts and one for the nodes
+in every block.
 Tabulated kernels fall back to a second-order predictor-corrector with
 trapezoid history summation.  Its steps are linear too, so a block of them
 is one product with a matrix, itself built by doubling, once the history
@@ -56,8 +57,7 @@ __all__ = [
     "restitution_invariance_probe",
 ]
 
-# Default step and horizon, in units of the nominal half period pi / sqrt(alpha)
-# (pi itself for the direct spring-dashpot path, where time is scaled by omega0).
+# Default step and horizon, in units of the nominal half period pi / sqrt(alpha).
 DEFAULT_DT_FRACTION = 1e-4
 DEFAULT_HORIZON_HALF_PERIODS = 10.0
 
@@ -90,7 +90,8 @@ class RelaxationKernel:
     kernels interpolate linearly between samples and hold the last value
     beyond them.  The ``kv_limit`` kind marks a spring-dashpot parallel
     pair (``k0`` spring, ``k0 * tau_R`` dashpot), whose singular kernel is
-    handled by direct integration rather than through ``Psi``.
+    ``Psi(tau) = 1 + delta(tau)``; it has no finite ``Psi`` and keeps the
+    default ``c_inf = 1`` with no exponentials.
     """
 
     k0: float
@@ -128,6 +129,10 @@ class RelaxationKernel:
                 raise ConfigError(f"Psi(0) = {psi[0]!r} must equal 1")
             object.__setattr__(self, "table_tau", tau)
             object.__setattr__(self, "table_psi", psi)
+        elif self.c_inf != 1.0 or self.cs or self.thetas:  # kv_limit
+            raise ConfigError(
+                "a kv_limit kernel is Psi = 1 + delta(tau); it takes no c_inf, cs or thetas"
+            )
         if self.kind != "kv_limit":
             probe = self.psi(np.linspace(0.0, 10.0, 1001))
             if np.any(np.diff(probe) > 1e-12):
@@ -173,7 +178,7 @@ class RelaxationKernel:
 
     @classmethod
     def kv_limit(cls, k: float, b: float) -> "RelaxationKernel":
-        """Spring-dashpot parallel pair, integrated without a kernel."""
+        """Spring-dashpot parallel pair, ``Psi = 1 + delta(tau)`` with ``tau_R = b / k``."""
         if not (b > 0.0):
             raise ConfigError("kv_limit needs b > 0; use elastic() for b = 0")
         return cls(k0=k, tau_R=b / k, kind="kv_limit")
@@ -270,30 +275,22 @@ def _hermite(s: float, f0: float, f1: float, d0: float, d1: float, dt: float) ->
 def _linear_system(kernel, m, v0, g):
     """State equation ``y' = A y + c`` of an exp-sum or spring-dashpot kernel.
 
-    The state is ``[xi, xi', z_1, ...]`` with one convolution state
-    ``z_i' = xi' - z_i / theta_i`` per exponential, in relaxation-time units.
-    The spring-dashpot pair has none and is scaled by ``omega0`` instead
-    (``tau = omega0 t``, ``xi = x omega0 / v0``).  Returns ``A``, ``c``, the
-    scaled-force row ``fvec``, the time unit and the gain ``a`` of the
-    scaled motion ``xi'' = gamma - a * (fvec @ y)``.
+    The state is ``[xi, xi', z_1, ...]`` in relaxation-time units, with one
+    convolution state ``z_i' = xi' - z_i / theta_i`` per exponential; the
+    scaled force is ``fvec @ y``, where the spring-dashpot pair's delta adds
+    ``xi'``.  Returns ``A``, ``c`` and ``fvec`` of the scaled motion
+    ``xi'' = gamma - alpha * (fvec @ y)``.
     """
-    if kernel.kind == "kv_limit":
-        t_unit = math.sqrt(m / kernel.k0)
-        gain, fvec, rates = 1.0, np.array([1.0, kernel.tau_R / t_unit]), []
-    else:
-        t_unit = kernel.tau_R
-        gain = kernel.alpha_per_mass / m
-        fvec = np.array([kernel.c_inf, 0.0, *kernel.cs])
-        rates = [1.0 / th for th in kernel.thetas]
+    fvec = np.array([kernel.c_inf, float(kernel.kind == "kv_limit"), *kernel.cs])
     n = fvec.size
     A = np.zeros((n, n))
     A[0, 1] = 1.0
-    A[1] = -gain * fvec
+    A[1] = -kernel.alpha_per_mass / m * fvec
     A[2:, 1] = 1.0
-    A[2:, 2:] = -np.diag(rates)
+    A[2:, 2:] = -np.diag([1.0 / th for th in kernel.thetas])
     c = np.zeros(n)
-    c[1] = g * t_unit / v0
-    return A, c, fvec, t_unit, gain
+    c[1] = g * kernel.tau_R / v0
+    return A, c, fvec
 
 
 def _step_powers(D, q, count=_BLOCK):
@@ -341,7 +338,7 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
     state comes from one partial Runge-Kutta step, preserving the scheme's
     order.
     """
-    A, c, fvec, t_unit, gain = _linear_system(kernel, m, v0, g)
+    A, c, fvec = _linear_system(kernel, m, v0, g)
     n = c.size
     Ds, Ss = _step_powers(*_rk4_increment(A, c, dt), _BLOCK)
     D_blk = Ds.reshape(-1, n)
@@ -377,14 +374,8 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
             D_s, q_s = _rk4_increment(A, c, s * dt)
             states = np.vstack(batches + [ys[:j], y0 + (D_s @ y0 + q_s)])
             tau = np.append(np.arange(i + j + 1) * dt, (i + j) * dt + s * dt)
-            forces = states @ fvec
-            return Trajectory(
-                times=tau * t_unit,
-                x=v0 * t_unit * states[:, 0],
-                xdot=v0 * states[:, 1],
-                xddot=v0 / t_unit * (c[1] - gain * forces),
-                F=m * v0 / t_unit * gain * forces,
-            )
+            return _trajectory(kernel, m, v0, c[1], tau, states[:, 0], states[:, 1],
+                               states @ fvec)
         batches.append(ys)
         y, f = ys[-1], fs[-1]
         i += len(ys)
@@ -477,16 +468,21 @@ def _integrate_table(kernel, m, v0, g, dt, horizon):
             def lerp(a):
                 return np.append(a[:n], a[n - 1] + s * (a[n] - a[n - 1]))
 
-            forces = np.append(fs[:n], 0.0)
-            tau_R = kernel.tau_R
-            return Trajectory(
-                times=tau * tau_R,
-                x=v0 * tau_R * lerp(xi),
-                xdot=v0 * lerp(v),
-                xddot=v0 / tau_R * (gamma - alpha * forces),
-                F=kernel.k0 * v0 * tau_R * forces,
-            )
+            return _trajectory(kernel, m, v0, gamma, tau, lerp(xi), lerp(v),
+                               np.append(fs[:n], 0.0))
     raise _no_separation(horizon)
+
+
+def _trajectory(kernel, m, v0, gamma, tau, xi, dxi, f):
+    """Dimensional trajectory from scaled nodes: time, ``xi``, ``xi'`` and force."""
+    tau_R = kernel.tau_R
+    return Trajectory(
+        times=tau_R * tau,
+        x=v0 * tau_R * xi,
+        xdot=v0 * dxi,
+        xddot=v0 / tau_R * (gamma - kernel.alpha_per_mass / m * f),
+        F=kernel.k0 * v0 * tau_R * f,
+    )
 
 
 def _no_separation(horizon: float) -> NoSeparationError:
@@ -496,11 +492,7 @@ def _no_separation(horizon: float) -> NoSeparationError:
 
 
 def _resolve_grid(kernel, m, dt_scaled, horizon_scaled):
-    if kernel.kind == "kv_limit":
-        half_period = math.pi
-    else:
-        alpha = kernel.alpha_per_mass / m
-        half_period = math.pi / math.sqrt(alpha)
+    half_period = math.pi / math.sqrt(kernel.alpha_per_mass / m)
     if dt_scaled is None:
         dt = DEFAULT_DT_FRACTION * half_period
         # Heavily damped kernels oscillate far slower than they relax;
@@ -566,9 +558,8 @@ def integrate_impact(
     m, v0 : float
         Impactor mass and incoming velocity.
     dt_scaled : float, optional
-        Fixed step in scaled time (relaxation-time units, or ``omega0 t``
-        for the direct spring-dashpot path).  Defaults to 1e-4 of the
-        nominal half period.
+        Fixed step in scaled time ``t / tau_R``, for every kernel kind.
+        Defaults to 1e-4 of the nominal half period ``pi / sqrt(alpha)``.
     horizon_scaled : float, optional
         Give up and raise :class:`NoSeparationError` past this scaled time.
         Defaults to ten nominal half periods.  For exponential-sum and

@@ -137,6 +137,15 @@ def _rates(Lambda: float, rho: float) -> tuple[float, float, float]:
     else:
         y = -math.copysign(abs(q) ** (1.0 / 3.0), q)
     lam = 1.0 / 3.0 - y
+    if lam < 0.1:
+        # ``1/3 - y`` cancels for small lam; one Newton step on
+        # ``lam**3 - lam**2 + Lambda lam - Lambda rho`` restores it.  Here
+        # y > 0.23, and the other two roots sum to -y and are complex or no
+        # larger than y, so they lie at least y and 3y/2 from it: the
+        # derivative, the product of those distances, exceeds 0.08.
+        lam -= (lam * (lam * (lam - 1.0) + Lambda) - Lambda * rho) / (
+            lam * (3.0 * lam - 2.0) + Lambda
+        )
     beta = 0.5 * (1.0 - lam)
     return lam, beta, Lambda * rho / lam - beta * beta
 

@@ -7,10 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visco_impact import oracle
 from visco_impact.errors import ConfigError, NoSeparationError
-from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_metrics
+from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_find_critical_eps0, kv_metrics
 from visco_impact.maxwell import mx_metrics
 from visco_impact.models import KelvinVoigtParams, MaxwellParams
 from visco_impact.oracle import (
@@ -63,6 +65,14 @@ class TestKernelValidation:
     def test_kv_limit_needs_dashpot(self):
         with pytest.raises(ConfigError, match="b > 0"):
             RelaxationKernel.kv_limit(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "extra", [{"c_inf": 0.5}, {"cs": (0.5,)}, {"thetas": (1.0,)}]
+    )
+    def test_kv_limit_takes_no_other_terms(self, extra):
+        """``Psi = 1 + delta(tau)``; any other term would enter the force row unseen."""
+        with pytest.raises(ConfigError, match="kv_limit"):
+            RelaxationKernel(k0=1.0, tau_R=0.5, kind="kv_limit", **extra)
 
     def test_kv_limit_psi_refused(self):
         """The pair's kernel is singular; a finite Psi would be another kernel's."""
@@ -202,6 +212,31 @@ class TestClosedFormAgreement:
             for frac in (0.04, 0.02)
         ]
         assert 12.0 < errors[0] / errors[1] < 20.0
+
+
+class TestOneTimeUnit:
+    """``dt_scaled`` is in relaxation times for every kernel kind."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            RelaxationKernel.elastic(3.0, 0.3),
+            RelaxationKernel.kv_limit(3.0, 0.9),
+            RelaxationKernel.maxwell(3.0, 0.3),
+            RelaxationKernel.sls(3.0, 0.3, 0.3),
+            RelaxationKernel(k0=3.0, tau_R=0.3, c_inf=0.2, cs=(0.3, 0.3, 0.2),
+                             thetas=(0.5, 1.0, 4.0)),
+            RelaxationKernel.from_table([0.0, 1.0, 10.0], [1.0, 0.5, 0.3], k0=3.0, tau_R=0.3),
+        ],
+        ids=["elastic", "kv_limit", "maxwell", "sls", "exp_sum3", "table"],
+    )
+    def test_node_spacing_is_step_times_tau_R(self, kernel):
+        """With m = 0.5 the omega0 time unit would be sqrt(m / k0) = 0.41, not 0.3."""
+        h = 1e-2
+        traj = integrate_impact(kernel, 0.5, 1.5, dt_scaled=h)
+        spacing = np.diff(traj.times)[:-1]  # the last interval is the partial step
+        assert spacing.size > 100
+        np.testing.assert_allclose(spacing, h * kernel.tau_R, rtol=1e-9)
 
 
 class TestGravityAndTermination:
@@ -557,6 +592,41 @@ def test_gravity_kv_limit_matches_drop_closed_form(eta, eps0):
     assert traj.t_c == pytest.approx(exact.t_c, abs=1e-12)
 
 
+def _weighted_loss_factor():
+    """Loss factors in [0.01, 0.99], two thirds of the draws within 0.1 of either end."""
+    edge = st.floats(-2.0, -1.0).map(lambda u: 10.0**u)
+    return st.one_of(st.floats(0.01, 0.99), edge, edge.map(lambda d: 1.0 - d))
+
+
+@given(
+    m=st.floats(-4.0, 4.0).map(lambda u: 10.0**u),
+    k=st.floats(-4.0, 4.0).map(lambda u: 10.0**u),
+    v0=st.floats(-4.0, 4.0).map(lambda u: 10.0**u),
+    eta=_weighted_loss_factor(),
+    eps0_share=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+@settings(deadline=None, max_examples=250, derandomize=True)
+def test_kv_limit_matches_closed_form_at_every_scale(m, k, v0, eta, eps0_share):
+    """The default-step oracle keeps t_c and e* of the pair to 1e-9 relative,
+    with or without weight, over eight decades of m, k and v0."""
+    if eps0_share > 0.0:
+        lo, hi = 1e-4, 0.9 * kv_find_critical_eps0(eta)
+        eps0 = lo + eps0_share * (hi - lo)
+    else:
+        eps0 = 0.0
+    omega0 = math.sqrt(k / m)
+    params = KelvinVoigtParams(m=m, k=k, b=2.0 * eta * m * omega0, v0=v0, g=eps0 * omega0 * v0)
+    if eps0 == 0.0:
+        met = kv_metrics(params)
+        t_c, e_star = met.t_c, met.e_star
+    else:
+        exact = kv_drop_trajectory(params)
+        t_c, e_star = exact.t_c, -exact.xdot[-1] / v0
+    traj = integrate_impact_with_gravity(RelaxationKernel.from_params(params), m, v0, params.g)
+    assert traj.t_c == pytest.approx(t_c, rel=1e-9)
+    assert -traj.xdot[-1] / v0 == pytest.approx(e_star, rel=1e-9)
+
+
 def _heun_block_map_stepwise(psi, dt, alpha, B):
     """The table scheme's block map built one Heun step at a time."""
 
@@ -617,10 +687,10 @@ class TestDoubling:
     def test_batch_size_does_not_change_contact_end(self, monkeypatch, kind):
         kern = (RelaxationKernel.sls(1.0, 1.0, 0.5) if kind == "sls"
                 else RelaxationKernel.kv_limit(1.0, 0.6))
-        # Both kernels keep unit time units here.  Place the contact end half
-        # a step past a node three batches in.
+        # Place the contact end half a step past a node three batches in;
+        # the step is in relaxation times.
         nodes_before_end = 3 * DEFAULT_BLOCK * oracle._BATCH + 100
-        dt = integrate_impact(kern, 1.0, 1.0).t_c / (nodes_before_end + 0.5)
+        dt = integrate_impact(kern, 1.0, 1.0).t_c / kern.tau_R / (nodes_before_end + 0.5)
         batched = _contact_end(kern, dt)
         monkeypatch.setattr(oracle, "_BATCH", 1)
         unbatched = _contact_end(kern, dt)

@@ -1,8 +1,10 @@
 """The package names the benchmark's traced pass wraps still exist.
 
 ``perfbench/tracing.py`` replaces a fixed table of module attributes at
-runtime.  The test run does not collect ``perfbench/``, so a rename in the
-package would break ``perfbench/run.py --trace 1`` unseen without this check.
+runtime, and ``BENCHMARK.json`` names per-layer oracle metrics after the
+kernel kinds.  The test run does not collect ``perfbench/``, so a rename in
+the package would break ``perfbench/run.py --trace 1``, or empty those
+metrics, unseen without these checks.
 """
 
 from __future__ import annotations
@@ -10,14 +12,18 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
 import math
 from pathlib import Path
 
 import pytest
 
+from visco_impact import oracle
 from visco_impact._search import DampedMode
+from visco_impact.models import KelvinVoigtParams
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _wrapped_names():
@@ -51,3 +57,24 @@ def test_first_force_zero_takes_force_period_horizon(module):
     # A plain sine: the first zero after its rise is half a period.
     period = 2.0 * math.pi
     assert fn(DampedMode(0.0, 1.0, 1.0, 0.0), period, 10.0 * period) == pytest.approx(math.pi)
+
+
+def _oracle_metric_kinds():
+    layers = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    for prefix in ("oracle.calls.", "oracle.ns_per_step."):
+        for entry in layers:
+            if entry["name"].startswith(prefix):
+                yield entry["name"], entry["name"][len(prefix):]
+
+
+def test_benchmark_reads_oracle_metrics_by_kernel_kind():
+    kinds = list(_oracle_metric_kinds())
+    assert kinds
+    for name, kind in kinds:
+        assert kind in oracle._KINDS, name
+
+
+def test_damped_parallel_pair_is_kv_limit_kind():
+    """The benchmark's parallel-pair oracle ops are counted under this kind."""
+    params = KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0)
+    assert oracle.RelaxationKernel.from_params(params).kind == "kv_limit"

@@ -111,6 +111,13 @@ class TestCharacteristicRoots:
              0.4999499999999950004976029, 999.9998749749959343716802),
             (5.8e-4, 1.5e-4, 0.9994197503608673139943447,
              2.901248195663430028276493e-4, 5.364792725918677881334799e-5),
+            # lam << 1/3, where 1/3 - y cancels.
+            (1e4, 1e-5, 1.000000000999990083803004e-5,
+             0.499994999999995000049581, 99.99874996718746481292785),
+            (100, 1e-6, 1.000000009999990154747616e-6,
+             0.4999994999999950000049226, 9.987492152687818007085771),
+            (10, 1e-8, 1.000000001000000012922561e-8,
+             0.4999999949999999949999999, 3.122498998398558345004335),
         ],
     )
     def test_edge_roots_match_references(self, Lambda, rho, lam, beta, zeta):
@@ -118,6 +125,15 @@ class TestCharacteristicRoots:
         r = sls_characteristic_roots(Lambda, rho)
         for got, ref in zip((r.lambda1, r.beta1, r.zeta1), (lam, beta, zeta)):
             assert abs(got / ref - 1.0) < 1e-11
+
+    @pytest.mark.parametrize("Lambda, rho", [(1e4, 1e-5), (100, 1e-6), (10, 1e-8), (1e4, 1e-3)])
+    def test_small_real_rate_matches_oracle(self, Lambda, rho):
+        """A slow real rate, lam ~ rho, keeps t_c and e* to the oracle's rounding."""
+        params = params_from_groups(Lambda, rho)
+        met = sls_metrics(params)
+        traj = integrate_impact(RelaxationKernel.from_params(params), params.m, params.v0)
+        assert traj.t_c == pytest.approx(met.t_c, rel=1e-13)
+        assert -traj.xdot[-1] / params.v0 == pytest.approx(met.e_star, rel=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
