@@ -4,164 +4,28 @@ Closed-form impact solutions for the parallel (spring-dashpot),
 series, and three-element solid models; a hereditary-integral
 reference integrator for cross-validation; a thin fluid-saturated
 layer reduction; and analysis utilities for measured drop tests.
+
+Each module's ``__all__`` is the one list of its public names; the
+package re-exports them all. The CLI (``visco_impact.cli``) is not
+imported here.
 """
 
-from __future__ import annotations
-
-from .analysis import (
-    ExperimentRecord,
-    LinearityReport,
-    SampleGeometry,
-    bundled_experiments_path,
-    dynamic_modulus,
-    energy_dissipation,
-    ingest_table,
-    linearity_report,
-    solve_e10,
-    stress_strain,
-)
-from .biphasic import (
-    BiphasicLayer,
-    EquivalentMaxwell,
-    biphasic_force,
-    biphasic_loss_factor,
-    equivalent_maxwell,
-    load_delta0_csv,
-    load_layer_json,
-    pressure_profile,
-    reduce_to_maxwell,
-    validity_window,
-)
-from .errors import (
-    ConfigError,
-    DiscriminantError,
-    DomainError,
-    NoCrossingError,
-    NoSeparationError,
-    ParseError,
-    PlasticImpactError,
-    SingularityError,
-    ViscoImpactError,
-)
-from .kelvin_voigt import (
-    kv_drop_metrics_asymptotic,
-    kv_drop_trajectory,
-    kv_find_critical_eps0,
-    kv_fm_minimizer,
-    kv_metrics,
-    kv_trajectory,
-)
-from .maxwell import (
-    mx_drop_metrics_asymptotic,
-    mx_drop_trajectory,
-    mx_metrics,
-    mx_trajectory,
-)
-from .models import (
-    DerivedGroups,
-    ImpactMetrics,
-    KelvinVoigtParams,
-    MaxwellParams,
-    StandardSolidParams,
-    Trajectory,
-    convert_configurations,
-    derive_kv,
-    derive_maxwell,
-    derive_sls,
-    invert_configurations,
-    load_kv_params,
-    load_maxwell_params,
-    load_sls_params,
-)
-from .oracle import (
-    RelaxationKernel,
-    integrate_impact,
-    integrate_impact_with_gravity,
-    restitution_invariance_probe,
-)
-from .standard_solid import (
-    CubicRoots,
-    params_from_groups,
-    params_near_kv,
-    params_near_maxwell,
-    sls_characteristic_roots,
-    sls_drop_metrics,
-    sls_drop_trajectory,
-    sls_metrics,
-    sls_perturb_kv,
-    sls_perturb_maxwell,
-    sls_trajectory,
-)
+from . import analysis, biphasic, errors, kelvin_voigt, maxwell, models, oracle, standard_solid
+from .analysis import *
+from .biphasic import *
+from .errors import *
+from .kelvin_voigt import *
+from .maxwell import *
+from .models import *
+from .oracle import *
+from .standard_solid import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiphasicLayer",
-    "ConfigError",
-    "CubicRoots",
-    "DerivedGroups",
-    "DiscriminantError",
-    "DomainError",
-    "EquivalentMaxwell",
-    "ExperimentRecord",
-    "ImpactMetrics",
-    "KelvinVoigtParams",
-    "LinearityReport",
-    "MaxwellParams",
-    "NoCrossingError",
-    "NoSeparationError",
-    "ParseError",
-    "PlasticImpactError",
-    "RelaxationKernel",
-    "SampleGeometry",
-    "SingularityError",
-    "StandardSolidParams",
-    "Trajectory",
-    "ViscoImpactError",
-    "biphasic_force",
-    "biphasic_loss_factor",
-    "bundled_experiments_path",
-    "convert_configurations",
-    "derive_kv",
-    "derive_maxwell",
-    "derive_sls",
-    "dynamic_modulus",
-    "energy_dissipation",
-    "equivalent_maxwell",
-    "ingest_table",
-    "integrate_impact",
-    "integrate_impact_with_gravity",
-    "invert_configurations",
-    "kv_drop_metrics_asymptotic",
-    "kv_drop_trajectory",
-    "kv_find_critical_eps0",
-    "kv_fm_minimizer",
-    "kv_metrics",
-    "kv_trajectory",
-    "linearity_report",
-    "load_delta0_csv",
-    "load_kv_params",
-    "load_layer_json",
-    "load_maxwell_params",
-    "load_sls_params",
-    "mx_drop_metrics_asymptotic",
-    "mx_drop_trajectory",
-    "mx_metrics",
-    "mx_trajectory",
-    "params_from_groups",
-    "params_near_kv",
-    "params_near_maxwell",
-    "pressure_profile",
-    "reduce_to_maxwell",
-    "restitution_invariance_probe",
-    "sls_characteristic_roots",
-    "sls_drop_metrics",
-    "sls_drop_trajectory",
-    "sls_metrics",
-    "sls_perturb_kv",
-    "sls_perturb_maxwell",
-    "sls_trajectory",
-    "solve_e10",
-    "stress_strain",
-    "validity_window",
+    name
+    for module in (
+        analysis, biphasic, errors, kelvin_voigt, maxwell, models, oracle, standard_solid
+    )
+    for name in module.__all__
 ]

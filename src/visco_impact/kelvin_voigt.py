@@ -73,7 +73,7 @@ def _columns(params: KelvinVoigtParams, g: float, t):
     envelope, phase = np.exp(-beta * t), omega * t
     s, c = np.sin(phase), np.cos(phase)
     x = v0 / omega * envelope * s
-    xdot = v0 / omega * envelope * (omega * c - beta * s)
+    xdot = v0 * envelope * (c - beta / omega * s)
     if g:
         x = x + g / omega0**2 * (1.0 - envelope * (c + beta / omega * s))
         xdot = xdot + g / omega * envelope * s
@@ -230,11 +230,11 @@ def kv_find_critical_eps0(eta: float, tol: float = 1e-6) -> float:
             return True
         return False
 
-    lo, hi = 0.0, 0.5
+    lo, hi, cap = 0.0, 0.5, 1e6
     while not embeds(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e6:
+        if hi == cap:
             raise DomainError("no embedding threshold found below eps0 = 1e6")
+        lo, hi = hi, min(2.0 * hi, cap)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if embeds(mid):

@@ -504,9 +504,9 @@ class ImpactMetrics:
     t_M, F_M : float
         Instant and value of the maximum contact force.
     x_M : float or None
-        Indentation at the force maximum, when available.
+        Indentation at the force maximum.
     F_m : float or None
-        Force at the indentation maximum, when available.
+        Force at the indentation maximum.
     """
 
     t_c: float

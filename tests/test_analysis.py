@@ -152,6 +152,11 @@ class TestDynamicModulus:
         with pytest.raises(DomainError, match="5 samples"):
             dynamic_modulus(traj, GEOM)
 
+    def test_unsupported_params_type(self):
+        traj = kv_trajectory(KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0), n_samples=50)
+        with pytest.raises(DomainError, match="unsupported parameter type 'object'"):
+            dynamic_modulus(traj, GEOM, params=object())
+
     def test_all_masked_raises_singularity(self):
         times = np.linspace(0.0, 1.0, 10)
         zero = np.zeros(10)

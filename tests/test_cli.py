@@ -318,6 +318,11 @@ class TestSimulate:
         assert main(["simulate", "kv", "--params", params]) == EXIT_IO
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_top_level_list_rejected(self, tmp_path, capsys):
+        params = _write_json(tmp_path, "kv.json", [1, 2])
+        assert main(["simulate", "kv", "--params", params]) == EXIT_IO
+        assert "expected a flat JSON object" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_eta_sweep_stdout(self, capsys):
@@ -394,6 +399,11 @@ class TestSweep:
         rc = main(["sweep", "--model", "kv", "--sweep", "zeta:0.1:0.9:5"])
         assert rc == EXIT_DOMAIN
         assert "sweeps one of" in capsys.readouterr().err
+
+    def test_negative_eps0_sweep(self, capsys):
+        rc = main(["sweep", "--model", "kv", "--sweep", "eps0:-0.1:0.1:3"])
+        assert rc == EXIT_DOMAIN
+        assert "eps0 sweep must be nonnegative" in capsys.readouterr().err
 
     def test_malformed_sweep_arg(self, capsys):
         assert main(["sweep", "--model", "kv", "--sweep", "eta:0.1:0.9"]) == EXIT_IO

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from visco_impact.errors import DomainError, PlasticImpactError
@@ -177,3 +177,41 @@ class TestDrop:
 
     def test_critical_eps0_decreases_with_damping(self):
         assert kv_find_critical_eps0(0.6) < kv_find_critical_eps0(0.3)
+
+    def test_critical_eps0_tests_its_cap(self):
+        """The doubling stops at eps0 = 1e6 and tests that value before refusing."""
+        assert kv_find_critical_eps0(1e-13) == pytest.approx(892239.4291348865, abs=1e-6)
+        with pytest.raises(DomainError, match="no embedding threshold found below eps0 = 1e6"):
+            kv_find_critical_eps0(1e-14)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.2])
+    def test_critical_eps0_domain(self, eta):
+        with pytest.raises(DomainError, match=r"eta must lie in \(0, 1\)"):
+            kv_find_critical_eps0(eta)
+
+    @given(
+        eta=st.floats(min_value=0.0, max_value=0.99, exclude_max=True),
+        eps0=st.floats(min_value=0.0, max_value=0.2),
+        log_m=st.floats(min_value=-4.0, max_value=4.0),
+        log_k=st.floats(min_value=-4.0, max_value=4.0),
+        log_v0=st.floats(min_value=-4.0, max_value=4.0),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_trajectories_start_exactly(self, eta, eps0, log_m, log_k, log_v0):
+        """``xdot(0) = v0 (cos 0 - beta / omega sin 0)`` is exact, at any scales.
+
+        So both histories start at exactly ``x = 0, xdot = v0``, as the
+        series pair's do.
+        """
+        m, k, v0 = 10.0**log_m, 10.0**log_k, 10.0**log_v0
+        free = kv_trajectory(_params(eta, m=m, k=k, v0=v0), n_samples=3)
+        assert free.x[0] == 0.0
+        assert free.xdot[0] == v0
+        try:
+            drop = kv_drop_trajectory(
+                _params(eta, m=m, k=k, v0=v0, g=eps0 * math.sqrt(k / m) * v0), n_samples=3
+            )
+        except PlasticImpactError:
+            assume(False)
+        assert drop.x[0] == 0.0
+        assert drop.xdot[0] == v0

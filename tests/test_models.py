@@ -22,6 +22,7 @@ from visco_impact.models import (
     derive_maxwell,
     derive_sls,
     invert_configurations,
+    load_flat_json,
     load_kv_params,
     load_maxwell_params,
     load_sls_params,
@@ -212,6 +213,12 @@ class TestJsonLoaders:
         path.write_text(json.dumps({"m": 1.0, "k": 2.0, "b": 0.5, "v0": 1.5, "eta": 0.3}))
         with pytest.raises(ConfigError):
             load_kv_params(path)
+
+    def test_top_level_list_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([1, 2]))
+        with pytest.raises(ConfigError, match="list.json: expected a flat JSON object"):
+            load_flat_json(path, frozenset())
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "mx.json"

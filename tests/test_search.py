@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -272,6 +272,13 @@ def test_real_exponential_sum_zeros_in_order():
         _assert_same_end(zero, _dense_first_zero(g, period, 10.0 * period))
 
 
+def test_zero_past_the_horizon_is_refused():
+    """``sin t`` first returns to zero at pi, past a horizon of 3."""
+    sine = _search.DampedMode(0.0, 1.0, 1.0, 0.0)
+    with pytest.raises(PlasticImpactError, match="within the horizon"):
+        _search.first_force_zero(sine, 2.0 * math.pi, 3.0)
+
+
 @given(mode=_raw_modes(), offset=st.floats(min_value=-3.0, max_value=3.0))
 @settings(deadline=None, max_examples=100)
 def test_pair_exponential_and_constant_match_dense_reference(mode, offset):
@@ -419,6 +426,8 @@ def _outcome(fn, *args, **kwargs):
 
 
 @given(case=_sign_changes())
+@example(case=(lambda x: x - 0.25, 0.25, 1.0))  # zero at a
+@example(case=(lambda x: x - 1.0, 0.0, 1.0))  # zero at b
 @settings(deadline=None, max_examples=300)
 def test_brentq_is_scipys(case):
     """Bit-identical roots at each tolerance the package uses.
@@ -442,12 +451,13 @@ def _nan_inside(x):
     "f, a, b, error",
     [
         (lambda x: math.nan, 0.0, 1.0, ValueError),
+        (lambda x: math.nan if x == 1.0 else x - 0.5, 0.0, 1.0, ValueError),
         (_nan_inside, 0, 1.0, ValueError),
         (lambda x: x + 1.0, 0.0, 1.0, ValueError),
         # Too flat at the root for 100 iterations at these tolerances.
         (lambda x: (x - 0.3) ** 3, 0.0, 1.0, RuntimeError),
     ],
-    ids=["nan-at-a", "nan-inside", "same-sign", "no-convergence"],
+    ids=["nan-at-a", "nan-at-b", "nan-inside", "same-sign", "no-convergence"],
 )
 def test_brentq_errors_are_scipys(f, a, b, error):
     """Each refusal raises SciPy's type with SciPy's message."""
@@ -462,6 +472,16 @@ def test_kv_fm_minimizer_is_scipys_golden(tol):
     expected = scipy.optimize.golden(_peak_force_scaled, brack=(1e-3, 0.25, 0.7), tol=tol)
     assert eta_star == expected
     assert peak == _peak_force_scaled(expected)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
+def test_golden_is_scipys_when_the_left_interval_is_longer(tol):
+    """With ``|xc - xb| <= |xb - xa|`` the first probe goes left of ``xb``."""
+    def f(x):
+        return (x - 0.9) ** 2
+
+    brack = (0.0, 1.0, 1.5)
+    assert _search.golden(f, brack, tol) == scipy.optimize.golden(f, brack=brack, tol=tol)
 
 
 def test_cli_runs_without_importing_scipy():
