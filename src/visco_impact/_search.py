@@ -213,9 +213,11 @@ class DampedMode:
         self.damp = max(self.rate, 0.0)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        # A float goes through ``math``: NumPy's 0-d arrays cost microseconds a call.
+        lib = math if isinstance(t, float) else np
+        t = t if lib is math else np.asarray(t, dtype=float)
         phase = self.omega * t
-        return self.combine(np.exp(-self.beta * t), np.sin(phase), np.cos(phase), t)
+        return self.combine(lib.exp(-self.beta * t), lib.sin(phase), lib.cos(phase), t)
 
     def combine(self, envelope, s, c, t):
         """The mode at ``t`` from ``exp(-beta t)``, ``sin(omega t)``, ``cos(omega t)``."""
@@ -224,7 +226,8 @@ class DampedMode:
             out += self.B * c
         out *= envelope
         if self.c:
-            out += self.c * np.exp(-self.lam * t) if self.lam else self.c
+            exp = math.exp if isinstance(t, float) else np.exp
+            out += self.c * exp(-self.lam * t) if self.lam else self.c
         return out
 
     def derivative(self) -> "DampedMode":

@@ -22,7 +22,8 @@ affine map ``y <- y + (D y + q)`` with ``D = M + M^2/2 + M^3/6 + M^4/24``,
 rounds ``I + D``.  The powers of that map for a block of steps, and of the
 block map for a batch of blocks, are built by doubling; a batch then
 advances in two products, one for its block starts and one for the nodes
-in every block.
+in every block.  The nodes are stored state-major, one row per state in
+one array grown by doubling, and each node is written there once.
 Tabulated kernels fall back to a second-order predictor-corrector with
 trapezoid history summation.  Its steps are linear too, so a block of them
 is one product with a matrix, itself built by doubling, once the history
@@ -133,7 +134,10 @@ class RelaxationKernel:
             raise ConfigError(
                 "a kv_limit kernel is Psi = 1 + delta(tau); it takes no c_inf, cs or thetas"
             )
-        if self.kind != "kv_limit":
+        # A sum of decaying exponentials with no negative coefficient cannot
+        # increase, and rounding keeps it so; only tables and sums with a
+        # negative term need the probe.
+        if self.kind == "table" or any(c < 0.0 for c in self.cs):
             probe = self.psi(np.linspace(0.0, 10.0, 1001))
             if np.any(np.diff(probe) > 1e-12):
                 warnings.warn(
@@ -296,72 +300,96 @@ def _linear_system(kernel, m, v0, g):
 def _step_powers(D, q, count=_BLOCK):
     """``(D_j, S_j)`` for j = 1 .. ``count``: j steps from y give ``y + (D_j y + S_j)``.
 
-    Built by doubling, ``D_{j+k} = D_j + D_k + D_k D_j`` and
-    ``S_{j+k} = S_j + S_k + D_k S_j``, one batched product per doubling.
+    Built by doubling on the affine maps ``T_j = [[D_j, S_j], [0, 0]]``,
+    ``T_{j+k} = T_j + T_k + T_k T_j``, which is ``D_{j+k} = D_j + D_k + D_k D_j``
+    and ``S_{j+k} = S_j + S_k + D_k S_j``: one batched product per doubling.
     """
-    Ds, Ss = D[None], q[None]
-    while len(Ds) < count:
-        k = min(len(Ds), count - len(Ds))
-        Dp, Sp = Ds[-1], Ss[-1]
-        Ds = np.concatenate([Ds, Ds[:k] + Dp + Dp @ Ds[:k]])
-        Ss = np.concatenate([Ss, Ss[:k] + Sp + Ss[:k] @ Dp.T])
-    return Ds, Ss
+    n = q.size
+    T = np.zeros((count, n + 1, n + 1))
+    T[0, :n, :n] = D
+    T[0, :n, n] = q
+    h = 1
+    while h < count:
+        k = min(h, count - h)
+        np.matmul(T[h - 1], T[:k], out=T[h : h + k])
+        T[h : h + k] += T[:k] + T[h - 1]
+        h += k
+    return T[:, :n, :n], T[:, :n, n]
 
 
 def _first_return(fs, started):
     """First index of ``fs`` where the force is back to ``<= 0`` after its rise.
 
     Returns that index, or None, and whether the force has risen by the
-    end of ``fs``; ``started`` says whether it had risen before it.
+    end of ``fs``; ``started`` says whether it had risen before it.  A node
+    with ``fs <= 0`` before the first positive one is not a return.
     """
-    hit = fs <= 0.0
+    rise = 0
     if not started:
-        # A node with fs <= 0 is not itself a start, so an inclusive
-        # running "any positive" marks the nodes after the rise.
-        risen = np.logical_or.accumulate(fs > 0.0)
-        hit &= risen
-        started = bool(risen[-1])
-    return (int(hit.argmax()) if hit.any() else None), started
+        rise = int((fs > 0.0).argmax())
+        if not fs[rise] > 0.0:
+            return None, False
+    hit = fs[rise:] <= 0.0
+    k = int(hit.argmax())
+    return (rise + k if hit[k] else None), True
 
 
 def _integrate_linear(kernel, m, v0, g, dt, horizon):
     """March RK4 until the force returns to zero after its initial rise.
 
     The step map's powers for 1 .. ``_BLOCK`` steps, and those of the
-    block map for 1 .. ``_BATCH`` blocks, are both built by doubling.  A
-    batch then takes two products: one gives its ``_BATCH`` block starts
-    from the batch start, and one expands every block from its start, so
-    every node is its block start plus one product, and each block ends
-    where the next one starts.  The zero is located on a cubic Hermite
-    interpolant of the force over the bracketing step (endpoint values and
-    rates), bisected to a fixed fraction of the step, and the terminal
-    state comes from one partial Runge-Kutta step, preserving the scheme's
-    order.
+    block map for 1 .. ``_BATCH`` blocks, are both built by doubling.  The
+    nodes go state-major into one ``(n, capacity)`` array, grown by
+    doubling, and each is written once.  A batch takes two products: one
+    gives its ``_BATCH`` block ends from the batch start, and one writes
+    the increments of every node of every block in place from the block
+    starts (``G`` holds each ``D_s`` with ``S_s`` as a last column, so the
+    starts carry a trailing 1); the starts are then added and each block
+    ends where the next one starts.  The zero is located on a cubic
+    Hermite interpolant of the force over the bracketing step (endpoint
+    values and rates), bisected to a fixed fraction of the step, and the
+    terminal state comes from one partial Runge-Kutta step, preserving the
+    scheme's order.
     """
     A, c, fvec = _linear_system(kernel, m, v0, g)
     n = c.size
     Ds, Ss = _step_powers(*_rk4_increment(A, c, dt), _BLOCK)
-    D_blk = Ds.reshape(-1, n)
+    # G[i, k, s] = D_s[i, k], with S_s as column k = n.
+    G = np.ascontiguousarray(np.concatenate([Ds, Ss[:, :, None]], axis=2).transpose(1, 2, 0))
     P, R = _step_powers(Ds[-1], Ss[-1], _BATCH)
+    P = P.reshape(-1, n)
 
     n_max = int(math.ceil(horizon / dt)) + 1
-    y = np.zeros(n)
+    size = _BLOCK * _BATCH  # nodes per batch
+    full = 1 + size * -(-n_max // size)  # node 0, then every batch in whole
+    # Three batches hold a default-step contact (about 1e4 steps); longer
+    # ones double the array as they go.
+    Y = np.empty((n, min(full, 1 + 3 * size)))
+    y = Y[:, 0]
+    y[:] = 0.0
     y[1] = 1.0
     f = fvec @ y
     started = f > 0.0
-    batches = [y[None, :]]
+    starts = np.ones((_BATCH, n + 1))  # the block starts, each with a trailing 1
     i = 0  # node index of y
     while i < n_max:
-        ends = y + (P @ y + R)  # where each block of the batch ends
-        starts = np.concatenate([y[None], ends[:-1]])
-        ys = starts[:, None, :] + ((starts @ D_blk.T).reshape(-1, _BLOCK, n) + Ss)
-        ys[:, -1] = ends
-        ys = ys.reshape(-1, n)[: n_max - i]
-        fs = ys @ fvec
+        if Y.shape[1] < i + 1 + size:
+            grown = np.empty((n, min(full, 2 * Y.shape[1])))
+            grown[:, : i + 1] = Y[:, : i + 1]
+            Y = grown
+        ends = y + ((P @ y).reshape(_BATCH, n) + R)  # where each block of the batch ends
+        starts[0, :n] = y
+        starts[1:, :n] = ends[:-1]
+        blocks = Y[:, i + 1 : i + 1 + size].reshape(n, _BATCH, _BLOCK)
+        np.matmul(starts, G, out=blocks)
+        blocks += starts[:, :n].T[:, :, None]
+        blocks[:, :, -1] = ends.T
+        k = min(size, n_max - i)
+        fs = fvec @ Y[:, i + 1 : i + 1 + k]
         j, started = _first_return(fs, started)
         if j is not None:
-            y0, f0 = (ys[j - 1], fs[j - 1]) if j else (y, f)
-            y1, f1 = ys[j], fs[j]
+            y0, f0 = Y[:, i + j], (fs[j - 1] if j else f)
+            y1, f1 = Y[:, i + j + 1], fs[j]
             d0, d1 = fvec @ (A @ y0 + c), fvec @ (A @ y1 + c)
             lo, hi = 0.0, 1.0
             while hi - lo > _REFINE_TOL:
@@ -372,13 +400,12 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
                     hi = mid
             s = 0.5 * (lo + hi)
             D_s, q_s = _rk4_increment(A, c, s * dt)
-            states = np.vstack(batches + [ys[:j], y0 + (D_s @ y0 + q_s)])
+            Y[:, i + j + 1] = y0 + (D_s @ y0 + q_s)
+            nodes = Y[:, : i + j + 2]
             tau = np.append(np.arange(i + j + 1) * dt, (i + j) * dt + s * dt)
-            return _trajectory(kernel, m, v0, c[1], tau, states[:, 0], states[:, 1],
-                               states @ fvec)
-        batches.append(ys)
-        y, f = ys[-1], fs[-1]
-        i += len(ys)
+            return _trajectory(kernel, m, v0, c[1], tau, nodes[0], nodes[1], fvec @ nodes)
+        i += k
+        y, f = Y[:, i], fs[-1]
     raise _no_separation(horizon)
 
 

@@ -697,3 +697,155 @@ class TestDoubling:
         assert batched[2] == unbatched[2] == nodes_before_end + 2
         assert batched[0] == pytest.approx(unbatched[0], abs=1e-13)
         assert batched[1] == pytest.approx(unbatched[1], abs=1e-13)
+
+
+class TestFirstReturn:
+    """The contact-end rule shared by the linear and table paths."""
+
+    def test_force_that_never_rises(self):
+        assert oracle._first_return(np.array([0.0, -1.0, 0.0, -2.0]), False) == (None, False)
+
+    def test_rise_at_last_node(self):
+        assert oracle._first_return(np.array([0.0, -1.0, 2.0]), False) == (None, True)
+
+    def test_zero_before_rise_is_not_a_return(self):
+        assert oracle._first_return(np.array([0.0, 1.0, 2.0]), False) == (None, True)
+        assert oracle._first_return(np.array([0.0, -1.0, 1.0, -0.5]), False) == (3, True)
+
+    def test_zero_after_rise_is_a_return(self):
+        assert oracle._first_return(np.array([1.0, 0.0, 1.0]), False) == (1, True)
+        assert oracle._first_return(np.array([-1.0, 2.0, 3.0, 0.0, -1.0]), False) == (3, True)
+
+    def test_started_on_entry(self):
+        assert oracle._first_return(np.array([0.0, 1.0]), True) == (0, True)
+        assert oracle._first_return(np.array([2.0, 1.0]), True) == (None, True)
+        assert oracle._first_return(np.array([2.0, -1.0, 0.0]), True) == (1, True)
+
+
+class TestKernelProbe:
+    """The monotonicity probe runs only where an increase is possible."""
+
+    def test_increasing_table_warns(self):
+        with pytest.warns(UserWarning, match="non-increasing"):
+            RelaxationKernel.from_table([0.0, 1.0, 2.0], [1.0, 0.5, 0.7], k0=1.0, tau_R=1.0)
+
+    def test_negative_coefficient_is_probed(self, monkeypatch):
+        def refuse(self, tau):
+            raise AssertionError("probed")
+
+        monkeypatch.setattr(RelaxationKernel, "psi", refuse)
+        with pytest.raises(AssertionError, match="probed"):
+            RelaxationKernel(k0=1.0, tau_R=1.0, c_inf=0.7, cs=(0.5, -0.2), thetas=(1.0, 3.0))
+
+    def test_non_negative_sum_is_not_probed(self, monkeypatch):
+        def refuse(self, tau):
+            raise AssertionError("probed")
+
+        monkeypatch.setattr(RelaxationKernel, "psi", refuse)
+        RelaxationKernel(k0=1.0, tau_R=1.0, c_inf=0.3, cs=(0.4, 0.0, 0.3), thetas=(0.5, 1.0, 2.0))
+        RelaxationKernel.sls(1.0, 1.0, 0.5)
+        RelaxationKernel.maxwell(1.0, 2.0)
+        RelaxationKernel.elastic(1.0)
+        RelaxationKernel.kv_limit(1.0, 0.5)
+
+
+def _row_major_reference(kernel, m, v0, g, dt, horizon):
+    """The linear RK4 march with row-major batches kept in a list, then stacked."""
+    A, c, fvec = oracle._linear_system(kernel, m, v0, g)
+    n = c.size
+    Ds, Ss = oracle._step_powers(*oracle._rk4_increment(A, c, dt), oracle._BLOCK)
+    D_blk = Ds.reshape(-1, n)
+    P, R = oracle._step_powers(Ds[-1], Ss[-1], oracle._BATCH)
+    n_max = int(math.ceil(horizon / dt)) + 1
+    y = np.zeros(n)
+    y[1] = 1.0
+    f = fvec @ y
+    started = f > 0.0
+    batches = [y[None, :]]
+    i = 0
+    while i < n_max:
+        ends = y + (P @ y + R)
+        starts = np.concatenate([y[None], ends[:-1]])
+        ys = starts[:, None, :] + ((starts @ D_blk.T).reshape(-1, oracle._BLOCK, n) + Ss)
+        ys[:, -1] = ends
+        ys = ys.reshape(-1, n)[: n_max - i]
+        fs = ys @ fvec
+        hit = fs <= 0.0
+        if not started:
+            risen = np.logical_or.accumulate(fs > 0.0)
+            hit &= risen
+            started = bool(risen[-1])
+        if hit.any():
+            j = int(hit.argmax())
+            y0, f0 = (ys[j - 1], fs[j - 1]) if j else (y, f)
+            y1, f1 = ys[j], fs[j]
+            d0, d1 = fvec @ (A @ y0 + c), fvec @ (A @ y1 + c)
+            lo, hi = 0.0, 1.0
+            while hi - lo > oracle._REFINE_TOL:
+                mid = 0.5 * (lo + hi)
+                if oracle._hermite(mid, f0, f1, d0, d1, dt) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            s = 0.5 * (lo + hi)
+            D_s, q_s = oracle._rk4_increment(A, c, s * dt)
+            states = np.vstack(batches + [ys[:j], y0 + (D_s @ y0 + q_s)])
+            tau = np.append(np.arange(i + j + 1) * dt, (i + j) * dt + s * dt)
+            return oracle._trajectory(kernel, m, v0, c[1], tau, states[:, 0], states[:, 1],
+                                      states @ fvec)
+        batches.append(ys)
+        y, f = ys[-1], fs[-1]
+        i += len(ys)
+    raise AssertionError("no contact end")
+
+
+_COLUMNS = ("times", "x", "xdot", "xddot", "F")
+
+
+class TestStateMajorNodes:
+    """Nodes written once into a state-major array are the row-major march's."""
+
+    @staticmethod
+    def _assert_matches_row_major(kernel, m=1.0, v0=1.0, g=0.0, dt_scaled=None):
+        dt, horizon = oracle._resolve_grid(kernel, m, dt_scaled, None)
+        expected = _row_major_reference(kernel, m, v0, g, dt, horizon)
+        got = integrate_impact_with_gravity(kernel, m, v0, g, dt_scaled=dt_scaled)
+        assert got.times.size == expected.times.size
+        for name in _COLUMNS:
+            col, ref = getattr(got, name), getattr(expected, name)
+            # No column is a view that keeps the over-allocated node array alive.
+            assert col.base is None
+            assert np.max(np.abs(col - ref)) <= 1e-15 * np.max(np.abs(ref))
+        return got.times.size
+
+    @pytest.mark.parametrize(
+        "nodes_before_end",
+        [1000, DEFAULT_BLOCK * oracle._BATCH - 1, DEFAULT_BLOCK * oracle._BATCH,
+         3 * DEFAULT_BLOCK * oracle._BATCH],
+        ids=["first-batch", "ends-at-batch-end", "ends-at-next-batch-start", "grows"],
+    )
+    def test_contact_end_placement(self, nodes_before_end):
+        kern = RelaxationKernel.sls(1.0, 1.0, 0.5)
+        # The first node at or below zero force is ``nodes_before_end + 1``.
+        dt = integrate_impact(kern, 1.0, 1.0).t_c / (nodes_before_end + 0.5)
+        assert self._assert_matches_row_major(kern, dt_scaled=dt) == nodes_before_end + 2
+
+    def test_near_critical_series_pair(self):
+        # Maxwell at zeta 0.996 runs about 1.1e5 nodes, so the array grows five times.
+        kern = RelaxationKernel.from_params(MaxwellParams(m=1.0, k=1.0, b=1.0 / 1.992, v0=1.0))
+        assert self._assert_matches_row_major(kern) > 1e5
+
+    def test_spring_dashpot_under_gravity(self):
+        self._assert_matches_row_major(RelaxationKernel.kv_limit(2.0, 0.8), m=0.5, v0=1.0, g=0.05)
+
+    def test_many_exponentials(self):
+        kern = RelaxationKernel(k0=2.0, tau_R=1.0, c_inf=0.3, cs=(0.4, 0.2, 0.1),
+                                thetas=(0.5, 2.0, 1.0))
+        self._assert_matches_row_major(kern, m=1.5, v0=2.0, g=0.4)
+
+    def test_single_step_blocks_and_batches(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_BLOCK", 1)
+        monkeypatch.setattr(oracle, "_BATCH", 1)
+        kern = RelaxationKernel.sls(1.0, 1.0, 0.5)
+        dt = integrate_impact(kern, 1.0, 1.0).t_c / 300.5
+        assert self._assert_matches_row_major(kern, dt_scaled=dt) == 302

@@ -253,6 +253,17 @@ def test_raw_modes_match_dense_reference(mode):
     _assert_same_end(walk, _dense_first_zero(mode, period, horizon))
 
 
+@given(mode=_raw_modes(), t=st.floats(min_value=0.0, max_value=50.0))
+@settings(deadline=None, max_examples=200)
+def test_float_call_matches_array_call(mode, t):
+    """A float goes through ``math``, an array through NumPy: the same value to rounding."""
+    t = t / mode.omega
+    got, expected = mode(t), mode(np.array([t]))[0]
+    assert type(got) is float
+    scale = math.exp(-mode.beta * t) * abs(mode.R) + abs(mode.c) * math.exp(-mode.lam * t)
+    assert abs(got - expected) <= 1e-15 * scale
+
+
 def test_real_exponential_sum_zeros_in_order():
     """``0.18 e**-t - 0.9 e**-2t + e**-3t`` falls through zero, then rises back.
 
