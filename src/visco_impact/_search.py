@@ -213,9 +213,10 @@ class DampedMode:
         self.damp = max(self.rate, 0.0)
 
     def __call__(self, t):
-        # A float goes through ``math``: NumPy's 0-d arrays cost microseconds a call.
-        lib = math if isinstance(t, float) else np
-        t = t if lib is math else np.asarray(t, dtype=float)
+        if isinstance(t, float):  # NumPy's 0-d arrays cost microseconds a call
+            lib = math
+        else:
+            lib, t = np, np.asarray(t, dtype=float)
         phase = self.omega * t
         return self.combine(lib.exp(-self.beta * t), lib.sin(phase), lib.cos(phase), t)
 

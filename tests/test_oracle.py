@@ -799,9 +799,6 @@ def _row_major_reference(kernel, m, v0, g, dt, horizon):
     raise AssertionError("no contact end")
 
 
-_COLUMNS = ("times", "x", "xdot", "xddot", "F")
-
-
 class TestStateMajorNodes:
     """Nodes written once into a state-major array are the row-major march's."""
 
@@ -811,7 +808,7 @@ class TestStateMajorNodes:
         expected = _row_major_reference(kernel, m, v0, g, dt, horizon)
         got = integrate_impact_with_gravity(kernel, m, v0, g, dt_scaled=dt_scaled)
         assert got.times.size == expected.times.size
-        for name in _COLUMNS:
+        for name in ("times", "x", "xdot", "xddot", "F"):
             col, ref = getattr(got, name), getattr(expected, name)
             # No column is a view that keeps the over-allocated node array alive.
             assert col.base is None
