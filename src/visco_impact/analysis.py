@@ -67,21 +67,23 @@ REL_CONSTANCY_TOL = 0.05
 # Consistency margin for the drop-height / impact-velocity conversion.
 _V0_CONSISTENCY_TOL = 0.02
 
-EXPERIMENT_HEADER = (
-    "h0_mm",
-    "v0_ms",
-    "Emax_MPa",
-    "Emax_sd",
-    "E10_MPa",
-    "E10_sd",
-    "sigmax_MPa",
-    "sigmax_sd",
-    "epsmax",
-    "epsmax_sd",
-    "estar",
-    "estar_sd",
-    "dm_pct",
+# Drop-test table columns: (CSV column, ExperimentRecord field, factor to SI).
+_EXPERIMENT_COLUMNS = (
+    ("h0_mm", "h0", 1e-3),
+    ("v0_ms", "v0", 1.0),
+    ("Emax_MPa", "E_max", 1e6),
+    ("Emax_sd", "E_max_sd", 1e6),
+    ("E10_MPa", "E_10", 1e6),
+    ("E10_sd", "E_10_sd", 1e6),
+    ("sigmax_MPa", "sigma_max", 1e6),
+    ("sigmax_sd", "sigma_max_sd", 1e6),
+    ("epsmax", "eps_max", 1.0),
+    ("epsmax_sd", "eps_max_sd", 1.0),
+    ("estar", "e_star", 1.0),
+    ("estar_sd", "e_star_sd", 1.0),
+    ("dm_pct", "delta_m", 1.0),
 )
+EXPERIMENT_HEADER = tuple(column for column, _, _ in _EXPERIMENT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -287,27 +289,12 @@ def ingest_table(path: str | Path) -> list[ExperimentRecord]:
     ParseError
         On a missing or unknown column, a malformed row, or an empty file.
     """
-    records = []
-    for row in read_numeric_csv(path, EXPERIMENT_HEADER).tolist():
-        values = dict(zip(EXPERIMENT_HEADER, row))
-        records.append(
-            ExperimentRecord(
-                h0=values["h0_mm"] * 1e-3,
-                v0=values["v0_ms"],
-                E_max=values["Emax_MPa"] * 1e6,
-                E_max_sd=values["Emax_sd"] * 1e6,
-                E_10=values["E10_MPa"] * 1e6,
-                E_10_sd=values["E10_sd"] * 1e6,
-                sigma_max=values["sigmax_MPa"] * 1e6,
-                sigma_max_sd=values["sigmax_sd"] * 1e6,
-                eps_max=values["epsmax"],
-                eps_max_sd=values["epsmax_sd"],
-                e_star=values["estar"],
-                e_star_sd=values["estar_sd"],
-                delta_m=values["dm_pct"],
-            )
+    return [
+        ExperimentRecord(
+            **{name: value * factor for (_, name, factor), value in zip(_EXPERIMENT_COLUMNS, row)}
         )
-    return records
+        for row in read_numeric_csv(path, EXPERIMENT_HEADER).tolist()
+    ]
 
 
 def bundled_experiments_path() -> Path:

@@ -15,7 +15,6 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -249,9 +248,8 @@ def _emit_csv(out: str | None, header, rows) -> None:
             _write_rows(fh, header, rows)
 
 
-def read_csv_rows(path: str | Path, expected_header: tuple[str, ...]) -> np.ndarray:
-    """Read back a numeric CSV written by this module, header-checked."""
-    return read_numeric_csv(path, expected_header)
+# Reads back a numeric CSV written by this module, header-checked.
+read_csv_rows = read_numeric_csv
 
 
 def _print_metrics(metrics: ImpactMetrics, label: str = "") -> None:

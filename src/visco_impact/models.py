@@ -19,7 +19,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -436,56 +435,61 @@ def read_numeric_csv(path: str | Path, header: tuple[str, ...]) -> np.ndarray:
     Raises
     ------
     ParseError
-        On an empty file, a header other than ``header``, a row with the
-        wrong number of fields (with its row), or a cell that is not a
-        number (with its row and column).
+        On text that is not UTF-8, an empty file, a header other than
+        ``header``, a row with the wrong number of fields (with its row),
+        or a cell that is not a number (with its row and column).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            found = tuple(next(reader))
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if found != header:
-            parts = [f"missing column {name!r}" for name in sorted(set(header) - set(found))]
-            parts += [f"unknown column {name!r}" for name in sorted(set(found) - set(header))]
-            if not parts:
-                # Same names: a permutation when the lengths agree, repeats otherwise.
-                same_length = len(found) == len(header)
-                parts.append("columns are out of order" if same_length else "columns are repeated")
-            raise ParseError(
-                f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}: "
-                + "; ".join(parts)
-            )
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is valid: no rows, no warning.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if data.size == 0 or data.shape[1] == len(header):
-                return data.reshape(-1, len(header))
-        # The diagnostic path: the same body again, row by row.
-        fh.seek(0)
-        next(reader)
-        values: list[float] = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: expected {len(header)} fields", row=i)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                values.extend(map(float, row))
+                found = tuple(next(reader))
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            if found != header:
+                parts = [f"missing column {name!r}" for name in sorted(set(header) - set(found))]
+                parts += [f"unknown column {name!r}" for name in sorted(set(found) - set(header))]
+                if not parts:
+                    # Same names: a permutation when the lengths agree, repeats otherwise.
+                    same_length = len(found) == len(header)
+                    parts.append(
+                        "columns are out of order" if same_length else "columns are repeated"
+                    )
+                raise ParseError(
+                    f"{path}: expected header {','.join(header)!r}, got {','.join(found)!r}: "
+                    + "; ".join(parts)
+                )
+            try:
+                with warnings.catch_warnings():
+                    # A header-only file is valid: no rows, no warning.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
             except ValueError:
-                for name, cell in zip(header, row):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: non-numeric value {cell!r}", row=i, column=name
-                        ) from None
+                pass
+            else:
+                if data.size == 0 or data.shape[1] == len(header):
+                    return data.reshape(-1, len(header))
+            # The diagnostic path: the same body again, row by row.
+            fh.seek(0)
+            next(reader)
+            values: list[float] = []
+            for i, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"{path}: expected {len(header)} fields", row=i)
+                try:
+                    values.extend(map(float, row))
+                except ValueError:
+                    for name, cell in zip(header, row):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise ParseError(
+                                f"{path}: non-numeric value {cell!r}", row=i, column=name
+                            ) from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     return np.array(values, dtype=float).reshape(-1, len(header))
 
 
@@ -519,63 +523,84 @@ class ImpactMetrics:
     F_m: float | None = None
 
 
-_KV_REQUIRED = frozenset({"m", "k", "b", "v0"})
+_PAIR_REQUIRED = frozenset({"m", "k", "b", "v0"})
 _SLS_SERIES_REQUIRED = frozenset({"m", "k1", "k2", "b", "v0"})
 _SLS_PARALLEL_REQUIRED = frozenset({"m", "kappa1", "kappa2", "beta", "v0"})
+_GRAVITY = frozenset({"g"})
 
 
-def _sls_required(present: set[str]) -> frozenset[str]:
-    """Key set of the configuration a three-element file is written in."""
-    if "k1" in present or "k2" in present:
-        return _SLS_SERIES_REQUIRED
-    return _SLS_PARALLEL_REQUIRED
+def _read_json_object(path: str | Path) -> dict:
+    """The JSON object in the UTF-8 file ``path``, its keys each given once.
+
+    Raises :class:`ConfigError` on text that is not UTF-8 or not JSON, on
+    a repeated key, and on a top-level value that is not an object.
+    """
+
+    def no_repeats(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = sorted({key for key in keys if keys.count(key) > 1})
+            raise ConfigError(f"{path}: repeated keys {repeated}")
+        return obj
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, object_pairs_hook=no_repeats)
+    except (ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a flat JSON object")
+    return raw
+
+
+def _number(where, key: str, value) -> float:
+    """``value`` as a float if it is a JSON number (not a bool), else :class:`ConfigError`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise ConfigError(f"{where}: key {key!r} must be a number, got {value!r}")
+
+
+def _check_keys(where, present, required: frozenset[str], optional: frozenset[str]) -> None:
+    """Refuse keys in ``present`` that are unknown, then keys missing from it."""
+    unknown = present - required - optional
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required - present
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
 def load_flat_json(
-    path: str | Path,
-    required: frozenset[str] | Callable[[set[str]], frozenset[str]],
-    optional: frozenset[str] = frozenset(),
+    path: str | Path, required: frozenset[str], optional: frozenset[str] = frozenset()
 ) -> dict[str, float]:
     """Load a flat JSON object of numbers and check its keys.
 
     Parameters
     ----------
     path : str or Path
-        JSON file holding one object whose values are all numbers.
-    required : frozenset of str, or callable
-        Keys that must be present, or a function that picks them from the
-        set of keys present (for files accepted in more than one layout).
+        UTF-8 JSON file holding one object whose values are all numbers.
+    required : frozenset of str
+        Keys that must be present.
     optional : frozenset of str, optional
         Keys that may be present.
 
     Raises
     ------
     ConfigError
-        On invalid JSON, a value that is not a number, or a key that is
-        unknown or missing.
+        On text that is not UTF-8 or not JSON, a repeated key, a value that
+        is not a number, or a key that is unknown or missing.
     """
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a flat JSON object")
-    out: dict[str, float] = {}
-    for key, value in raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{path}: key {key!r} must be a number, got {value!r}")
-        out[key] = float(value)
-    present = set(out)
-    if callable(required):
-        required = required(present)
-    unknown = present - required - optional
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = required - present
-    if missing:
-        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
-    return out
+    data = {key: _number(path, key, value) for key, value in _read_json_object(path).items()}
+    _check_keys(path, data.keys(), required, optional)
+    return data
+
+
+def _load_pair(path: str | Path, cls):
+    return cls(**load_flat_json(path, _PAIR_REQUIRED, _GRAVITY))
 
 
 def load_kv_params(path: str | Path) -> KelvinVoigtParams:
@@ -584,10 +609,7 @@ def load_kv_params(path: str | Path) -> KelvinVoigtParams:
     Required keys are ``m, k, b, v0``; ``g`` is optional and defaults to
     zero.  Unknown keys are rejected.
     """
-    data = load_flat_json(path, _KV_REQUIRED, frozenset({"g"}))
-    return KelvinVoigtParams(
-        m=data["m"], k=data["k"], b=data["b"], v0=data["v0"], g=data.get("g", 0.0)
-    )
+    return _load_pair(path, KelvinVoigtParams)
 
 
 def load_maxwell_params(path: str | Path) -> MaxwellParams:
@@ -595,10 +617,7 @@ def load_maxwell_params(path: str | Path) -> MaxwellParams:
 
     Same key set as :func:`load_kv_params`.
     """
-    data = load_flat_json(path, _KV_REQUIRED, frozenset({"g"}))
-    return MaxwellParams(
-        m=data["m"], k=data["k"], b=data["b"], v0=data["v0"], g=data.get("g", 0.0)
-    )
+    return _load_pair(path, MaxwellParams)
 
 
 def load_sls_params(path: str | Path) -> StandardSolidParams:
@@ -606,14 +625,17 @@ def load_sls_params(path: str | Path) -> StandardSolidParams:
 
     Two key sets are accepted: ``m, k1, k2, b, v0`` for the series
     configuration, or ``m, kappa1, kappa2, beta, v0`` for the parallel one
-    (converted on load).  Either may add ``g``, which defaults to zero.
-    Unknown keys are rejected.
+    (converted on load).  A file holding ``k1`` or ``k2`` is read in the
+    first.  Either may add ``g``, which defaults to zero.  Unknown keys
+    are rejected.
     """
-    data = load_flat_json(path, _sls_required, frozenset({"g"}))
-    if "k1" in data:
-        k1, k2, b = data["k1"], data["k2"], data["b"]
-    else:
-        k1, k2, b = convert_configurations(data["kappa1"], data["kappa2"], data["beta"])
-    return StandardSolidParams(
-        m=data["m"], k1=k1, k2=k2, b=b, v0=data["v0"], g=data.get("g", 0.0)
+    data = {key: _number(path, key, value) for key, value in _read_json_object(path).items()}
+    series = "k1" in data or "k2" in data
+    _check_keys(
+        path, data.keys(), _SLS_SERIES_REQUIRED if series else _SLS_PARALLEL_REQUIRED, _GRAVITY
     )
+    if not series:
+        data["k1"], data["k2"], data["b"] = convert_configurations(
+            data.pop("kappa1"), data.pop("kappa2"), data.pop("beta")
+        )
+    return StandardSolidParams(**data)

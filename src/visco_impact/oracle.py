@@ -34,9 +34,9 @@ Python loop per step.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +49,9 @@ from .models import (
     MaxwellParams,
     StandardSolidParams,
     Trajectory,
+    _check_keys,
+    _number,
+    _read_json_object,
 )
 
 __all__ = [
@@ -79,6 +82,15 @@ _BLOCK = 64
 _BATCH = 64
 
 _KINDS = ("exp_sum", "kv_limit", "table")
+
+# Kernel spec ``type`` -> (constructor, required keys, optional keys).
+_SPEC_TYPES = {
+    "elastic": ("elastic", frozenset({"k0"}), frozenset({"tau_R"})),
+    "maxwell": ("maxwell", frozenset({"k0", "tau_R"}), frozenset()),
+    "sls": ("sls", frozenset({"k0", "tau_R", "rho"}), frozenset()),
+    "kv_limit": ("kv_limit", frozenset({"k", "b"}), frozenset()),
+    "table": ("from_table", frozenset({"k0", "tau_R", "tau", "psi"}), frozenset()),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,48 +222,33 @@ class RelaxationKernel:
 
     @classmethod
     def from_json(cls, source) -> "RelaxationKernel":
-        """Build a kernel from a JSON file path or an already-parsed dict.
+        """Build a kernel from a JSON file path or an already-parsed mapping.
 
         The object must carry a ``type`` key out of ``elastic, maxwell,
         kv_limit, sls, table``; remaining keys are type-specific and
-        unknown ones are rejected.
+        unknown ones are rejected.  Values are numbers, and a table's
+        ``tau`` and ``psi`` are lists of numbers.
         """
         if isinstance(source, (str, Path)):
-            try:
-                with open(source) as fh:
-                    data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{source}: invalid JSON: {exc}") from None
+            where, spec = source, _read_json_object(source)
         else:
-            data = dict(source)
-        if not isinstance(data, dict) or "type" not in data:
-            raise ConfigError("kernel spec must be an object with a 'type' key")
-        kind = data.pop("type")
-        key_sets = {
-            "elastic": (frozenset({"k0"}), frozenset({"tau_R"})),
-            "maxwell": (frozenset({"k0", "tau_R"}), frozenset()),
-            "sls": (frozenset({"k0", "tau_R", "rho"}), frozenset()),
-            "kv_limit": (frozenset({"k", "b"}), frozenset()),
-            "table": (frozenset({"k0", "tau_R", "tau", "psi"}), frozenset()),
-        }
-        if kind not in key_sets:
-            raise ConfigError(f"unknown kernel type {kind!r}")
-        required, optional = key_sets[kind]
-        unknown = set(data) - required - optional
-        if unknown:
-            raise ConfigError(f"kernel spec has unknown keys {sorted(unknown)}")
-        missing = required - set(data)
-        if missing:
-            raise ConfigError(f"kernel spec is missing keys {sorted(missing)}")
-        if kind == "elastic":
-            return cls.elastic(data["k0"], data.get("tau_R", 1.0))
-        if kind == "maxwell":
-            return cls.maxwell(data["k0"], data["tau_R"])
-        if kind == "sls":
-            return cls.sls(data["k0"], data["tau_R"], data["rho"])
-        if kind == "kv_limit":
-            return cls.kv_limit(data["k"], data["b"])
-        return cls.from_table(data["tau"], data["psi"], data["k0"], data["tau_R"])
+            where, spec = "kernel spec", source
+        if not isinstance(spec, Mapping) or "type" not in spec:
+            raise ConfigError(f"{where} must be an object with a 'type' key")
+        kind = spec["type"]
+        if not isinstance(kind, str) or kind not in _SPEC_TYPES:
+            raise ConfigError(f"{where}: unknown kernel type {kind!r}")
+        name, required, optional = _SPEC_TYPES[kind]
+        values = {key: value for key, value in spec.items() if key != "type"}
+        _check_keys(where, values.keys(), required, optional)
+        for key, value in values.items():
+            if key in ("tau", "psi"):
+                if not isinstance(value, list):
+                    raise ConfigError(f"{where}: key {key!r} must be a list, got {value!r}")
+                values[key] = [_number(where, key, v) for v in value]
+            else:
+                values[key] = _number(where, key, value)
+        return getattr(cls, name)(**values)
 
 
 def _rk4_increment(A: np.ndarray, c: np.ndarray, h: float):
@@ -630,7 +627,6 @@ def restitution_invariance_probe(
     m: float,
     velocities,
     alpha: float | None = None,
-    dt_scaled: float | None = None,
 ) -> dict:
     """Check that scaled outcomes do not depend on the incoming velocity.
 
@@ -656,7 +652,7 @@ def restitution_invariance_probe(
     omega0 = math.sqrt(kernel.k0 / m)
     e_stars, tcs, xms = [], [], []
     for v0 in velocities:
-        traj = integrate_impact(kernel, m, v0, dt_scaled=dt_scaled)
+        traj = integrate_impact(kernel, m, v0)
         e_stars.append(-traj.xdot[-1] / v0)
         tcs.append(omega0 * traj.t_c)
         xms.append(float(np.max(traj.x)))

@@ -301,35 +301,25 @@ def sls_perturb_maxwell(zeta: float, rho: float) -> tuple[float, float]:
     return tc, e_star
 
 
-def params_near_kv(
-    eta: float, rho: float, m: float = 1.0, v0: float = 1.0, omega0: float = 1.0
-) -> StandardSolidParams:
+def params_near_kv(eta: float, rho: float) -> StandardSolidParams:
     """Three-element parameters whose ``rho -> 0`` limit is a parallel pair.
 
-    The long-time stiffness is held at ``m omega0**2`` and the dashpot at
-    ``2 eta m omega0``, so the limit reproduces the parallel pair with loss
-    factor ``eta``; the derived groups are ``tau_R = 2 eta rho (1-rho) /
-    omega0`` and ``Lambda = 4 eta**2 rho (1-rho)**2``.
+    Unit mass and speed; the long-time stiffness is held at 1 and the
+    dashpot at ``2 eta``, so the limit reproduces the parallel pair with
+    loss factor ``eta`` and unit frequency; the derived groups are
+    ``tau_R = 2 eta rho (1-rho)`` and ``Lambda = 4 eta**2 rho (1-rho)**2``.
     """
-    k_inf = m * omega0**2
-    return StandardSolidParams(
-        m=m, k1=k_inf / rho, k2=k_inf / (1.0 - rho), b=2.0 * eta * m * omega0, v0=v0
-    )
+    return StandardSolidParams(m=1.0, k1=1.0 / rho, k2=1.0 / (1.0 - rho), b=2.0 * eta, v0=1.0)
 
 
-def params_near_maxwell(
-    zeta: float, rho: float, m: float = 1.0, v0: float = 1.0, omega0: float = 1.0
-) -> StandardSolidParams:
+def params_near_maxwell(zeta: float, rho: float) -> StandardSolidParams:
     """Three-element parameters whose ``rho -> 0`` limit is a series pair.
 
-    The instantaneous stiffness is held at ``m omega0**2`` and the dashpot
-    at ``m omega0 / (2 zeta)``; the derived groups are ``tau_R = (1-rho) /
-    (2 zeta omega0)`` and ``Lambda = (1-rho)**2 / (4 zeta**2)``.
+    Unit mass and speed; the instantaneous stiffness is held at 1 and the
+    dashpot at ``1 / (2 zeta)``; the derived groups are ``tau_R = (1-rho) /
+    (2 zeta)`` and ``Lambda = (1-rho)**2 / (4 zeta**2)``.
     """
-    k0 = m * omega0**2
-    return StandardSolidParams(
-        m=m, k1=k0, k2=k0 * rho / (1.0 - rho), b=m * omega0 / (2.0 * zeta), v0=v0
-    )
+    return StandardSolidParams(m=1.0, k1=1.0, k2=rho / (1.0 - rho), b=1.0 / (2.0 * zeta), v0=1.0)
 
 
 def params_from_groups(

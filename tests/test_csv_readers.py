@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from visco_impact import models
 from visco_impact.analysis import EXPERIMENT_HEADER, ingest_table
 from visco_impact.biphasic import load_delta0_csv
-from visco_impact.cli import SWEEP_HEADER, read_csv_rows
+from visco_impact.cli import SWEEP_HEADER, main, read_csv_rows
 from visco_impact.errors import ParseError
 from visco_impact.models import TRAJECTORY_HEADER, Trajectory, read_numeric_csv, write_csv_rows
 
@@ -265,3 +265,26 @@ def test_to_csv_memory_does_not_grow_with_rows():
     finally:
         tracemalloc.stop()
     assert peak < _ONE_BLOCK_BUDGET <= 5 * 8 * n / 2
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_text_that_is_not_utf8_is_a_parse_error(tmp_path, name, where):
+    read, header, good, _ = READERS[name]
+    # Past the first decoded chunk, so the bad byte reaches the body readers.
+    lines = [",".join(header), *good * 5000]
+    if where == "header":
+        lines[0] += "\xff"
+    else:
+        lines.append("\xff")
+    path = tmp_path / "table.csv"
+    path.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        read(path)
+
+
+def test_cli_reports_text_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"

@@ -126,6 +126,24 @@ class TestFromJson:
         with pytest.raises(ConfigError, match="'type' key"):
             RelaxationKernel.from_json({"k0": 1.0})
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "maxwell", "k0": "1", "tau_R": 1},
+            {"type": "sls", "k0": 1, "tau_R": 1, "rho": None},
+            {"type": "maxwell", "k0": [1.0], "tau_R": 1},
+            {"type": "kv_limit", "k": True, "b": 1},
+            {"type": "table", "k0": 1, "tau_R": 1, "tau": "ab", "psi": [1.0, 0.5]},
+            {"type": "table", "k0": 1, "tau_R": 1, "tau": [0, "1"], "psi": [1.0, 0.5]},
+            {"type": ["maxwell"], "k0": 1, "tau_R": 1},
+            ["type"],
+        ],
+        ids=repr,
+    )
+    def test_values_that_are_not_numbers_rejected(self, spec):
+        with pytest.raises(ConfigError):
+            RelaxationKernel.from_json(spec)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "kernel.json"
         path.write_text(json.dumps({"type": "sls", "k0": 1.0, "tau_R": 0.5, "rho": 0.3}))
