@@ -314,7 +314,6 @@ class PredictionVerdict:
     """
 
     name: str
-    expectation: str
     spread: float
     passed: bool
 
@@ -380,7 +379,6 @@ def linearity_report(records: list[ExperimentRecord]) -> LinearityReport:
     verdicts = tuple(
         PredictionVerdict(
             name=name,
-            expectation="independent of impact velocity for a linear model",
             spread=_relative_spread(values),
             passed=_relative_spread(values) <= REL_CONSTANCY_TOL,
         )

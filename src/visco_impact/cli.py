@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,7 +107,8 @@ SWEEP_HEADER = (
     "FM_scaled",
 )
 # A rho sweep also reports the small-rho expansion for convergence plots.
-SWEEP_ASYM_HEADER = SWEEP_HEADER + ("tc_scaled_asym", "e_star_asym")
+_RHO_EXTRA = ("tc_scaled_asym", "e_star_asym")
+SWEEP_ASYM_HEADER = SWEEP_HEADER + _RHO_EXTRA
 
 ANALYZE_HEADER = (
     "v0_ms",
@@ -120,18 +122,44 @@ ANALYZE_HEADER = (
 
 VERIFY_HEADER = ("suite", "max_error", "tolerance", "status")
 
-# Defaults for the quantity a sweep holds fixed, overridable by --params.
-_SWEEP_FIXED_DEFAULTS = {"eta": 0.3, "zeta": 0.3, "rho": 0.1, "Lambda": 0.25}
+
+def _kv(eta: float, eps0: float = 0.0) -> KelvinVoigtParams:
+    """Parallel pair with unit mass, frequency and speed."""
+    return KelvinVoigtParams(m=1.0, k=1.0, b=2.0 * eta, v0=1.0, g=eps0)
+
+
+def _mx(zeta: float, eps0: float = 0.0) -> MaxwellParams:
+    """Series pair with unit mass, frequency and speed."""
+    return MaxwellParams(m=1.0, k=1.0, b=0.5 / zeta, v0=1.0, g=eps0)
+
+
+def _rho_point(rho: float, fixed: dict):
+    """Three-element metrics near a pair limit and their first-order expansion.
+
+    The limit is the series pair when ``fixed`` holds ``zeta``, the
+    parallel pair at ``eta`` (0.3 by default) otherwise.
+    """
+    if "zeta" in fixed:
+        if "eta" in fixed:
+            raise ConfigError("a rho sweep reads eta or zeta, not both")
+        params = params_near_maxwell(fixed["zeta"], rho)
+        asym = sls_perturb_maxwell(fixed["zeta"], rho)
+    else:
+        eta = fixed.get("eta", 0.3)
+        params = params_near_kv(eta, rho)
+        asym = sls_perturb_kv(eta, rho)
+    return sls_metrics(params), asym
 
 
 @dataclass(frozen=True)
 class _Model:
     """What the CLI runs for one contact model.
 
-    ``unit_params`` builds a parameter set with unit mass, frequency and
-    speed from the sweep groups (loss factors, ``rho``, ``Lambda`` and
-    ``eps0``).  ``drop_label`` says how ``simulate --gravity`` got its
-    metrics.
+    ``drop_label`` says how ``simulate --gravity`` got its metrics.
+    ``sweeps`` maps each group a sweep can vary to ``(reads, point,
+    extra)``: the fixed groups a ``--params`` file may give, the
+    ``point(value, fixed) -> (metrics, extra values)`` at unit mass,
+    frequency and speed, and the names of the extra columns.
     """
 
     load: Callable
@@ -139,8 +167,7 @@ class _Model:
     trajectory: Callable
     drop_metrics: Callable
     drop_trajectory: Callable
-    sweep_params: tuple[str, ...]
-    unit_params: Callable[[dict], object]
+    sweeps: dict[str, tuple[frozenset[str], Callable, tuple[str, ...]]]
     drop_label: str = "weight included, small-eps0 expansion"
 
 
@@ -151,10 +178,14 @@ _MODELS = {
         trajectory=kv_trajectory,
         drop_metrics=kv_drop_metrics_asymptotic,
         drop_trajectory=kv_drop_trajectory,
-        sweep_params=("eta", "eps0"),
-        unit_params=lambda q: KelvinVoigtParams(
-            m=1.0, k=1.0, b=2.0 * q["eta"], v0=1.0, g=q["eps0"]
-        ),
+        sweeps={
+            "eta": (frozenset(), lambda eta, q: (kv_metrics(_kv(eta)), ()), ()),
+            "eps0": (
+                frozenset({"eta"}),
+                lambda eps0, q: (kv_drop_metrics_asymptotic(_kv(q.get("eta", 0.3), eps0)), ()),
+                (),
+            ),
+        },
     ),
     "maxwell": _Model(
         load=load_maxwell_params,
@@ -162,10 +193,14 @@ _MODELS = {
         trajectory=mx_trajectory,
         drop_metrics=mx_drop_metrics_asymptotic,
         drop_trajectory=mx_drop_trajectory,
-        sweep_params=("zeta", "eps0"),
-        unit_params=lambda q: MaxwellParams(
-            m=1.0, k=1.0, b=0.5 / q["zeta"], v0=1.0, g=q["eps0"]
-        ),
+        sweeps={
+            "zeta": (frozenset(), lambda zeta, q: (mx_metrics(_mx(zeta)), ()), ()),
+            "eps0": (
+                frozenset({"zeta"}),
+                lambda eps0, q: (mx_drop_metrics_asymptotic(_mx(q.get("zeta", 0.3), eps0)), ()),
+                (),
+            ),
+        },
     ),
     "sls": _Model(
         load=load_sls_params,
@@ -173,8 +208,14 @@ _MODELS = {
         trajectory=sls_trajectory,
         drop_metrics=sls_drop_metrics,
         drop_trajectory=sls_drop_trajectory,
-        sweep_params=("rho", "Lambda"),
-        unit_params=lambda q: params_from_groups(q["Lambda"], q["rho"]),
+        sweeps={
+            "rho": (frozenset({"eta", "zeta"}), _rho_point, _RHO_EXTRA),
+            "Lambda": (
+                frozenset({"rho"}),
+                lambda Lam, q: (sls_metrics(params_from_groups(Lam, q.get("rho", 0.1))), ()),
+                (),
+            ),
+        },
         drop_label="weight included",
     ),
 }
@@ -194,7 +235,7 @@ class SweepSpec:
     steps: int
 
     def __post_init__(self) -> None:
-        known = {name for model in _MODELS.values() for name in model.sweep_params}
+        known = {name for model in _MODELS.values() for name in model.sweeps}
         if self.param not in known:
             raise DomainError(
                 f"unknown sweep parameter {self.param!r}; choose from {sorted(known)}"
@@ -316,68 +357,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_fixed(path: str | None) -> dict:
-    if path is None:
-        return {}
-    return load_flat_json(path, frozenset(), frozenset(_SWEEP_FIXED_DEFAULTS))
-
-
-def _scaled_metrics(model: str, param: str, value: float, fixed: dict):
-    """Metrics at one grid point, with unit mass, frequency, and speed.
-
-    The second item holds the extra columns of the row: the first-order
-    expansion for a three-element ``rho`` sweep, nothing otherwise.
-    """
-    if model == "sls" and param == "rho":
-        return _rho_expansion_point(fixed, value)
-    entry = _MODELS[model]
-    params = entry.unit_params(
-        {**_SWEEP_FIXED_DEFAULTS, "eps0": 0.0, **fixed, param: value}
-    )
-    if param == "eps0":
-        return entry.drop_metrics(params), ()
-    return entry.metrics(params), ()
-
-
-def _rho_expansion_point(fixed: dict, rho: float):
-    """Three-element metrics near a pair limit and their first-order expansion.
-
-    The limit is the series pair when ``fixed`` holds ``zeta``, the
-    parallel pair otherwise.
-    """
-    if "zeta" in fixed:
-        params = params_near_maxwell(fixed["zeta"], rho)
-        asym = sls_perturb_maxwell(fixed["zeta"], rho)
-    else:
-        eta = fixed.get("eta", _SWEEP_FIXED_DEFAULTS["eta"])
-        params = params_near_kv(eta, rho)
-        asym = sls_perturb_kv(eta, rho)
-    return sls_metrics(params), asym
-
-
 def cmd_sweep(args) -> int:
     """Evaluate scaled impact metrics over a one-parameter grid."""
     spec = parse_sweep_arg(args.sweep)
-    sweep_params = _MODELS[args.model].sweep_params
-    if spec.param not in sweep_params:
+    sweeps = _MODELS[args.model].sweeps
+    if spec.param not in sweeps:
         raise DomainError(
-            f"model {args.model!r} sweeps one of {sweep_params}, not {spec.param!r}"
+            f"model {args.model!r} sweeps one of {tuple(sweeps)}, not {spec.param!r}"
         )
-    fixed = _load_fixed(args.params)
-    with_asym = args.model == "sls" and spec.param == "rho"
-    header = SWEEP_ASYM_HEADER if with_asym else SWEEP_HEADER
+    reads, point, extra = sweeps[spec.param]
+    fixed = {} if args.params is None else load_flat_json(args.params, frozenset(), reads)
+    header = SWEEP_HEADER + extra
     nan_row = (math.nan,) * (len(header) - 1)
     rows = []
     code = EXIT_OK
     for value in map(float, spec.grid()):
         try:
-            met, asym = _scaled_metrics(args.model, spec.param, value, fixed)
+            met, more = point(value, fixed)
         except (DomainError, PlasticImpactError) as exc:
             # A domain skip anywhere outranks a plastic one: EXIT_DOMAIN < EXIT_PLASTIC.
             skip, code = exc, min(code or exc.exit_code, exc.exit_code)
         else:
             rows.append(
-                (value, met.t_c, met.e_star, met.t_m, met.t_M, met.x_m, met.F_M, *asym)
+                (value, met.t_c, met.e_star, met.t_m, met.t_M, met.x_m, met.F_M, *more)
             )
             continue
         print(f"{spec.param} = {value:g} skipped: {skip}", file=sys.stderr)
@@ -411,7 +413,7 @@ def _oracle_gap(params, met: ImpactMetrics) -> float:
 
 
 def _suite_elastic_limit() -> tuple[float, float]:
-    params = KelvinVoigtParams(m=1.0, k=1.0, b=0.0, v0=1.0)
+    params = _kv(0.0)
     met = kv_metrics(params)
     err = max(abs(met.e_star - 1.0), abs(met.t_c - math.pi), _oracle_gap(params, met))
     return err, 1e-6
@@ -420,7 +422,7 @@ def _suite_elastic_limit() -> tuple[float, float]:
 def _suite_parallel_pair_midpoint() -> tuple[float, float]:
     err = 0.0
     for eta in np.linspace(0.01, 0.98, 50):
-        met = kv_metrics(KelvinVoigtParams(m=1.0, k=1.0, b=2.0 * eta, v0=1.0))
+        met = kv_metrics(_kv(eta))
         err = max(err, abs(met.t_m - met.t_c / 2.0) / met.t_c)
     return err, 1e-12
 
@@ -428,7 +430,7 @@ def _suite_parallel_pair_midpoint() -> tuple[float, float]:
 def _suite_series_pair_termination() -> tuple[float, float]:
     err = 0.0
     for zeta in np.linspace(0.01, 0.98, 50):
-        params = MaxwellParams(m=1.0, k=1.0, b=0.5 / zeta, v0=1.0)
+        params = _mx(zeta)
         met = mx_metrics(params)
         traj = mx_trajectory(params, n_samples=200)
         err = max(err, abs(traj.F[-1]) / met.F_M)
@@ -437,17 +439,15 @@ def _suite_series_pair_termination() -> tuple[float, float]:
 
 def _suite_analytic_vs_oracle() -> tuple[float, float]:
     err = 0.0
-    for name, groups in (
-        ("kv", {"eta": 0.2}),
-        ("kv", {"eta": 0.8}),
-        ("maxwell", {"zeta": 0.2}),
-        ("maxwell", {"zeta": 0.8}),
-        ("sls", {"Lambda": 0.25, "rho": 0.5}),
-        ("sls", {"Lambda": 0.5, "rho": 0.3}),
+    for params, metrics in (
+        (_kv(0.2), kv_metrics),
+        (_kv(0.8), kv_metrics),
+        (_mx(0.2), mx_metrics),
+        (_mx(0.8), mx_metrics),
+        (params_from_groups(0.25, 0.5), sls_metrics),
+        (params_from_groups(0.5, 0.3), sls_metrics),
     ):
-        model = _MODELS[name]
-        params = model.unit_params({"eps0": 0.0, **groups})
-        err = max(err, _oracle_gap(params, model.metrics(params)))
+        err = max(err, _oracle_gap(params, metrics(params)))
     return err, 1e-6
 
 
@@ -462,8 +462,8 @@ def _suite_biphasic_pipeline() -> tuple[float, float]:
 def _suite_energy_identity() -> tuple[float, float]:
     err = 0.0
     for params, metrics in (
-        (KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0), kv_metrics),
-        (MaxwellParams(m=1.0, k=1.0, b=1.25, v0=1.0), mx_metrics),
+        (_kv(0.3), kv_metrics),
+        (_mx(0.4), mx_metrics),
     ):
         traj = integrate_impact(RelaxationKernel.from_params(params), 1.0, 1.0)
         lost = 1.0 - traj.xdot[-1] ** 2
@@ -601,7 +601,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="scaled metrics over a parameter grid")
     p.add_argument("--model", required=True, choices=tuple(_MODELS))
     p.add_argument("--sweep", required=True, help="param:lo:hi:steps")
-    p.add_argument("--params", help="JSON file of fixed quantities (eta, zeta, rho, Lambda)")
+    reads = "; ".join(f"{name} {group}: {' or '.join(sorted(r))}" for name, model in _MODELS.items()
+                      for group, (r, _, _) in model.sweeps.items() if r)
+    p.add_argument("--params", help=f"JSON file of the fixed groups a sweep reads ({reads})")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_sweep)
 
@@ -627,14 +629,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ViscoImpactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # A warning prints as one line of its message, without the library file and source line.
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ViscoImpactError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

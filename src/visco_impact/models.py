@@ -507,9 +507,9 @@ class ImpactMetrics:
         Instant and value of the maximum indentation.
     t_M, F_M : float
         Instant and value of the maximum contact force.
-    x_M : float or None
+    x_M : float
         Indentation at the force maximum.
-    F_m : float or None
+    F_m : float
         Force at the indentation maximum.
     """
 
@@ -519,8 +519,8 @@ class ImpactMetrics:
     x_m: float
     t_M: float
     F_M: float
-    x_M: float | None = None
-    F_m: float | None = None
+    x_M: float
+    F_m: float
 
 
 _PAIR_REQUIRED = frozenset({"m", "k", "b", "v0"})

@@ -626,29 +626,16 @@ def restitution_invariance_probe(
     kernel: RelaxationKernel,
     m: float,
     velocities,
-    alpha: float | None = None,
 ) -> dict:
     """Check that scaled outcomes do not depend on the incoming velocity.
 
     Runs the integrator once per velocity and reports the spread of the
     restitution coefficient and scaled duration, plus the worst relative
     deviation of the indentation peak from exact linear scaling.
-
-    Parameters
-    ----------
-    alpha : float, optional
-        Expected value of ``k0 tau_R**2 / m``; a mismatch with the kernel
-        raises :class:`ConfigError`.  Purely a cross-check.
     """
     velocities = [float(v) for v in velocities]
     if len(velocities) < 2:
         raise ConfigError("need at least two velocities to probe invariance")
-    if alpha is not None:
-        derived = kernel.alpha_per_mass / m
-        if not math.isclose(alpha, derived, rel_tol=1e-12):
-            raise ConfigError(
-                f"stated alpha {alpha!r} disagrees with kernel value {derived!r}"
-            )
     omega0 = math.sqrt(kernel.k0 / m)
     e_stars, tcs, xms = [], [], []
     for v0 in velocities:

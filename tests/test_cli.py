@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import dataclasses
 import io
@@ -425,6 +426,96 @@ class TestSweep:
             read_csv_rows(path, SWEEP_HEADER)
 
 
+# Every (model, swept group) of the CLI's model table, and a grid inside
+# each group's domain.
+SWEEP_FORMS = [(model, group) for model, entry in cli._MODELS.items() for group in entry.sweeps]
+SWEEP_GRIDS = {"eta": "0.1:0.2:2", "zeta": "0.1:0.2:2", "rho": "0.1:0.2:2",
+               "Lambda": "0.5:1:2", "eps0": "0:0.1:2"}
+
+
+def _reads(model, group):
+    return cli._MODELS[model].sweeps[group][0]
+
+
+class TestSweepReads:
+    """A sweep's --params file may hold exactly the groups that sweep reads."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, model, group, fixed=None):
+        argv = ["sweep", "--model", model, "--sweep", f"{group}:{SWEEP_GRIDS[group]}"]
+        if fixed is not None:
+            argv += ["--params", _write_json(tmp_path, "fixed.json", fixed)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("model, group, key", [
+        (model, group, key) for model, group in SWEEP_FORMS
+        for key in sorted(SWEEP_GRIDS) if key not in _reads(model, group)
+    ])
+    def test_unread_key_refused(self, tmp_path, capsys, model, group, key):
+        code, out, err = self._run(tmp_path, capsys, model, group, {key: 0.5})
+        assert code == EXIT_IO
+        assert f"unknown keys [{key!r}]" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("model, group, key", [
+        (model, group, key) for model, group in SWEEP_FORMS
+        for key in sorted(_reads(model, group))
+    ])
+    def test_read_key_moves_a_cell(self, tmp_path, capsys, model, group, key):
+        """Each group a sweep reads changes its rows when moved off the default."""
+        header = SWEEP_HEADER + cli._MODELS[model].sweeps[group][2]
+        code, bare, _ = self._run(tmp_path, capsys, model, group)
+        assert code == EXIT_OK
+        code, moved, _ = self._run(tmp_path, capsys, model, group, {key: 0.5})
+        assert code == EXIT_OK
+        bare, moved = _parse_csv(bare, header), _parse_csv(moved, header)
+        assert np.array_equal(bare[:, 0], moved[:, 0])
+        assert np.any(bare[:, 1:] != moved[:, 1:])
+
+    def test_rho_sweep_refuses_both_limits(self, tmp_path, capsys):
+        fixed = {"eta": 0.3, "zeta": 0.3}
+        code, out, err = self._run(tmp_path, capsys, "sls", "rho", fixed)
+        assert code == EXIT_IO
+        assert "eta or zeta, not both" in err
+        assert out == ""
+
+    def test_readme_table_matches_the_model_table(self, tmp_path, capsys):
+        """The README's sweep table lists each sweep's groups, defaults and columns.
+
+        A stated default is checked by running: a file that gives it
+        writes the same rows as no file.
+        """
+        row = re.compile(r"^\| `(\w+)` \| `(\w+)` \| (.+?) \| (.+?) \|$", re.M)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = row.findall(readme)
+        assert [(model, group) for model, group, _, _ in rows] == SWEEP_FORMS
+        for model, group, reads, extra in rows:
+            defaults = dict(re.findall(r"`(\w+)`(?: \(([\d.]+)\))?", reads))
+            assert set(defaults) == _reads(model, group)
+            assert tuple(re.findall(r"`(\w+)`", extra)) == cli._MODELS[model].sweeps[group][2]
+            _, bare, _ = self._run(tmp_path, capsys, model, group)
+            for name, default in defaults.items():
+                if default:
+                    stated = self._run(tmp_path, capsys, model, group, {name: float(default)})
+                    assert stated == (EXIT_OK, bare, "")
+
+
+def test_cli_compares_against_no_model_name():
+    """What differs between models lives in ``_MODELS``, not in branches on its keys."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for leaf in ast.walk(operand)
+        if isinstance(leaf, ast.Constant) and leaf.value in cli._MODELS
+    ]
+    assert lines == []
+
+
 class TestVerify:
     def test_all_suites_pass(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
@@ -541,6 +632,17 @@ class TestBiphasic:
         assert rc == EXIT_DOMAIN
         assert "m must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_thick_layer_warning_is_one_line(self, tmp_path, capsys):
+        """A library warning reaches stderr as one line, without file or source."""
+        params = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, h=5e-3))
+        assert main(["biphasic", "--params", params, "--m", "0.1"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: h/a = 1 exceeds 0.2; the thin-layer reduction is inaccurate "
+            "for thick layers"
+        ]
+        assert ".py:" not in err
 
     def test_unknown_layer_key(self, tmp_path, capsys):
         params = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, phi=0.8))

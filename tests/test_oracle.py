@@ -340,13 +340,7 @@ class TestInvarianceProbe:
         assert report["max_delta_tc"] == 0.0
         assert report["max_xm_linearity_error"] < 1e-12
         assert len(report["e_star"]) == 3
-
-    def test_alpha_cross_check(self):
-        kern = RelaxationKernel.sls(1.0, 0.5, 0.5)
-        report = restitution_invariance_probe(kern, 1.0, [1.0, 2.0], alpha=0.25)
-        assert report["velocities"] == [1.0, 2.0]
-        with pytest.raises(ConfigError, match="disagrees"):
-            restitution_invariance_probe(kern, 1.0, [1.0, 2.0], alpha=0.3)
+        assert report["velocities"] == [0.5, 1.0, 2.0]
 
     def test_needs_two_velocities(self):
         with pytest.raises(ConfigError, match="two velocities"):
