@@ -51,7 +51,6 @@ from .kelvin_voigt import (
     kv_drop_metrics_asymptotic,
     kv_drop_trajectory,
     kv_metrics,
-    kv_trajectory,
 )
 from .maxwell import (
     mx_drop_metrics_asymptotic,
@@ -64,6 +63,7 @@ from .models import (
     ImpactMetrics,
     KelvinVoigtParams,
     MaxwellParams,
+    _check_groups,
     load_flat_json,
     load_kv_params,
     load_maxwell_params,
@@ -81,7 +81,6 @@ from .standard_solid import (
     sls_metrics,
     sls_perturb_kv,
     sls_perturb_maxwell,
-    sls_trajectory,
 )
 
 __all__ = [
@@ -155,7 +154,8 @@ def _rho_point(rho: float, fixed: dict):
 class _Model:
     """What the CLI runs for one contact model.
 
-    ``drop_label`` says how ``simulate --gravity`` got its metrics.
+    ``metrics`` and ``trajectory`` include the weight ``m g``, zero without
+    ``--gravity``; ``drop_label`` says how ``simulate --gravity`` got them.
     ``sweeps`` maps each group a sweep can vary to ``(reads, point,
     extra)``: the fixed groups a ``--params`` file may give, the
     ``point(value, fixed) -> (metrics, extra values)`` at unit mass,
@@ -165,8 +165,6 @@ class _Model:
     load: Callable
     metrics: Callable
     trajectory: Callable
-    drop_metrics: Callable
-    drop_trajectory: Callable
     sweeps: dict[str, tuple[frozenset[str], Callable, tuple[str, ...]]]
     drop_label: str = "weight included, small-eps0 expansion"
 
@@ -174,10 +172,8 @@ class _Model:
 _MODELS = {
     "kv": _Model(
         load=load_kv_params,
-        metrics=kv_metrics,
-        trajectory=kv_trajectory,
-        drop_metrics=kv_drop_metrics_asymptotic,
-        drop_trajectory=kv_drop_trajectory,
+        metrics=kv_drop_metrics_asymptotic,
+        trajectory=kv_drop_trajectory,
         sweeps={
             "eta": (frozenset(), lambda eta, q: (kv_metrics(_kv(eta)), ()), ()),
             "eps0": (
@@ -189,10 +185,8 @@ _MODELS = {
     ),
     "maxwell": _Model(
         load=load_maxwell_params,
-        metrics=mx_metrics,
-        trajectory=mx_trajectory,
-        drop_metrics=mx_drop_metrics_asymptotic,
-        drop_trajectory=mx_drop_trajectory,
+        metrics=mx_drop_metrics_asymptotic,
+        trajectory=mx_drop_trajectory,
         sweeps={
             "zeta": (frozenset(), lambda zeta, q: (mx_metrics(_mx(zeta)), ()), ()),
             "eps0": (
@@ -204,10 +198,8 @@ _MODELS = {
     ),
     "sls": _Model(
         load=load_sls_params,
-        metrics=sls_metrics,
-        trajectory=sls_trajectory,
-        drop_metrics=sls_drop_metrics,
-        drop_trajectory=sls_drop_trajectory,
+        metrics=sls_drop_metrics,
+        trajectory=sls_drop_trajectory,
         sweeps={
             "rho": (frozenset({"eta", "zeta"}), _rho_point, _RHO_EXTRA),
             "Lambda": (
@@ -251,14 +243,8 @@ class SweepSpec:
                 f"sweep has {self.steps:.3g} steps, more than the "
                 f"{MAX_SCAN_SAMPLES:.3g} allowed"
             )
-        if self.param in ("eta", "zeta", "rho") and not (
-            0.0 < self.lo and self.hi < 1.0
-        ):
-            raise DomainError(f"{self.param} sweep must stay inside (0, 1)")
-        if self.param == "Lambda" and not (self.lo > 0.0):
-            raise DomainError("Lambda sweep must stay positive")
-        if self.param == "eps0" and self.lo < 0.0:
-            raise DomainError("eps0 sweep must be nonnegative")
+        for bound in (self.lo, self.hi):
+            _check_groups(f"{self.param} sweep", **{self.param: bound})
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
@@ -344,14 +330,11 @@ def cmd_simulate(args) -> int:
     """Run one impact and write its sampled trajectory."""
     model = _MODELS[args.model]
     params = model.load(args.params)
-    if args.gravity:
-        if params.g == 0.0:
-            params = dataclasses.replace(params, g=STANDARD_GRAVITY)
-        _, traj = _closed_form(
-            params, args.dt, model.drop_metrics, model.drop_trajectory, model.drop_label
-        )
-    else:
-        _, traj = _closed_form(params, args.dt, model.metrics, model.trajectory)
+    g = (params.g or STANDARD_GRAVITY) if args.gravity else 0.0
+    if params.g != g:
+        params = dataclasses.replace(params, g=g)
+    label = model.drop_label if args.gravity else ""
+    _, traj = _closed_form(params, args.dt, model.metrics, model.trajectory, label)
     if args.out is not None:
         traj.to_csv(args.out)
     return EXIT_OK
@@ -367,6 +350,7 @@ def cmd_sweep(args) -> int:
         )
     reads, point, extra = sweeps[spec.param]
     fixed = {} if args.params is None else load_flat_json(args.params, frozenset(), reads)
+    _check_groups(**fixed)
     header = SWEEP_HEADER + extra
     nan_row = (math.nan,) * (len(header) - 1)
     rows = []

@@ -27,6 +27,9 @@ from .models import (
     ImpactMetrics,
     KelvinVoigtParams,
     Trajectory,
+    _check_groups,
+    _require_positive,
+    _uniform_times,
 )
 
 __all__ = [
@@ -82,7 +85,7 @@ def _columns(params: KelvinVoigtParams, g: float, t):
 
 def _sample(params: KelvinVoigtParams, g: float, t_c: float, n_samples: int) -> Trajectory:
     """Trajectory under gravity ``g`` on a uniform grid spanning ``[0, t_c]``."""
-    t = np.linspace(0.0, t_c, n_samples)
+    t = _uniform_times(t_c, n_samples)
     x, xdot, F = _columns(params, g, t)
     return Trajectory(times=t, x=x, xdot=xdot, xddot=g - F / params.m, F=F)
 
@@ -217,10 +220,12 @@ def kv_find_critical_eps0(eta: float, tol: float = 1e-6) -> float:
     eta : float
         Loss factor in (0, 1).
     tol : float, optional
-        Absolute tolerance on the returned threshold.
+        Absolute tolerance on the returned threshold, positive and finite.
+        Below the float spacing at the threshold, the bracket stops at two
+        adjacent floats.
     """
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta!r}")
+    _check_groups(eta=eta)
+    _require_positive("tol", tol)
     b = 2.0 * eta
 
     def embeds(eps0: float) -> bool:
@@ -237,6 +242,8 @@ def kv_find_critical_eps0(eta: float, tol: float = 1e-6) -> float:
         lo, hi = hi, min(2.0 * hi, cap)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: a smaller tol cannot be met
+            break
         if embeds(mid):
             hi = mid
         else:

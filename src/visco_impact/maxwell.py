@@ -28,6 +28,7 @@ from .models import (
     ImpactMetrics,
     MaxwellParams,
     Trajectory,
+    _uniform_times,
 )
 
 __all__ = [
@@ -49,7 +50,7 @@ def _sample(params: MaxwellParams, g: float, t_c: float, n_samples: int) -> Traj
     """Trajectory under gravity ``g`` on a uniform grid spanning ``[0, t_c]``."""
     d = params.derived
     v0, omega0, omega, zeta = params.v0, d.omega0, d.omega, d.zeta
-    t = np.linspace(0.0, t_c, n_samples)
+    t = _uniform_times(t_c, n_samples)
     envelope, phase = np.exp(-d.beta * t), omega * t
     s, c = np.sin(phase), np.cos(phase)
     x = v0 / omega0 * (

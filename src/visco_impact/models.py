@@ -16,12 +16,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._search import MAX_SCAN_SAMPLES
 from .errors import ConfigError, DomainError, ParseError
 
 __all__ = [
@@ -108,6 +110,40 @@ def _require_positive(name: str, value: float) -> None:
 def _require_nonnegative(name: str, value: float) -> None:
     if value < 0.0 or not math.isfinite(value):
         raise DomainError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
+# The one domain of each nondimensional group: (test that fails on NaN, words).
+_GROUP_DOMAINS = {
+    "eta": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "zeta": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "rho": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "Lambda": (lambda v: 0.0 < v < math.inf, "be positive and finite"),
+    "eps0": (lambda v: 0.0 <= v < math.inf, "be nonnegative and finite"),
+}
+
+
+def _check_groups(where: str = "", **groups: float) -> None:
+    """Raise :class:`DomainError` for the first of ``groups`` outside its domain,
+    naming ``where`` when given and the group otherwise."""
+    for name, value in groups.items():
+        inside, words = _GROUP_DOMAINS[name]
+        if not inside(value):
+            raise DomainError(f"{where or name} must {words}, got {value!r}")
+
+
+def _uniform_times(t_end: float, n_samples: int) -> np.ndarray:
+    """``n_samples`` equally spaced instants from 0 to ``t_end``, both included.
+
+    Raises :class:`ConfigError` unless ``n_samples`` is an integer from 2
+    to ``MAX_SCAN_SAMPLES``.
+    """
+    try:
+        n = operator.index(n_samples)
+    except TypeError:
+        raise ConfigError(f"n_samples must be an integer, got {n_samples!r}") from None
+    if not 2 <= n <= MAX_SCAN_SAMPLES:
+        raise ConfigError(f"n_samples must lie in [2, {MAX_SCAN_SAMPLES:.3g}], got {n}")
+    return np.linspace(0.0, t_end, n)
 
 
 @dataclass(frozen=True)

@@ -123,21 +123,25 @@ class RelaxationKernel:
             raise ConfigError(f"k0 must be positive, got {self.k0!r}")
         if not (self.tau_R > 0.0) or not math.isfinite(self.tau_R):
             raise ConfigError(f"tau_R must be positive, got {self.tau_R!r}")
+        # Each test below fails on NaN.  An infinite time constant is valid:
+        # its term is constant.
         if self.kind == "exp_sum":
             if len(self.cs) != len(self.thetas):
                 raise ConfigError("cs and thetas must have matching lengths")
-            if any(th <= 0.0 for th in self.thetas):
+            if any(not th > 0.0 for th in self.thetas):
                 raise ConfigError("exponential time constants must be positive")
             total = self.c_inf + sum(self.cs)
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ConfigError(f"Psi(0) = {total!r} must equal 1")
         elif self.kind == "table":
             tau = np.asarray(self.table_tau, dtype=float)
             psi = np.asarray(self.table_psi, dtype=float)
             if tau.ndim != 1 or tau.shape != psi.shape or tau.size < 2:
                 raise ConfigError("kernel table needs matching 1-d tau and psi arrays")
-            if tau[0] != 0.0 or np.any(np.diff(tau) <= 0.0):
+            if tau[0] != 0.0 or not np.all(np.diff(tau) > 0.0):
                 raise ConfigError("kernel table abscissae must increase from 0")
+            if not np.all(np.isfinite(psi)):
+                raise ConfigError("kernel table values must be finite")
             if abs(psi[0] - 1.0) > 1e-9:
                 raise ConfigError(f"Psi(0) = {psi[0]!r} must equal 1")
             object.__setattr__(self, "table_tau", tau)

@@ -31,16 +31,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._search import SCAN_HORIZON_PERIODS, DampedMode, OffsetMode, RealMode, first_force_zero
 from ._search import golden  # noqa: F401  (perfbench's traced pass wraps this name)
-from .errors import DiscriminantError, DomainError
+from .errors import DiscriminantError
 from .models import (
     DEFAULT_SAMPLES,
     ImpactMetrics,
     StandardSolidParams,
     Trajectory,
+    _check_groups,
+    _uniform_times,
 )
 
 __all__ = [
@@ -94,11 +94,7 @@ def sls_characteristic_roots(Lambda: float, rho: float) -> CubicRoots:
         conjugate pair exists; also when ``D`` and the deflated ``zeta**2``
         differ in sign, which happens only within rounding of ``D = 0``.
     """
-    if not (Lambda > 0.0) or not math.isfinite(Lambda):
-        raise DomainError(f"Lambda must be positive, got {Lambda!r}")
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
-
+    _check_groups(Lambda=Lambda, rho=rho)
     # Factored so that only the leading term can overflow, to D = inf.
     D = Lambda * (
         4.0 * Lambda * Lambda + 4.0 * rho - Lambda * (1.0 + 18.0 * rho - 27.0 * rho**2)
@@ -205,7 +201,7 @@ def _contact(params: StandardSolidParams, g: float):
 def _sample(params: StandardSolidParams, g: float, n_samples: int) -> Trajectory:
     xi, xi_d, xi_dd, _, tau_c = _contact(params, g)
     tau_R, v0, m = params.derived.tau_R, params.v0, params.m
-    tau = np.linspace(0.0, tau_c, n_samples)
+    tau = _uniform_times(tau_c, n_samples)
     xddot = v0 / tau_R * xi_dd(tau)
     # Adding g only when it is nonzero keeps the zero-gravity force exactly -m xddot.
     F = m * (g - xddot) if g else -m * xddot
@@ -272,8 +268,7 @@ def sls_perturb_kv(eta: float, rho: float) -> tuple[float, float]:
     tuple of float
         ``(omega0 * t_c, e_star)``.
     """
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta!r}")
+    _check_groups(eta=eta)
     root = math.sqrt(1.0 - eta * eta)
     phi = math.atan2(root, eta)
     tc0 = 2.0 / root * phi
@@ -290,8 +285,7 @@ def sls_perturb_maxwell(zeta: float, rho: float) -> tuple[float, float]:
     uses the instantaneous stiffness, ``omega0**2 = k0 / m``.  Returns
     ``(omega0 * t_c, e_star)``.
     """
-    if not 0.0 < zeta < 1.0:
-        raise DomainError(f"zeta must lie in (0, 1), got {zeta!r}")
+    _check_groups(zeta=zeta)
     root = math.sqrt(1.0 - zeta * zeta)
     e0 = math.exp(-math.pi * zeta / root)
     tc = math.pi / root + 2.0 * math.pi * rho * zeta**2 / root**3
@@ -309,6 +303,7 @@ def params_near_kv(eta: float, rho: float) -> StandardSolidParams:
     loss factor ``eta`` and unit frequency; the derived groups are
     ``tau_R = 2 eta rho (1-rho)`` and ``Lambda = 4 eta**2 rho (1-rho)**2``.
     """
+    _check_groups(eta=eta, rho=rho)
     return StandardSolidParams(m=1.0, k1=1.0 / rho, k2=1.0 / (1.0 - rho), b=2.0 * eta, v0=1.0)
 
 
@@ -319,6 +314,7 @@ def params_near_maxwell(zeta: float, rho: float) -> StandardSolidParams:
     dashpot at ``1 / (2 zeta)``; the derived groups are ``tau_R = (1-rho) /
     (2 zeta)`` and ``Lambda = (1-rho)**2 / (4 zeta**2)``.
     """
+    _check_groups(zeta=zeta, rho=rho)
     return StandardSolidParams(m=1.0, k1=1.0, k2=rho / (1.0 - rho), b=1.0 / (2.0 * zeta), v0=1.0)
 
 
@@ -330,10 +326,7 @@ def params_from_groups(
     Uses unit instantaneous frequency (``k0 = m``), so reported scaled
     metrics ``omega0 t`` coincide with dimensional times.
     """
-    if not (Lambda > 0.0):
-        raise DomainError(f"Lambda must be positive, got {Lambda!r}")
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
+    _check_groups(Lambda=Lambda, rho=rho)
     k0 = m
     tau_R = math.sqrt(Lambda)
     b = tau_R * k0 / (1.0 - rho)

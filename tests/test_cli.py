@@ -35,8 +35,15 @@ from visco_impact.cli import (
 )
 from visco_impact.analysis import STANDARD_GRAVITY
 from visco_impact.errors import DomainError, ParseError
-from visco_impact.kelvin_voigt import kv_metrics
-from visco_impact.models import KelvinVoigtParams, Trajectory, load_sls_params
+from visco_impact.kelvin_voigt import kv_metrics, kv_trajectory
+from visco_impact.maxwell import mx_metrics, mx_trajectory
+from visco_impact.models import (
+    _GROUP_DOMAINS,
+    KelvinVoigtParams,
+    MaxwellParams,
+    Trajectory,
+    load_sls_params,
+)
 from visco_impact.standard_solid import (
     params_from_groups,
     params_near_maxwell,
@@ -135,7 +142,7 @@ class TestSweepSpec:
             parse_sweep_arg("eta:lo:0.9:5")
 
     def test_domain_validation(self):
-        with pytest.raises(DomainError, match="inside"):
+        with pytest.raises(DomainError, match=r"eta sweep must lie in \(0, 1\), got 0.0"):
             SweepSpec(param="eta", lo=0.0, hi=0.9, steps=5)
         with pytest.raises(DomainError, match="lo < hi"):
             SweepSpec(param="eta", lo=0.9, hi=0.1, steps=5)
@@ -306,6 +313,24 @@ class TestSimulate:
         traj = Trajectory.from_csv(out)
         assert traj.t_c == sls_trajectory(load_sls_params(params), n_samples=2).t_c
         assert f"t_c = {sls_metrics(p).t_c:.12g}" in err
+
+    @pytest.mark.parametrize("model, params, metrics, trajectory", [
+        ("kv", KelvinVoigtParams(m=m, k=k, b=b, v0=v0), kv_metrics, kv_trajectory)
+        for m, k, b, v0 in ((1.0, 1.0, 0.0, 1.0), (0.1, 2e4, 35.0, 1.2), (3.0, 0.5, 2.4, 7.0))
+    ] + [
+        ("maxwell", MaxwellParams(m=m, k=k, b=b, v0=v0), mx_metrics, mx_trajectory)
+        for m, k, b, v0 in ((1.0, 1.0, 1.0 / 0.6, 1.0), (0.1, 2e4, 500.0, 1.2), (1.0, 1.0, 0.5001, 2.0))
+    ] + [
+        ("sls", params_from_groups(lam, rho, m=m, v0=v0), sls_metrics, sls_trajectory)
+        for lam, rho, m, v0 in ((4.0, 0.2, 1.0, 1.0), (0.316, 0.1, 0.1, 3.0), (50.0, 0.9, 2.0, 0.5))
+    ])
+    def test_model_entries_at_zero_gravity(self, model, params, metrics, trajectory):
+        """The one weight-aware entry per model gives the zero-gravity results bit for bit."""
+        entry = cli._MODELS[model]
+        assert repr(entry.metrics(params)) == repr(metrics(params))
+        got, want = entry.trajectory(params, n_samples=50), trajectory(params, n_samples=50)
+        for name in ("times", "x", "xdot", "xddot", "F"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_missing_params_file(self, tmp_path, capsys):
         rc = main(["simulate", "kv", "--params", str(tmp_path / "absent.json")])
@@ -500,6 +525,46 @@ class TestSweepReads:
                 if default:
                     stated = self._run(tmp_path, capsys, model, group, {name: float(default)})
                     assert stated == (EXIT_OK, bare, "")
+
+
+class TestFixedGroupDomains:
+    """A sweep refuses an out-of-domain fixed group once, before any row."""
+
+    @pytest.mark.parametrize("model, group, key, value", [
+        (model, group, key, value) for model, group in SWEEP_FORMS
+        for key in sorted(_reads(model, group)) for value in (0.0, 1.5, math.nan)
+    ])
+    def test_outside_fixed_group_refused(self, tmp_path, capsys, model, group, key, value):
+        out = tmp_path / "rows.csv"
+        fixed = _write_json(tmp_path, "fixed.json", {key: value})  # NaN is written as JSON NaN
+        argv = ["sweep", "--model", model, "--sweep", f"{group}:{SWEEP_GRIDS[group]}",
+                "--params", fixed, "--out", str(out)]
+        assert main(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {key} must lie in (0, 1), got {value!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_every_swept_group_has_a_domain(self):
+        assert {group for _, group in SWEEP_FORMS} <= set(_GROUP_DOMAINS)
+        assert {key for model, group in SWEEP_FORMS for key in _reads(model, group)} <= set(
+            _GROUP_DOMAINS
+        )
+
+
+def test_sweep_spec_compares_against_no_group_name():
+    """A swept range is checked by the group domains in ``models``, not by name here."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (spec,) = [node for node in tree.body if getattr(node, "name", None) == "SweepSpec"]
+    lines = [
+        node.lineno
+        for node in ast.walk(spec)
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for leaf in ast.walk(operand)
+        if isinstance(leaf, ast.Constant) and leaf.value in _GROUP_DOMAINS
+    ]
+    assert lines == []
 
 
 def test_cli_compares_against_no_model_name():

@@ -189,6 +189,18 @@ class TestDrop:
         with pytest.raises(DomainError, match=r"eta must lie in \(0, 1\)"):
             kv_find_critical_eps0(eta)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_critical_eps0_tolerance_refused(self, tol):
+        """A bisection to a tolerance that is not positive and finite never ends well."""
+        with pytest.raises(DomainError, match=r"tol must be positive and finite"):
+            kv_find_critical_eps0(0.3, tol=tol)
+
+    def test_critical_eps0_tolerance_below_float_spacing(self):
+        """The bisection stops at adjacent floats rather than spin on them."""
+        assert kv_find_critical_eps0(0.3, tol=1e-300) == pytest.approx(
+            kv_find_critical_eps0(0.3, tol=1e-12), abs=1e-12
+        )
+
     @given(
         eta=st.floats(min_value=0.0, max_value=0.99, exclude_max=True),
         eps0=st.floats(min_value=0.0, max_value=0.2),

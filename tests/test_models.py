@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from visco_impact._search import MAX_SCAN_SAMPLES
 from visco_impact.errors import ConfigError, DomainError, ParseError
+from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_find_critical_eps0, kv_trajectory
+from visco_impact.maxwell import mx_drop_trajectory, mx_trajectory
 from visco_impact.models import (
+    _GROUP_DOMAINS,
     DerivedGroups,
     KelvinVoigtParams,
     MaxwellParams,
@@ -26,6 +32,16 @@ from visco_impact.models import (
     load_kv_params,
     load_maxwell_params,
     load_sls_params,
+)
+from visco_impact.standard_solid import (
+    params_from_groups,
+    params_near_kv,
+    params_near_maxwell,
+    sls_characteristic_roots,
+    sls_drop_trajectory,
+    sls_perturb_kv,
+    sls_perturb_maxwell,
+    sls_trajectory,
 )
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -262,3 +278,90 @@ class TestJsonLoaders:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_kv_params(path)
+
+
+# Each public function of nondimensional groups, arguments inside every
+# domain, and the groups it checks.  The expansions leave rho unchecked:
+# rho = 0 is their pair limit.
+GROUP_FUNCTIONS = [
+    (sls_characteristic_roots, {"Lambda": 1.0, "rho": 0.5}, ("Lambda", "rho")),
+    (params_from_groups, {"Lambda": 1.0, "rho": 0.5}, ("Lambda", "rho")),
+    (params_near_kv, {"eta": 0.3, "rho": 0.1}, ("eta", "rho")),
+    (params_near_maxwell, {"zeta": 0.3, "rho": 0.1}, ("zeta", "rho")),
+    (sls_perturb_kv, {"eta": 0.3, "rho": 0.1}, ("eta",)),
+    (sls_perturb_maxwell, {"zeta": 0.3, "rho": 0.1}, ("zeta",)),
+    (kv_find_critical_eps0, {"eta": 0.3}, ("eta",)),
+]
+OUTSIDE = {
+    "eta": (0.0, 1.0, -1.0, math.nan, math.inf, -math.inf),
+    "zeta": (0.0, 1.0, -1.0, math.nan, math.inf, -math.inf),
+    "rho": (0.0, 1.0, -1.0, math.nan, math.inf, -math.inf),
+    "Lambda": (0.0, -1.0, math.nan, math.inf, -math.inf),
+    "eps0": (-1.0, math.nan, math.inf, -math.inf),
+}
+
+
+class TestGroupDomains:
+    """One domain per group, the same in every function that takes it."""
+
+    @pytest.mark.parametrize("fn, args, group, value", [
+        (fn, args, group, value)
+        for fn, args, checked in GROUP_FUNCTIONS for group in checked for value in OUTSIDE[group]
+    ], ids=lambda v: v.__name__ if callable(v) else None)
+    def test_outside_value_names_its_group(self, fn, args, group, value):
+        words = _GROUP_DOMAINS[group][1]
+        with pytest.raises(DomainError, match=re.escape(f"{group} must {words}, got {value!r}")):
+            fn(**dict(args, **{group: value}))
+
+    @pytest.mark.parametrize("group", sorted(_GROUP_DOMAINS))
+    def test_each_test_refuses_what_it_should(self, group):
+        inside = _GROUP_DOMAINS[group][0]
+        assert not any(inside(v) for v in OUTSIDE[group])
+        assert inside(0.5) and inside(1e-300)
+
+    def test_readme_lists_the_domains(self):
+        """The README's domain list is the table, group for group and word for word."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = {
+            name: words
+            for names, words in re.findall(r"^- ((?:`\w+`, )*`\w+`) must (.+)$", readme, re.M)
+            for name in re.findall(r"`(\w+)`", names)
+        }
+        assert listed == {name: words for name, (_, words) in _GROUP_DOMAINS.items()}
+
+
+SAMPLED = [kv_trajectory, kv_drop_trajectory, mx_trajectory, mx_drop_trajectory,
+           sls_trajectory, sls_drop_trajectory]
+
+
+def _sampled_params(fn):
+    if fn.__name__.startswith("kv"):
+        return KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0)
+    if fn.__name__.startswith("mx"):
+        return MaxwellParams(m=1.0, k=1.0, b=1.0 / 0.6, v0=1.0)
+    return params_from_groups(1.0, 0.5)
+
+
+class TestSampleCounts:
+    """Every trajectory is sampled on one grid that refuses a bad count as bad input."""
+
+    @pytest.mark.parametrize("fn", SAMPLED, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "must be an integer"),
+        ("3", "must be an integer"),
+        (None, "must be an integer"),
+        (-3, "got -3"),
+        (1, "got 1"),
+        (MAX_SCAN_SAMPLES + 1, f"got {MAX_SCAN_SAMPLES + 1}"),
+    ])
+    def test_bad_count_refused(self, fn, n, message):
+        with pytest.raises(ConfigError, match=message):
+            fn(_sampled_params(fn), n_samples=n)
+
+    @pytest.mark.parametrize("fn", SAMPLED, ids=lambda fn: fn.__name__)
+    def test_integer_types_accepted(self, fn):
+        params = _sampled_params(fn)
+        plain = fn(params, n_samples=5)
+        for n in (np.int64(5), np.uint8(5)):
+            assert np.array_equal(fn(params, n_samples=n).times, plain.times)
+        assert fn(params, n_samples=2).times.tolist() == [0.0, plain.t_c]

@@ -56,6 +56,31 @@ class TestKernelValidation:
         with pytest.raises(ConfigError, match="1-d"):
             RelaxationKernel.from_table([0.0], [1.0], k0=1.0, tau_R=1.0)
 
+    @pytest.mark.parametrize("terms, message", [
+        ({"c_inf": math.nan, "cs": (0.5,), "thetas": (1.0,)}, "must equal 1"),
+        ({"c_inf": 0.5, "cs": (math.nan,), "thetas": (1.0,)}, "must equal 1"),
+        ({"c_inf": math.inf, "cs": (-math.inf,), "thetas": (1.0,)}, "must equal 1"),
+        ({"c_inf": 0.5, "cs": (0.5,), "thetas": (math.nan,)}, "positive"),
+    ])
+    def test_nan_terms_refused(self, terms, message):
+        """NaN fails every test, so the integrator never sees a NaN system."""
+        with pytest.raises(ConfigError, match=message):
+            RelaxationKernel(k0=1.0, tau_R=1.0, **terms)
+
+    def test_infinite_time_constant_is_a_constant_term(self):
+        kern = RelaxationKernel(k0=1.0, tau_R=1.0, c_inf=0.5, cs=(0.5,), thetas=(math.inf,))
+        assert np.all(kern.psi(np.array([0.0, 1.0, 1e9])) == 1.0)
+
+    @pytest.mark.parametrize("tau, psi, message", [
+        ([0.0, math.nan, 2.0], [1.0, 0.5, 0.4], "increase from 0"),
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 0.4], "finite"),
+        ([0.0, 1.0, 2.0], [1.0, 0.5, math.inf], "finite"),
+    ])
+    def test_non_finite_table_refused(self, tau, psi, message):
+        """Refused when built, not after a whole horizon without separation."""
+        with pytest.raises(ConfigError, match=message):
+            RelaxationKernel.from_table(tau, psi, k0=1.0, tau_R=1.0)
+
     def test_increasing_kernel_warns(self):
         with pytest.warns(UserWarning, match="non-increasing"):
             RelaxationKernel(
