@@ -576,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "include the impactor weight during contact (g from the params "
-            "file when given, 9.81 m/s^2 otherwise)"
+            "file; 9.81 m/s^2 when g is absent or 0)"
         ),
     )
     p.add_argument("--dt", type=float, help="scaled sample spacing (omega0 dt)")

@@ -21,9 +21,10 @@ affine map ``y <- y + (D y + q)`` with ``D = M + M^2/2 + M^3/6 + M^4/24``,
 ``M = dt A``: the same scheme, kept in increment form so that no step
 rounds ``I + D``.  The powers of that map for a block of steps, and of the
 block map for a batch of blocks, are built by doubling; a batch then
-advances in two products, one for its block starts and one for the nodes
-in every block.  The nodes are stored state-major, one row per state in
-one array grown by doubling, and each node is written there once.
+advances in two products.  One gives its block starts as exact states.
+The other writes every node of every block once, straight into the four
+trajectory columns x, x', x'' and F, through the step powers folded with
+the map from a state to those columns; node states are not kept.
 Tabulated kernels fall back to a second-order predictor-corrector with
 trapezoid history summation.  Its steps are linear too, so a block of them
 is one product with a matrix, itself built by doubling, once the history
@@ -140,6 +141,9 @@ class RelaxationKernel:
                 raise ConfigError("kernel table needs matching 1-d tau and psi arrays")
             if tau[0] != 0.0 or not np.all(np.diff(tau) > 0.0):
                 raise ConfigError("kernel table abscissae must increase from 0")
+            # Interpolating toward an infinite abscissa never reaches its value.
+            if not np.all(np.isfinite(tau)):
+                raise ConfigError("kernel table abscissae must be finite")
             if not np.all(np.isfinite(psi)):
                 raise ConfigError("kernel table values must be finite")
             if abs(psi[0] - 1.0) > 1e-9:
@@ -338,60 +342,74 @@ def _first_return(fs, started):
 def _integrate_linear(kernel, m, v0, g, dt, horizon):
     """March RK4 until the force returns to zero after its initial rise.
 
-    The step map's powers for 1 .. ``_BLOCK`` steps, and those of the
-    block map for 1 .. ``_BATCH`` blocks, are both built by doubling.  The
-    nodes go state-major into one ``(n, capacity)`` array, grown by
-    doubling, and each is written once.  A batch takes two products: one
-    gives its ``_BATCH`` block ends from the batch start, and one writes
-    the increments of every node of every block in place from the block
-    starts (``G`` holds each ``D_s`` with ``S_s`` as a last column, so the
-    starts carry a trailing 1); the starts are then added and each block
-    ends where the next one starts.  The zero is located on a cubic
-    Hermite interpolant of the force over the bracketing step (endpoint
-    values and rates), bisected to a fixed fraction of the step, and the
-    terminal state comes from one partial Runge-Kutta step, preserving the
-    scheme's order.
+    The step map's powers for 1 .. ``_BLOCK`` steps, ``[D_s, S_s]``, and
+    those of the block map for 1 .. ``_BATCH`` blocks, ``(P_b, R_b)``, are
+    both built by doubling.  A batch's block starts are exact
+    increment-form states, ``y + (P_b y + R_b)`` from the batch start, in
+    one product.  Its nodes are not kept as states: ``W`` maps an
+    augmented state ``[y, 1]`` to the dimensional columns x, x', x'' and
+    F, and ``G[:, :, s] = W [[I + D_s, S_s], [0, 1]]``, so one more
+    product writes every node of the batch straight into a
+    ``(4, capacity)`` array of those columns, grown by doubling.
+
+    The bracketing step is the first whose F column entry is ``<= 0``
+    after the rise: it comes from the sign of the folded column, not of
+    ``fvec @ y``.  The two states around it are rebuilt from their block
+    start, ``y + (D_s y + S_s)``, and give the endpoint forces and rates
+    of a cubic Hermite interpolant, bisected to a fixed fraction of the
+    step; the terminal state comes from one partial Runge-Kutta step,
+    preserving the scheme's order.  The folded column and the rebuilt
+    force round differently, so at a node whose force is within rounding
+    of zero the two may disagree in sign.  The bisection then ends at that
+    node, where the force is zero to rounding, and ``t_c`` can differ by
+    one step from a march that took the sign from ``fvec @ y``.
     """
     A, c, fvec = _linear_system(kernel, m, v0, g)
     n = c.size
     Ds, Ss = _step_powers(*_rk4_increment(A, c, dt), _BLOCK)
-    # G[i, k, s] = D_s[i, k], with S_s as column k = n.
-    G = np.ascontiguousarray(np.concatenate([Ds, Ss[:, :, None]], axis=2).transpose(1, 2, 0))
+    DS = np.concatenate([Ds, Ss[:, :, None]], axis=2)  # DS[s] = [D_s, S_s]
     P, R = _step_powers(Ds[-1], Ss[-1], _BATCH)
     P = P.reshape(-1, n)
+    # The dimensional columns of an augmented state [y, 1].
+    sx, sv, sa, alpha, sF = _column_scales(kernel, m, v0)
+    W = np.zeros((4, n + 1))
+    W[0, 0] = sx
+    W[1, 1] = sv
+    W[2, :n] = -(sa * alpha) * fvec
+    W[2, n] = sa * c[1]
+    W[3, :n] = sF * fvec
+    G = np.ascontiguousarray((W + W[:, :n] @ DS).transpose(1, 2, 0))
 
     n_max = int(math.ceil(horizon / dt)) + 1
     size = _BLOCK * _BATCH  # nodes per batch
     full = 1 + size * -(-n_max // size)  # node 0, then every batch in whole
     # Three batches hold a default-step contact (about 1e4 steps); longer
     # ones double the array as they go.
-    Y = np.empty((n, min(full, 1 + 3 * size)))
-    y = Y[:, 0]
-    y[:] = 0.0
-    y[1] = 1.0
-    f = fvec @ y
-    started = f > 0.0
-    starts = np.ones((_BATCH, n + 1))  # the block starts, each with a trailing 1
-    i = 0  # node index of y
+    cols = np.empty((4, min(full, 1 + 3 * size)))
+    # The batch start, then the end of each of its blocks, each with a trailing 1.
+    bounds = np.ones((_BATCH + 1, n + 1))
+    bounds[0, :n] = 0.0
+    bounds[0, 1] = 1.0
+    cols[:, 0] = W @ bounds[0]
+    started = cols[3, 0] > 0.0
+    i = 0  # node index of the batch start
     while i < n_max:
-        if Y.shape[1] < i + 1 + size:
-            grown = np.empty((n, min(full, 2 * Y.shape[1])))
-            grown[:, : i + 1] = Y[:, : i + 1]
-            Y = grown
-        ends = y + ((P @ y).reshape(_BATCH, n) + R)  # where each block of the batch ends
-        starts[0, :n] = y
-        starts[1:, :n] = ends[:-1]
-        blocks = Y[:, i + 1 : i + 1 + size].reshape(n, _BATCH, _BLOCK)
-        np.matmul(starts, G, out=blocks)
-        blocks += starts[:, :n].T[:, :, None]
-        blocks[:, :, -1] = ends.T
+        if cols.shape[1] < i + 1 + size:
+            old, cols = cols, np.empty((4, min(full, 2 * cols.shape[1])))
+            cols[:, : i + 1] = old[:, : i + 1]
+            del old
+        y = bounds[0, :n]
+        bounds[1:, :n] = y + ((P @ y).reshape(_BATCH, n) + R)
+        np.matmul(bounds[:-1], G, out=cols[:, i + 1 : i + 1 + size].reshape(4, _BATCH, _BLOCK))
         k = min(size, n_max - i)
-        fs = fvec @ Y[:, i + 1 : i + 1 + k]
-        j, started = _first_return(fs, started)
+        j, started = _first_return(cols[3, i + 1 : i + 1 + k], started)
         if j is not None:
-            y0, f0 = Y[:, i + j], (fs[j - 1] if j else f)
-            y1, f1 = Y[:, i + j + 1], fs[j]
-            d0, d1 = fvec @ (A @ y0 + c), fvec @ (A @ y1 + c)
+            y0, y1 = _bracket(bounds, DS, j)
+            # Forces and rates in one product over four columns: BLAS may sum
+            # the last columns of a narrower product in another order, and so
+            # round them otherwise than over a batch of nodes.
+            ys = np.stack([y0, y1, A @ y0 + c, A @ y1 + c], axis=1)
+            f0, f1, d0, d1 = (fvec @ ys).tolist()
             lo, hi = 0.0, 1.0
             while hi - lo > _REFINE_TOL:
                 mid = 0.5 * (lo + hi)
@@ -401,13 +419,37 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
                     hi = mid
             s = 0.5 * (lo + hi)
             D_s, q_s = _rk4_increment(A, c, s * dt)
-            Y[:, i + j + 1] = y0 + (D_s @ y0 + q_s)
-            nodes = Y[:, : i + j + 2]
-            tau = np.append(np.arange(i + j + 1) * dt, (i + j) * dt + s * dt)
-            return _trajectory(kernel, m, v0, c[1], tau, nodes[0], nodes[1], fvec @ nodes)
+            N = i + j + 2
+            cols[:, N - 1] = W @ np.append(y0 + (D_s @ y0 + q_s), 1.0)
+            x, xdot, xddot, F = (row[:N].copy() for row in cols)
+            # The times are built while the column array is alive: built after
+            # it is freed, they would take part of its hole, and a caller that
+            # keeps the last trajectory would find no room there for the next
+            # call's array, so every call would touch fresh memory pages.
+            times = np.arange(N, dtype=float)
+            times *= dt
+            times *= kernel.tau_R
+            times[-1] = kernel.tau_R * ((i + j) * dt + s * dt)
+            return Trajectory(times=times, x=x, xdot=xdot, xddot=xddot, F=F)
         i += k
-        y, f = Y[:, i], fs[-1]
+        bounds[0] = bounds[-1]
     raise _no_separation(horizon)
+
+
+def _bracket(bounds, DS, j):
+    """States at nodes ``j`` and ``j + 1`` of the batch with block bounds ``bounds``.
+
+    Node t of block b is ``y + (D_t y + S_t)`` from the block start y.  The
+    products come from one matmul over every block start of the batch: BLAS
+    rounds a small product by its shape, and this shape gives the rounding
+    that ``TestContactEndPinned`` pins.
+    """
+    n = DS.shape[1]
+    b, t = divmod(j, _BLOCK)
+    y = bounds[b, :n, None]
+    steps = np.matmul(bounds[:-1], np.ascontiguousarray(DS.transpose(1, 2, 0)))[:, b]
+    block = np.concatenate([y, y + steps[:, :-1], bounds[b + 1, :n, None]], axis=1)
+    return block[:, t], block[:, t + 1]
 
 
 def _heun_block_map(psi, dt, alpha):
@@ -501,15 +543,25 @@ def _integrate_table(kernel, m, v0, g, dt, horizon):
     raise _no_separation(horizon)
 
 
+def _column_scales(kernel, m, v0):
+    """Factors from scaled nodes to the dimensional columns.
+
+    Returns ``(sx, sv, sa, alpha, sF)``: ``x = sx xi``, ``xdot = sv xi'``,
+    ``xddot = sa (gamma - alpha f)`` and ``F = sF f`` for the scaled force f.
+    """
+    tau_R = kernel.tau_R
+    return v0 * tau_R, v0, v0 / tau_R, kernel.alpha_per_mass / m, kernel.k0 * v0 * tau_R
+
+
 def _trajectory(kernel, m, v0, gamma, tau, xi, dxi, f):
     """Dimensional trajectory from scaled nodes: time, ``xi``, ``xi'`` and force."""
-    tau_R = kernel.tau_R
+    sx, sv, sa, alpha, sF = _column_scales(kernel, m, v0)
     return Trajectory(
-        times=tau_R * tau,
-        x=v0 * tau_R * xi,
-        xdot=v0 * dxi,
-        xddot=v0 / tau_R * (gamma - kernel.alpha_per_mass / m * f),
-        F=kernel.k0 * v0 * tau_R * f,
+        times=kernel.tau_R * tau,
+        x=sx * xi,
+        xdot=sv * dxi,
+        xddot=sa * (gamma - alpha * f),
+        F=sF * f,
     )
 
 

@@ -296,6 +296,22 @@ class TestSimulate:
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
+    def test_gravity_g_absent_or_zero_is_standard(self, tmp_path, capsys):
+        """``--gravity`` reads ``"g": 0`` as no g given: the drop runs at 9.81 m/s^2."""
+        base = {"m": 0.1, "k": 2e4, "b": 35.0, "v0": 1.2}
+        written = []
+        for name, payload in (("absent", base), ("zero", dict(base, g=0.0)),
+                              ("standard", dict(base, g=STANDARD_GRAVITY))):
+            path = _write_json(tmp_path, f"{name}.json", payload)
+            out = tmp_path / f"{name}.csv"
+            argv = ["simulate", "kv", "--params", path, "--gravity", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1] == written[2]
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "9.81 m/s^2 when g is absent or 0" in " ".join(capsys.readouterr().out.split())
+
     def test_three_element_fallback_note(self, tmp_path, capsys, monkeypatch):
         """Inside the D <= 0 window the CLI takes the closed form: no fallback, no oracle."""
         p = params_from_groups(0.316, 0.1)

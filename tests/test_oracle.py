@@ -883,3 +883,46 @@ class TestStateMajorNodes:
         kern = RelaxationKernel.sls(1.0, 1.0, 0.5)
         dt = integrate_impact(kern, 1.0, 1.0).t_c / 300.5
         assert self._assert_matches_row_major(kern, dt_scaled=dt) == 302
+
+
+class TestContactEndPinned:
+    """The contact end of the linear march, pinned to the last bit.
+
+    The nodes are written as output columns, but the contact end is found
+    from states rebuilt in increment form from their block start, so any
+    change in how a node state is rounded shows here.  The values were
+    taken with OpenBLAS 0.3.31; a BLAS that sums small products in another
+    order may move them in the last bit.
+    """
+
+    @pytest.mark.parametrize("kernel, m, v0, g, t_c, e_star", [
+        (RelaxationKernel.elastic(1.0), 1.0, 1.0, 0.0,
+         "0x1.921fb54442d16p+1", "0x1.0000000000001p+0"),
+        (RelaxationKernel.kv_limit(2.0, 0.8), 0.5, 1.0, 0.0,
+         "0x1.43cf04eaa983ap+0", "0x1.744062a8e27aep-2"),
+        (RelaxationKernel.kv_limit(2.0, 0.8), 0.5, 1.0, 0.05,
+         "0x1.504a388409eddp+0", "0x1.6bfd42a70ee12p-2"),
+        (RelaxationKernel.maxwell(1.0, 0.6), 1.0, 1.0, 0.0,
+         "0x1.6bbc166717e58p+2", "0x1.1f7561c7be37ap-7"),
+        (RelaxationKernel.from_params(params_from_groups(1.0, 0.5)), 1.0, 1.0, 0.0,
+         "0x1.ba0e72f85a24bp+1", "0x1.5d3c63ae54938p-1"),
+        (RelaxationKernel(k0=2.0, tau_R=1.0, c_inf=0.3, cs=(0.4, 0.2, 0.1),
+                          thetas=(0.5, 2.0, 1.0)), 1.5, 2.0, 0.4,
+         "0x1.0582d35f8eeb9p+2", "0x1.9dcf6ffc01be8p-2"),
+        # zeta 0.996: about 1.1e5 nodes, so the column array grows by doubling.
+        (RelaxationKernel.from_params(MaxwellParams(m=1.0, k=1.0, b=1.0 / 1.992, v0=1.0)),
+         1.0, 1.0, 0.0, "0x1.19462520afcc6p+5", "0x1.64c32fe03c589p-51"),
+    ], ids=["elastic", "kv_limit", "kv_limit-gravity", "maxwell", "sls", "exp-sum-3",
+            "maxwell-zeta-0.996"])
+    def test_contact_end_bits(self, kernel, m, v0, g, t_c, e_star):
+        traj = integrate_impact_with_gravity(kernel, m, v0, g)
+        assert traj.t_c.hex() == t_c
+        assert float(-traj.xdot[-1] / v0).hex() == e_star
+        assert traj.x[0] == 0.0
+        assert traj.xdot[0] == v0
+
+
+def test_table_abscissae_must_be_finite():
+    # Interpolating toward tau = inf would hold 0.5 forever, never the last value 0.3.
+    with pytest.raises(ConfigError, match="abscissae must be finite"):
+        RelaxationKernel.from_table([0.0, 1.0, math.inf], [1.0, 0.5, 0.3], 1.0, 1.0)
