@@ -1,12 +1,12 @@
-"""First zeros of closed-form forces, walked over the monotone pieces of one mode.
+"""Modes of the closed-form solutions, and their first zeros walked over monotone pieces.
 
-The contact forces of the two-element pairs, with or without a weight,
-have the form
+Every model's indentation, rate and force are modes in its own time unit
+(:mod:`._modal`): for the pairs, with or without a weight, and for the
+three-element solid when its cubic has a conjugate pair, they have the form
 
     F(t) = e**(-beta t) (A sin omega t + B cos omega t) + c e**(-lam t)
 
-(:class:`DampedMode`), and so do the derivatives of the three-element
-indentation when its cubic has a conjugate pair.  Write the oscillating
+(:class:`DampedMode`); the walk solves the force.  Write the oscillating
 part as ``R sin(omega t + phi)`` and ``r = beta - lam``.  Then
 
     G(t) = e**(lam t) F(t) = e**(-r t) R sin(omega t + phi) + c
@@ -26,10 +26,11 @@ and makes one Brent solve, on the first piece that falls from ``G > 0`` to
 
 and the signs at the piece ends come from this closed form, never from a
 sine evaluated next to its zero.  When ``c = 0`` the zeros of F are those
-of the sine, so ``psi = 0`` and the pieces are the sine's own.  Values are
-taken from G scaled by a decaying factor, never from ``F``, so neither the
-overflow of ``e**(r t)`` nor the underflow of ``F`` over a long half period
-decides a sign.
+of the sine, so ``psi = 0``, the pieces are the sine's own, and the walk
+takes the first falling zero in closed form.  Values are taken from G
+scaled by a decaying factor, never from ``F``, so neither the overflow of
+``e**(r t)`` nor the underflow of ``F`` over a long half period decides a
+sign.
 
 When ``r > 0`` and ``c > 0`` the minima ``c - |R| cos(psi) e**(-r t_n)``
 only rise, so a falling piece that ends with ``G > 0`` leaves ``F``
@@ -39,9 +40,9 @@ O(1) evaluations.  Otherwise the walk stops at its horizon.
 Two more forms take the same walk over their own monotone pieces.  A
 :class:`RealMode` has three real rates in place of the oscillation and at
 most two pieces, the last one reaching to infinity.  An :class:`OffsetMode`
-adds a constant, the weight of a drop, to a decaying mode.  The constant
-differentiates away, so F is monotone between the zeros of ``F'`` (Rolle):
-its pieces are those of ``F'`` split at the zeros of ``F'``.
+adds a constant, the weight of a drop, and a ramp to a decaying mode.  They
+differentiate away or to a constant, so F is monotone between the zeros of
+``F'`` (Rolle): its pieces are those of ``F'`` split at the zeros of ``F'``.
 
 :func:`brentq` and :func:`golden` are ports of SciPy's routines of the same
 names (Brent, *Algorithms for Minimization without Derivatives*, 1973),
@@ -192,52 +193,69 @@ def golden(f, brack: tuple[float, float, float], tol: float) -> float:
 minimize_scalar = golden
 
 
-class DampedMode:
-    """``e**(-beta t) (A sin omega t + B cos omega t) + c e**(-lam t)``.
+class _Mode:
+    """``P u(t) + Q v(t) + c e**(-lam t)``, where ``u(0) = 0`` and ``v(0) = 1``.
 
-    Calling a mode evaluates it (vectorized), and :meth:`combine` does so
-    from phases a caller already holds; :func:`first_force_zero` solves it
-    through :meth:`scaled` and :meth:`lifted`.
+    ``u`` and ``v`` decay at ``pair_rate``; modes of the same rates share the
+    :meth:`phases` ``(t, (u, v), e**(-lam t))``, and :meth:`terms` writes each
+    as ``P' u + Q' v + rest``.  Given its ``start``, ``Q + c`` to rounding, a
+    mode takes it at ``t = 0`` exactly: the rounding goes to the faster-decaying
+    term, as ``Q (v - e**(-lam t)) + start e**(-lam t)`` or ``start v + c
+    (e**(-lam t) - v)``.  Its pieces take no part.
     """
 
+    start = None
+
+    def terms(self, t, v, decay):
+        """``(P', Q', rest)`` at the :meth:`phases` of ``t``, ``rest`` None when zero."""
+        (P, Q), c, start = self.coefficients, self.c, self.start
+        if start is None:
+            return P, Q, c * decay if c else None
+        if self.lam > self.pair_rate:
+            return P, 0.0, Q * (v - decay) + start * decay
+        return P, start, c * (decay - v) if c else None
+
+    def __call__(self, t, *scaling):
+        t, (u, v), decay = self.phases(t, *scaling)
+        P, Q, rest = self.terms(t, v, decay)
+        out = P * u + Q * v
+        return out if rest is None else out + rest
+
+
+class DampedMode(_Mode):
+    """``e**(-beta t) (A sin omega t + B cos omega t) + c e**(-lam t)``, solved
+    by :func:`first_force_zero` through :meth:`scaled` and :meth:`lifted`."""
+
     def __init__(self, beta: float, omega: float, A: float, B: float,
-                 c: float = 0.0, lam: float = 0.0):
+                 c: float = 0.0, lam: float = 0.0, start: float | None = None):
         self.beta, self.omega, self.A, self.B, self.c, self.lam = beta, omega, A, B, c, lam
-        # R sin(omega t + phi) with phi in (-pi, 0]: the sine is <= 0 from
-        # t = 0 up to its first zero -phi / omega.
+        self.start, self.coefficients, self.pair_rate = start, (A, B), beta
+        # R sin(omega t + phi) with phi in (-pi, 0]: the sine is <= 0 from t = 0 up to
+        # its first zero -phi / omega.  phi - pi would lose ulp(pi) near that zero.
         R, phi = math.hypot(A, B), math.atan2(B, A)
-        if phi > 0.0:
-            R, phi = -R, phi - math.pi
-        self.R, self.phi = R, phi
+        self.R, self.phi = (-R, math.atan2(-B, -A)) if phi > 0.0 else (R, phi)
         self.rate = beta - lam
         self.damp = max(self.rate, 0.0)
 
-    def __call__(self, t):
+    def phases(self, t):
         if isinstance(t, float):  # NumPy's 0-d arrays cost microseconds a call
-            lib = math
-        else:
-            lib, t = np, np.asarray(t, dtype=float)
+            envelope, phase = math.exp(-self.beta * t), self.omega * t
+            uv = envelope * math.sin(phase), envelope * math.cos(phase)
+            return t, uv, math.exp(-self.lam * t) if self.lam else 1.0
+        t = np.asarray(t, dtype=float)
         phase = self.omega * t
-        return self.combine(lib.exp(-self.beta * t), lib.sin(phase), lib.cos(phase), t)
+        uv = np.array((np.sin(phase), np.cos(phase)))
+        uv *= np.exp(-self.beta * t)
+        return t, uv, np.exp(-self.lam * t) if self.lam else 1.0
 
-    def combine(self, envelope, s, c, t):
-        """The mode at ``t`` from ``exp(-beta t)``, ``sin(omega t)``, ``cos(omega t)``."""
-        out = self.A * s
-        if self.B:
-            out += self.B * c
-        out *= envelope
-        if self.c:
-            exp = math.exp if isinstance(t, float) else np.exp
-            out += self.c * exp(-self.lam * t) if self.lam else self.c
-        return out
-
-    def derivative(self) -> "DampedMode":
+    def derivative(self, start: float | None = None) -> "DampedMode":
         b, w = self.beta, self.omega
         return DampedMode(b, w, -b * self.A - w * self.B, w * self.A - b * self.B,
-                          -self.lam * self.c, self.lam)
+                          -self.lam * self.c, self.lam, start)
 
     def __neg__(self) -> "DampedMode":
-        return DampedMode(self.beta, self.omega, -self.A, -self.B, -self.c, self.lam)
+        return DampedMode(self.beta, self.omega, -self.A, -self.B, -self.c, self.lam,
+                          None if self.start is None else -self.start)
 
     def weight(self, a: float) -> float:
         """``c e**((beta - lam) a)``, infinite rather than overflowing."""
@@ -299,7 +317,7 @@ class DampedMode:
             g_lo, osc = osc + weight, -osc
 
 
-class RealMode:
+class RealMode(_Mode):
     """``e**(-beta t) (C cosh kappa t + S sinh(kappa t) / kappa) + c e**(-lam t)``.
 
     Three real rates, ``beta -+ kappa`` and ``lam``.  The first two stay one
@@ -312,26 +330,28 @@ class RealMode:
     omega = 0.0
 
     def __init__(self, beta: float, kappa: float, C: float, S: float,
-                 c: float = 0.0, lam: float = 0.0):
+                 c: float = 0.0, lam: float = 0.0, start: float | None = None):
         self.beta, self.kappa, self.C, self.S, self.c, self.lam = beta, kappa, C, S, c, lam
+        self.start, self.coefficients, self.pair_rate = start, (S, C), beta - kappa
         self.slow = min(beta - kappa, lam) if c else beta - kappa
 
-    def __call__(self, t, s: float = 0.0):
-        """``e**(s t) F(t)``, from decaying exponentials alone for ``s <= slow``."""
+    def phases(self, t, s: float = 0.0):
+        """``u, v = e**(-beta t) (sinh(kappa t) / kappa, cosh kappa t)``, all times
+        ``e**(s t)``: from decaying exponentials alone for ``s <= slow``."""
         t, k = np.asarray(t, dtype=float), self.kappa
         sinh = -np.expm1(-2.0 * k * t) / (2.0 * k) if k else t
-        out = np.exp((s - self.beta + k) * t) * (
-            0.5 * self.C * (1.0 + np.exp(-2.0 * k * t)) + self.S * sinh
-        )
-        return out + self.c * np.exp((s - self.lam) * t) if self.c else out
+        uv = np.array((sinh, 0.5 * (1.0 + np.exp(-2.0 * k * t))))
+        uv *= np.exp((s - self.beta + k) * t)
+        return t, uv, np.exp((s - self.lam) * t)
 
-    def derivative(self) -> "RealMode":
+    def derivative(self, start: float | None = None) -> "RealMode":
         b, k = self.beta, self.kappa
         return RealMode(b, k, self.S - b * self.C, k * k * self.C - b * self.S,
-                        -self.lam * self.c, self.lam)
+                        -self.lam * self.c, self.lam, start)
 
     def __neg__(self) -> "RealMode":
-        return RealMode(self.beta, self.kappa, -self.C, -self.S, -self.c, self.lam)
+        return RealMode(self.beta, self.kappa, -self.C, -self.S, -self.c, self.lam,
+                        None if self.start is None else -self.start)
 
     def pieces(self, period: float):
         """Monotone pieces of ``G``, as :meth:`DampedMode.pieces`; ``period`` is unused.
@@ -358,24 +378,28 @@ class RealMode:
         yield from _tail(g, lo, g_lo, limit)
 
 
-class OffsetMode:
-    """``mode + offset`` for a decaying mode, as the force of a drop.
+class OffsetMode(_Mode):
+    """``mode + offset + slope t`` for a decaying mode: a drop's force, or a creeping indentation.
 
     The offset differentiates away, so F is monotone between the zeros of
-    ``mode'`` (Rolle), and it tends to the offset.
+    ``F'`` (Rolle), and it tends to the offset, or to infinity with a slope.
     """
 
-    def __init__(self, mode, offset: float):
-        self.mode, self.offset, self.omega = mode, offset, mode.omega
+    def __init__(self, mode, offset: float, slope: float = 0.0):
+        self.mode, self.offset, self.slope, self.omega = mode, offset, slope, mode.omega
+        self.phases = mode.phases
 
-    def __call__(self, t):
-        return self.mode(t) + self.offset
+    def terms(self, t, v, decay):
+        P, Q, rest = self.mode.terms(t, v, decay)
+        rest = self.offset if rest is None else rest + self.offset
+        return P, Q, rest + self.slope * t if self.slope else rest
 
     def derivative(self):
-        return self.mode.derivative()
+        mode = self.mode.derivative()
+        return OffsetMode(mode, self.slope) if self.slope else mode
 
     def pieces(self, period: float):
-        """Monotone pieces of F: those of ``mode'`` split at its zeros."""
+        """Monotone pieces of F: those of ``F'`` split at its zeros."""
         def f(t):
             return float(self(t))
 
@@ -386,7 +410,7 @@ class OffsetMode:
                     f_hi = f(hi)
                     yield lo, hi, f_lo, f_hi, f
                     lo, f_lo = hi, f_hi
-        yield from _tail(f, lo, f_lo, self.offset)
+        yield from _tail(f, lo, f_lo, self.slope or self.offset)
 
 
 def _crosses(g_lo: float, g_hi: float) -> bool:
@@ -403,8 +427,8 @@ def _root(g, lo: float, hi: float, g_hi: float) -> float:
 def _tail(g, lo: float, g_lo: float, limit: float):
     """The last piece, ``[lo, inf)``, cut where monotone ``g`` takes the sign of its limit.
 
-    None when the limit is zero or keeps the sign of ``g_lo``.  The cut
-    doubles its distance from ``lo`` until the sign changes.
+    None when ``limit``, of that sign, is zero or keeps the sign of ``g_lo``.
+    The cut doubles its distance from ``lo`` until the sign changes.
     """
     if limit == 0.0 or (limit > 0.0) == (g_lo > 0.0):
         return
@@ -441,6 +465,14 @@ def first_force_zero(force, period: float, horizon: float) -> float:
     """
     if not force.omega:
         horizon = math.inf
+    elif isinstance(force, DampedMode) and not force.c and force.R:
+        # F falls through the sine's zeros at the phases omega t + phi = k pi with k
+        # even: the first after t = 0, or after the rise when F starts at 0 and falls.
+        k = 1.0 if force.R > 0.0 else 0.0 if force.phi < 0.0 else 2.0
+        zero = (k * math.pi - force.phi) / force.omega
+        if zero <= horizon:
+            return zero
+        raise PlasticImpactError("contact force never returns to zero within the horizon")
     for lo, hi, g_lo, g_hi, g in force.pieces(period):
         if lo >= horizon:
             break

@@ -7,10 +7,9 @@ solution of ``m x'' + b x' + k x = m g`` with ``x(0) = 0, x'(0) = v0``;
 contact ends at the first return of the transmitted force ``k x + b x'``
 to zero.
 
-The equation is linear, so the drop solution is the free response (``g = 0``)
-plus the response to the impactor's weight alone (``v0 = 0``).  Each column
-is written once in that form, and the zero-gravity trajectory is the drop
-solution at ``g = 0`` with its contact end in closed form.
+The solution is one damped mode in ``omega0`` time (:func:`_scaled_solution`),
+which :mod:`._modal` walks and samples; the zero-gravity trajectory is the
+drop solution at ``g = 0``.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
-from ._search import SCAN_HORIZON_PERIODS, DampedMode, first_force_zero, golden
+from . import _modal
+# Every walk goes through this module's name, which perfbench's traced pass wraps.
+from ._search import DampedMode, first_force_zero, golden
 from .errors import DomainError, PlasticImpactError
 from .models import (
     DEFAULT_SAMPLES,
@@ -29,7 +28,6 @@ from .models import (
     Trajectory,
     _check_groups,
     _require_positive,
-    _uniform_times,
 )
 
 __all__ = [
@@ -46,11 +44,6 @@ __all__ = [
 _ETA_FORCE_BRANCH = 0.5
 
 
-def _contact_duration(derived) -> float:
-    """Zero-gravity contact duration ``(2 / omega) * atan(omega / beta)``."""
-    return 2.0 / derived.omega * math.atan2(derived.omega, derived.beta)
-
-
 def _peak_angle(eta: float) -> float:
     """Damped phase ``omega t_M`` of the force peak below the branch at one half."""
     return math.atan2(
@@ -59,54 +52,34 @@ def _peak_angle(eta: float) -> float:
     )
 
 
-def _force(params: KelvinVoigtParams, g: float) -> DampedMode:
-    """Transmitted force ``k x + b xdot`` under gravity ``g``."""
+def _scaled_solution(eta: float, gamma: float = 0.0):
+    """Indentation, its rate and the force in ``omega0`` time, as modes.
+
+    ``xi'' + 2 eta xi' + xi = gamma``, ``xi(0) = 0``, ``xi'(0) = 1``: with
+    ``w = sqrt(1 - eta**2)``, ``xi = gamma + e**(-eta t) ((1 - gamma eta) / w
+    sin w t - gamma cos w t)``.  The force ``(k x + b xdot) / (m v0 omega0)``
+    holds the weight as its constant, so one Brent solve ends the contact.
+    Each mode starts exactly.
+    """
+    w = math.sqrt(1.0 - eta * eta)
+    return (DampedMode(eta, w, (1.0 - gamma * eta) / w, -gamma, gamma),
+            DampedMode(eta, w, (gamma - eta) / w, 1.0),
+            DampedMode(eta, w, (1.0 - 2.0 * eta * eta + gamma * eta) / w, 2.0 * eta - gamma, gamma))
+
+
+def _model(params: KelvinVoigtParams):
+    """The pair at ``params`` for :mod:`._modal`, in ``omega0`` time."""
     d = params.derived
-    v0, omega, beta, mg = params.v0, d.omega, d.beta, params.m * g
-    return DampedMode(
-        beta, omega, (v0 * (params.k - params.b * beta) + mg * beta) / omega,
-        params.b * v0 - mg, mg,
-    )
-
-
-def _columns(params: KelvinVoigtParams, g: float, t):
-    """Displacement, velocity and force at times ``t`` under gravity ``g``."""
-    d = params.derived
-    v0, omega0, omega, beta = params.v0, d.omega0, d.omega, d.beta
-    envelope, phase = np.exp(-beta * t), omega * t
-    s, c = np.sin(phase), np.cos(phase)
-    x = v0 / omega * envelope * s
-    xdot = v0 * envelope * (c - beta / omega * s)
-    if g:
-        x = x + g / omega0**2 * (1.0 - envelope * (c + beta / omega * s))
-        xdot = xdot + g / omega * envelope * s
-    return x, xdot, _force(params, g).combine(envelope, s, c, t)
-
-
-def _sample(params: KelvinVoigtParams, g: float, t_c: float, n_samples: int) -> Trajectory:
-    """Trajectory under gravity ``g`` on a uniform grid spanning ``[0, t_c]``."""
-    t = _uniform_times(t_c, n_samples)
-    x, xdot, F = _columns(params, g, t)
-    return Trajectory(times=t, x=x, xdot=xdot, xddot=g - F / params.m, F=F)
+    return (lambda gamma: _scaled_solution(d.eta, gamma)), 1.0 / d.omega0, first_force_zero
 
 
 def kv_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
-    """Sample the zero-gravity contact history on a uniform grid.
+    """Zero-gravity contact history at ``n_samples`` uniform times over ``[0, t_c]``.
 
-    Parameters
-    ----------
-    params : KelvinVoigtParams
-        Model parameters; the ``g`` field is ignored here.
-    n_samples : int, optional
-        Number of samples, spanning ``[0, t_c]`` inclusive.
-
-    Returns
-    -------
-    Trajectory
-        With ``x[0] = 0``, ``xdot[0] = v0`` and the force satisfying
-        ``F = k x + b xdot`` at every sample.
+    ``params.g`` is ignored.  The history starts at exactly ``x = 0, xdot =
+    v0``, and ``F = k x + b xdot`` at every sample.
     """
-    return _sample(params, 0.0, _contact_duration(params.derived), n_samples)
+    return _modal.trajectory(*_model(params), params, 0.0, n_samples)
 
 
 def kv_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
@@ -123,7 +96,7 @@ def kv_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
     m, v0 = params.m, params.v0
     omega0, omega, beta, eta = d.omega0, d.omega, d.beta, d.eta
 
-    t_c = _contact_duration(d)
+    t_c = 2.0 / omega * math.atan2(omega, beta)
     e_star = math.exp(-beta * t_c)
     t_m = 0.5 * t_c
     x_m = v0 / omega0 * math.exp(-beta * t_m)
@@ -164,30 +137,15 @@ def kv_fm_minimizer(tol: float = 1e-12) -> tuple[float, float]:
     return eta_star, _peak_force_scaled(eta_star)
 
 
-def _drop_contact_end(params: KelvinVoigtParams) -> float:
-    """First force zero with gravity acting, walked over at most ten periods."""
-    period = 2.0 * math.pi / params.derived.omega
-    return first_force_zero(_force(params, params.g), period, SCAN_HORIZON_PERIODS * period)
-
-
 def kv_drop_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Contact history with gravity acting throughout contact.
 
-    Gravity adds a particular solution that delays separation and, beyond a
-    damping-dependent threshold of ``eps0 = g / (omega0 v0)``, suppresses it
-    entirely.  The contact end is the first zero of the transmitted force,
-    found by :func:`~visco_impact._search.first_force_zero`'s walk over the
-    monotone pieces of its mode.
-
-    Raises
-    ------
-    PlasticImpactError
-        If the force is proved never to return to zero (the impactor stays
-        embedded); the proof takes the first minimum that stays above zero.
+    Gravity delays separation and, beyond a damping-dependent threshold of
+    ``eps0 = g / (omega0 v0)``, suppresses it: :class:`PlasticImpactError`
+    when the first force minimum that stays above zero proves the impactor
+    embedded.
     """
-    # Without gravity the contact end is in closed form.
-    t_c = _drop_contact_end(params) if params.g else _contact_duration(params.derived)
-    return _sample(params, params.g, t_c, n_samples)
+    return _modal.trajectory(*_model(params), params, params.g, n_samples)
 
 
 def kv_drop_metrics_asymptotic(params: KelvinVoigtParams) -> ImpactMetrics:
@@ -213,24 +171,16 @@ def kv_find_critical_eps0(eta: float, tol: float = 1e-6) -> float:
 
     Bisection on ``eps0`` at fixed loss factor, classifying each trial by
     whether the transmitted force returns to zero.  The threshold is scale
-    invariant, so the search runs in units ``m = k = v0 = 1``.
-
-    Parameters
-    ----------
-    eta : float
-        Loss factor in (0, 1).
-    tol : float, optional
-        Absolute tolerance on the returned threshold, positive and finite.
-        Below the float spacing at the threshold, the bracket stops at two
-        adjacent floats.
+    invariant, so the search walks the scaled force, where ``gamma = eps0``.
+    ``tol`` is the absolute tolerance on the threshold, positive and finite;
+    below the float spacing there, the bracket stops at two adjacent floats.
     """
     _check_groups(eta=eta)
     _require_positive("tol", tol)
-    b = 2.0 * eta
 
     def embeds(eps0: float) -> bool:
         try:
-            _drop_contact_end(KelvinVoigtParams(m=1.0, k=1.0, b=b, v0=1.0, g=eps0))
+            _modal._first_zero(_scaled_solution(eta, eps0)[2], first_force_zero)
         except PlasticImpactError:
             return True
         return False

@@ -11,10 +11,10 @@ stiffness ratio ``rho = k_inf / k0``.  The cubic has one real root
 discriminant ``D`` is positive, two more real roots when ``D <= 0``.  At
 every ``D`` the real root comes from Viète's trigonometric or hyperbolic
 form and the pair from deflation.  The indentation is the pair's damped
-sinusoid, or its cosh and sinh when ``D <= 0``, plus a pure exponential,
-and all impact metrics follow from closed forms.  The weight of a drop adds
-a constant particular solution to the same modes, so the zero-gravity
-solution is the drop solution at ``g = 0``.
+sinusoid, or its cosh and sinh when ``D <= 0``, plus a pure exponential;
+:mod:`._modal` turns these modes into the contact end, the history and the
+metrics.  The weight of a drop adds a constant particular solution to the
+same modes, so the zero-gravity solution is the drop solution at ``g = 0``.
 
 The modal form has one domain limit: within about 1e-11 relative of the
 triple root ``Lambda = 1/3, rho = 1/9`` its coefficients cancel to fewer
@@ -31,16 +31,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._search import SCAN_HORIZON_PERIODS, DampedMode, OffsetMode, RealMode, first_force_zero
+from . import _modal
+# Every walk goes through this module's name, which perfbench's traced pass wraps.
+from ._search import DampedMode, OffsetMode, RealMode, first_force_zero
 from ._search import golden  # noqa: F401  (perfbench's traced pass wraps this name)
-from .errors import DiscriminantError
+from .errors import DiscriminantError, DomainError
 from .models import (
     DEFAULT_SAMPLES,
     ImpactMetrics,
     StandardSolidParams,
     Trajectory,
     _check_groups,
-    _uniform_times,
 )
 
 __all__ = [
@@ -173,69 +174,36 @@ def _scaled_solution(Lambda: float, rho: float, gamma: float = 0.0):
     c = ((n2 * lam - n1) * lam + n0) / M
     C = n2 - c
     S = n1 - 2.0 * bet * c - C * (lam + bet)
+    # Each mode starts at its initial value exactly, which the coefficients round.
+    start = -xi_inf if gamma else 0.0
     if w2 > 0.0:
         zeta = math.sqrt(w2)
-        xi = DampedMode(bet, zeta, S / zeta, C, c, lam)
+        xi = DampedMode(bet, zeta, S / zeta, C, c, lam, start)
     else:
-        xi = RealMode(bet, math.sqrt(-w2), C, S, c, lam)
-    xi_d = xi.derivative()
-    return OffsetMode(xi, xi_inf) if gamma else xi, xi_d, xi_d.derivative()
+        xi = RealMode(bet, math.sqrt(-w2), C, S, c, lam, start)
+    xi_d = xi.derivative(1.0)
+    return OffsetMode(xi, xi_inf) if gamma else xi, xi_d, xi_d.derivative(gamma)
 
 
-def _first_zero(mode) -> float:
-    """First zero of a scaled mode after its rise, in relaxation-time units."""
-    # Without oscillation (D <= 0) the walk needs no period or horizon.
-    period = 2.0 * math.pi / (mode.omega or 1.0)
-    return first_force_zero(mode, period, SCAN_HORIZON_PERIODS * period)
-
-
-def _contact(params: StandardSolidParams, g: float):
-    """Modes, force over ``m v0 / tau_R`` and contact end under gravity ``g``, scaled."""
+def _model(params: StandardSolidParams):
+    """The solid at ``params`` for :mod:`._modal`, in relaxation times."""
     d = params.derived
-    gamma = g * d.tau_R / params.v0
-    xi, xi_d, xi_dd = _scaled_solution(d.Lambda, d.rho, gamma)
-    force = OffsetMode(-xi_dd, gamma) if gamma else -xi_dd
-    return xi, xi_d, xi_dd, force, _first_zero(force)
 
+    def solution(gamma):
+        xi, xi_d, xi_dd = _scaled_solution(d.Lambda, d.rho, gamma)
+        return xi, xi_d, OffsetMode(-xi_dd, gamma) if gamma else -xi_dd
 
-def _sample(params: StandardSolidParams, g: float, n_samples: int) -> Trajectory:
-    xi, xi_d, xi_dd, _, tau_c = _contact(params, g)
-    tau_R, v0, m = params.derived.tau_R, params.v0, params.m
-    tau = _uniform_times(tau_c, n_samples)
-    xddot = v0 / tau_R * xi_dd(tau)
-    # Adding g only when it is nonzero keeps the zero-gravity force exactly -m xddot.
-    F = m * (g - xddot) if g else -m * xddot
-    return Trajectory(times=tau * tau_R, x=v0 * tau_R * xi(tau), xdot=v0 * xi_d(tau),
-                      xddot=xddot, F=F)
-
-
-def _metrics(params: StandardSolidParams, g: float) -> ImpactMetrics:
-    """Duration and restitution from the force's first zero, peaks from the
-    first zeros of ``xi'`` and of the force's rate, each to Brent's 1e-15."""
-    xi, xi_d, _, force, tau_c = _contact(params, g)
-    tau_R, v0, m = params.derived.tau_R, params.v0, params.m
-    tau_m = _first_zero(xi_d)
-    tau_M = _first_zero(force.derivative())
-    return ImpactMetrics(
-        t_c=tau_c * tau_R,
-        e_star=-float(xi_d(tau_c)),
-        t_m=tau_m * tau_R,
-        x_m=v0 * tau_R * float(xi(tau_m)),
-        t_M=tau_M * tau_R,
-        F_M=m * v0 / tau_R * float(force(tau_M)),
-        x_M=v0 * tau_R * float(xi(tau_M)),
-        F_m=m * v0 / tau_R * float(force(tau_m)),
-    )
+    return solution, d.tau_R, first_force_zero
 
 
 def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Zero-gravity contact history, sampled from the exact modal solution."""
-    return _sample(params, 0.0, n_samples)
+    return _modal.trajectory(*_model(params), params, 0.0, n_samples)
 
 
 def sls_metrics(params: StandardSolidParams) -> ImpactMetrics:
     """Zero-gravity scalar impact metrics."""
-    return _metrics(params, 0.0)
+    return _modal.metrics(*_model(params), params, 0.0)
 
 
 def sls_drop_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
@@ -244,31 +212,29 @@ def sls_drop_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SA
     The force ``m (g - xddot)`` settles to ``m g``; past a threshold weight
     it never returns to zero, which raises :class:`PlasticImpactError`.
     """
-    return _sample(params, params.g, n_samples)
+    return _modal.trajectory(*_model(params), params, params.g, n_samples)
 
 
 def sls_drop_metrics(params: StandardSolidParams) -> ImpactMetrics:
     """Exact scalar metrics of the drop, as :func:`sls_drop_trajectory`."""
-    return _metrics(params, params.g)
+    return _modal.metrics(*_model(params), params, params.g)
+
+
+def _check_expansion_rho(rho: float) -> None:
+    if not 0.0 <= rho < 1.0:
+        raise DomainError(f"rho must lie in [0, 1), got {rho!r}")
 
 
 def sls_perturb_kv(eta: float, rho: float) -> tuple[float, float]:
     """Metrics near the parallel-pair limit, first order in ``rho``.
 
-    Parameters
-    ----------
-    eta : float
-        Loss factor of the limiting parallel pair (frequency scaled by the
-        long-time stiffness, ``omega0**2 = k_inf / m``).
-    rho : float
-        Stiffness ratio; the expansion is accurate to O(rho**2).
-
-    Returns
-    -------
-    tuple of float
-        ``(omega0 * t_c, e_star)``.
+    ``eta`` is the loss factor of the limiting parallel pair, with frequency
+    scaled by the long-time stiffness (``omega0**2 = k_inf / m``), and the
+    stiffness ratio ``rho`` lies in [0, 1) (:class:`DomainError` otherwise):
+    ``(omega0 * t_c, e_star)`` are accurate to O(rho**2).
     """
     _check_groups(eta=eta)
+    _check_expansion_rho(rho)
     root = math.sqrt(1.0 - eta * eta)
     phi = math.atan2(root, eta)
     tc0 = 2.0 / root * phi
@@ -283,9 +249,10 @@ def sls_perturb_maxwell(zeta: float, rho: float) -> tuple[float, float]:
 
     Here ``rho`` is again the stiffness ratio and the frequency scaling
     uses the instantaneous stiffness, ``omega0**2 = k0 / m``.  Returns
-    ``(omega0 * t_c, e_star)``.
+    ``(omega0 * t_c, e_star)``; :class:`DomainError` for ``rho`` outside [0, 1).
     """
     _check_groups(zeta=zeta)
+    _check_expansion_rho(rho)
     root = math.sqrt(1.0 - zeta * zeta)
     e0 = math.exp(-math.pi * zeta / root)
     tc = math.pi / root + 2.0 * math.pi * rho * zeta**2 / root**3
