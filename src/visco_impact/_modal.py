@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ._search import SCAN_HORIZON_PERIODS
-from .models import ImpactMetrics, Trajectory, _uniform_times
+from .models import ImpactMetrics, Trajectory, _check_groups, _uniform_times
 
 
 def _first_zero(mode, walk) -> float:
@@ -27,7 +27,9 @@ def _first_zero(mode, walk) -> float:
 
 def _solve(solution, T: float, walk, params, g: float):
     """The modes under gravity ``g`` and the contact end, the force's first zero."""
-    modes = solution(g * T / params.v0)
+    gamma = g * T / params.v0
+    _check_groups("gamma = g T / v0", eps0=gamma)
+    modes = solution(gamma)
     return modes, _first_zero(modes[2], walk)
 
 

@@ -245,7 +245,7 @@ def solve_e10(
     NoCrossingError
         If the peak force stays below ``pi a**2 sigma_target``.
     """
-    if sigma_target < 0.0:
+    if not sigma_target >= 0.0:
         raise DomainError(f"sigma_target must be nonnegative, got {sigma_target!r}")
     E_max = params.k * geom.h / geom.area
     if sigma_target == 0.0:

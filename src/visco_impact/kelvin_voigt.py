@@ -19,15 +19,14 @@ import math
 
 from . import _modal
 # Every walk goes through this module's name, which perfbench's traced pass wraps.
-from ._search import DampedMode, first_force_zero, golden
-from .errors import DomainError, PlasticImpactError
+from ._search import DampedMode, _root, first_force_zero, golden
+from .errors import DomainError
 from .models import (
     DEFAULT_SAMPLES,
     ImpactMetrics,
     KelvinVoigtParams,
     Trajectory,
     _check_groups,
-    _require_positive,
 )
 
 __all__ = [
@@ -166,36 +165,36 @@ def kv_drop_metrics_asymptotic(params: KelvinVoigtParams) -> ImpactMetrics:
     return dataclasses.replace(base, t_c=t_c, e_star=e_star)
 
 
-def kv_find_critical_eps0(eta: float, tol: float = 1e-6) -> float:
+def kv_find_critical_eps0(eta: float) -> float:
     """Gravity ratio beyond which the impactor never separates.
 
-    Bisection on ``eps0`` at fixed loss factor, classifying each trial by
-    whether the transmitted force returns to zero.  The threshold is scale
-    invariant, so the search walks the scaled force, where ``gamma = eps0``.
-    ``tol`` is the absolute tolerance on the threshold, positive and finite;
-    below the float spacing there, the bracket stops at two adjacent floats.
+    In ``omega0`` time the force is ``f0 + eps0 fw``: the free force plus the
+    force per unit weight, whose rate is ``f0``.  On the threshold the first
+    minimum touches zero, ``f0 + eps0 fw = f0' + eps0 f0 = 0``: one Brent solve
+    of ``W = f0**2 - f0' fw`` from the first minimum of ``f0`` to its return to
+    zero, where ``eps0 = -f0 / fw`` is stationary.  Above the cap ``eps0 = 1e6``
+    (``eta`` below about 8e-14) it raises :class:`DomainError`.
     """
     _check_groups(eta=eta)
-    _require_positive("tol", tol)
+    free = _scaled_solution(eta)[2]
+    rate, w = free.derivative(), free.omega
+    t_min, t_back = (_modal._first_zero(-mode, first_force_zero) for mode in (rate, free))
 
-    def embeds(eps0: float) -> bool:
-        try:
-            _modal._first_zero(_scaled_solution(eta, eps0)[2], first_force_zero)
-        except PlasticImpactError:
-            return True
-        return False
+    def terms(t: float):
+        """``e**(eta t) (f0, f0')``, ``fw`` (``1 - cos`` as ``2 sin**2``) and ``e**(-eta t)``."""
+        phase, decay = w * t, math.exp(-eta * t)
+        s, c = math.sin(phase), math.cos(phase)
+        fw = -math.expm1(-eta * t) + decay * (2.0 * math.sin(0.5 * phase) ** 2 + eta / w * s)
+        return free.A * s + free.B * c, rate.A * s + rate.B * c, fw, decay
 
-    lo, hi, cap = 0.0, 0.5, 1e6
-    while not embeds(hi):
-        if hi == cap:
-            raise DomainError("no embedding threshold found below eps0 = 1e6")
-        lo, hi = hi, min(2.0 * hi, cap)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent floats: a smaller tol cannot be met
-            break
-        if embeds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    def tangency(t: float) -> float:
+        """``W e**(eta t)``, signed where ``e**(-eta t)`` underflows; at ``t_back``
+        ``f0`` is zero, whatever it rounds to."""
+        f, df, fw, decay = terms(t)
+        return (decay * f * f if t != t_back else 0.0) - df * fw
+
+    f, _, fw, decay = terms(_root(tangency, t_min, t_back, tangency(t_back)))
+    eps0 = -decay * f / fw
+    if eps0 > 1e6:
+        raise DomainError("no embedding threshold found below eps0 = 1e6")
+    return eps0

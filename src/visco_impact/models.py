@@ -275,30 +275,52 @@ def derive_kv(params: KelvinVoigtParams) -> DerivedGroups:
     Raises
     ------
     DomainError
-        If ``eta >= 1`` (no oscillatory rebound).
+        If ``eta >= 1`` (no oscillatory rebound), or if ``omega0`` or
+        ``eps0`` is not finite.
     """
-    omega0 = math.sqrt(params.k / params.m)
+    omega0 = _natural_frequency(params)
     beta = params.b / (2.0 * params.m)
     eta = beta / omega0
-    if eta >= 1.0:
+    if not eta < 1.0:
         raise DomainError(
             f"loss factor eta = {eta:.6g} is >= 1: the pair is overdamped "
             "and the oscillatory solution does not apply"
         )
     omega = omega0 * math.sqrt(1.0 - eta * eta)
-    eps0 = params.g / (omega0 * params.v0)
+    eps0 = _gravity_ratio(params, omega0)
     return DerivedGroups(omega0=omega0, omega=omega, beta=beta, eta=eta, eps0=eps0)
+
+
+def _natural_frequency(params) -> float:
+    """``omega0 = sqrt(k / m)`` of a pair, refused unless positive and finite."""
+    omega0 = math.sqrt(params.k / params.m)
+    _require_positive("omega0 = sqrt(k / m)", omega0)
+    return omega0
+
+
+def _divide(a: float, b: float) -> float:
+    """``a / b`` for ``a, b >= 0``; at ``b = 0``, where a product underflowed, what
+    IEEE division gives: inf, or NaN when ``a = 0``."""
+    return a / b if b else math.inf if a else math.nan
+
+
+def _gravity_ratio(params, omega0: float) -> float:
+    """``eps0 = g / (omega0 v0)``, refused unless finite."""
+    eps0 = _divide(params.g, omega0 * params.v0)
+    _check_groups("eps0 = g / (omega0 v0)", eps0=eps0)
+    return eps0
 
 
 def derive_maxwell(params: MaxwellParams) -> DerivedGroups:
     """Derive the nondimensional groups of a spring-dashpot series pair.
 
     The loss factor is ``zeta = k / (2 omega0 b)`` and the relaxation time
-    is ``tau_R = b / k``.  Raises :class:`DomainError` when ``zeta >= 1``.
+    is ``tau_R = b / k``.  Raises :class:`DomainError` when ``zeta >= 1``, or
+    when ``omega0`` or ``eps0`` is not finite.
     """
-    omega0 = math.sqrt(params.k / params.m)
-    zeta = params.k / (2.0 * omega0 * params.b)
-    if zeta >= 1.0:
+    omega0 = _natural_frequency(params)
+    zeta = _divide(params.k, 2.0 * omega0 * params.b)
+    if not zeta < 1.0:
         raise DomainError(
             f"loss factor zeta = {zeta:.6g} is >= 1: relaxation is too fast "
             "for an oscillatory rebound"
@@ -306,7 +328,7 @@ def derive_maxwell(params: MaxwellParams) -> DerivedGroups:
     omega = omega0 * math.sqrt(1.0 - zeta * zeta)
     beta = zeta * omega0
     tau_R = params.b / params.k
-    eps0 = params.g / (omega0 * params.v0)
+    eps0 = _gravity_ratio(params, omega0)
     return DerivedGroups(
         omega0=omega0, omega=omega, beta=beta, zeta=zeta, tau_R=tau_R, eps0=eps0
     )

@@ -206,6 +206,11 @@ class TestSolveE10:
         with pytest.raises(DomainError, match="nonnegative"):
             solve_e10(self.PARAMS, GEOM, sigma_target=-1.0)
 
+    def test_nan_target_rejected(self):
+        """A NaN target is refused before it reaches the root solve."""
+        with pytest.raises(DomainError, match="sigma_target must be nonnegative, got nan"):
+            solve_e10(self.PARAMS, GEOM, sigma_target=math.nan)
+
     def test_unreachable_target(self):
         soft = MaxwellParams(m=1.0, k=1.0, b=1.0, v0=1.0)
         with pytest.raises(NoCrossingError, match="peak force"):

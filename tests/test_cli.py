@@ -208,6 +208,32 @@ class TestSimulate:
             assert "impactor stays embedded" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "model, params, extra, message",
+        [
+            # omega0 v0 underflows to 0.
+            ("kv", {"m": 1e308, "k": 1e200, "b": 5e-324, "v0": 1e-308, "g": 1.0}, ["--gravity"],
+             "eps0 = g / (omega0 v0) must be nonnegative and finite, got inf"),
+            # k / m overflows, so omega0 = inf and eta = NaN.
+            ("maxwell", {"m": 1e-308, "k": 2.0, "b": 1e12, "v0": 1.0}, [],
+             "omega0 = sqrt(k / m) must be positive and finite, got inf"),
+            ("kv", {"m": 1e-308, "k": 2.0, "b": 1e12, "v0": 1.0}, [],
+             "omega0 = sqrt(k / m) must be positive and finite, got inf"),
+            # g tau_R / v0 overflows.
+            ("sls", {"m": 1e-308, "k1": 1.0, "k2": 0.3, "b": 0.5, "v0": 1e-308}, ["--gravity"],
+             "gamma = g T / v0 must be nonnegative and finite, got inf"),
+            # 2 omega0 b underflows to 0, so zeta = k / (2 omega0 b) is infinite.
+            ("maxwell", {"m": 1e46, "k": 1e-168, "b": 1e-283, "v0": 1.0}, [],
+             "loss factor zeta = inf is >= 1: relaxation is too fast for an oscillatory rebound"),
+        ],
+        ids=["kv-eps0", "maxwell-omega0", "kv-omega0", "sls-gamma", "maxwell-zeta"],
+    )
+    def test_extreme_magnitudes_exit_domain(self, tmp_path, capsys, model, params, extra, message):
+        """Groups that overflow or underflow are refused in one line, with no traceback."""
+        path = _write_json(tmp_path, f"{model}.json", params)
+        assert main(["simulate", model, "--params", path, *extra]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "model, params",
         [
             ("kv", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0, "g": 0.2}),

@@ -169,8 +169,7 @@ class TestDrop:
 
     def test_critical_eps0_separates_regimes(self):
         eta = 0.5
-        crit = kv_find_critical_eps0(eta, tol=1e-4)
-        assert kv_find_critical_eps0(eta, tol=1e-6) == pytest.approx(crit, abs=1e-3)
+        crit = kv_find_critical_eps0(eta)
         kv_drop_trajectory(_params(eta, g=0.9 * crit), n_samples=50)
         with pytest.raises(PlasticImpactError):
             kv_drop_trajectory(_params(eta, g=1.1 * crit), n_samples=50)
@@ -179,8 +178,8 @@ class TestDrop:
         assert kv_find_critical_eps0(0.6) < kv_find_critical_eps0(0.3)
 
     def test_critical_eps0_tests_its_cap(self):
-        """The doubling stops at eps0 = 1e6 and tests that value before refusing."""
-        assert kv_find_critical_eps0(1e-13) == pytest.approx(892239.4291348865, abs=1e-6)
+        """Thresholds up to eps0 = 1e6 are returned; eta = 1e-14's 2820947.9 is refused."""
+        assert kv_find_critical_eps0(1e-13) == pytest.approx(892062.0580761195, rel=1e-14)
         with pytest.raises(DomainError, match="no embedding threshold found below eps0 = 1e6"):
             kv_find_critical_eps0(1e-14)
 
@@ -189,17 +188,43 @@ class TestDrop:
         with pytest.raises(DomainError, match=r"eta must lie in \(0, 1\)"):
             kv_find_critical_eps0(eta)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_critical_eps0_tolerance_refused(self, tol):
-        """A bisection to a tolerance that is not positive and finite never ends well."""
-        with pytest.raises(DomainError, match=r"tol must be positive and finite"):
-            kv_find_critical_eps0(0.3, tol=tol)
+    # The zero of W = f0**2 - f0' fw between the first minimum of the free force
+    # and its return to zero, by bisection at 80 digits in mpmath, and -f0 / fw
+    # there, at each float eta; 120 digits agree.
+    @pytest.mark.parametrize("eta, expected", [
+        (1e-13, 892062.0580761195),
+        (1e-11, 89206.20580497805),
+        (1e-8, 2820.9478336124344),
+        (1e-6, 282.09395111094346),
+        (1e-4, 28.201133071339118),
+        (0.01, 2.743880165229479),
+        (0.3, 0.26566270825567045),
+        (0.5, 0.14164915627782135),
+        (0.6, 0.10870415710851254),
+        (0.9, 0.05520642574282423),
+        (0.999, 0.045413300700572666),
+        (0.9999, 0.04533513353810037),
+        # e**(-eta t) underflows at the free force's return to zero, t = 2.2e4.
+        (0.99999999, 0.04532646000866605),
+    ])
+    def test_critical_eps0_reference_values(self, eta, expected):
+        assert kv_find_critical_eps0(eta) == pytest.approx(expected, rel=1e-14)
 
-    def test_critical_eps0_tolerance_below_float_spacing(self):
-        """The bisection stops at adjacent floats rather than spin on them."""
-        assert kv_find_critical_eps0(0.3, tol=1e-300) == pytest.approx(
-            kv_find_critical_eps0(0.3, tol=1e-12), abs=1e-12
-        )
+    @pytest.mark.parametrize("eta", [1e-33, 1e-300, 5e-324])
+    def test_critical_eps0_refuses_tiny_loss_factors(self, eta):
+        """Where the free force's trough is lost to rounding, the threshold still
+        comes out above the cap, and is refused."""
+        with pytest.raises(DomainError, match="no embedding threshold found below eps0 = 1e6"):
+            kv_find_critical_eps0(eta)
+
+    def test_critical_eps0_is_where_the_drop_stops_separating(self):
+        """The walk separates 1e-10 below the threshold and proves embedding 1e-10 above it."""
+        rng = np.random.default_rng(23)
+        for eta in 10.0 ** rng.uniform(-4.0, math.log10(0.98), 200):
+            crit = kv_find_critical_eps0(float(eta))
+            kv_drop_trajectory(_params(float(eta), g=(1.0 - 1e-10) * crit), n_samples=2)
+            with pytest.raises(PlasticImpactError):
+                kv_drop_trajectory(_params(float(eta), g=(1.0 + 1e-10) * crit), n_samples=2)
 
     @given(
         eta=st.floats(min_value=0.0, max_value=0.99, exclude_max=True),

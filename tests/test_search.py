@@ -290,6 +290,17 @@ def test_zero_past_the_horizon_is_refused():
         _search.first_force_zero(sine, 2.0 * math.pi, 3.0)
 
 
+def test_zero_past_the_horizon_inside_its_piece_is_refused():
+    """A weighted force's falling piece starts before the horizon, its zero after it."""
+    force = _search.DampedMode(0.1, 1.0, 1.0, 0.0, c=0.2)
+    period = 2.0 * math.pi
+    zero = _search.first_force_zero(force, period, 10.0 * period)
+    lo = next(lo for lo, _, g_lo, g_hi, _ in force.pieces(period) if g_lo > 0.0 >= g_hi)
+    assert lo < zero
+    with pytest.raises(PlasticImpactError, match="within the horizon"):
+        _search.first_force_zero(force, period, 0.5 * (lo + zero))
+
+
 @given(mode=_raw_modes(), offset=st.floats(min_value=-3.0, max_value=3.0))
 @settings(deadline=None, max_examples=100)
 def test_pair_exponential_and_constant_match_dense_reference(mode, offset):
@@ -451,6 +462,16 @@ def test_brentq_is_scipys(case):
         ours = _outcome(_search.brentq, f, a, b, **kw)
         assert type(ours) in (float, tuple)
         assert ours == _outcome(scipy.optimize.brentq, f, a, b, **kw)
+
+
+def test_brentq_infinite_step_is_scipys():
+    """Where the extrapolation's denominator underflows, C divides to an infinite
+    step, which bisects; the port catches the ZeroDivisionError and does the same."""
+    def f(x):
+        return 1e-200 * ((x - 0.3) ** 3 + 0.1 * (x - 0.3))
+
+    ours = _search.brentq(f, 0.0, 1.0, **_search._BRENTQ_KW)
+    assert ours == scipy.optimize.brentq(f, 0.0, 1.0, **_search._BRENTQ_KW)
 
 
 def _nan_inside(x):
