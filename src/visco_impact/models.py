@@ -14,6 +14,7 @@ frequency and ``v0`` the incoming velocity.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import operator
@@ -53,8 +54,8 @@ TRAJECTORY_HEADER = ("t", "x", "xdot", "xddot", "F")
 
 # 17 significant digits round-trip an IEEE double exactly.
 _FLOAT_FMT = "%.17g"
-# Rows formatted per write: bounds the text and Python floats held at once.
-_CSV_BLOCK_ROWS = 1024
+# Rows formatted per write: bounds the text and scratch arrays held at once.
+_CSV_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,9 @@ def derive_sls(params: StandardSolidParams) -> DerivedGroups:
     ``omega0 = sqrt(k0/m)`` uses the instantaneous stiffness, matching
     ``Lambda = (k0/m) * tau_R**2 = (omega0 * tau_R)**2``.  The stiffness
     ratio ``rho = k_inf / k0`` lies strictly inside (0, 1) for positive
-    springs.
+    springs.  Raises :class:`DomainError` where rounding breaks that: when
+    ``omega0`` or ``tau_R`` is not positive and finite, when ``rho`` or
+    ``Lambda`` leaves its domain, or when ``Lambda * rho`` underflows.
     """
     k0 = params.k1
     k_inf = params.k1 * params.k2 / (params.k1 + params.k2)
@@ -348,6 +351,11 @@ def derive_sls(params: StandardSolidParams) -> DerivedGroups:
     tau_R = params.b / (params.k1 + params.k2)
     Lambda = (k0 / params.m) * tau_R * tau_R
     omega0 = math.sqrt(k0 / params.m)
+    _require_positive("omega0 = sqrt(k1 / m)", omega0)
+    _require_positive("tau_R = b / (k1 + k2)", tau_R)
+    _check_groups(rho=rho, Lambda=Lambda)
+    if not Lambda * rho > 0.0:
+        raise DomainError(f"Lambda * rho underflows to 0 (Lambda = {Lambda!r}, rho = {rho!r})")
     return DerivedGroups(omega0=omega0, rho=rho, Lambda=Lambda, tau_R=tau_R)
 
 
@@ -449,11 +457,13 @@ class Trajectory:
 def write_csv_rows(stream, header, rows) -> None:
     """Write ``header`` and then ``rows`` to an open text stream as CSV.
 
-    ``rows`` is either a 2-D float array, written as its columns are (see
+    ``rows`` is either a 2-D float array, written as its columns are, with
+    the digits found by the array a block of rows at a time (see
     :func:`_write_csv_columns`), or an iterable of rows whose cells may be
-    text.  Floats carry 17 significant digits, so :func:`read_numeric_csv`
-    reads them back bit-exactly; other values are written as they are.
-    Both forms give the bytes ``csv.writer`` gives.
+    text, with each float formatted by its own ``%``.  Floats carry 17
+    significant digits (``"%.17g"``), so :func:`read_numeric_csv` reads them
+    back bit-exactly; other values are written as they are.  Both forms
+    give the bytes ``csv.writer`` gives over ``"%.17g" % v`` cells.
     """
     if isinstance(rows, np.ndarray):
         _write_csv_columns(stream, header, rows.T)
@@ -467,17 +477,235 @@ def write_csv_rows(stream, header, rows) -> None:
 def _write_csv_columns(stream, header, columns) -> None:
     """Write ``header`` and then equal-length float ``columns`` as CSV rows.
 
-    Rows are stacked and formatted ``_CSV_BLOCK_ROWS`` at a time, with one
-    ``%`` operation per block, so no copy of the whole table is made.
+    Rows are stacked ``_CSV_BLOCK_ROWS`` at a time, and :func:`_format_cells`
+    writes each block's ``"%.17g"`` text with NumPy operations on the whole
+    block, so no copy of the whole table is made.
     """
     csv.writer(stream).writerow(header)
     # "%.17g" never yields a delimiter, quote or line break, so no cell
     # needs quoting and the writer's "\r\n" ends every row.
-    line = ",".join([_FLOAT_FMT] * len(header)) + "\r\n"
     n_rows = len(columns[0]) if len(columns) else 0
     for start in range(0, n_rows, _CSV_BLOCK_ROWS):
         block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
-        stream.write((line * len(block)) % tuple(block.ravel().tolist()))
+        stream.write(_format_cells(block))
+
+
+# Decimal exponents X of the tables: every double's (-324 to 308), with one
+# to spare on each side for a first guess that is corrected.
+_X_MIN, _X_MAX = -325, 309
+# Veltkamp's splitting constant 2**27 + 1: halves a double's 53-bit significand.
+_SPLIT = 134217729.0
+# A scaled value whose fraction lies this close to 1/2 may be an exact tie.
+_TIE_WIDTH = 1e-9
+# Cell classes: 0..20 fixed notation with exponent X = class - 4, then a two-
+# and a three-digit exponent, zero, and a cell that "%" formats.
+_EXP2, _EXP3, _ZERO, _MARK = 21, 22, 23, 24
+_N_CLASSES = 25
+
+
+@functools.cache
+def _csv_tables() -> dict[str, np.ndarray]:
+    """Lookup tables of :func:`_format_cells`, built once on its first use.
+
+    Indexed by ``X - _X_MIN``: ``10**(16 - X) = (h + low) * 2**shift`` from
+    exact integers, with ``h`` in [1, 2] correctly rounded and ``low`` the
+    rounded rest; the word ``e±EEE``; the cell class.  The other words are
+    8-byte pieces of the 48-byte cell template, in native byte order.
+    """
+    xs = np.arange(_X_MIN, _X_MAX + 1)
+    h, low, shift = np.empty(xs.size), np.empty(xs.size), np.empty(xs.size, np.int32)
+    for i, x in enumerate(xs.tolist()):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        e = num.bit_length() - den.bit_length()
+        num, den = (num, den << e) if e >= 0 else (num << -e, den)
+        if num < den:
+            num, e = num << 1, e - 1
+        h[i] = num / den  # int division rounds correctly
+        low[i] = (num * 2**52 - int(h[i] * 2**52) * den) / (den * 2**52)
+        shift[i] = e
+    c = h * _SPLIT
+    h_hi = c - (c - h)
+
+    digits = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    quad = np.full((10_000, 8), ord("."), np.uint8)
+    quad[:, 0::2] = digits + ord("0")
+    # Place in the 17 digits of the last nonzero digit of each four-digit
+    # group g1..g4 (digits 2-5, ..., 14-17), or at most 1 for "0000".
+    last = np.where(digits != 0, np.arange(1, 5, dtype=np.int8), np.int8(-20)).max(axis=1)
+    last = last + np.array([[1], [5], [9], [13]], np.int8)
+    last[0, 0] = 1
+
+    # keep[sign, class, significant digits, byte] of the cell template.
+    b = np.arange(48)
+    sign = np.arange(2)[:, None, None, None]
+    cls = np.arange(_N_CLASSES)[None, :, None, None]
+    sig = np.arange(18)[None, None, :, None]
+    x = cls - 4
+    fixed = cls <= 20
+    numeric = cls <= _EXP3
+    place = (b - 6) // 2 + 1  # digit place of bytes 6..39 and of the dot slot after it
+    shown = np.where(fixed, np.maximum(sig, x + 1), sig)
+    point = np.where(fixed, x + 1, 1)
+    keep = (
+        (b == 0) & ((sign == 1) | (cls == _MARK))
+        | (b >= 1) & (b <= 1 - x) & fixed & (x < 0)
+        | (b == 1) & (cls == _ZERO)
+        | (b >= 6) & (b < 40) & (b % 2 == 0) & (place <= shown) & numeric
+        | (b >= 7) & (b < 40) & (b % 2 == 1) & (place == point) & (shown > point) & numeric
+        | np.isin(b, (40, 41, 43, 44)) & ((cls == _EXP2) | (cls == _EXP3))
+        | (b == 42) & (cls == _EXP3)
+        | (b == 45) | (b == 46)
+    )
+
+    def words(data: bytes) -> np.ndarray:
+        return np.frombuffer(data, np.uint64)
+
+    tables = {
+        "h": h, "h_hi": h_hi, "h_lo": h - h_hi, "low": low, "shift": shift,
+        "expo": words(b"".join(b"e%+04d\0\0\0" % x for x in xs.tolist())),
+        "x_class": np.where(
+            (xs >= -4) & (xs <= 16), xs + 4, np.where(np.abs(xs) < 100, _EXP2, _EXP3)
+        ),
+        "lead": words(b"".join(b"-0.000%d." % d for d in range(10))),
+        "quad": quad.view(np.uint64).ravel(),
+        "last": last,
+        "mask": (keep.astype(np.uint8) * np.uint8(255)).view(np.uint64).reshape(-1, 6),
+        "comma": words(b"\0\0\0\0\0,\0\0"),
+        "crlf": words(b"\0\0\0\0\0\r\n\0"),
+        "mark": words(b"\1\0\0\0\0\0\0\0"),
+    }
+    for table in tables.values():
+        table.flags.writeable = False  # shared by every write in the process
+    return tables
+
+
+def _scaled(m, e, x, t):
+    """``m * 2**e * 10**(16 - x)`` as an unevaluated sum ``hi + lo``.
+
+    ``m * h`` is Dekker's exact product of Veltkamp halves; with ``m * low``
+    added, the sum is within about 2**-47 of the exact value where that
+    lies in [1e16, 1e17).
+    """
+    i = x - _X_MIN
+    h, h_hi, h_lo = t["h"][i], t["h_hi"][i], t["h_lo"][i]
+    c = m * _SPLIT
+    m_hi = c - (c - m)
+    m_lo = m - m_hi
+    hi = m * h
+    lo = ((m_hi * h_hi - hi) + m_hi * h_lo + m_lo * h_hi) + m_lo * h_lo + m * t["low"][i]
+    shift = t["shift"][i] + e
+    np.ldexp(hi, shift, out=hi)
+    np.ldexp(lo, shift, out=lo)
+    total = hi + lo
+    lo -= total - hi
+    return total, lo
+
+
+def _decimal(a, t):
+    """17 significant digits of each finite positive ``a``, correctly rounded.
+
+    Returns ``(D, X, decided)``: ``a`` rounds to ``D * 10**(X - 16)`` with
+    ``D`` in [1e16, 1e17), except where ``decided`` is False.  The exponent
+    is first guessed by ``log10`` and then corrected on the unrounded scaled
+    value ``S = a * 10**(16 - X)``: its floor must lie in [1e16, 1e17).  ``D``
+    is the nearest integer to ``S``, and a rounding up to 1e17 becomes 1e16
+    with ``X + 1``.  ``S`` is known to about 2**-47, so where its fraction
+    lies within ``_TIE_WIDTH`` of 1/2, which in practice only an exact tie
+    of the 18th digit does, ``decided`` is False.
+    """
+    m, e = np.frexp(a)
+    x = np.log10(a)
+    x = np.floor(x, out=x).astype(np.intp)
+    hi, lo = _scaled(m, e, x, t)
+    below = (hi - 1e16) + lo < 0.0
+    above = (hi - 1e17) + lo >= 0.0
+    redo = np.flatnonzero(below | above)
+    decided = np.ones(a.size, bool)
+    if redo.size:
+        x[redo] += above[redo].astype(np.intp) - below[redo]
+        hi[redo], lo[redo] = _scaled(m[redo], e[redo], x[redo], t)
+        lost = redo[((hi[redo] - 1e16) + lo[redo] < 0.0) | ((hi[redo] - 1e17) + lo[redo] >= 0.0)]
+        decided[lost] = False  # never seen
+        hi[lost], lo[lost] = 1e16, 0.0
+    rounded = np.rint(lo)
+    lo -= rounded
+    decided &= np.abs(lo, out=lo) < 0.5 - _TIE_WIDTH
+    d = hi.astype(np.int64)
+    d += rounded.astype(np.int64)
+    top = np.flatnonzero(d == 10**17)
+    d[top] = 10**16
+    x[top] += 1
+    return d, x, decided
+
+
+def _format_cells(block: np.ndarray) -> str:
+    """The rows of a 2-D float ``block`` as CSV text, each cell ``"%.17g" % v``.
+
+    The same bytes as ``%``, with the digits found by the array (after
+    Adams, "Ryu revisited", OOPSLA 2019) by :func:`_decimal`.  Its powers of
+    ten come from exact integers and span the decimal exponents -325 to 309,
+    one past each end of the doubles' -324 to 308.  Tie rule: ``%`` rounds
+    an exact tie of the 18th digit to even, and the scaled value is known to
+    about 2**-47, so a cell whose scaled value lies within ``_TIE_WIDTH``
+    (1e-9) of a half is formatted by ``"%.17g" % v`` itself, as are NaN and
+    the infinities.  Zeros take the template.
+
+    Each cell is cut from one 48-byte template: ``-``, ``0.000``, the 17
+    digits each followed by a dot slot, ``e±EEE`` and the terminator (``,``
+    or ``\r\n``).  A mask looked up by sign, exponent class and number of
+    significant digits zeroes the bytes the cell does not show, and the
+    zero bytes are then deleted in one pass.
+    """
+    t = _csv_tables()
+    rows, cols = block.shape
+    v = np.asarray(block, dtype=float).ravel()
+    a = np.abs(v)
+    zero = a == 0.0
+    mark = ~np.isfinite(a)
+    a[zero | mark] = 1.0
+    d, x, decided = _decimal(a, t)
+    mark |= ~decided
+
+    lead = d // 10**16
+    d -= lead * 10**16
+    g1 = d // 10**12
+    d -= g1 * 10**12
+    g2 = d // 10**8
+    d -= g2 * 10**8
+    g3 = d // 10**4
+    g4 = d - g3 * 10**4
+    last = t["last"]
+    sig = np.maximum(last[0][g1], last[1][g2])
+    np.maximum(sig, last[2][g3], out=sig)
+    np.maximum(sig, last[3][g4], out=sig)
+
+    x -= _X_MIN
+    cls = t["x_class"][x]
+    cls[zero] = _ZERO
+    cls[mark] = _MARK
+    # Row of the mask table: (sign, class, significant digits 0..17).
+    cls += np.signbit(v) * _N_CLASSES
+    cls *= 18
+    cls += sig
+
+    cell = np.empty((v.size, 6), np.uint64)
+    np.take(t["lead"], lead, out=cell[:, 0], mode="clip")
+    for j, g in enumerate((g1, g2, g3, g4), start=1):
+        np.take(t["quad"], g, out=cell[:, j], mode="clip")
+    np.take(t["expo"], x, out=cell[:, 5], mode="clip")
+    ends = np.full(cols, t["comma"][0])
+    ends[-1] = t["crlf"][0]
+    cell.reshape(rows, cols, 6)[:, :, 5] |= ends
+    marked = np.flatnonzero(mark)
+    cell[marked, 0] = t["mark"][0]
+    cell &= np.take(t["mask"], cls, axis=0, mode="clip")
+    text = cell.tobytes().translate(None, b"\0").decode("ascii")
+    if not marked.size:
+        return text
+    pieces = [""] * (2 * marked.size + 1)
+    pieces[0::2] = text.split("\1")
+    pieces[1::2] = [_FLOAT_FMT % c for c in v[marked].tolist()]
+    return "".join(pieces)
 
 
 def read_numeric_csv(path: str | Path, header: tuple[str, ...]) -> np.ndarray:

@@ -234,6 +234,25 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "params, message",
+        [
+            # rho = 1.8e-283 and Lambda = 2.9e-138 are each in their domain.
+            ({"m": 3.44e27, "k1": 9.25e292, "k2": 1.68e10, "b": 3.02e91, "v0": 5.26e46},
+             "Lambda * rho underflows to 0 (Lambda = 2.8662476429918294e-138, "
+             "rho = 1.816216216216216e-283)"),
+            # k_inf = k1 k2 / (k1 + k2) rounds to k1.
+            ({"m": 1.65e-53, "k1": 1.15e30, "k2": 3.04e107, "b": 2.51e-38, "v0": 3.32e171},
+             "rho must lie in (0, 1), got 1.0"),
+        ],
+        ids=["product-underflows", "rho-rounds-to-1"],
+    )
+    def test_sls_groups_that_round_away_exit_domain(self, tmp_path, capsys, params, message):
+        """A three-element group that rounds out of its domain is refused in one line."""
+        path = _write_json(tmp_path, "sls.json", params)
+        assert main(["simulate", "sls", "--params", path, "--gravity"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "model, params",
         [
             ("kv", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0, "g": 0.2}),

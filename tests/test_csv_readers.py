@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import tracemalloc
 import warnings
@@ -107,7 +108,10 @@ def test_header_with_known_names_reports_order_or_repeats(tmp_path):
 
 
 # Edge values every float cell must survive: NaN, both infinities, -0.0,
-# the smallest subnormal, a larger subnormal and the largest double.
+# the smallest subnormal, a larger subnormal and the largest double; exact
+# ties of the 18th significant digit, which "%" rounds to even; doubles just
+# below a power of ten, where log10 picks the wrong decade; both sides of the
+# switch between fixed and exponential notation; and a few plain values.
 EDGE_FLOATS = (
     float("nan"),
     float("inf"),
@@ -118,6 +122,19 @@ EDGE_FLOATS = (
     2.2250738585072014e-308,
     1.7976931348623157e308,
     -1.7976931348623157e308,
+    156981971069.828125,
+    -70824773602.6796875,
+    1734765231.88671875,
+    1e-304,
+    1e-302,
+    1e-5,
+    math.nextafter(1e-4, 0.0),
+    1e-4,
+    1e16,
+    math.nextafter(1e17, 0.0),
+    1e17,
+    2.0**53 + 2,
+    0.1,
 )
 
 
@@ -185,6 +202,20 @@ def test_block_seams(tmp_path, extra):
     assert np.array_equal(_bits(read_numeric_csv(path, TRAJECTORY_HEADER)), _bits(table))
 
 
+def test_block_codec_matches_cell_codec_on_decades_and_random_bits():
+    """Every power of ten with both its neighbours, and random finite bit patterns."""
+    rng = np.random.default_rng(24)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    cells = np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), bits[np.isfinite(bits)]]
+    )
+    table = cells[: cells.size // 5 * 5].reshape(-1, 5)
+    out = io.StringIO(newline="")
+    write_csv_rows(out, TRAJECTORY_HEADER, table)
+    assert out.getvalue() == _reference_csv(TRAJECTORY_HEADER, table.tolist())
+
+
 @pytest.mark.parametrize(
     "body, expected",
     [
@@ -221,9 +252,10 @@ def test_header_only_file_reads_without_warnings(tmp_path, body):
     assert data.shape == (0, len(SWEEP_HEADER))
 
 
-# Measured tracemalloc peak of to_csv beyond its one column-stacked copy of
-# the samples: 0.45 MB at 1024-row blocks.  Formatting the whole table at
-# once would add about 310 bytes per row (31 MB at 1e5 rows).
+# Measured tracemalloc peak of to_csv: 0.59 MB at 512-row blocks, 0.80 MB
+# on the first write in a process, which builds the formatter's tables.
+# Formatting the whole table at once would add about 1100 bytes per row
+# (110 MB at 1e5 rows).
 _BLOCK_ALLOWANCE = 2e6
 
 
@@ -245,8 +277,9 @@ def test_to_csv_memory_is_one_copy_plus_a_block():
     assert peak < 5 * 8 * n + _BLOCK_ALLOWANCE
 
 
-# Measured tracemalloc peak of to_csv with no copy of the samples: 0.36 MB
-# at 1024-row blocks, the same at 2e4 and 2e5 rows.
+# Measured tracemalloc peak of to_csv with no copy of the samples: 0.59 MB
+# at 512-row blocks, the same at 2e4 and 2e5 rows; 0.80 MB on the first
+# write in a process, which builds the formatter's tables.
 _ONE_BLOCK_BUDGET = 1e6
 
 
