@@ -189,7 +189,7 @@ def golden(f, brack: tuple[float, float, float], tol: float) -> float:
 
 
 # The benchmark's traced pass wraps this name, which no caller uses; the name
-# and its perfbench entry go together (ROADMAP item 2).
+# and its perfbench entry go together (ROADMAP item 7).
 minimize_scalar = golden
 
 

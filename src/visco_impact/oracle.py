@@ -24,7 +24,10 @@ block map for a batch of blocks, are built by doubling; a batch then
 advances in two products.  One gives its block starts as exact states.
 The other writes every node of every block once, straight into the four
 trajectory columns x, x', x'' and F, through the step powers folded with
-the map from a state to those columns; node states are not kept.
+the map from a state to those columns; node states are not kept.  A
+partial RK4 step is a polynomial in its length, so the contact end is
+one Brent solve of the step's own quartic force, and the last force is
+zero to rounding at every step size.
 Tabulated kernels fall back to a second-order predictor-corrector with
 trapezoid history summation.  Its steps are linear too, so a block of them
 is one product with a matrix, itself built by doubling, once the history
@@ -43,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._search import MAX_SCAN_SAMPLES
+from ._search import MAX_SCAN_SAMPLES, _root
 from .errors import ConfigError, NoSeparationError
 from .models import (
     KelvinVoigtParams,
@@ -65,10 +68,6 @@ __all__ = [
 # Default step and horizon, in units of the nominal half period pi / sqrt(alpha).
 DEFAULT_DT_FRACTION = 1e-4
 DEFAULT_HORIZON_HALF_PERIODS = 10.0
-
-# Bisection width, as a fraction of one step, used when refining the
-# interpolated force zero at contact end.
-_REFINE_TOL = 1e-12
 
 # Steps advanced at once: RK4 steps from precomputed powers of the step
 # map, or table-kernel steps from one precomputed linear map.  A block end
@@ -271,14 +270,29 @@ def _rk4_increment(A: np.ndarray, c: np.ndarray, h: float):
     return M @ phi, h * (phi @ c)
 
 
-def _hermite(s: float, f0: float, f1: float, d0: float, d1: float, dt: float) -> float:
-    s2, s3 = s * s, s * s * s
-    return (
-        (2.0 * s3 - 3.0 * s2 + 1.0) * f0
-        + (s3 - 2.0 * s2 + s) * dt * d0
-        + (-2.0 * s3 + 3.0 * s2) * f1
-        + (s3 - s2) * dt * d1
-    )
+def _step_zero(A, c, fvec, y, dt: float) -> float:
+    """Fraction ``s`` of an RK4 step from ``y`` at which the step's force is zero.
+
+    The step over ``h`` adds ``sum_{k=1..4} h^k / k! A^(k-1) (A y + c)`` to
+    ``y`` (:func:`_rk4_increment`), so the force ``fvec @`` the state after
+    ``s dt`` is a quartic in ``s``, solved by Brent on ``[0, 1]``.  A force
+    that is not positive at ``s = 0`` ends the contact there, and one still
+    positive at ``s = 1`` ends it at the step's end.
+    """
+    f0 = float(fvec @ y)
+    if not f0 > 0.0:
+        return 0.0
+    a, u = [], A @ y + c
+    for k in range(1, 5):
+        a.append(float(fvec @ u) * dt**k / math.factorial(k))
+        u = A @ u
+    a1, a2, a3, a4 = a
+
+    def force(s: float) -> float:
+        return f0 + s * (a1 + s * (a2 + s * (a3 + s * a4)))
+
+    f1 = force(1.0)
+    return 1.0 if f1 > 0.0 else _root(force, 0.0, 1.0, f1)
 
 
 def _linear_system(kernel, m, v0, g):
@@ -354,15 +368,15 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
 
     The bracketing step is the first whose F column entry is ``<= 0``
     after the rise: it comes from the sign of the folded column, not of
-    ``fvec @ y``.  The two states around it are rebuilt from their block
-    start, ``y + (D_s y + S_s)``, and give the endpoint forces and rates
-    of a cubic Hermite interpolant, bisected to a fixed fraction of the
-    step; the terminal state comes from one partial Runge-Kutta step,
-    preserving the scheme's order.  The folded column and the rebuilt
-    force round differently, so at a node whose force is within rounding
-    of zero the two may disagree in sign.  The bisection then ends at that
-    node, where the force is zero to rounding, and ``t_c`` can differ by
-    one step from a march that took the sign from ``fvec @ y``.
+    ``fvec @ y``.  The state at its start is rebuilt from its block start,
+    ``y + (D_t y + S_t)``, and :func:`_step_zero` finds the fraction of
+    the step where that step's own force polynomial is zero; the terminal
+    state is the partial Runge-Kutta step there, so its force is zero to
+    rounding.  The folded column and the rebuilt force round differently,
+    so at a step end whose force is within rounding of zero the two may
+    disagree in sign.  That end is then the contact end: the trajectory
+    stops at it with no repeated time, and ``t_c`` can differ by one step
+    from a march that took the sign from ``fvec @ y``.
     """
     A, c, fvec = _linear_system(kernel, m, v0, g)
     n = c.size
@@ -404,22 +418,14 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
         k = min(size, n_max - i)
         j, started = _first_return(cols[3, i + 1 : i + 1 + k], started)
         if j is not None:
-            y0, y1 = _bracket(bounds, DS, j)
-            # Forces and rates in one product over four columns: BLAS may sum
-            # the last columns of a narrower product in another order, and so
-            # round them otherwise than over a batch of nodes.
-            ys = np.stack([y0, y1, A @ y0 + c, A @ y1 + c], axis=1)
-            f0, f1, d0, d1 = (fvec @ ys).tolist()
-            lo, hi = 0.0, 1.0
-            while hi - lo > _REFINE_TOL:
-                mid = 0.5 * (lo + hi)
-                if _hermite(mid, f0, f1, d0, d1, dt) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            s = 0.5 * (lo + hi)
+            # The last node with a positive F column, t steps into block b.
+            b, t = divmod(j, _BLOCK)
+            y0 = bounds[b, :n] + DS[t - 1] @ bounds[b] if t else bounds[b, :n]
+            s = _step_zero(A, c, fvec, y0, dt)
+            end = kernel.tau_R * ((i + j) * dt + s * dt)
+            # An end that rounds onto node i + j takes that node's place.
+            N = i + j + 1 + (end > kernel.tau_R * ((i + j) * dt))
             D_s, q_s = _rk4_increment(A, c, s * dt)
-            N = i + j + 2
             cols[:, N - 1] = W @ np.append(y0 + (D_s @ y0 + q_s), 1.0)
             x, xdot, xddot, F = (row[:N].copy() for row in cols)
             # The times are built while the column array is alive: built after
@@ -429,27 +435,11 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
             times = np.arange(N, dtype=float)
             times *= dt
             times *= kernel.tau_R
-            times[-1] = kernel.tau_R * ((i + j) * dt + s * dt)
+            times[-1] = end
             return Trajectory(times=times, x=x, xdot=xdot, xddot=xddot, F=F)
         i += k
         bounds[0] = bounds[-1]
     raise _no_separation(horizon)
-
-
-def _bracket(bounds, DS, j):
-    """States at nodes ``j`` and ``j + 1`` of the batch with block bounds ``bounds``.
-
-    Node t of block b is ``y + (D_t y + S_t)`` from the block start y.  The
-    products come from one matmul over every block start of the batch: BLAS
-    rounds a small product by its shape, and this shape gives the rounding
-    that ``TestContactEndPinned`` pins.
-    """
-    n = DS.shape[1]
-    b, t = divmod(j, _BLOCK)
-    y = bounds[b, :n, None]
-    steps = np.matmul(bounds[:-1], np.ascontiguousarray(DS.transpose(1, 2, 0)))[:, b]
-    block = np.concatenate([y, y + steps[:, :-1], bounds[b + 1, :n, None]], axis=1)
-    return block[:, t], block[:, t + 1]
 
 
 def _heun_block_map(psi, dt, alpha):

@@ -106,8 +106,8 @@ def test_criterion_02_parallel_pair_midpoint_identity():
 
 
 def test_criterion_03_peak_force_minimum():
-    """Golden-section search puts the scaled peak-force minimum at a loss
-    factor of 0.26493 +/- 5e-4, in under 1 s."""
+    """One Brent solve of the stationarity condition puts the scaled
+    peak-force minimum at a loss factor of 0.26493 +/- 5e-4, in under 1 s."""
     start = time.perf_counter()
     eta_star, fm_star = kv_fm_minimizer()
     assert eta_star == pytest.approx(0.26493, abs=5e-4)

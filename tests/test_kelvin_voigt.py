@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from visco_impact.errors import DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import (
+    _peak_force_scaled,
     kv_drop_metrics_asymptotic,
     kv_drop_trajectory,
     kv_find_critical_eps0,
@@ -121,6 +122,13 @@ class TestForceMinimizer:
         eta_star, fm_star = kv_fm_minimizer()
         assert eta_star == pytest.approx(0.26493, abs=5e-4)
         assert fm_star == pytest.approx(0.8101247520032268, rel=1e-10)
+
+    def test_minimizer_is_exact(self):
+        # The root of 3 arccos(eta) - pi = 3 eta sqrt(1 - eta**2), to 21 digits.
+        reference = 0.264932084602776862434
+        eta_star, fm_star = kv_fm_minimizer()
+        assert abs(eta_star - reference) <= 2.0 * math.ulp(reference)
+        assert fm_star == _peak_force_scaled(eta_star)
 
     def test_is_interior_minimum(self):
         eta_star, fm_star = kv_fm_minimizer()

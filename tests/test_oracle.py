@@ -796,8 +796,7 @@ def _row_major_reference(kernel, m, v0, g, dt, horizon):
     n_max = int(math.ceil(horizon / dt)) + 1
     y = np.zeros(n)
     y[1] = 1.0
-    f = fvec @ y
-    started = f > 0.0
+    started = fvec @ y > 0.0
     batches = [y[None, :]]
     i = 0
     while i < n_max:
@@ -814,24 +813,20 @@ def _row_major_reference(kernel, m, v0, g, dt, horizon):
             started = bool(risen[-1])
         if hit.any():
             j = int(hit.argmax())
-            y0, f0 = (ys[j - 1], fs[j - 1]) if j else (y, f)
-            y1, f1 = ys[j], fs[j]
-            d0, d1 = fvec @ (A @ y0 + c), fvec @ (A @ y1 + c)
-            lo, hi = 0.0, 1.0
-            while hi - lo > oracle._REFINE_TOL:
-                mid = 0.5 * (lo + hi)
-                if oracle._hermite(mid, f0, f1, d0, d1, dt) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            s = 0.5 * (lo + hi)
+            y0 = ys[j - 1] if j else y
+            s = oracle._step_zero(A, c, fvec, y0, dt)
+            end = (i + j) * dt + s * dt
+            nodes = np.vstack(batches + [ys[:j]])
+            # An end that rounds onto node i + j takes that node's place.
+            if not kernel.tau_R * end > kernel.tau_R * ((i + j) * dt):
+                nodes = nodes[:-1]
             D_s, q_s = oracle._rk4_increment(A, c, s * dt)
-            states = np.vstack(batches + [ys[:j], y0 + (D_s @ y0 + q_s)])
-            tau = np.append(np.arange(i + j + 1) * dt, (i + j) * dt + s * dt)
+            states = np.vstack([nodes, y0 + (D_s @ y0 + q_s)])
+            tau = np.append(np.arange(len(nodes)) * dt, end)
             return oracle._trajectory(kernel, m, v0, c[1], tau, states[:, 0], states[:, 1],
                                       states @ fvec)
         batches.append(ys)
-        y, f = ys[-1], fs[-1]
+        y = ys[-1]
         i += len(ys)
     raise AssertionError("no contact end")
 
@@ -897,7 +892,7 @@ class TestContactEndPinned:
 
     @pytest.mark.parametrize("kernel, m, v0, g, t_c, e_star", [
         (RelaxationKernel.elastic(1.0), 1.0, 1.0, 0.0,
-         "0x1.921fb54442d16p+1", "0x1.0000000000001p+0"),
+         "0x1.921fb54442d15p+1", "0x1.0000000000001p+0"),
         (RelaxationKernel.kv_limit(2.0, 0.8), 0.5, 1.0, 0.0,
          "0x1.43cf04eaa983ap+0", "0x1.744062a8e27aep-2"),
         (RelaxationKernel.kv_limit(2.0, 0.8), 0.5, 1.0, 0.05,
@@ -920,6 +915,61 @@ class TestContactEndPinned:
         assert float(-traj.xdot[-1] / v0).hex() == e_star
         assert traj.x[0] == 0.0
         assert traj.xdot[0] == v0
+
+
+class TestStepZero:
+    """The linear contact end is a zero of the partial RK4 step's own force."""
+
+    @pytest.mark.parametrize("dt_scaled", [None, 0.005 * math.pi, 0.04 * math.pi],
+                             ids=["default", "dt-0.005pi", "dt-0.04pi"])
+    @pytest.mark.parametrize("kernel, m, v0, g", [
+        (RelaxationKernel.elastic(1.0), 1.0, 1.0, 0.0),
+        (RelaxationKernel.kv_limit(2.0, 0.8), 0.5, 1.0, 0.0),
+        (RelaxationKernel.kv_limit(2.0, 0.8), 0.5, 1.0, 0.05),
+        (RelaxationKernel.maxwell(1.0, 0.6), 1.0, 1.0, 0.0),
+        (RelaxationKernel.sls(1.0, 1.0, 0.5), 1.0, 1.0, 0.0),
+        (RelaxationKernel(k0=2.0, tau_R=1.0, c_inf=0.3, cs=(0.4, 0.2, 0.1),
+                          thetas=(0.5, 2.0, 1.0)), 1.5, 2.0, 0.4),
+    ], ids=["elastic", "kv_limit", "kv_limit-gravity", "maxwell", "sls", "exp-sum-3"])
+    def test_last_force_is_zero_to_rounding(self, kernel, m, v0, g, dt_scaled):
+        traj = integrate_impact_with_gravity(kernel, m, v0, g, dt_scaled=dt_scaled)
+        assert abs(traj.F[-1]) <= 1e-15 * np.max(np.abs(traj.F))
+        assert np.all(np.diff(traj.times) > 0.0)
+
+    # The three-element system at rho 0.5, and a state [xi, xi', z] whose
+    # force 0.275 falls at rate 1.125.
+    SYSTEM = oracle._linear_system(RelaxationKernel.sls(1.0, 1.0, 0.5), 1.0, 1.0, 0.0)
+    FALLING = np.array([0.3, -1.0, 0.25])
+
+    def test_root_zeroes_the_partial_step(self):
+        A, c, fvec = self.SYSTEM
+        dt = 0.5
+        s = oracle._step_zero(A, c, fvec, self.FALLING, dt)
+        assert 0.0 < s < 1.0
+        D, q = oracle._rk4_increment(A, c, s * dt)
+        assert abs(fvec @ (self.FALLING + (D @ self.FALLING + q))) <= 1e-16
+
+    def test_force_not_positive_at_the_start_ends_there(self):
+        A, c, fvec = self.SYSTEM
+        for y in (np.array([0.0, -1.0, 0.0]), np.array([0.3, -1.0, -0.4])):
+            assert oracle._step_zero(A, c, fvec, y, 0.5) == 0.0
+
+    def test_force_positive_at_the_end_ends_there(self):
+        A, c, fvec = self.SYSTEM
+        assert oracle._step_zero(A, c, fvec, self.FALLING, 0.01) == 1.0
+
+    @pytest.mark.parametrize("s", [0.0, 1.0], ids=["step-start", "step-end"])
+    def test_an_end_at_a_node_repeats_no_time(self, monkeypatch, s):
+        kern = RelaxationKernel.sls(1.0, 1.0, 0.5)
+        inside = integrate_impact(kern, 1.0, 1.0, dt_scaled=0.01)
+        monkeypatch.setattr(oracle, "_step_zero", lambda *args: s)
+        traj = integrate_impact(kern, 1.0, 1.0, dt_scaled=0.01)
+        # At s = 0 the end takes the place of the last positive node.
+        assert traj.times.size == inside.times.size - (s == 0.0)
+        assert np.array_equal(traj.times[:-1], inside.times[: traj.times.size - 1])
+        assert np.all(np.diff(traj.times) > 0.0)
+        if s == 0.0:
+            assert traj.times[-1] == inside.times[-2]
 
 
 def test_table_abscissae_must_be_finite():

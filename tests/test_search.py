@@ -24,7 +24,6 @@ from visco_impact.kelvin_voigt import (
     _peak_force_scaled,
     kv_drop_trajectory,
     kv_find_critical_eps0,
-    kv_fm_minimizer,
 )
 from visco_impact.maxwell import mx_drop_metrics_asymptotic, mx_drop_trajectory, mx_metrics
 from visco_impact.models import KelvinVoigtParams, MaxwellParams
@@ -499,11 +498,11 @@ def test_brentq_errors_are_scipys(f, a, b, error):
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
-def test_kv_fm_minimizer_is_scipys_golden(tol):
-    eta_star, peak = kv_fm_minimizer(tol)
-    expected = scipy.optimize.golden(_peak_force_scaled, brack=(1e-3, 0.25, 0.7), tol=tol)
-    assert eta_star == expected
-    assert peak == _peak_force_scaled(expected)
+def test_golden_is_scipys_when_the_right_interval_is_longer(tol):
+    """With ``|xc - xb| > |xb - xa|`` the first probe goes right of ``xb``."""
+    brack = (1e-3, 0.25, 0.7)
+    expected = scipy.optimize.golden(_peak_force_scaled, brack=brack, tol=tol)
+    assert _search.golden(_peak_force_scaled, brack, tol) == expected
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
