@@ -57,10 +57,12 @@ def trajectory(solution, T: float, walk, params, g: float, n_samples: int) -> Tr
 
 def metrics(solution, T: float, walk, params, g: float) -> ImpactMetrics:
     """Duration and restitution from the force's first zero, peaks from the
-    first zeros of ``xi'`` and of the force's rate, each to Brent's 1e-15."""
+    first zeros of ``xi'`` and of the force's rate, each to Brent's 1e-15.  A force
+    not rising at 0 peaks there: it falls to zero, or proves the drop plastic, first."""
     (xi, xi_d, force), tau_c = _solve(solution, T, walk, params, g)
     tau_m = _first_zero(xi_d, walk)
-    tau_M = _first_zero(force.derivative(), walk)
+    rate = force.derivative()
+    tau_M = _first_zero(rate, walk) if float(rate(0.0)) > 0.0 else 0.0
     x, f = params.v0 * T, params.m * params.v0 / T
     return ImpactMetrics(t_c=tau_c * T, e_star=-float(xi_d(tau_c)), t_m=tau_m * T,
                          x_m=x * float(xi(tau_m)), t_M=tau_M * T, F_M=f * float(force(tau_M)),

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _modal, kelvin_voigt
 from ._search import MAX_SCAN_SAMPLES
 from .analysis import (
     STANDARD_GRAVITY,
@@ -48,11 +49,13 @@ from .errors import (
     ViscoImpactError,
 )
 from .kelvin_voigt import (
+    kv_drop_metrics,
     kv_drop_metrics_asymptotic,
     kv_drop_trajectory,
     kv_metrics,
 )
 from .maxwell import (
+    mx_drop_metrics,
     mx_drop_metrics_asymptotic,
     mx_drop_trajectory,
     mx_metrics,
@@ -71,7 +74,7 @@ from .models import (
     read_numeric_csv,
     write_csv_rows,
 )
-from .oracle import RelaxationKernel, integrate_impact
+from .oracle import RelaxationKernel, integrate_impact, integrate_impact_with_gravity
 from .standard_solid import (
     params_from_groups,
     params_near_kv,
@@ -154,25 +157,23 @@ def _rho_point(rho: float, fixed: dict):
 class _Model:
     """What the CLI runs for one contact model.
 
-    ``metrics`` and ``trajectory`` include the weight ``m g``, zero without
-    ``--gravity``; ``drop_label`` says how ``simulate --gravity`` got them.
-    ``sweeps`` maps each group a sweep can vary to ``(reads, point,
-    extra)``: the fixed groups a ``--params`` file may give, the
-    ``point(value, fixed) -> (metrics, extra values)`` at unit mass,
-    frequency and speed, and the names of the extra columns.
+    ``metrics`` and ``trajectory`` give one solution of the impact, the weight
+    ``m g`` included (zero without ``--gravity``).  ``sweeps`` maps each group
+    a sweep can vary to ``(reads, point, extra)``: the fixed groups a
+    ``--params`` file may give, the ``point(value, fixed) -> (metrics, extra
+    values)`` at unit mass, frequency and speed, and the names of the extra columns.
     """
 
     load: Callable
     metrics: Callable
     trajectory: Callable
     sweeps: dict[str, tuple[frozenset[str], Callable, tuple[str, ...]]]
-    drop_label: str = "weight included, small-eps0 expansion"
 
 
 _MODELS = {
     "kv": _Model(
         load=load_kv_params,
-        metrics=kv_drop_metrics_asymptotic,
+        metrics=kv_drop_metrics,
         trajectory=kv_drop_trajectory,
         sweeps={
             "eta": (frozenset(), lambda eta, q: (kv_metrics(_kv(eta)), ()), ()),
@@ -185,7 +186,7 @@ _MODELS = {
     ),
     "maxwell": _Model(
         load=load_maxwell_params,
-        metrics=mx_drop_metrics_asymptotic,
+        metrics=mx_drop_metrics,
         trajectory=mx_drop_trajectory,
         sweeps={
             "zeta": (frozenset(), lambda zeta, q: (mx_metrics(_mx(zeta)), ()), ()),
@@ -208,7 +209,6 @@ _MODELS = {
                 (),
             ),
         },
-        drop_label="weight included",
     ),
 }
 
@@ -296,18 +296,10 @@ def _require_dt(dt: float | None) -> None:
         raise ConfigError(f"--dt must be finite, got {dt}")
 
 
-def _samples_from_dt(params, dt: float | None, trajectory_fn: Callable) -> int:
-    """Trajectory samples at scaled spacing ``dt``, capped at ``MAX_SCAN_SAMPLES``.
-
-    The samples span the contact end of the trajectory itself, taken from
-    a two-sample run: for a drop that is the scanned root, not the
-    expansion's estimate.  An impact whose contact end cannot be found
-    raises its own error there.
-    """
+def _samples_from_dt(params, dt: float | None, t_c: float) -> int:
+    """Samples over ``[0, t_c]`` at scaled spacing ``dt``, capped at ``MAX_SCAN_SAMPLES``."""
     if dt is None:
         return DEFAULT_SAMPLES
-    _require_dt(dt)
-    t_c = trajectory_fn(params, n_samples=2).t_c
     spans = params.derived.omega0 * t_c / dt
     if not spans <= MAX_SCAN_SAMPLES - 1:
         raise ConfigError(
@@ -318,10 +310,10 @@ def _samples_from_dt(params, dt: float | None, trajectory_fn: Callable) -> int:
 
 
 def _closed_form(params, dt, metrics_fn, trajectory_fn, label: str = ""):
-    """Metrics and a trajectory sampled at scaled spacing ``dt``, metrics printed."""
-    # The trajectory goes first: a plastic drop outranks a failing expansion.
-    traj = trajectory_fn(params, n_samples=_samples_from_dt(params, dt, trajectory_fn))
+    """Metrics, printed, and the trajectory up to their ``t_c`` at scaled spacing ``dt``."""
+    _require_dt(dt)
     metrics = metrics_fn(params)
+    traj = trajectory_fn(params, n_samples=_samples_from_dt(params, dt, metrics.t_c))
     _print_metrics(metrics, label)
     return metrics, traj
 
@@ -333,7 +325,7 @@ def cmd_simulate(args) -> int:
     g = (params.g or STANDARD_GRAVITY) if args.gravity else 0.0
     if params.g != g:
         params = dataclasses.replace(params, g=g)
-    label = model.drop_label if args.gravity else ""
+    label = "weight included" if args.gravity else ""
     _, traj = _closed_form(params, args.dt, model.metrics, model.trajectory, label)
     if args.out is not None:
         traj.to_csv(args.out)
@@ -389,7 +381,8 @@ class SuiteResult:
 
 def _oracle_gap(params, met: ImpactMetrics) -> float:
     """Restitution and ``omega0``-scaled duration gaps between ``met`` and the oracle."""
-    traj = integrate_impact(RelaxationKernel.from_params(params), params.m, params.v0)
+    kernel = RelaxationKernel.from_params(params)
+    traj = integrate_impact_with_gravity(kernel, params.m, params.v0, params.g)
     return max(
         abs(met.e_star + traj.xdot[-1] / params.v0),
         params.derived.omega0 * abs(met.t_c - traj.t_c),
@@ -406,8 +399,10 @@ def _suite_elastic_limit() -> tuple[float, float]:
 def _suite_parallel_pair_midpoint() -> tuple[float, float]:
     err = 0.0
     for eta in np.linspace(0.01, 0.98, 50):
-        met = kv_metrics(_kv(eta))
-        err = max(err, abs(met.t_m - met.t_c / 2.0) / met.t_c)
+        params = _kv(eta)
+        t_c = kv_metrics(params).t_c
+        t_m = _modal.metrics(*kelvin_voigt._model(params), params, 0.0).t_m
+        err = max(err, abs(t_m - t_c / 2.0) / t_c)
     return err, 1e-12
 
 
@@ -426,10 +421,13 @@ def _suite_analytic_vs_oracle() -> tuple[float, float]:
     for params, metrics in (
         (_kv(0.2), kv_metrics),
         (_kv(0.8), kv_metrics),
+        (_kv(0.3, 0.1), kv_drop_metrics),
         (_mx(0.2), mx_metrics),
         (_mx(0.8), mx_metrics),
+        (_mx(0.3, 0.05), mx_drop_metrics),
         (params_from_groups(0.25, 0.5), sls_metrics),
         (params_from_groups(0.5, 0.3), sls_metrics),
+        (dataclasses.replace(params_from_groups(1.0, 0.5), g=0.1), sls_drop_metrics),
     ):
         err = max(err, _oracle_gap(params, metrics(params)))
     return err, 1e-6

@@ -34,6 +34,7 @@ __all__ = [
     "kv_metrics",
     "kv_fm_minimizer",
     "kv_drop_trajectory",
+    "kv_drop_metrics",
     "kv_drop_metrics_asymptotic",
     "kv_find_critical_eps0",
 ]
@@ -152,6 +153,11 @@ def kv_drop_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPL
     embedded.
     """
     return _modal.trajectory(*_model(params), params, params.g, n_samples)
+
+
+def kv_drop_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
+    """With weight, the exact metrics of :func:`kv_drop_trajectory`; at ``g = 0``, :func:`kv_metrics`."""
+    return _modal.metrics(*_model(params), params, params.g) if params.g else kv_metrics(params)
 
 
 def kv_drop_metrics_asymptotic(params: KelvinVoigtParams) -> ImpactMetrics:

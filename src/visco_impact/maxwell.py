@@ -33,6 +33,7 @@ __all__ = [
     "mx_trajectory",
     "mx_metrics",
     "mx_drop_trajectory",
+    "mx_drop_metrics",
     "mx_drop_metrics_asymptotic",
 ]
 
@@ -107,6 +108,11 @@ def mx_drop_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) 
     ``zeta = 1`` a tiny ``eps0`` already embeds the impactor.
     """
     return _modal.trajectory(*_model(params), params, params.g, n_samples)
+
+
+def mx_drop_metrics(params: MaxwellParams) -> ImpactMetrics:
+    """With weight, the exact metrics of :func:`mx_drop_trajectory`; at ``g = 0``, :func:`mx_metrics`."""
+    return _modal.metrics(*_model(params), params, params.g) if params.g else mx_metrics(params)
 
 
 def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:

@@ -81,6 +81,14 @@ def _refuse_oracle(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
 
 
+def _counted(fn, calls):
+    """``fn``, appending its name to ``calls`` at each call."""
+    def run(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return run
+
+
 def _parse_csv(text, expected_header):
     rows = list(csv.reader(io.StringIO(text)))
     assert tuple(rows[0]) == expected_header
@@ -199,13 +207,47 @@ class TestSimulate:
         """zeta = 0.999 is a proved embedding: a typed error, no traceback.
 
         With a --dt too fine for the sample cap, the embedding is still
-        what gets reported.
+        what gets reported; a bad --dt is refused before the walk.
         """
         params = _write_json(tmp_path, "mx.json", {"m": 1.0, "k": 1.0, "b": 0.5005, "v0": 1.0})
         for extra in ([], ["--dt", "0.01"]):
             rc = main(["simulate", "maxwell", "--params", params, "--gravity", *extra])
             assert rc == EXIT_PLASTIC
             assert "impactor stays embedded" in capsys.readouterr().err
+        rc = main(["simulate", "maxwell", "--params", params, "--gravity", "--dt", "-1"])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err == "error: --dt must be positive, got -1.0\n"
+
+    @pytest.mark.parametrize(
+        "model, params, printed",
+        [
+            ("kv", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0, "g": 0.1},
+             ("t_c = 3.01311504394", "e_star = 0.41301839216")),
+            ("maxwell", {"m": 1.0, "k": 1.0, "b": 1.0 / 0.6, "v0": 1.0, "g": 0.05}, ()),
+            ("sls", dict(SLS_DROP, g=0.5), ()),
+        ],
+    )
+    def test_gravity_prints_the_written_solution(self, tmp_path, capsys, monkeypatch,
+                                                 model, params, printed):
+        """One solve per drop: the printed t_c and e_star are the written
+        trajectory's last time and -xdot / v0, and with --dt the model's
+        metrics and trajectory functions each run once."""
+        entry, calls = cli._MODELS[model], []
+        monkeypatch.setitem(cli._MODELS, model, dataclasses.replace(
+            entry, metrics=_counted(entry.metrics, calls),
+            trajectory=_counted(entry.trajectory, calls)))
+        path = _write_json(tmp_path, f"{model}.json", params)
+        out = tmp_path / "traj.csv"
+        argv = ["simulate", model, "--params", path, "--gravity", "--dt", "0.01", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert calls == [entry.metrics.__name__, entry.trajectory.__name__]
+        err = capsys.readouterr().err
+        assert err.startswith("impact metrics (weight included):\n")
+        traj = Trajectory.from_csv(out)
+        assert f"  t_c = {traj.times[-1]:.12g}\n" in err
+        assert f"  e_star = {-traj.xdot[-1] / params['v0']:.12g}\n" in err
+        for line in printed:
+            assert f"  {line}\n" in err
 
     @pytest.mark.parametrize(
         "model, params, extra, message",
@@ -741,6 +783,17 @@ class TestBiphasic:
         out = tmp_path / "traj.csv"
         assert main(["biphasic", "--params", params, "--m", "0.1", "--out", str(out)]) == EXIT_PLASTIC
         assert not out.exists()
+
+    def test_one_solve_with_dt(self, tmp_path, monkeypatch):
+        """biphasic --out solves the metrics once and samples the trajectory once."""
+        calls = []
+        for name in ("mx_metrics", "mx_trajectory"):
+            monkeypatch.setattr(cli, name, _counted(getattr(cli, name), calls))
+        params = _write_json(tmp_path, "layer.json", REFERENCE_LAYER)
+        out = tmp_path / "traj.csv"
+        argv = ["biphasic", "--params", params, "--m", "0.1", "--out", str(out), "--dt", "0.01"]
+        assert main(argv) == EXIT_OK
+        assert calls == ["mx_metrics", "mx_trajectory"]
 
     def test_overdamped_layer_dt_refused_first(self, tmp_path, capsys):
         params = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, kappa=1e-8))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from visco_impact.errors import DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import (
     _peak_force_scaled,
+    kv_drop_metrics,
     kv_drop_metrics_asymptotic,
     kv_drop_trajectory,
     kv_find_critical_eps0,
@@ -163,6 +164,23 @@ class TestDrop:
         assert met.t_c == pytest.approx(traj.t_c, abs=5e-4)
         e_num = -traj.xdot[-1] / params.v0
         assert met.e_star == pytest.approx(e_num, abs=5e-4)
+
+    @given(eta=st.floats(0.5, 0.97), log_eps0=st.floats(-4.0, 0.0))
+    @settings(deadline=None, max_examples=60)
+    def test_weighted_force_peak_bounds_the_history(self, eta, log_eps0):
+        """From eta = 1/2 on, no sample of a dense drop history exceeds F_M, and
+        a force that falls at t = 0 (rate 1 - 4 eta**2 + 2 eta eps0 <= 0) peaks there."""
+        eps0 = 10.0**log_eps0
+        params = _params(eta, g=eps0)
+        try:
+            met = kv_drop_metrics(params)
+        except PlasticImpactError:
+            assume(False)
+        traj = kv_drop_trajectory(params, n_samples=100_000)
+        assert np.max(traj.F) <= met.F_M
+        if 1.0 - 4.0 * eta * eta + 2.0 * eta * eps0 <= 0.0:
+            assert met.t_M == 0.0
+            assert met.x_M == 0.0
 
     def test_weight_lowers_restitution(self):
         es = [

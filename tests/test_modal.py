@@ -78,15 +78,12 @@ def test_histories_start_exactly(model, loss, Lam, rho, m, k, v0, eps0):
 @settings(deadline=None, max_examples=100, derandomize=True)
 def test_pair_modes_give_the_closed_form_metrics(loss):
     """The layer's metrics on each pair's scaled modes, at unit m, k and v0,
-    equal the paper's closed forms; kv's force peaks inside only below 1/2."""
+    equal the paper's closed forms; from 1/2 on, kv's force peaks at t = 0."""
     for cls, module, closed in ((KelvinVoigtParams, kelvin_voigt, kv_metrics),
                                 (MaxwellParams, maxwell, mx_metrics)):
         params = _pair(cls, loss, 1.0, 1.0, 1.0, 0.0)
         got, want = _modal.metrics(*module._model(params), params, 0.0), closed(params)
-        fields = ["t_c", "e_star", "t_m", "x_m"]
-        if cls is MaxwellParams or loss < 0.5:
-            fields += ["t_M", "F_M"]
-        for name in fields:
+        for name in ("t_c", "e_star", "t_m", "x_m", "t_M", "F_M"):
             expected = pytest.approx(getattr(want, name), rel=1e-14, abs=0.0)
             assert getattr(got, name) == expected, name
 
