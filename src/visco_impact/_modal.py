@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from ._search import SCAN_HORIZON_PERIODS
+from .errors import DomainError
 from .models import ImpactMetrics, Trajectory, _check_groups, _uniform_times
 
 
@@ -27,8 +28,16 @@ def _first_zero(mode, walk) -> float:
 
 def _solve(solution, T: float, walk, params, g: float):
     """The modes under gravity ``g`` and the contact end, the force's first zero."""
-    gamma = g * T / params.v0
+    v0 = params.v0
+    gamma = g * T / v0
     _check_groups("gamma = g T / v0", eps0=gamma)
+    # Every sample and metric is a scaled mode times one of these.
+    scales = v0 * T, v0 / T, params.m * v0 / T
+    if not all(map(math.isfinite, scales)):
+        raise DomainError(
+            "the scales v0 T = {:.3g}, v0 / T = {:.3g} and m v0 / T = {:.3g} "
+            "must be finite".format(*scales)
+        )
     modes = solution(gamma)
     return modes, _first_zero(modes[2], walk)
 

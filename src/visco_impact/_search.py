@@ -56,7 +56,7 @@ import math
 
 import numpy as np
 
-from .errors import PlasticImpactError
+from .errors import DomainError, PlasticImpactError
 
 # Walk limit for the contact end, in oscillation periods, shared by every
 # closed-form model; the oracle keeps its own horizon as the independent
@@ -237,6 +237,10 @@ class DampedMode(_Mode):
         self.rate = beta - lam
         self.damp = max(self.rate, 0.0)
 
+    def finite(self) -> bool:
+        """Whether ``R`` (so ``A``, ``B`` and the phase), the rates and ``c`` are finite."""
+        return all(map(math.isfinite, (self.R, self.omega, self.rate, self.c, self.start or 0.0)))
+
     def phases(self, t):
         if isinstance(t, float):  # NumPy's 0-d arrays cost microseconds a call
             envelope, phase = math.exp(-self.beta * t), self.omega * t
@@ -335,6 +339,11 @@ class RealMode(_Mode):
         self.start, self.coefficients, self.pair_rate = start, (S, C), beta - kappa
         self.slow = min(beta - kappa, lam) if c else beta - kappa
 
+    def finite(self) -> bool:
+        """Whether the rates and coefficients are all finite."""
+        return all(map(math.isfinite, (self.beta, self.kappa, self.C, self.S, self.c, self.lam,
+                                       self.start or 0.0)))
+
     def phases(self, t, s: float = 0.0):
         """``u, v = e**(-beta t) (sinh(kappa t) / kappa, cosh kappa t)``, all times
         ``e**(s t)``: from decaying exponentials alone for ``s <= slow``."""
@@ -389,6 +398,10 @@ class OffsetMode(_Mode):
         self.mode, self.offset, self.slope, self.omega = mode, offset, slope, mode.omega
         self.phases = mode.phases
 
+    def finite(self) -> bool:
+        """Whether the offset, the slope and the mode are all finite."""
+        return math.isfinite(self.offset) and math.isfinite(self.slope) and self.mode.finite()
+
     def terms(self, t, v, decay):
         P, Q, rest = self.mode.terms(t, v, decay)
         rest = self.offset if rest is None else rest + self.offset
@@ -404,7 +417,7 @@ class OffsetMode(_Mode):
             return float(self(t))
 
         lo, f_lo = 0.0, f(0.0)
-        for a, b, m_a, m_b, m in self.derivative().pieces(period):
+        for a, b, m_a, m_b, m in _require_finite(self.derivative()).pieces(period):
             for hi in (_root(m, a, b, m_b), b) if _crosses(m_a, m_b) else (b,):
                 if hi > lo:
                     f_hi = f(hi)
@@ -421,7 +434,17 @@ def _crosses(g_lo: float, g_hi: float) -> bool:
 def _root(g, lo: float, hi: float, g_hi: float) -> float:
     if g_hi == 0.0:
         return hi
-    return brentq(g, lo, hi, xtol=_BRENTQ_KW["xtol"] * (hi - lo), rtol=_BRENTQ_KW["rtol"])
+    try:
+        return brentq(g, lo, hi, xtol=_BRENTQ_KW["xtol"] * (hi - lo), rtol=_BRENTQ_KW["rtol"])
+    except RuntimeError as exc:
+        raise DomainError(f"no zero to Brent's tolerance on [{lo:.6g}, {hi:.6g}]: {exc}") from None
+
+
+def _require_finite(mode):
+    """``mode``, or :class:`DomainError` when a number that defines it is not finite."""
+    if not mode.finite():
+        raise DomainError("the contact force has a coefficient, rate or phase that is not finite")
+    return mode
 
 
 def _tail(g, lo: float, g_lo: float, limit: float):
@@ -462,8 +485,11 @@ def first_force_zero(force, period: float, horizon: float) -> float:
     PlasticImpactError
         When no zero lies within the horizon, or when ``F`` is proved to stay
         positive for good.
+    DomainError
+        When a number that defines ``F`` or its rate is not finite, or a
+        Brent solve does not converge.
     """
-    if not force.omega:
+    if not _require_finite(force).omega:
         horizon = math.inf
     elif isinstance(force, DampedMode) and not force.c and force.R:
         # F falls through the sine's zeros at the phases omega t + phi = k pi with k

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import warnings
@@ -554,6 +555,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="visco-impact",
@@ -578,7 +580,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--dt", type=float, help="scaled sample spacing (omega0 dt)")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="scaled metrics over a parameter grid")
     p.add_argument("--model", required=True, choices=tuple(_MODELS))
@@ -587,11 +588,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       for group, (r, _, _) in model.sweeps.items() if r)
     p.add_argument("--params", help=f"JSON file of the fixed groups a sweep reads ({reads})")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="cross-validate closed forms against integration")
     p.add_argument("--out", help="report CSV path")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("biphasic", help="reduce a thin layer to its series pair")
     p.add_argument("--params", required=True, help="layer JSON file")
@@ -599,23 +598,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v0", type=float, default=1.0, help="impact velocity [m/s]")
     p.add_argument("--out", help="trajectory CSV path (also runs the impact)")
     p.add_argument("--dt", type=float, help="scaled sample spacing (omega0 dt)")
-    p.set_defaults(func=cmd_biphasic)
 
     p = sub.add_parser("analyze", help="check linear predictions on drop-test records")
     p.add_argument("table", nargs="?", help="records CSV (bundled data when omitted)")
     p.add_argument("--out", help="per-record CSV path")
-    p.set_defaults(func=cmd_analyze)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command in ``argv`` (``sys.argv[1:]`` when None) and return its exit code.
+
+    It may be called repeatedly in one process; the parser is built on the first call."""
     args = _build_parser().parse_args(argv)
     # A warning prints as one line of its message, without the library file and source line.
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            return args.func(args)
+            return globals()[f"cmd_{args.command}"](args)
         except ViscoImpactError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return exc.exit_code

@@ -118,7 +118,8 @@ def _rates(Lambda: float, rho: float) -> tuple[float, float, float]:
     when there are three real roots (``p < 0``, ``|x| <= 1``), and the
     hyperbolic form of the one real root otherwise: cosh for ``p < 0``, sinh
     for ``p > 0``, a cube root at ``p = 0``.  The other two rates sum to
-    ``1 - lam`` and multiply to ``Lambda rho / lam``.
+    ``1 - lam`` and multiply to ``Lambda rho / lam``.  A real rate that rounds
+    to zero or below, or a product that overflows, raises :class:`DomainError`.
     """
     p = Lambda - 1.0 / 3.0
     q = 2.0 / 27.0 - Lambda / 3.0 + Lambda * rho
@@ -144,7 +145,14 @@ def _rates(Lambda: float, rho: float) -> tuple[float, float, float]:
             lam * (3.0 * lam - 2.0) + Lambda
         )
     beta = 0.5 * (1.0 - lam)
-    return lam, beta, Lambda * rho / lam - beta * beta
+    # The step can round a rate far below ulp(1/3) to zero or past it.
+    zeta2 = Lambda * rho / lam - beta * beta if lam > 0.0 else math.nan
+    if not math.isfinite(zeta2):
+        raise DomainError(
+            f"the cubic's rates are lost to rounding at Lambda = {Lambda:.6g}, "
+            f"rho = {rho:.6g} (real rate {lam:.6g})"
+        )
+    return lam, beta, zeta2
 
 
 def _scaled_solution(Lambda: float, rho: float, gamma: float = 0.0):

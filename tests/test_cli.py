@@ -11,6 +11,7 @@ import json
 import math
 import re
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,93 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_analyze", fail)
         assert main(["analyze"]) == code
         assert capsys.readouterr().err == "error: boom\n"
+
+
+class TestRepeatedMain:
+    """``main`` builds its parser on the first call and keeps no other state between calls."""
+
+    @staticmethod
+    def _argvs(tmp_path):
+        kv = {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0, "g": 0.1}
+        params = _write_json(tmp_path, "kv.json", kv)
+        return [
+            ["sweep", "--model", "nope", "--sweep", "eta:0.1:0.5:3"],
+            ["simulate", "kv", "--params", params, "--gravity", "--dt", "0.1",
+             "--out", str(tmp_path / "traj.csv")],
+            ["sweep", "--model", "kv", "--sweep", "eta:0.1:0.5:3"],
+            ["analyze", "--out", str(tmp_path / "records.csv")],
+        ]
+
+    @staticmethod
+    def _run(capsys, argv):
+        """Exit code, stdout, stderr and the bytes of the ``--out`` file, which is removed."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+        out, err = capsys.readouterr()
+        written = None
+        if "--out" in argv:
+            path = Path(argv[argv.index("--out") + 1])
+            written = path.read_bytes()
+            path.unlink()
+        return code, out, err, written
+
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        argvs = self._argvs(tmp_path)
+        self._run(capsys, argvs[2])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in [*argvs, ["--help"], ["sweep", "--help"]]:
+            self._run(capsys, argv)
+        assert built == []
+        # The count sees a build: the parser and its five subcommands.
+        cli._build_parser.__wrapped__()
+        assert len(built) == 6
+
+    def test_repeated_calls_match_the_first(self, tmp_path, capsys):
+        argvs = self._argvs(tmp_path)
+        cli._build_parser.cache_clear()
+        first = [self._run(capsys, argv) for argv in argvs]
+        assert [code for code, *_ in first] == [2, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert "invalid choice: 'nope'" in first[0][2]
+        assert first[1][2].startswith("impact metrics (weight included):\n")
+        assert first[2][1].startswith(",".join(SWEEP_HEADER))
+        assert first[3][3].startswith(",".join(ANALYZE_HEADER).encode())
+        for _ in range(2):
+            assert [self._run(capsys, argv) for argv in argvs] == first
+
+    @pytest.mark.parametrize(
+        "command", [[], ["simulate"], ["sweep"], ["verify"], ["biphasic"], ["analyze"]],
+        ids=lambda c: c[0] if c else "main",
+    )
+    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args([*command, "--help"])
+        fresh = capsys.readouterr()
+        assert fresh.out.startswith("usage: visco-impact")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr() == fresh
+
+    def test_warning_hook_is_restored(self, tmp_path, capsys):
+        before = warnings.showwarning
+        thick = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, h=5e-3))
+        assert main(["biphasic", "--params", thick, "--m", "0.1"]) == EXIT_OK
+        assert warnings.showwarning is before
+        assert "warning: h/a = 1 exceeds 0.2" in capsys.readouterr().err
+        missing = str(tmp_path / "missing.json")
+        assert main(["biphasic", "--params", missing, "--m", "0.1"]) == EXIT_IO
+        assert warnings.showwarning is before
 
 
 class TestSweepSpec:
@@ -285,14 +373,30 @@ class TestSimulate:
             # k_inf = k1 k2 / (k1 + k2) rounds to k1.
             ({"m": 1.65e-53, "k1": 1.15e30, "k2": 3.04e107, "b": 2.51e-38, "v0": 3.32e171},
              "rho must lie in (0, 1), got 1.0"),
+            # Lambda 4.6e161, rho 4.7e-156 pass, but the real rate, about rho, rounds to 0:
+            # a ZeroDivisionError traceback before.
+            ({"m": 2.1545907295567397e115, "k1": 1.7063964322939717e81,
+              "k2": 8.08193498816039e-75, "b": 1.3001919824515624e179,
+              "v0": 2.60187006336424e-184},
+             "the cubic's rates are lost to rounding at Lambda = 4.59801e+161, "
+             "rho = 4.73626e-156 (real rate 0)"),
+            # v0 tau_R overflows: exit 0 with NaN x and infinite F before.
+            ({"m": 7.180750831670816e240, "k1": 2.8452084274228e58,
+              "k2": 1.0809254475856645e-08, "b": 3.2979756010946127e135,
+              "v0": 3.1790135901383877e295},
+             "the scales v0 T = inf, v0 / T = 2.74e+218 and m v0 / T = inf must be finite"),
         ],
-        ids=["product-underflows", "rho-rounds-to-1"],
+        ids=["product-underflows", "rho-rounds-to-1", "rate-rounds-to-0", "scales-overflow"],
     )
     def test_sls_groups_that_round_away_exit_domain(self, tmp_path, capsys, params, message):
-        """A three-element group that rounds out of its domain is refused in one line."""
+        """A three-element group that rounds out of its domain, or whose solution
+        rounds away, is refused in one line and writes no file."""
         path = _write_json(tmp_path, "sls.json", params)
-        assert main(["simulate", "sls", "--params", path, "--gravity"]) == EXIT_DOMAIN
+        out = tmp_path / "traj.csv"
+        argv = ["simulate", "sls", "--params", path, "--gravity", "--out", str(out)]
+        assert main(argv) == EXIT_DOMAIN
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "model, params",

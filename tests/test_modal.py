@@ -109,3 +109,24 @@ def test_expansions_refuse_rho_outside_zero_to_one(perturb, rho):
 @pytest.mark.parametrize("perturb", [sls_perturb_kv, sls_perturb_maxwell])
 def test_expansions_keep_the_pair_limit(perturb):
     assert perturb(0.3, 0.0) == perturb(0.3, -0.0)
+
+
+@pytest.mark.parametrize(
+    "params, run",
+    [
+        # A three-element fuzz input: v0 tau_R and m v0 / tau_R overflow.
+        (StandardSolidParams(m=7.180750831670816e240, k1=2.8452084274228e58,
+                             k2=1.0809254475856645e-08, b=3.2979756010946127e135,
+                             v0=3.1790135901383877e295), sls_metrics),
+        (StandardSolidParams(m=7.180750831670816e240, k1=2.8452084274228e58,
+                             k2=1.0809254475856645e-08, b=3.2979756010946127e135,
+                             v0=3.1790135901383877e295), sls_trajectory),
+        # v0 / omega0 overflows.
+        (KelvinVoigtParams(m=1e10, k=1e-10, b=0.6, v0=1e300), kv_trajectory),
+    ],
+    ids=["sls-metrics", "sls-trajectory", "kv-trajectory"],
+)
+def test_scales_that_overflow_are_refused(params, run):
+    """A length, speed or force scale that overflows would make every sample inf or NaN."""
+    with pytest.raises(DomainError, match=r"^the scales v0 T = .* must be finite$"):
+        run(params)

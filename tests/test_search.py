@@ -289,6 +289,49 @@ def test_zero_past_the_horizon_is_refused():
         _search.first_force_zero(sine, 2.0 * math.pi, 3.0)
 
 
+@pytest.mark.parametrize(
+    "force",
+    [
+        _search.DampedMode(0.0, 1.0, math.nan, 0.0),
+        _search.DampedMode(0.1, 1.0, math.nan, 1.0, c=0.2),
+        _search.DampedMode(0.1, 1.0, 1.0, 0.0, c=math.inf),
+        _search.DampedMode(0.1, math.inf, 1.0, 0.0, c=0.2),
+        _search.DampedMode(math.inf, 1.0, 1.0, 0.0, c=0.2, lam=math.inf),
+        _search.RealMode(1.0, 0.5, 1.0, math.nan, c=0.1, lam=0.2),
+        _search.OffsetMode(_search.DampedMode(0.1, 1.0, 1.0, 0.0), math.inf),
+        # A three-element drop at Lambda 1.6e-307, rho 0.998: the pair's coefficients are NaN.
+        _search.OffsetMode(_search.DampedMode(0.0, 3.953444007069212e-154, math.nan, math.nan,
+                                              math.nan, 1.0, -3.0167425987490466e170),
+                           3.0167425987490466e170),
+        # Finite, but the rate's coefficients overflow to inf - inf.
+        _search.OffsetMode(_search.DampedMode(1e200, 1e200, 1e200, 1e200), 1.0),
+    ],
+    ids=["nan-sine", "nan-amplitude", "inf-weight", "inf-frequency", "inf-rates", "nan-real",
+         "inf-offset", "nan-drop", "overflowing-rate"],
+)
+def test_walk_refuses_a_mode_that_is_not_finite(force):
+    """No NaN or infinite coefficient, rate or phase reaches the pieces' arithmetic."""
+    with pytest.raises(DomainError, match="not finite"):
+        _search.first_force_zero(force, 2.0 * math.pi, 20.0 * math.pi)
+
+
+def test_walk_turns_brent_non_convergence_into_a_domain_error():
+    """A three-element drop at Lambda 7.6e-62, rho 1.1e-71: the rate's first piece spans
+    3.5e66 and Brent does not converge on it in 100 iterations."""
+    mode = _search.DampedMode(0.0, 8.981548542203833e-67, 0.0, -1.580939693402817e-16,
+                              1.4975466632474717e55, 1.0, -1.5809396934028173e-16)
+    force = _search.OffsetMode(mode, 1.5809396934028173e-16)
+    period = 2.0 * math.pi / force.omega
+    with pytest.raises(DomainError, match="no zero to Brent's tolerance on \\[0, 3.49783e"):
+        _search.first_force_zero(force, period, 10.0 * period)
+
+
+def test_root_is_typed_where_brentq_is_scipys():
+    """The walk's solve raises DomainError where ``brentq`` keeps SciPy's RuntimeError."""
+    with pytest.raises(DomainError, match="Failed to converge after 100 iterations"):
+        _search._root(lambda x: (x - 0.3) ** 3, 0.0, 1.0, 0.7**3)
+
+
 def test_zero_past_the_horizon_inside_its_piece_is_refused():
     """A weighted force's falling piece starts before the horizon, its zero after it."""
     force = _search.DampedMode(0.1, 1.0, 1.0, 0.0, c=0.2)

@@ -144,6 +144,10 @@ class TestCharacteristicRoots:
             sls_characteristic_roots(0.25, 0.0)
         with pytest.raises(DomainError):
             sls_characteristic_roots(0.25, 1.0)
+        # Both groups pass, but the real rate, about rho, rounds to 0.
+        message = r"rounding at Lambda = 4\.59801e\+161, rho = 4\.73626e-156 \(real rate 0\)"
+        with pytest.raises(DomainError, match=message):
+            sls_characteristic_roots(4.598013541890046e161, 4.736258723475849e-156)
 
     def test_branch_continuity_at_one_third(self):
         """The switch from cosh to sinh at Lambda = 1/3 must be removable."""
