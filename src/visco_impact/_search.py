@@ -215,6 +215,10 @@ class _Mode:
             return P, 0.0, Q * (v - decay) + start * decay
         return P, start, c * (decay - v) if c else None
 
+    def constants(self) -> tuple:
+        """Every coefficient that :meth:`terms` multiplies a function of time by."""
+        return (*self.coefficients, self.c, self.start or 0.0)
+
     def __call__(self, t, *scaling):
         t, (u, v), decay = self.phases(t, *scaling)
         P, Q, rest = self.terms(t, v, decay)
@@ -401,6 +405,9 @@ class OffsetMode(_Mode):
     def finite(self) -> bool:
         """Whether the offset, the slope and the mode are all finite."""
         return math.isfinite(self.offset) and math.isfinite(self.slope) and self.mode.finite()
+
+    def constants(self) -> tuple:
+        return (*self.mode.constants(), self.offset, self.slope)
 
     def terms(self, t, v, decay):
         P, Q, rest = self.mode.terms(t, v, decay)

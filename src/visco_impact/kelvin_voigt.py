@@ -14,7 +14,6 @@ drop solution at ``g = 0``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from . import _modal
@@ -73,6 +72,21 @@ def _model(params: KelvinVoigtParams):
     return (lambda gamma: _scaled_solution(d.eta, gamma)), 1.0 / d.omega0, first_force_zero
 
 
+def _scaled_metrics(eta: float) -> tuple:
+    """:func:`kv_metrics` in ``omega0`` units, in :class:`ImpactMetrics` order."""
+    w = math.sqrt(1.0 - eta * eta)
+    tau_c = 2.0 / w * math.atan2(w, eta)
+    tau_m = 0.5 * tau_c
+    xi_m = math.exp(-eta * tau_m)
+    if eta >= _ETA_FORCE_BRANCH:
+        tau_M, f_M, xi_M = 0.0, 2.0 * eta, 0.0
+    else:
+        tau_M = _peak_angle(eta) / w
+        f_M = math.exp(-eta * tau_M)
+        xi_M = 1.0 / w * f_M * math.sin(w * tau_M)
+    return tau_c, math.exp(-eta * tau_c), tau_m, xi_m, tau_M, f_M, xi_M, xi_m
+
+
 def kv_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Zero-gravity contact history at ``n_samples`` uniform times over ``[0, t_c]``.
 
@@ -85,42 +99,19 @@ def kv_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -
 def kv_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
     """Closed-form scalar metrics of the zero-gravity impact.
 
-    The restitution coefficient is ``exp(-beta * t_c)``; the indentation
-    peaks at half the contact duration.  For loss factors at or above one
-    half the force maximum sits at the initial dashpot jump, ``t_M = 0``
-    and ``F_M = 2 eta m v0 omega0``; below it the force peaks where
-    ``omega t_M = atan`` of ``sqrt(1-eta^2)(1-4 eta^2) / (eta (3-4 eta^2))``
-    with ``F_M = m v0 omega0 exp(-beta t_M)``.
+    In ``omega0`` units they read the loss factor alone: with ``w = sqrt(1 -
+    eta**2)``, ``t_c = (2 / w) atan(w / eta)``, ``e* = exp(-eta t_c)`` and the
+    indentation peaks at ``t_c / 2``.  From ``eta = 1/2`` on the force peaks at
+    the dashpot's jump, ``F_M = 2 eta`` at ``t_M = 0``; below, at ``exp(-eta
+    t_M)`` where ``w t_M = atan(w (1 - 4 eta^2) / (eta (3 - 4 eta^2)))``.
     """
     d = params.derived
-    m, v0 = params.m, params.v0
-    omega0, omega, beta, eta = d.omega0, d.omega, d.beta, d.eta
-
-    t_c = 2.0 / omega * math.atan2(omega, beta)
-    e_star = math.exp(-beta * t_c)
-    t_m = 0.5 * t_c
-    x_m = v0 / omega0 * math.exp(-beta * t_m)
-    F_m = params.k * x_m
-
-    if eta >= _ETA_FORCE_BRANCH:
-        t_M = 0.0
-        F_M = 2.0 * eta * m * v0 * omega0
-        x_M = 0.0
-    else:
-        t_M = _peak_angle(eta) / omega
-        F_M = m * v0 * omega0 * math.exp(-beta * t_M)
-        x_M = v0 / omega * math.exp(-beta * t_M) * math.sin(omega * t_M)
-
-    return ImpactMetrics(
-        t_c=t_c, e_star=e_star, t_m=t_m, x_m=x_m, t_M=t_M, F_M=F_M, x_M=x_M, F_m=F_m
-    )
+    return _modal.dimensional(_scaled_metrics(d.eta), 1.0 / d.omega0, params)
 
 
 def _peak_force_scaled(eta: float) -> float:
     """Peak force over ``m v0 omega0`` as a function of the loss factor."""
-    if eta >= _ETA_FORCE_BRANCH:
-        return 2.0 * eta
-    return math.exp(-eta / math.sqrt(1.0 - eta * eta) * _peak_angle(eta))
+    return _scaled_metrics(eta)[5]
 
 
 def kv_fm_minimizer() -> tuple[float, float]:
@@ -164,18 +155,17 @@ def kv_drop_metrics_asymptotic(params: KelvinVoigtParams) -> ImpactMetrics:
     """First-order gravity corrections to duration and restitution.
 
     For small ``eps0 = g / (omega0 v0)`` the contact lasts longer by
-    ``eps0 (1 + e0) / (e0 omega0)`` and the restitution drops by the factor
-    ``(1 - 2 eta eps0)``, where ``e0`` is the zero-gravity value.  Only
-    ``t_c`` and ``e_star`` carry corrections; the peak fields keep their
+    ``eps0 (1 + e0) / e0`` in ``omega0`` time and the restitution drops by
+    the factor ``(1 - 2 eta eps0)``, where ``e0`` is the zero-gravity value.
+    Only ``t_c`` and ``e_star`` carry corrections; the peak fields keep their
     zero-gravity values since no comparable first-order formulas exist
     for them.
     """
-    base = kv_metrics(params)
     d = params.derived
-    eps0 = d.eps0
-    t_c = base.t_c + eps0 * (1.0 + base.e_star) / (base.e_star * d.omega0)
-    e_star = base.e_star * (1.0 - 2.0 * d.eta * eps0)
-    return dataclasses.replace(base, t_c=t_c, e_star=e_star)
+    eta, eps0 = d.eta, d.eps0
+    tau_c, e0, *peaks = _scaled_metrics(eta)
+    return _modal.dimensional((tau_c + eps0 * (1.0 + e0) / e0, e0 * (1.0 - 2.0 * eta * eps0),
+                               *peaks), 1.0 / d.omega0, params)
 
 
 def kv_find_critical_eps0(eta: float) -> float:

@@ -15,7 +15,6 @@ the zero-gravity trajectory is the drop solution at ``g = 0``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from . import _modal
@@ -64,6 +63,17 @@ def _model(params: MaxwellParams):
     return (lambda gamma: _scaled_solution(d.zeta, gamma)), 1.0 / d.omega0, first_force_zero
 
 
+def _scaled_metrics(zeta: float) -> tuple:
+    """:func:`mx_metrics` in ``omega0`` units, in :class:`ImpactMetrics` order."""
+    w = math.sqrt(1.0 - zeta * zeta)
+    tau_m = (0.5 * math.pi + math.asin(zeta)) / w
+    f_m = math.exp(-zeta * tau_m)
+    tau_M = math.atan2(w, zeta) / w
+    f_M = math.exp(-zeta * tau_M)
+    return (math.pi / w, math.exp(-math.pi * zeta / w), tau_m, 2.0 * zeta + f_m,
+            tau_M, f_M, 2.0 * zeta + (1.0 - 4.0 * zeta**2) * f_M, f_m)
+
+
 def mx_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Sample the zero-gravity contact history on a uniform grid.
 
@@ -77,27 +87,13 @@ def mx_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Tr
 def mx_metrics(params: MaxwellParams) -> ImpactMetrics:
     """Closed-form scalar metrics of the zero-gravity impact.
 
-    Contact lasts exactly half a damped period regardless of amplitude.
-    The force peaks at ``omega t_M = atan(sqrt(1-zeta^2)/zeta)`` and the
-    indentation a quarter period later, at ``omega t_m = pi/2 + asin(zeta)``.
+    In ``omega0`` units they read the loss factor alone: with ``w = sqrt(1 -
+    zeta**2)``, contact lasts half a damped period, ``t_c = pi / w``, at any
+    amplitude.  The force peaks at ``w t_M = atan(w / zeta)`` and the
+    indentation a quarter period later, at ``w t_m = pi/2 + asin(zeta)``.
     """
     d = params.derived
-    v0, omega0, omega, beta, zeta = params.v0, d.omega0, d.omega, d.beta, d.zeta
-    root = math.sqrt(1.0 - zeta * zeta)
-
-    t_c = math.pi / omega
-    e_star = math.exp(-math.pi * zeta / root)
-    t_m = (0.5 * math.pi + math.asin(zeta)) / omega
-    decay_m = math.exp(-beta * t_m)
-    x_m = v0 / omega0 * (2.0 * zeta + decay_m)
-    F_m = params.k * v0 / omega0 * decay_m
-    t_M = math.atan2(root, zeta) / omega
-    decay_M = math.exp(-beta * t_M)
-    F_M = params.k * v0 / omega0 * decay_M
-    x_M = v0 / omega0 * (2.0 * zeta + (1.0 - 4.0 * zeta**2) * decay_M)
-    return ImpactMetrics(
-        t_c=t_c, e_star=e_star, t_m=t_m, x_m=x_m, t_M=t_M, F_M=F_M, x_M=x_M, F_m=F_m
-    )
+    return _modal.dimensional(_scaled_metrics(d.zeta), 1.0 / d.omega0, params)
 
 
 def mx_drop_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
@@ -118,15 +114,16 @@ def mx_drop_metrics(params: MaxwellParams) -> ImpactMetrics:
 def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:
     """First-order gravity corrections to duration and restitution.
 
-    The duration correction ``eps0 (1 + e0) / (e0 omega0)`` has the same
-    coefficient as for the parallel pair.  The restitution correction is
-    the standard first-order estimate ``e0 - 2 zeta eps0``, whose slope
+    The duration correction ``eps0 (1 + e0) / e0`` in ``omega0`` time has the
+    same coefficient as for the parallel pair.  The restitution correction
+    is the standard first-order estimate ``e0 - 2 zeta eps0``, whose slope
     misses the exact ``de*/deps0 = -2 zeta (1 + e0)`` at ``eps0 = 0`` by
     ``2 zeta e0``: a Richardson difference of :func:`mx_drop_trajectory`
     gives -0.345850, -0.823396 and -1.313735 at ``zeta`` 0.1, 0.3 and 0.6,
-    the formula -0.345850, -0.823396 and -1.313736.  So its residual decays
-    only linearly in ``eps0``; prefer :func:`mx_drop_trajectory` when
-    accuracy matters.  Peak fields keep their zero-gravity values.
+    ``-2 zeta (1 + e0)`` -0.345850, -0.823396 and -1.313736, and the ``-2 zeta``
+    used here -0.2, -0.6 and -1.2.  So its residual decays only linearly in
+    ``eps0``; prefer :func:`mx_drop_trajectory` when accuracy matters.  Peak
+    fields keep their zero-gravity values.
 
     Raises
     ------
@@ -134,16 +131,12 @@ def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:
         When ``e0`` underflows to 0 (``zeta`` above about 0.99999) and
         ``eps0 > 0``: the duration correction is then unbounded.
     """
-    base = mx_metrics(params)
     d = params.derived
-    eps0 = d.eps0
-    if base.e_star == 0.0:
-        if eps0 == 0.0:
-            return base
-        raise DomainError(
-            f"the first-order eps0 expansion needs e0 > 0, but e0 underflows to 0 "
-            f"at zeta = {d.zeta!r}"
-        )
-    t_c = base.t_c + eps0 * (1.0 + base.e_star) / (base.e_star * d.omega0)
-    e_star = base.e_star - 2.0 * d.zeta * eps0
-    return dataclasses.replace(base, t_c=t_c, e_star=e_star)
+    zeta, eps0 = d.zeta, d.eps0
+    tau_c, e0, *peaks = _scaled_metrics(zeta)
+    if eps0:
+        if e0 == 0.0:
+            raise DomainError("the first-order eps0 expansion needs e0 > 0, but e0 "
+                              f"underflows to 0 at zeta = {zeta!r}")
+        tau_c, e0 = tau_c + eps0 * (1.0 + e0) / e0, e0 - 2.0 * zeta * eps0
+    return _modal.dimensional((tau_c, e0, *peaks), 1.0 / d.omega0, params)

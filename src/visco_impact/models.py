@@ -8,7 +8,12 @@ Every model-specific module consumes the types defined here.
 Scaling conventions used throughout the package: durations are compared as
 ``omega0 * t``, displacements as ``x * omega0 / v0``, and forces as
 ``F / (m * v0 * omega0)``, where ``omega0`` is the relevant undamped
-frequency and ``v0`` the incoming velocity.
+frequency and ``v0`` the incoming velocity.  Each model solves its impact
+in one time unit ``T``: ``1 / omega0`` for the pairs, whose closed forms
+then read the loss factor alone, and ``tau_R`` for the three-element
+solid.  ``_modal.dimensional`` alone scales the answers back, times by
+``T``, depths by ``v0 T`` and forces by ``m v0 / T``, and refuses a scale
+or an answer that is not finite.
 """
 
 from __future__ import annotations

@@ -399,6 +399,31 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "model, params, message",
+        [
+            # The force's coefficient 4.7e75 times v0 / tau_R = 3.05e240 overflows:
+            # exit 0 with NaN cells before.
+            ("sls", {"m": 7.4547670406883e-243, "k1": 4.302636000876517e20,
+                     "k2": 4.74087973088285e-267, "b": 8.493115740269468e-36,
+                     "v0": 6.012859747615757e184},
+             "a mode coefficient times its scale 3.05e+240 must be finite"),
+            # eta underflows to 0 under eps0 = 2.1e245: e_star = 5.4e238 and x_m = inf before.
+            ("kv", {"m": 1.7231091728062788e228, "k": 1.522582502149621e-88,
+                    "b": 2.273619399013645e-251, "v0": 4.856383134518119e-87},
+             "the metric x_m = inf must be finite"),
+        ],
+        ids=["sls-trajectory", "kv-metrics"],
+    )
+    def test_answers_that_overflow_exit_domain(self, tmp_path, capsys, model, params, message):
+        """Finite scales whose scaled answer overflows are refused in one line, writing no file."""
+        path = _write_json(tmp_path, f"{model}.json", params)
+        out = tmp_path / "traj.csv"
+        argv = ["simulate", model, "--params", path, "--gravity", "--out", str(out)]
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "model, params",
         [
             ("kv", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0, "g": 0.2}),

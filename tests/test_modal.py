@@ -3,7 +3,9 @@ give the paper's closed-form metrics."""
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,11 +13,23 @@ from hypothesis import strategies as st
 
 from visco_impact import _modal, kelvin_voigt, maxwell
 from visco_impact.errors import DiscriminantError, DomainError, PlasticImpactError
-from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_metrics, kv_trajectory
-from visco_impact.maxwell import mx_drop_trajectory, mx_metrics, mx_trajectory
+from visco_impact.kelvin_voigt import (
+    kv_drop_metrics,
+    kv_drop_metrics_asymptotic,
+    kv_drop_trajectory,
+    kv_metrics,
+    kv_trajectory,
+)
+from visco_impact.maxwell import (
+    mx_drop_metrics_asymptotic,
+    mx_drop_trajectory,
+    mx_metrics,
+    mx_trajectory,
+)
 from visco_impact.models import KelvinVoigtParams, MaxwellParams, StandardSolidParams
 from visco_impact.standard_solid import (
     params_from_groups,
+    sls_drop_metrics,
     sls_drop_trajectory,
     sls_metrics,
     sls_perturb_kv,
@@ -123,10 +137,49 @@ def test_expansions_keep_the_pair_limit(perturb):
                              v0=3.1790135901383877e295), sls_trajectory),
         # v0 / omega0 overflows.
         (KelvinVoigtParams(m=1e10, k=1e-10, b=0.6, v0=1e300), kv_trajectory),
+        # The closed forms scale through the same check: x_m = inf before.
+        (KelvinVoigtParams(m=1e10, k=1e-10, b=0.6, v0=1e300), kv_metrics),
+        (KelvinVoigtParams(m=1e10, k=1e-10, b=0.6, v0=1e300), kv_drop_metrics_asymptotic),
+        (MaxwellParams(m=1e10, k=1e-10, b=2.0, v0=1e300), mx_metrics),
+        (MaxwellParams(m=1e10, k=1e-10, b=2.0, v0=1e300), mx_drop_metrics_asymptotic),
     ],
-    ids=["sls-metrics", "sls-trajectory", "kv-trajectory"],
+    ids=["sls-metrics", "sls-trajectory", "kv-trajectory", "kv-metrics", "kv-asymptotic",
+         "mx-metrics", "mx-asymptotic"],
 )
 def test_scales_that_overflow_are_refused(params, run):
     """A length, speed or force scale that overflows would make every sample inf or NaN."""
     with pytest.raises(DomainError, match=r"^the scales v0 T = .* must be finite$"):
         run(params)
+
+
+# Two finite-scale inputs whose answers overflow: the three-element force
+# coefficient 4.7e75 times v0 / tau_R = 3.05e240, and the parallel pair's metrics
+# when eta underflows to 0 under eps0 = 2.1e245.
+SLS_OVERFLOW = StandardSolidParams(m=7.4547670406883e-243, k1=4.302636000876517e20,
+                                   k2=4.74087973088285e-267, b=8.493115740269468e-36,
+                                   v0=6.012859747615757e184, g=9.81)
+KV_OVERFLOW = KelvinVoigtParams(m=1.7231091728062788e228, k=1.522582502149621e-88,
+                                b=2.273619399013645e-251, v0=4.856383134518119e-87, g=9.81)
+
+
+def test_sampled_coefficients_that_overflow_are_refused():
+    """NaN cells before; the metrics, each finite, still stand."""
+    message = r"^a mode coefficient times its scale .* must be finite$"
+    with pytest.raises(DomainError, match=message):
+        sls_drop_trajectory(SLS_OVERFLOW)
+    assert all(map(math.isfinite, vars(sls_drop_metrics(SLS_OVERFLOW)).values()))
+
+
+def test_metrics_that_overflow_are_refused():
+    """``e_star = 5.4e238`` and ``x_m = inf`` before."""
+    with pytest.raises(DomainError, match=r"^the metric x_m = inf must be finite$"):
+        kv_drop_metrics(KV_OVERFLOW)
+
+
+@pytest.mark.parametrize("module", [kelvin_voigt, maxwell], ids=["kelvin_voigt", "maxwell"])
+def test_pair_closed_forms_read_only_derived_groups(module):
+    """The pair modules work in omega0 units: only :mod:`._modal` reads the
+    mass, stiffness, damping or speed, to scale its answers."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & {"m", "k", "b", "v0"}

@@ -976,3 +976,16 @@ def test_table_abscissae_must_be_finite():
     # Interpolating toward tau = inf would hold 0.5 forever, never the last value 0.3.
     with pytest.raises(ConfigError, match="abscissae must be finite"):
         RelaxationKernel.from_table([0.0, 1.0, math.inf], [1.0, 0.5, 0.3], 1.0, 1.0)
+
+
+@pytest.mark.xfail(strict=True, reason="the 4096-step batch powers lose digits on the stiff, "
+                   "non-normal system of an overdamped pair (ROADMAP item 6)")
+def test_overdamped_pair_converges_below_the_default_step():
+    """At eta 200 a sixteenth of the default step should bring t_c within 1e-9 of
+    ``2 ln(eta + kappa) / kappa``, ``kappa = sqrt(eta**2 - 1)`` (40 digits).  It
+    does one step at a time; the batched march stays near 1e-7."""
+    reference = 0.05991533191682377834576187752261632897967
+    kern = RelaxationKernel.kv_limit(1.0, 400.0)
+    dt, _ = oracle._resolve_grid(kern, 1.0, None, None)
+    traj = integrate_impact(kern, 1.0, 1.0, dt_scaled=dt / 16.0)
+    assert traj.t_c == pytest.approx(reference, rel=1e-9)
