@@ -23,14 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._search import brentq
+from . import maxwell
+from ._search import _root
 from .errors import DomainError, NoCrossingError, SingularityError
-from .maxwell import mx_metrics
 from .models import (
     KelvinVoigtParams,
     MaxwellParams,
     StandardSolidParams,
     Trajectory,
+    _require_positive,
     read_numeric_csv,
 )
 
@@ -94,8 +95,8 @@ class SampleGeometry:
     h: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0) or not (self.h > 0.0):
-            raise DomainError("sample radius and thickness must be positive")
+        _require_positive("sample radius a", self.a)
+        _require_positive("sample thickness h", self.h)
 
     @property
     def area(self) -> float:
@@ -128,9 +129,10 @@ class ExperimentRecord:
     v0_consistent: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.h0 > 0.0) or not (self.v0 > 0.0):
-            raise DomainError("drop height and impact velocity must be positive")
-        v0_free_fall = math.sqrt(2.0 * STANDARD_GRAVITY * self.h0)
+        _require_positive("drop height h0", self.h0)
+        _require_positive("impact velocity v0", self.v0)
+        # Two roots, so that no finite h0 overflows to an inf that passes the check.
+        v0_free_fall = math.sqrt(2.0 * STANDARD_GRAVITY) * math.sqrt(self.h0)
         consistent = abs(self.v0 - v0_free_fall) <= _V0_CONSISTENCY_TOL * v0_free_fall
         object.__setattr__(self, "v0_consistent", consistent)
 
@@ -230,15 +232,18 @@ def solve_e10(
 ) -> tuple[float, float]:
     """Time and modulus at which a series-pair impact reaches a stress level.
 
-    Solves ``exp(-zeta omega0 t) sin(omega t) = pi a**2 omega sigma / (k v0)``
-    for the first crossing on the force rise ``[0, t_M]``, then evaluates
-    the dynamic modulus there from the closed-form rate quotient.
+    Solves ``f(tau) = pi a**2 sigma / (m v0 omega0)`` on the pair's own force
+    mode ``f`` (:mod:`.maxwell`, in ``omega0`` time) by one Brent solve over
+    the force rise ``[0, t_M]``, then evaluates the dynamic modulus there as
+    ``E_max f'(tau) / xi'(tau)``.
 
     Returns
     -------
     tuple of float
         ``(t_10, E_10)``.  A zero stress target degenerates to
-        ``(0, E_max)`` with ``E_max = k h / (pi a**2)``.
+        ``(0, E_max)`` with ``E_max = k h / (pi a**2)``, and a target equal
+        to the peak stress to within rounding to ``(t_M, 0)``: the force
+        rate vanishes at the peak.
 
     Raises
     ------
@@ -251,24 +256,24 @@ def solve_e10(
     if sigma_target == 0.0:
         return 0.0, E_max
     d = params.derived
-    omega, beta = d.omega, d.beta
-    peak = mx_metrics(params)
+    peak = maxwell.mx_metrics(params)
     F_target = geom.area * sigma_target
     if peak.F_M < F_target:
         raise NoCrossingError(
             f"peak force {peak.F_M:.6g} N stays below the "
             f"{F_target:.6g} N needed for sigma = {sigma_target:.6g} Pa"
         )
-    rhs = geom.area * omega * sigma_target / (params.k * params.v0)
-
-    def rise(t: float) -> float:
-        return math.exp(-beta * t) * math.sin(omega * t) - rhs
-
-    t_10 = brentq(rise, 0.0, peak.t_M, xtol=1e-15 * peak.t_M, rtol=1e-15)
-    ratio = beta / omega
-    s, c = math.sin(omega * t_10), math.cos(omega * t_10)
-    E_10 = E_max * (c - ratio * s) / (c + ratio * s)
-    return t_10, E_10
+    T = 1.0 / d.omega0
+    _, xi_d, force = maxwell._scaled_solution(d.zeta)
+    level = F_target * T / (params.m * params.v0)
+    tau_M = maxwell._scaled_metrics(d.zeta)[4]
+    top = float(force(tau_M)) - level
+    if top <= 0.0 or F_target == peak.F_M:
+        return peak.t_M, 0.0
+    tau = _root(lambda tau: float(force(tau)) - level, 0.0, tau_M, top)
+    # The force rises up to tau_M: a negative rate is rounding next to the peak.
+    rate = max(float(force.derivative()(tau)), 0.0)
+    return tau * T, E_max * rate / float(xi_d(tau))
 
 
 def energy_dissipation(e_star: float) -> float:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .models import MaxwellParams, load_flat_json, read_numeric_csv
+from .models import MaxwellParams, _require_positive, load_flat_json, read_numeric_csv
 
 __all__ = [
     "BiphasicLayer",
@@ -102,7 +102,8 @@ class EquivalentMaxwell:
     """Spring-dashpot series pair equivalent to a thin layer.
 
     ``chi`` is the pressure-decay rate, the reciprocal of ``tau_R``; the
-    product ``chi * tau_R = 1`` is enforced at construction.
+    product ``chi * tau_R = 1`` is enforced at construction, and ``k``,
+    ``tau_R`` and ``chi`` must be positive and finite.
     """
 
     k: float
@@ -110,12 +111,29 @@ class EquivalentMaxwell:
     chi: float
 
     def __post_init__(self) -> None:
-        if not (self.k > 0.0) or not (self.tau_R > 0.0):
-            raise DomainError("k and tau_R must be positive")
+        for name in ("k", "tau_R", "chi"):
+            _require_positive(name, getattr(self, name))
         if abs(self.chi * self.tau_R - 1.0) > 1e-12:
             raise DomainError(
                 f"chi * tau_R = {self.chi * self.tau_R!r} must equal 1"
             )
+
+
+def _power(x: float, n: int) -> float:
+    """``x**n``, inf where it overflows, which Python raises on."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
+def _quotient(num: float, den: float) -> float:
+    """``num / den`` for positive ``num``, inf where ``den`` underflows to 0.
+
+    With :func:`_power`, a layer at the edge of the float range yields a
+    quantity that is zero, inf or NaN, which the caller refuses.
+    """
+    return num / den if den else math.inf
 
 
 def equivalent_maxwell(layer: BiphasicLayer) -> EquivalentMaxwell:
@@ -124,11 +142,12 @@ def equivalent_maxwell(layer: BiphasicLayer) -> EquivalentMaxwell:
     The stiffness scales with the fourth power of the contact radius and
     the inverse cube of the thickness; the relaxation time grows with the
     square of the thickness.  Doubling ``h`` therefore cuts ``k`` eightfold
-    and quadruples ``tau_R``.
+    and quadruples ``tau_R``.  A ``k``, ``tau_R`` or ``chi`` that is not
+    positive and finite raises :class:`DomainError`.
     """
-    k = 3.0 * layer.mu_s * layer.a**4 / (16.0 * layer.h**3)
-    tau_R = layer.h**2 / (3.0 * layer.mu_s * layer.kappa)
-    return EquivalentMaxwell(k=k, tau_R=tau_R, chi=1.0 / tau_R)
+    k = _quotient(3.0 * layer.mu_s * _power(layer.a, 4), 16.0 * _power(layer.h, 3))
+    tau_R = _quotient(_power(layer.h, 2), 3.0 * layer.mu_s * layer.kappa)
+    return EquivalentMaxwell(k=k, tau_R=tau_R, chi=_quotient(1.0, tau_R))
 
 
 def reduce_to_maxwell(layer: BiphasicLayer, m: float, v0: float) -> MaxwellParams:
@@ -152,8 +171,14 @@ def validity_window(layer: BiphasicLayer) -> tuple[float, float]:
     tuple of float
         ``(tau_D, t_usable)`` with ``tau_D = h**2 / (H_A kappa)`` and
         ``t_usable = 0.1 * tau_D``.
+
+    Raises
+    ------
+    DomainError
+        If ``tau_D`` is not positive and finite.
     """
-    tau_D = layer.h**2 / (layer.H_A * layer.kappa)
+    tau_D = _quotient(_power(layer.h, 2), layer.H_A * layer.kappa)
+    _require_positive("tau_D", tau_D)
     return tau_D, USABLE_FRACTION * tau_D
 
 

@@ -23,7 +23,8 @@ than eight digits, and the closed forms raise :class:`DiscriminantError`.
 Near either end of the ``rho`` range the model degenerates into one of the
 two-element pairs, and first-order expansions in ``rho`` (or ``1 - rho``,
 folded into the mappings used here) reproduce the pair metrics plus a
-correction linear in the small parameter.
+correction linear in the small parameter.  Their zeroth order is read from
+the pair modules' own closed forms, never written again here.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _modal
+from . import _modal, kelvin_voigt, maxwell
 # Every walk goes through this module's name, which perfbench's traced pass wraps.
 from ._search import DampedMode, OffsetMode, RealMode, first_force_zero
 from ._search import golden  # noqa: F401  (perfbench's traced pass wraps this name)
@@ -156,7 +157,7 @@ def _rates(Lambda: float, rho: float) -> tuple[float, float, float]:
 
 
 def _scaled_solution(Lambda: float, rho: float, gamma: float = 0.0):
-    """Indentation and its two derivatives in relaxation-time units.
+    """Indentation, its rate and the force ``f = gamma - xi''`` in relaxation-time units.
 
     ``xi''' + xi'' + Lambda xi' + Lambda rho xi = gamma``, ``xi(0) = 0``,
     ``xi'(0) = 1``, ``xi''(0) = gamma`` and ``x = v0 tau_R xi(t / tau_R)``.
@@ -190,18 +191,14 @@ def _scaled_solution(Lambda: float, rho: float, gamma: float = 0.0):
     else:
         xi = RealMode(bet, math.sqrt(-w2), C, S, c, lam, start)
     xi_d = xi.derivative(1.0)
-    return OffsetMode(xi, xi_inf) if gamma else xi, xi_d, xi_d.derivative(gamma)
+    f = -xi_d.derivative(gamma)
+    return (OffsetMode(xi, xi_inf), xi_d, OffsetMode(f, gamma)) if gamma else (xi, xi_d, f)
 
 
 def _model(params: StandardSolidParams):
     """The solid at ``params`` for :mod:`._modal`, in relaxation times."""
     d = params.derived
-
-    def solution(gamma):
-        xi, xi_d, xi_dd = _scaled_solution(d.Lambda, d.rho, gamma)
-        return xi, xi_d, OffsetMode(-xi_dd, gamma) if gamma else -xi_dd
-
-    return solution, d.tau_R, first_force_zero
+    return (lambda gamma: _scaled_solution(d.Lambda, d.rho, gamma)), d.tau_R, first_force_zero
 
 
 def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
@@ -239,17 +236,14 @@ def sls_perturb_kv(eta: float, rho: float) -> tuple[float, float]:
     ``eta`` is the loss factor of the limiting parallel pair, with frequency
     scaled by the long-time stiffness (``omega0**2 = k_inf / m``), and the
     stiffness ratio ``rho`` lies in [0, 1) (:class:`DomainError` otherwise):
-    ``(omega0 * t_c, e_star)`` are accurate to O(rho**2).
+    ``(omega0 * t_c, e_star)`` are accurate to O(rho**2).  The zeroth order
+    ``(tc0, e0)`` is the pair's own closed form; the first order adds
+    ``4 rho eta (1 - eta tc0)`` to ``tc0`` and ``2 rho eta tc0`` to ``e*/e0``.
     """
     _check_groups(eta=eta)
     _check_expansion_rho(rho)
-    root = math.sqrt(1.0 - eta * eta)
-    phi = math.atan2(root, eta)
-    tc0 = 2.0 / root * phi
-    e0 = math.exp(-2.0 * eta / root * phi)
-    tc = tc0 + rho * (4.0 * eta - 8.0 * eta * eta / root * phi)
-    e_star = e0 * (1.0 + 4.0 * rho * eta / root * phi)
-    return tc, e_star
+    tc0, e0 = kelvin_voigt._scaled_metrics(eta)[:2]
+    return tc0 + 4.0 * rho * eta * (1.0 - eta * tc0), e0 * (1.0 + 2.0 * rho * eta * tc0)
 
 
 def sls_perturb_maxwell(zeta: float, rho: float) -> tuple[float, float]:
@@ -258,16 +252,14 @@ def sls_perturb_maxwell(zeta: float, rho: float) -> tuple[float, float]:
     Here ``rho`` is again the stiffness ratio and the frequency scaling
     uses the instantaneous stiffness, ``omega0**2 = k0 / m``.  Returns
     ``(omega0 * t_c, e_star)``; :class:`DomainError` for ``rho`` outside [0, 1).
+    From the pair's own ``(tc0, e0)`` and ``q = 2 rho zeta**2 / (1 - zeta**2)``,
+    ``t_c = tc0 (1 + q)`` and ``e* = e0 + 4 rho zeta**2 (1 + e0) - q zeta tc0 e0``.
     """
     _check_groups(zeta=zeta)
     _check_expansion_rho(rho)
-    root = math.sqrt(1.0 - zeta * zeta)
-    e0 = math.exp(-math.pi * zeta / root)
-    tc = math.pi / root + 2.0 * math.pi * rho * zeta**2 / root**3
-    e_star = e0 + 4.0 * rho * zeta**2 * (
-        1.0 + (1.0 - math.pi * zeta / (2.0 * root**3)) * e0
-    )
-    return tc, e_star
+    tc0, e0 = maxwell._scaled_metrics(zeta)[:2]
+    q = 2.0 * rho * zeta * zeta / (1.0 - zeta * zeta)
+    return tc0 * (1.0 + q), e0 + 4.0 * rho * zeta * zeta * (1.0 + e0) - q * zeta * tc0 * e0
 
 
 def params_near_kv(eta: float, rho: float) -> StandardSolidParams:

@@ -31,7 +31,7 @@ from visco_impact.errors import (
     SingularityError,
 )
 from visco_impact.kelvin_voigt import kv_trajectory
-from visco_impact.maxwell import mx_trajectory
+from visco_impact.maxwell import mx_metrics, mx_trajectory
 from visco_impact.models import (
     KelvinVoigtParams,
     MaxwellParams,
@@ -40,6 +40,10 @@ from visco_impact.models import (
 from visco_impact.standard_solid import params_from_groups, sls_trajectory
 
 GEOM = SampleGeometry(a=2.5e-3, h=1.5e-3)
+
+
+def _log(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda u: 10.0**u)
 
 
 def _record(**overrides) -> ExperimentRecord:
@@ -83,6 +87,25 @@ class TestGeometryAndRecords:
             _record(h0=0.0)
         with pytest.raises(DomainError):
             _record(v0=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name, words", [("a", "sample radius a"), ("h", "sample thickness h")])
+    def test_geometry_refuses_non_finite(self, name, words, value):
+        """An infinite radius once gave -0.0 stress at every sample."""
+        fields = {"a": 2.5e-3, "h": 1.5e-3, name: value}
+        with pytest.raises(DomainError, match=f"^{words} must be positive and finite, got {value!r}$"):
+            SampleGeometry(**fields)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name, words", [("h0", "drop height h0"), ("v0", "impact velocity v0")])
+    def test_record_refuses_non_finite(self, name, words, value):
+        """An infinite h0 was once accepted as consistent, as inf <= 0.02 * inf."""
+        with pytest.raises(DomainError, match=f"^{words} must be positive and finite, got {value!r}$"):
+            _record(**{name: value})
+
+    def test_huge_drop_height_is_not_consistent(self):
+        """sqrt(2 g h0) stays finite for every finite h0, so a unit speed is flagged."""
+        assert not _record(h0=1e308, v0=1.0).v0_consistent
 
 
 class TestStressStrain:
@@ -215,6 +238,34 @@ class TestSolveE10:
         soft = MaxwellParams(m=1.0, k=1.0, b=1.0, v0=1.0)
         with pytest.raises(NoCrossingError, match="peak force"):
             solve_e10(soft, GEOM)
+
+    def test_peak_target_returns_the_peak(self):
+        """At the peak stress itself the force rate, so the modulus, is zero."""
+        peak = mx_metrics(self.PARAMS)
+        sigma = peak.F_M / GEOM.area
+        while GEOM.area * sigma != peak.F_M:
+            sigma = math.nextafter(sigma, 0.0)
+        assert solve_e10(self.PARAMS, GEOM, sigma) == (peak.t_M, 0.0)
+
+    @given(
+        zeta=st.floats(0.001, 0.999),
+        m=_log(-3.0, 2.0),
+        k=_log(1.0, 9.0),
+        v0=_log(-3.0, 2.0),
+        where=st.one_of(st.floats(0.0, 1.0), st.just(1.0), st.floats(1.0 - 1e-8, 1.0)),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_any_target_up_to_the_peak(self, zeta, m, k, v0, where):
+        """A point on the force rise with a modulus in [0, E_max], or no crossing:
+        at the peak stress Brent's bracket once raised a raw ValueError."""
+        params = MaxwellParams(m=m, k=k, b=math.sqrt(k * m) / (2.0 * zeta), v0=v0)
+        peak = mx_metrics(params)
+        try:
+            t, E = solve_e10(params, GEOM, where * peak.F_M / GEOM.area)
+        except NoCrossingError:
+            return
+        assert 0.0 <= t <= peak.t_M
+        assert 0.0 <= E <= params.k * GEOM.h / GEOM.area
 
 
 class TestEnergy:

@@ -98,6 +98,34 @@ class TestReduction:
         with pytest.raises(DomainError, match="positive"):
             EquivalentMaxwell(k=-1.0, tau_R=2.0, chi=0.5)
 
+    @pytest.mark.parametrize("name", ["k", "tau_R", "chi"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_pair_refuses_each_quantity_out_of_range(self, name, value):
+        fields = {"k": 1.0, "tau_R": 1.0, "chi": 1.0, name: value}
+        with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got {value!r}$"):
+            EquivalentMaxwell(**fields)
+
+    @pytest.mark.parametrize(
+        "layer, message",
+        [
+            (dict(h=1e110), "k must be positive and finite, got 0.0"),
+            (dict(mu_s=1e-200, kappa=1e-200), "tau_R must be positive and finite, got inf"),
+        ],
+    )
+    def test_reduction_beyond_the_float_range_is_refused(self, layer, message):
+        """``h**3`` overflowed, and ``3 mu_s kappa`` underflowed to a ZeroDivisionError."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                equivalent_maxwell(_layer(**layer))
+
+    @pytest.mark.parametrize(
+        "layer, got", [(dict(mu_s=1e308), "0.0"), (dict(mu_s=1e-200, kappa=1e-200), "inf")]
+    )
+    def test_consolidation_window_beyond_the_float_range_is_refused(self, layer, got):
+        with pytest.raises(DomainError, match=f"^tau_D must be positive and finite, got {got}$"):
+            validity_window(_layer(**layer))
+
     def test_consolidation_window(self):
         """tau_D = h**2 / (H_A kappa) = 1000 s for the reference layer."""
         tau_D, usable = validity_window(_layer())

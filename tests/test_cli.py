@@ -941,6 +941,32 @@ class TestBiphasic:
         assert "m must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("with_out", [False, True], ids=["echo", "out"])
+    @pytest.mark.parametrize(
+        "change, got",
+        [
+            ({"h": 1e-110}, "inf"),  # h**3 underflows to 0
+            ({"mu_s": 1e308, "lambda_s": 1e308}, "inf"),  # 3 mu_s overflows
+            ({"a": 1e90}, "inf"),  # a**4 overflows
+            ({"h": 1e120, "a": 1e130}, "nan"),  # a**4 and h**3 both overflow
+        ],
+        ids=["thin", "stiff", "wide", "huge"],
+    )
+    def test_layer_beyond_the_float_range_exits_domain(self, tmp_path, capsys, change, got,
+                                                       with_out):
+        """Each layer once ended in a ZeroDivisionError or OverflowError traceback."""
+        layer = {"mu_s": 0.25e6, "lambda_s": 0.25e6, "kappa": 2e-15, "h": 1e-3, "a": 2.5e-3,
+                 **change}
+        params = _write_json(tmp_path, "layer.json", layer)
+        out = tmp_path / "traj.csv"
+        argv = ["biphasic", "--params", params, "--m", "0.2"]
+        assert main(argv + ["--out", str(out)] if with_out else argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: k must be positive and finite, got {got}"]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_thick_layer_warning_is_one_line(self, tmp_path, capsys):
         """A library warning reaches stderr as one line, without file or source."""
         params = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, h=5e-3))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from visco_impact import _modal, kelvin_voigt, maxwell
+from visco_impact import _modal, kelvin_voigt, maxwell, standard_solid
 from visco_impact.errors import DiscriminantError, DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import (
     kv_drop_metrics,
@@ -183,3 +183,50 @@ def test_pair_closed_forms_read_only_derived_groups(module):
     tree = ast.parse(Path(module.__file__).read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not read & {"m", "k", "b", "v0"}
+
+
+def _brent_callers(node, owner="<module>"):
+    """The innermost function around each ``brentq`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        callee = getattr(child, "func", None)
+        if isinstance(child, ast.Call) and "brentq" in (getattr(callee, "id", None),
+                                                        getattr(callee, "attr", None)):
+            yield owner
+        yield from _brent_callers(child, getattr(child, "name", owner))
+
+
+def test_brent_is_called_only_in_the_search_root():
+    """Every Brent solve in the package goes through ``_search._root``, with its tolerances."""
+    calls = {(path.name, owner) for path in Path(_modal.__file__).parent.glob("*.py")
+             for owner in _brent_callers(ast.parse(path.read_text()))}
+    assert calls == {("_search.py", "_root")}
+
+
+@given(loss=st.one_of(st.floats(1e-12, 1.0 - 1e-12), st.sampled_from((1e-300, 0.5, 1.0 - 2**-53))))
+@settings(deadline=None, max_examples=200, derandomize=True)
+def test_expansions_at_zero_rho_are_the_pair_closed_forms(loss):
+    """The zeroth order of each expansion is its pair's closed form, bit for bit."""
+    assert sls_perturb_kv(loss, 0.0) == kelvin_voigt._scaled_metrics(loss)[:2]
+    assert sls_perturb_maxwell(loss, 0.0) == maxwell._scaled_metrics(loss)[:2]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05], ids=["free", "weighted"])
+@pytest.mark.parametrize(
+    "module, params",
+    [
+        (kelvin_voigt, KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0)),
+        (maxwell, MaxwellParams(m=1.0, k=1.0, b=1.0 / 0.6, v0=1.0)),
+        (standard_solid, params_from_groups(0.5, 0.3)),
+        # D <= 0: three real roots, so the modes are RealMode.
+        (standard_solid, params_from_groups(0.2, 0.05)),
+    ],
+    ids=["kelvin_voigt", "maxwell", "sls", "sls-real-roots"],
+)
+def test_every_model_gives_the_force_as_weight_less_acceleration(module, params, gamma):
+    """Each ``_model`` hands the modal layer ``(xi, xi', f = gamma - xi'')``."""
+    solution, _, walk = module._model(params)
+    assert walk is module.first_force_zero
+    _, xi_d, f = solution(gamma)
+    xi_dd = xi_d.derivative()
+    for tau in (0.0, 0.1, 0.7, 2.3):
+        assert float(f(tau)) == pytest.approx(gamma - float(xi_dd(tau)), rel=1e-13, abs=1e-15)

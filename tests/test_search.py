@@ -154,7 +154,8 @@ def _assert_three_element_roots(Lam: float, rho: float):
     """Contact end and both peak times against the dense reference."""
     params = params_from_groups(Lam, rho)
     r = sls_characteristic_roots(Lam, rho)
-    _, xi_d, xi_dd = _scaled_solution(Lam, rho)
+    _, xi_d, f = _scaled_solution(Lam, rho)
+    xi_dd = -f
     period = 2.0 * math.pi / r.zeta1
     tau_c = _dense_first_zero(lambda tau: -xi_dd(tau), period,
                               _search.SCAN_HORIZON_PERIODS * period)
