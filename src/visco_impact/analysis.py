@@ -31,6 +31,7 @@ from .models import (
     MaxwellParams,
     StandardSolidParams,
     Trajectory,
+    _power,
     _require_positive,
     read_numeric_csv,
 )
@@ -97,6 +98,7 @@ class SampleGeometry:
     def __post_init__(self) -> None:
         _require_positive("sample radius a", self.a)
         _require_positive("sample thickness h", self.h)
+        _require_positive("contact area pi a**2", math.pi * _power(self.a, 2))
 
     @property
     def area(self) -> float:

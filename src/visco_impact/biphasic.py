@@ -25,7 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .models import MaxwellParams, _require_positive, load_flat_json, read_numeric_csv
+from .models import (
+    MaxwellParams,
+    _divide,
+    _power,
+    _require_nonnegative,
+    _require_positive,
+    _series_groups,
+    load_flat_json,
+    read_numeric_csv,
+)
 
 __all__ = [
     "BiphasicLayer",
@@ -83,11 +92,8 @@ class BiphasicLayer:
 
     def __post_init__(self) -> None:
         for name in ("mu_s", "kappa", "h", "a"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise DomainError(f"{name} must be positive, got {value!r}")
-        if self.lambda_s < 0.0 or not math.isfinite(self.lambda_s):
-            raise DomainError(f"lambda_s must be nonnegative, got {self.lambda_s!r}")
+            _require_positive(name, getattr(self, name))
+        _require_nonnegative("lambda_s", self.lambda_s)
         object.__setattr__(self, "H_A", self.lambda_s + 2.0 * self.mu_s)
         if self.h / self.a > _THIN_LAYER_RATIO:
             warnings.warn(
@@ -119,23 +125,6 @@ class EquivalentMaxwell:
             )
 
 
-def _power(x: float, n: int) -> float:
-    """``x**n``, inf where it overflows, which Python raises on."""
-    try:
-        return x**n
-    except OverflowError:
-        return math.inf
-
-
-def _quotient(num: float, den: float) -> float:
-    """``num / den`` for positive ``num``, inf where ``den`` underflows to 0.
-
-    With :func:`_power`, a layer at the edge of the float range yields a
-    quantity that is zero, inf or NaN, which the caller refuses.
-    """
-    return num / den if den else math.inf
-
-
 def equivalent_maxwell(layer: BiphasicLayer) -> EquivalentMaxwell:
     """Short-time equivalent series pair of a thin layer.
 
@@ -145,9 +134,9 @@ def equivalent_maxwell(layer: BiphasicLayer) -> EquivalentMaxwell:
     and quadruples ``tau_R``.  A ``k``, ``tau_R`` or ``chi`` that is not
     positive and finite raises :class:`DomainError`.
     """
-    k = _quotient(3.0 * layer.mu_s * _power(layer.a, 4), 16.0 * _power(layer.h, 3))
-    tau_R = _quotient(_power(layer.h, 2), 3.0 * layer.mu_s * layer.kappa)
-    return EquivalentMaxwell(k=k, tau_R=tau_R, chi=_quotient(1.0, tau_R))
+    k = _divide(3.0 * layer.mu_s * _power(layer.a, 4), 16.0 * _power(layer.h, 3))
+    tau_R = _divide(_power(layer.h, 2), 3.0 * layer.mu_s * layer.kappa)
+    return EquivalentMaxwell(k=k, tau_R=tau_R, chi=_divide(1.0, tau_R))
 
 
 def reduce_to_maxwell(layer: BiphasicLayer, m: float, v0: float) -> MaxwellParams:
@@ -177,7 +166,7 @@ def validity_window(layer: BiphasicLayer) -> tuple[float, float]:
     DomainError
         If ``tau_D`` is not positive and finite.
     """
-    tau_D = _quotient(_power(layer.h, 2), layer.H_A * layer.kappa)
+    tau_D = _divide(_power(layer.h, 2), layer.H_A * layer.kappa)
     _require_positive("tau_D", tau_D)
     return tau_D, USABLE_FRACTION * tau_D
 
@@ -273,16 +262,17 @@ def biphasic_force(layer: BiphasicLayer, times, delta0) -> np.ndarray:
 def biphasic_loss_factor(layer: BiphasicLayer, m: float) -> float:
     """Loss factor of the equivalent series pair under an impacting mass.
 
-    Closed form ``2 sqrt(3 m mu_s) kappa / (a**2 sqrt(h))``, identical to
-    deriving the groups of :func:`reduce_to_maxwell`.  It grows with
+    The series pair's own ``zeta = k / (2 omega0 b)``, bit for bit the one
+    :func:`reduce_to_maxwell` refuses at one, but returned at any value.  It
+    equals ``2 sqrt(3 m mu_s) kappa / (a**2 sqrt(h))``, so it grows with
     permeability and shear modulus and falls with thickness and contact
-    radius, so thicker layers and larger indenters rebound more.
+    radius: thicker layers and larger indenters rebound more.  Raises
+    :class:`DomainError` unless ``m``, the pair and ``sqrt(k / m)`` are
+    positive and finite.
     """
-    if not (m > 0.0) or not math.isfinite(m):
-        raise DomainError(f"m must be positive and finite, got {m!r}")
-    return 2.0 * math.sqrt(3.0 * m * layer.mu_s) * layer.kappa / (
-        layer.a**2 * math.sqrt(layer.h)
-    )
+    _require_positive("m", m)
+    eq = equivalent_maxwell(layer)
+    return _series_groups(m, eq.k, eq.k * eq.tau_R)[1]
 
 
 _LAYER_KEYS = frozenset({"mu_s", "lambda_s", "kappa", "h", "a"})

@@ -68,21 +68,13 @@ class DerivedGroups:
     """Nondimensional groups derived from a parameter set.
 
     Fields that do not apply to a given model are ``None`` rather than NaN
-    so that accidental use fails loudly.  ``beta`` is always the exponential
-    decay rate of the oscillatory closed form (``eta * omega0`` for the
-    Kelvin-Voigt model, ``zeta * omega0`` for the Maxwell model); it is not
-    the dashpot coefficient of the alternate three-element configuration,
-    which enters only through :func:`convert_configurations`.
+    so that accidental use fails loudly.
 
     Attributes
     ----------
     omega0 : float
         Undamped angular frequency.  For the standard solid this is the
         instantaneous-stiffness frequency ``sqrt(k0 / m)``.
-    omega : float or None
-        Damped angular frequency of the contact oscillation.
-    beta : float or None
-        Exponential decay rate of the oscillatory closed form.
     eta : float or None
         Kelvin-Voigt loss factor ``b / (2 sqrt(k m))``.
     zeta : float or None
@@ -98,8 +90,6 @@ class DerivedGroups:
     """
 
     omega0: float
-    omega: float | None = None
-    beta: float | None = None
     eta: float | None = None
     zeta: float | None = None
     rho: float | None = None
@@ -273,10 +263,8 @@ def derive_kv(params: KelvinVoigtParams) -> DerivedGroups:
     Returns
     -------
     DerivedGroups
-        With ``omega0 = sqrt(k/m)``, decay rate ``beta = b / (2m)``, loss
-        factor ``eta = beta / omega0``, damped frequency
-        ``omega = sqrt(omega0**2 - beta**2)`` and gravity ratio
-        ``eps0 = g / (omega0 v0)``.
+        With ``omega0 = sqrt(k/m)``, loss factor ``eta = b / (2m) / omega0``
+        and gravity ratio ``eps0 = g / (omega0 v0)``.
 
     Raises
     ------
@@ -284,22 +272,20 @@ def derive_kv(params: KelvinVoigtParams) -> DerivedGroups:
         If ``eta >= 1`` (no oscillatory rebound), or if ``omega0`` or
         ``eps0`` is not finite.
     """
-    omega0 = _natural_frequency(params)
-    beta = params.b / (2.0 * params.m)
-    eta = beta / omega0
+    omega0 = _natural_frequency(params.k, params.m)
+    eta = params.b / (2.0 * params.m) / omega0
     if not eta < 1.0:
         raise DomainError(
             f"loss factor eta = {eta:.6g} is >= 1: the pair is overdamped "
             "and the oscillatory solution does not apply"
         )
-    omega = omega0 * math.sqrt(1.0 - eta * eta)
     eps0 = _gravity_ratio(params, omega0)
-    return DerivedGroups(omega0=omega0, omega=omega, beta=beta, eta=eta, eps0=eps0)
+    return DerivedGroups(omega0=omega0, eta=eta, eps0=eps0)
 
 
-def _natural_frequency(params) -> float:
-    """``omega0 = sqrt(k / m)`` of a pair, refused unless positive and finite."""
-    omega0 = math.sqrt(params.k / params.m)
+def _natural_frequency(k: float, m: float) -> float:
+    """``omega0 = sqrt(k / m)``, refused unless positive and finite."""
+    omega0 = math.sqrt(k / m)
     _require_positive("omega0 = sqrt(k / m)", omega0)
     return omega0
 
@@ -310,11 +296,25 @@ def _divide(a: float, b: float) -> float:
     return a / b if b else math.inf if a else math.nan
 
 
+def _power(x: float, n: int) -> float:
+    """``x**n``, inf where it overflows, which Python raises on."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
 def _gravity_ratio(params, omega0: float) -> float:
     """``eps0 = g / (omega0 v0)``, refused unless finite."""
     eps0 = _divide(params.g, omega0 * params.v0)
     _check_groups("eps0 = g / (omega0 v0)", eps0=eps0)
     return eps0
+
+
+def _series_groups(m: float, k: float, b: float) -> tuple[float, float]:
+    """``(omega0, zeta)`` of a series pair, ``zeta = k / (2 omega0 b)`` unrefused."""
+    omega0 = _natural_frequency(k, m)
+    return omega0, _divide(k, 2.0 * omega0 * b)
 
 
 def derive_maxwell(params: MaxwellParams) -> DerivedGroups:
@@ -324,20 +324,15 @@ def derive_maxwell(params: MaxwellParams) -> DerivedGroups:
     is ``tau_R = b / k``.  Raises :class:`DomainError` when ``zeta >= 1``, or
     when ``omega0`` or ``eps0`` is not finite.
     """
-    omega0 = _natural_frequency(params)
-    zeta = _divide(params.k, 2.0 * omega0 * params.b)
+    omega0, zeta = _series_groups(params.m, params.k, params.b)
     if not zeta < 1.0:
         raise DomainError(
             f"loss factor zeta = {zeta:.6g} is >= 1: relaxation is too fast "
             "for an oscillatory rebound"
         )
-    omega = omega0 * math.sqrt(1.0 - zeta * zeta)
-    beta = zeta * omega0
     tau_R = params.b / params.k
     eps0 = _gravity_ratio(params, omega0)
-    return DerivedGroups(
-        omega0=omega0, omega=omega, beta=beta, zeta=zeta, tau_R=tau_R, eps0=eps0
-    )
+    return DerivedGroups(omega0=omega0, zeta=zeta, tau_R=tau_R, eps0=eps0)
 
 
 def derive_sls(params: StandardSolidParams) -> DerivedGroups:
@@ -350,9 +345,8 @@ def derive_sls(params: StandardSolidParams) -> DerivedGroups:
     ``omega0`` or ``tau_R`` is not positive and finite, when ``rho`` or
     ``Lambda`` leaves its domain, or when ``Lambda * rho`` underflows.
     """
-    k0 = params.k1
-    k_inf = params.k1 * params.k2 / (params.k1 + params.k2)
-    rho = k_inf / k0
+    k0 = params.k0
+    rho = params.k_inf / k0
     tau_R = params.b / (params.k1 + params.k2)
     Lambda = (k0 / params.m) * tau_R * tau_R
     omega0 = math.sqrt(k0 / params.m)

@@ -128,7 +128,8 @@ def test_criterion_04_series_pair_termination():
     for zeta in np.linspace(0.01, 0.98, 50):
         params = _mx(zeta)
         met = mx_metrics(params)
-        assert met.t_c == math.pi / params.derived.omega
+        d = params.derived
+        assert met.t_c == math.pi / (d.omega0 * math.sqrt(1.0 - d.zeta * d.zeta))
         traj = mx_trajectory(params)
         assert abs(traj.F[-1]) < 1e-12 * met.F_M
 

@@ -76,6 +76,13 @@ class TestGeometryAndRecords:
         with pytest.raises(DomainError):
             SampleGeometry(a=1e-3, h=-1.0)
 
+    def test_geometry_refuses_an_overflowing_area(self):
+        """``a**2`` once raised a raw OverflowError from ``area``."""
+        with pytest.raises(
+            DomainError, match=r"^contact area pi a\*\*2 must be positive and finite, got inf$"
+        ):
+            SampleGeometry(a=1e200, h=1e-3)
+
     def test_velocity_consistency_flag(self):
         free_fall = math.sqrt(2.0 * STANDARD_GRAVITY * 0.05)
         assert _record(v0=free_fall).v0_consistent
@@ -201,8 +208,9 @@ class TestSolveE10:
         """The returned time satisfies the rise equation to round-off."""
         t10, _ = solve_e10(self.PARAMS, GEOM)
         d = self.PARAMS.derived
-        rhs = GEOM.area * d.omega * DEFAULT_SIGMA_TARGET / (self.PARAMS.k * self.PARAMS.v0)
-        residual = math.exp(-d.beta * t10) * math.sin(d.omega * t10) - rhs
+        omega, beta = d.omega0 * math.sqrt(1.0 - d.zeta * d.zeta), d.zeta * d.omega0
+        rhs = GEOM.area * omega * DEFAULT_SIGMA_TARGET / (self.PARAMS.k * self.PARAMS.v0)
+        residual = math.exp(-beta * t10) * math.sin(omega * t10) - rhs
         assert abs(residual) < 1e-14
 
     def test_modulus_below_instantaneous(self):

@@ -50,7 +50,7 @@ class TestLayer:
 
     @pytest.mark.parametrize("name", ["mu_s", "kappa", "h", "a"])
     def test_positivity(self, name):
-        with pytest.raises(DomainError, match=name):
+        with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got 0.0$"):
             _layer(**{name: 0.0})
         with pytest.raises(DomainError, match=name):
             _layer(**{name: -1.0})
@@ -143,10 +143,21 @@ class TestReduction:
     @settings(deadline=None, max_examples=80)
     def test_loss_factor_matches_derived_group(self, layer, m):
         """Closed form 2 sqrt(3 m mu_s) kappa / (a**2 sqrt h) equals zeta."""
-        params = reduce_to_maxwell(layer, m=m, v0=1.0)
-        assert biphasic_loss_factor(layer, m) == pytest.approx(
-            params.derived.zeta, rel=1e-12
+        closed_form = 2.0 * math.sqrt(3.0 * m * layer.mu_s) * layer.kappa / (
+            layer.a**2 * math.sqrt(layer.h)
         )
+        assert biphasic_loss_factor(layer, m) == pytest.approx(closed_form, rel=1e-12)
+
+    @given(layer=layer_strategy, m=st.floats(min_value=1e-2, max_value=10.0))
+    @settings(deadline=None, max_examples=80)
+    def test_loss_factor_is_the_reduced_pairs_zeta(self, layer, m):
+        """Bit for bit, so the zeta >= 1 refusals of both agree at every layer."""
+        assert biphasic_loss_factor(layer, m) == reduce_to_maxwell(layer, m, 1.0).derived.zeta
+
+    def test_loss_factor_refuses_an_overflowing_layer(self):
+        """``a**2`` once raised a raw OverflowError; the pair's k is refused instead."""
+        with pytest.raises(DomainError, match="^k must be positive and finite, got inf$"):
+            biphasic_loss_factor(_layer(a=1e200), 1.0)
 
     def test_loss_factor_needs_mass(self):
         with pytest.raises(DomainError, match="m must be positive"):

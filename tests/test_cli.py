@@ -913,6 +913,38 @@ class TestBiphasic:
         assert main(["biphasic", "--params", params, "--m", "0.1", "--out", str(out)]) == EXIT_PLASTIC
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "layer, m, rc, err",
+        [
+            ({"mu_s": 26966.86066282609, "lambda_s": 0.0, "kappa": 9.222989736910127e-14,
+              "h": 0.00044064039893060953, "a": 0.022415592780230358},
+             40413841782.11809, EXIT_OK, "beyond the usable window"),
+            ({"mu_s": 387832.0977725587, "lambda_s": 0.0, "kappa": 1.406854079757779e-17,
+              "h": 0.0008338096135497599, "a": 0.007456486636803135},
+             2798212997566989.0, EXIT_PLASTIC, "no oscillatory rebound"),
+        ],
+        ids=["below", "above"],
+    )
+    def test_loss_factor_within_rounding_of_one_exits_as_its_pair(self, tmp_path, capsys,
+                                                                   layer, m, rc, err):
+        """Both echo zeta = 1; the pair's own zeta is 1 - 1e-16 for the first layer,
+        which runs, and 1 + 2e-16 for the second, which reduce_to_maxwell refuses."""
+        from visco_impact.biphasic import BiphasicLayer, reduce_to_maxwell
+
+        try:
+            reduce_to_maxwell(BiphasicLayer(**layer), m, 1.0)
+        except DomainError:
+            assert rc == EXIT_PLASTIC
+        else:
+            assert rc == EXIT_OK
+        params = _write_json(tmp_path, "layer.json", layer)
+        out = tmp_path / "traj.csv"
+        assert main(["biphasic", "--params", params, "--m", repr(m), "--out", str(out)]) == rc
+        captured = capsys.readouterr()
+        assert "zeta = 1\n" in captured.out
+        assert err in captured.err
+        assert out.exists() == (rc == EXIT_OK)
+
     def test_one_solve_with_dt(self, tmp_path, monkeypatch):
         """biphasic --out solves the metrics once and samples the trajectory once."""
         calls = []

@@ -55,9 +55,10 @@ class TestMetrics:
     @given(eta=etas)
     @settings(deadline=None)
     def test_restitution_from_decay(self, eta):
-        met = kv_metrics(_params(eta))
-        d = _params(eta).derived
-        assert met.e_star == pytest.approx(math.exp(-d.beta * met.t_c), rel=1e-14)
+        params = _params(eta)
+        met = kv_metrics(params)
+        beta = params.b / (2.0 * params.m)
+        assert met.e_star == pytest.approx(math.exp(-beta * met.t_c), rel=1e-14)
         assert 0.0 < met.e_star < 1.0
 
     @given(

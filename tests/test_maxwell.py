@@ -49,7 +49,8 @@ class TestMetrics:
     def test_contact_time_formula_bit_exact(self, zeta):
         params = _params(zeta)
         met = mx_metrics(params)
-        assert met.t_c == math.pi / params.derived.omega
+        d = params.derived
+        assert met.t_c == math.pi / (d.omega0 * math.sqrt(1.0 - d.zeta * d.zeta))
 
     @given(zeta=zetas)
     @settings(deadline=None)

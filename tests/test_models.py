@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -48,19 +49,23 @@ positive = st.floats(min_value=1e-3, max_value=1e3)
 
 
 class TestDerivedGroups:
+    def test_fields(self):
+        """The groups only: each pair's damped frequency and decay rate live in its
+        own module's closed form."""
+        assert [f.name for f in dataclasses.fields(DerivedGroups)] == [
+            "omega0", "eta", "zeta", "rho", "Lambda", "tau_R", "eps0"
+        ]
+
     def test_kv_groups(self):
         p = KelvinVoigtParams(m=2.0, k=8.0, b=2.4, v0=1.0)
         d = p.derived
         assert d.omega0 == pytest.approx(2.0, rel=1e-15)
         assert d.eta == pytest.approx(2.4 / (2.0 * math.sqrt(8.0 * 2.0)), rel=1e-15)
-        assert d.beta == pytest.approx(d.eta * d.omega0, rel=1e-15)
-        assert d.omega == pytest.approx(d.omega0 * math.sqrt(1.0 - d.eta**2), rel=1e-15)
         assert d.zeta is None and d.rho is None and d.Lambda is None
 
     def test_kv_elastic_allows_zero_dashpot(self):
         p = KelvinVoigtParams(m=1.0, k=1.0, b=0.0, v0=1.0)
         assert p.derived.eta == 0.0
-        assert p.derived.omega == p.derived.omega0
 
     def test_kv_overdamped_rejected(self):
         with pytest.raises(DomainError):
@@ -71,7 +76,6 @@ class TestDerivedGroups:
         d = p.derived
         assert d.zeta == pytest.approx(0.5, rel=1e-15)
         assert d.tau_R == pytest.approx(1.0, rel=1e-15)
-        assert d.beta == pytest.approx(0.5, rel=1e-15)
         assert d.eta is None
 
     def test_mx_gravity_group(self):

@@ -14,7 +14,7 @@ from visco_impact import oracle
 from visco_impact.errors import ConfigError, NoSeparationError
 from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_find_critical_eps0, kv_metrics
 from visco_impact.maxwell import mx_metrics
-from visco_impact.models import KelvinVoigtParams, MaxwellParams
+from visco_impact.models import KelvinVoigtParams, MaxwellParams, StandardSolidParams
 from visco_impact.oracle import (
     RelaxationKernel,
     integrate_impact,
@@ -662,6 +662,43 @@ def test_kv_limit_matches_closed_form_at_every_scale(m, k, v0, eta, eps0_share):
     traj = integrate_impact_with_gravity(RelaxationKernel.from_params(params), m, v0, params.g)
     assert traj.t_c == pytest.approx(t_c, rel=1e-9)
     assert -traj.xdot[-1] / v0 == pytest.approx(e_star, rel=1e-9)
+
+
+
+_decades = st.floats(-4.0, 4.0).map(lambda u: 10.0**u)
+
+
+def _assert_zero_gravity_oracle_matches(params, met):
+    """The default-step oracle at g = 0 keeps t_c and e* to 1e-9 relative."""
+    traj = integrate_impact(RelaxationKernel.from_params(params), params.m, params.v0)
+    assert traj.t_c == pytest.approx(met.t_c, rel=1e-9)
+    assert -traj.xdot[-1] / params.v0 == pytest.approx(met.e_star, rel=1e-9)
+
+
+@given(m=_decades, k=_decades, v0=_decades, zeta=_weighted_loss_factor())
+@settings(deadline=None, max_examples=250, derandomize=True)
+def test_maxwell_kernel_matches_closed_form_at_every_scale(m, k, v0, zeta):
+    """The series pair's companion of the kv_limit test above, at g = 0."""
+    params = MaxwellParams(m=m, k=k, b=k / (2.0 * zeta * math.sqrt(k / m)), v0=v0)
+    _assert_zero_gravity_oracle_matches(params, mx_metrics(params))
+
+
+@given(
+    m=_decades,
+    k=_decades,
+    v0=_decades,
+    Lambda=st.floats(-2.0, 2.0).map(lambda u: 10.0**u),
+    rho=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+)
+@settings(deadline=None, max_examples=250, derandomize=True)
+def test_sls_kernel_matches_closed_form_at_every_scale(m, k, v0, Lambda, rho):
+    """The three-element companion of the kv_limit test above, at g = 0: k is the
+    instantaneous stiffness k0, and k2, b realize rho and Lambda."""
+    tau_R = math.sqrt(Lambda * m / k)
+    params = StandardSolidParams(
+        m=m, k1=k, k2=k * rho / (1.0 - rho), b=tau_R * k / (1.0 - rho), v0=v0
+    )
+    _assert_zero_gravity_oracle_matches(params, sls_metrics(params))
 
 
 def _heun_block_map_stepwise(psi, dt, alpha, B):
