@@ -464,18 +464,18 @@ _VERIFY_SUITES = (
 )
 
 
-def run_verification(suites=None) -> list[SuiteResult]:
+def run_verification() -> list[SuiteResult]:
     """Run the cross-validation suites and collect their worst errors."""
     results = []
-    for name, suite in suites if suites is not None else _VERIFY_SUITES:
+    for name, suite in _VERIFY_SUITES:
         max_error, tolerance = suite()
         results.append(SuiteResult(name=name, max_error=max_error, tolerance=tolerance))
     return results
 
 
-def cmd_verify(args, suites=None) -> int:
+def cmd_verify(args) -> int:
     """Cross-validate the closed forms against direct integration."""
-    results = run_verification(suites)
+    results = run_verification()
     for r in results:
         print(f"{r.name}: {r.status} (max error {r.max_error:.3e}, tolerance {r.tolerance:.1e})")
     if args.out is not None:

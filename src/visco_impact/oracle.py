@@ -39,10 +39,9 @@ Python loop per step.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -53,16 +52,12 @@ from .models import (
     MaxwellParams,
     StandardSolidParams,
     Trajectory,
-    _check_keys,
-    _number,
-    _read_json_object,
 )
 
 __all__ = [
     "RelaxationKernel",
     "integrate_impact",
     "integrate_impact_with_gravity",
-    "restitution_invariance_probe",
 ]
 
 # Default step and horizon, in units of the nominal half period pi / sqrt(alpha).
@@ -82,15 +77,6 @@ _BLOCK = 64
 _BATCH = 64
 
 _KINDS = ("exp_sum", "kv_limit", "table")
-
-# Kernel spec ``type`` -> (constructor, required keys, optional keys).
-_SPEC_TYPES = {
-    "elastic": ("elastic", frozenset({"k0"}), frozenset({"tau_R"})),
-    "maxwell": ("maxwell", frozenset({"k0", "tau_R"}), frozenset()),
-    "sls": ("sls", frozenset({"k0", "tau_R", "rho"}), frozenset()),
-    "kv_limit": ("kv_limit", frozenset({"k", "b"}), frozenset()),
-    "table": ("from_table", frozenset({"k0", "tau_R", "tau", "psi"}), frozenset()),
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,15 +141,28 @@ class RelaxationKernel:
             )
         # A sum of decaying exponentials with no negative coefficient cannot
         # increase, and rounding keeps it so; only tables and sums with a
-        # negative term need the probe.
-        if self.kind == "table" or any(c < 0.0 for c in self.cs):
-            probe = self.psi(np.linspace(0.0, 10.0, 1001))
-            if np.any(np.diff(probe) > 1e-12):
-                warnings.warn(
-                    "relaxation kernel increases somewhere on [0, 10]; "
-                    "a physical stress-relaxation function is non-increasing",
-                    stacklevel=3,
-                )
+        # negative term are checked.  A table's interpolant rises exactly
+        # where its samples do.  A sum is probed on [0, 10] and out to ten of
+        # its slowest finite time constants.
+        if self.kind == "table":
+            tau, psi = self.table_tau, self.table_psi
+        elif any(c < 0.0 for c in self.cs):
+            reach = 10.0 * max((th for th in self.thetas if math.isfinite(th)), default=0.0)
+            tau = np.linspace(0.0, 10.0, 1001)
+            # Where tau / theta overflows, that term is exp(-inf) = 0.
+            with np.errstate(over="ignore"):
+                if reach > 10.0:
+                    tau = np.append(tau, np.geomspace(10.0, min(reach, sys.float_info.max), 1001))
+                psi = self.psi(tau)
+        else:
+            return
+        rise = np.diff(psi) > 1e-12
+        if rise.any():
+            warnings.warn(
+                f"relaxation kernel increases after tau = {tau[rise.argmax()]:.6g}; "
+                "a physical stress-relaxation function is non-increasing",
+                stacklevel=3,
+            )
 
     def psi(self, tau):
         """Evaluate the normalized kernel at scaled time ``tau`` (singular for ``kv_limit``)."""
@@ -226,36 +225,6 @@ class RelaxationKernel:
             d = params.derived
             return cls.sls(params.k0, d.tau_R, d.rho)
         raise ConfigError(f"no kernel mapping for {type(params).__name__}")
-
-    @classmethod
-    def from_json(cls, source) -> "RelaxationKernel":
-        """Build a kernel from a JSON file path or an already-parsed mapping.
-
-        The object must carry a ``type`` key out of ``elastic, maxwell,
-        kv_limit, sls, table``; remaining keys are type-specific and
-        unknown ones are rejected.  Values are numbers, and a table's
-        ``tau`` and ``psi`` are lists of numbers.
-        """
-        if isinstance(source, (str, Path)):
-            where, spec = source, _read_json_object(source)
-        else:
-            where, spec = "kernel spec", source
-        if not isinstance(spec, Mapping) or "type" not in spec:
-            raise ConfigError(f"{where} must be an object with a 'type' key")
-        kind = spec["type"]
-        if not isinstance(kind, str) or kind not in _SPEC_TYPES:
-            raise ConfigError(f"{where}: unknown kernel type {kind!r}")
-        name, required, optional = _SPEC_TYPES[kind]
-        values = {key: value for key, value in spec.items() if key != "type"}
-        _check_keys(where, values.keys(), required, optional)
-        for key, value in values.items():
-            if key in ("tau", "psi"):
-                if not isinstance(value, list):
-                    raise ConfigError(f"{where}: key {key!r} must be a list, got {value!r}")
-                values[key] = [_number(where, key, v) for v in value]
-            else:
-                values[key] = _number(where, key, value)
-        return getattr(cls, name)(**values)
 
 
 def _rk4_increment(A: np.ndarray, c: np.ndarray, h: float):
@@ -645,9 +614,14 @@ def integrate_impact(
     Raises
     ------
     ConfigError
-        For a non-finite or non-positive ``m`` or ``v0``, or when
+        For a ``kernel`` that is not a :class:`RelaxationKernel`, a
+        non-finite or non-positive ``m``, ``v0`` or ``dt_scaled``, a ``g``
+        (given to :func:`integrate_impact_with_gravity`) that is negative or
+        not finite, a horizon that does not exceed the step, or when
         ``horizon_scaled / dt_scaled`` is not finite or exceeds
         ``_search.MAX_SCAN_SAMPLES`` steps.
+    NoSeparationError
+        When the force has not returned to zero by the end of the horizon.
     """
     return _integrate(kernel, m, v0, 0.0, dt_scaled, horizon_scaled)
 
@@ -666,40 +640,3 @@ def integrate_impact_with_gravity(
     entry point.
     """
     return _integrate(kernel, m, v0, g, dt_scaled, horizon_scaled)
-
-
-def restitution_invariance_probe(
-    kernel: RelaxationKernel,
-    m: float,
-    velocities,
-) -> dict:
-    """Check that scaled outcomes do not depend on the incoming velocity.
-
-    Runs the integrator once per velocity and reports the spread of the
-    restitution coefficient and scaled duration, plus the worst relative
-    deviation of the indentation peak from exact linear scaling.
-    """
-    velocities = [float(v) for v in velocities]
-    if len(velocities) < 2:
-        raise ConfigError("need at least two velocities to probe invariance")
-    omega0 = math.sqrt(kernel.k0 / m)
-    e_stars, tcs, xms = [], [], []
-    for v0 in velocities:
-        traj = integrate_impact(kernel, m, v0)
-        e_stars.append(-traj.xdot[-1] / v0)
-        tcs.append(omega0 * traj.t_c)
-        xms.append(float(np.max(traj.x)))
-    ref_v, ref_xm = velocities[0], xms[0]
-    xm_dev = max(
-        abs(xm / ref_xm - v / ref_v) / (v / ref_v)
-        for v, xm in zip(velocities, xms)
-    )
-    return {
-        "velocities": velocities,
-        "e_star": e_stars,
-        "omega0_tc": tcs,
-        "x_m": xms,
-        "max_delta_e": max(e_stars) - min(e_stars),
-        "max_delta_tc": max(tcs) - min(tcs),
-        "max_xm_linearity_error": xm_dev,
-    }

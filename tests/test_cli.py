@@ -214,6 +214,7 @@ class TestRepeatedMain:
             assert exc.value.code == 0
             assert capsys.readouterr() == fresh
 
+    @pytest.mark.filterwarnings("default::UserWarning")
     def test_warning_hook_is_restored(self, tmp_path, capsys):
         before = warnings.showwarning
         thick = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, h=5e-3))
@@ -658,6 +659,14 @@ class TestSweep:
         assert rc == EXIT_DOMAIN
         assert "sweeps one of" in capsys.readouterr().err
 
+    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: the eps0 sweeps apply the first-order "
+                       "drop expansions past their range (ROADMAP item 3)")
+    def test_eps0_sweep_writes_no_negative_restitution(self, tmp_path, capsys):
+        fixed = _write_json(tmp_path, "fixed.json", {"eta": 0.3})
+        main(["sweep", "--model", "kv", "--sweep", "eps0:0:3:4", "--params", fixed])
+        data = _parse_csv(capsys.readouterr().out, SWEEP_HEADER)
+        assert not np.any(data[:, 2] < 0.0)
+
     def test_negative_eps0_sweep(self, capsys):
         rc = main(["sweep", "--model", "kv", "--sweep", "eps0:-0.1:0.1:3"])
         assert rc == EXIT_DOMAIN
@@ -827,9 +836,9 @@ class TestVerify:
         assert all(row[3] == "pass" for row in rows[1:])
         assert all(float(row[1]) <= float(row[2]) for row in rows[1:])
 
-    def test_injected_failure_exits_4(self, capsys):
-        suites = [("perturbed", lambda: (1.0, 1e-6))]
-        rc = cmd_verify(argparse.Namespace(out=None), suites=suites)
+    def test_injected_failure_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_VERIFY_SUITES", [("perturbed", lambda: (1.0, 1e-6))])
+        rc = cmd_verify(argparse.Namespace(out=None))
         assert rc == EXIT_VERIFY
         assert "perturbed: FAIL" in capsys.readouterr().out
 
@@ -978,7 +987,9 @@ class TestBiphasic:
         "change, got",
         [
             ({"h": 1e-110}, "inf"),  # h**3 underflows to 0
-            ({"mu_s": 1e308, "lambda_s": 1e308}, "inf"),  # 3 mu_s overflows
+            # 3 mu_s overflows; h/a = 0.4 also warns that the layer is thick.
+            pytest.param({"mu_s": 1e308, "lambda_s": 1e308}, "inf",
+                         marks=pytest.mark.filterwarnings("default::UserWarning")),
             ({"a": 1e90}, "inf"),  # a**4 overflows
             ({"h": 1e120, "a": 1e130}, "nan"),  # a**4 and h**3 both overflow
         ],
@@ -999,6 +1010,7 @@ class TestBiphasic:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("default::UserWarning")
     def test_thick_layer_warning_is_one_line(self, tmp_path, capsys):
         """A library warning reaches stderr as one line, without file or source."""
         params = _write_json(tmp_path, "layer.json", dict(REFERENCE_LAYER, h=5e-3))

@@ -18,7 +18,6 @@ from visco_impact import cli
 from visco_impact.biphasic import load_layer_json
 from visco_impact.errors import ConfigError
 from visco_impact.models import load_kv_params, load_maxwell_params, load_sls_params
-from visco_impact.oracle import RelaxationKernel
 
 PACKAGE = Path(visco_impact.__file__).parent
 
@@ -58,12 +57,6 @@ LOADERS = {
         load_layer_json,
         {"mu_s": 1e6, "lambda_s": 5e5, "kappa": 1e-15, "h": 1e-4, "a": 1e-3},
         "kappa",
-        True,
-    ),
-    "RelaxationKernel.from_json": (
-        RelaxationKernel.from_json,
-        {"type": "sls", "k0": 1, "tau_R": 0.5, "rho": 0.3},
-        "rho",
         True,
     ),
     # Every fixed quantity of a sweep has a default, so no key is missing.

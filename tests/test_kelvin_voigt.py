@@ -201,6 +201,13 @@ class TestDrop:
         with pytest.raises(PlasticImpactError):
             kv_drop_trajectory(_params(eta, g=1.1 * crit), n_samples=50)
 
+    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: the elastic-limit drop loses its "
+                       "restitution under a large weight (ROADMAP item 18)")
+    def test_undamped_drop_under_heavy_weight_keeps_restitution(self):
+        """An undamped drop separates with e* = 1 whatever its weight."""
+        met = kv_drop_metrics(KelvinVoigtParams(m=1.0, k=1.0, b=0.0, v0=1.0, g=1e6))
+        assert met.e_star == pytest.approx(1.0, abs=1e-8)
+
     def test_critical_eps0_decreases_with_damping(self):
         assert kv_find_critical_eps0(0.6) < kv_find_critical_eps0(0.3)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from visco_impact.oracle import (
     RelaxationKernel,
     integrate_impact,
     integrate_impact_with_gravity,
-    restitution_invariance_probe,
 )
 from visco_impact.standard_solid import params_from_groups, sls_metrics
 
@@ -122,64 +120,6 @@ class TestKernelValidation:
         )
         assert kern.psi(5.0) == 0.4
         assert kern.psi(0.5) == pytest.approx(0.8, rel=1e-15)
-
-
-class TestFromJson:
-    def test_each_type_from_dict(self):
-        el = RelaxationKernel.from_json({"type": "elastic", "k0": 2.0})
-        assert el.kind == "exp_sum" and el.c_inf == 1.0 and el.tau_R == 1.0
-        mx = RelaxationKernel.from_json({"type": "maxwell", "k0": 1.0, "tau_R": 0.5})
-        assert mx.c_inf == 0.0 and mx.thetas == (1.0,)
-        sls = RelaxationKernel.from_json(
-            {"type": "sls", "k0": 1.0, "tau_R": 0.5, "rho": 0.3}
-        )
-        assert sls.c_inf == 0.3
-        kv = RelaxationKernel.from_json({"type": "kv_limit", "k": 2.0, "b": 0.5})
-        assert kv.kind == "kv_limit" and kv.tau_R == 0.25
-        tab = RelaxationKernel.from_json(
-            {"type": "table", "k0": 1.0, "tau_R": 1.0, "tau": [0.0, 1.0], "psi": [1.0, 0.5]}
-        )
-        assert tab.kind == "table"
-
-    def test_key_policing(self):
-        with pytest.raises(ConfigError, match="unknown kernel type"):
-            RelaxationKernel.from_json({"type": "fractional"})
-        with pytest.raises(ConfigError, match="unknown keys"):
-            RelaxationKernel.from_json({"type": "maxwell", "k0": 1.0, "tau_R": 1.0, "x": 2})
-        with pytest.raises(ConfigError, match="missing keys"):
-            RelaxationKernel.from_json({"type": "maxwell", "k0": 1.0})
-        with pytest.raises(ConfigError, match="'type' key"):
-            RelaxationKernel.from_json({"k0": 1.0})
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            {"type": "maxwell", "k0": "1", "tau_R": 1},
-            {"type": "sls", "k0": 1, "tau_R": 1, "rho": None},
-            {"type": "maxwell", "k0": [1.0], "tau_R": 1},
-            {"type": "kv_limit", "k": True, "b": 1},
-            {"type": "table", "k0": 1, "tau_R": 1, "tau": "ab", "psi": [1.0, 0.5]},
-            {"type": "table", "k0": 1, "tau_R": 1, "tau": [0, "1"], "psi": [1.0, 0.5]},
-            {"type": ["maxwell"], "k0": 1, "tau_R": 1},
-            ["type"],
-        ],
-        ids=repr,
-    )
-    def test_values_that_are_not_numbers_rejected(self, spec):
-        with pytest.raises(ConfigError):
-            RelaxationKernel.from_json(spec)
-
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "kernel.json"
-        path.write_text(json.dumps({"type": "sls", "k0": 1.0, "tau_R": 0.5, "rho": 0.3}))
-        kern = RelaxationKernel.from_json(path)
-        assert kern.c_inf == 0.3 and kern.tau_R == 0.5
-
-    def test_invalid_json_reported_with_path(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            RelaxationKernel.from_json(path)
 
     def test_from_params_dispatch(self):
         kv = RelaxationKernel.from_params(KelvinVoigtParams(m=1, k=4, b=0.8, v0=1))
@@ -356,20 +296,16 @@ class TestGravityAndTermination:
         assert dt == pytest.approx(5e-4 * kern.tau_R, rel=1e-12)
 
 
-class TestInvarianceProbe:
+class TestVelocityInvariance:
     def test_scaled_outcomes_independent_of_velocity(self):
-        report = restitution_invariance_probe(
-            RelaxationKernel.sls(1.0, 0.5, 0.5), 1.0, [0.5, 1.0, 2.0]
-        )
-        assert report["max_delta_e"] == 0.0
-        assert report["max_delta_tc"] == 0.0
-        assert report["max_xm_linearity_error"] < 1e-12
-        assert len(report["e_star"]) == 3
-        assert report["velocities"] == [0.5, 1.0, 2.0]
-
-    def test_needs_two_velocities(self):
-        with pytest.raises(ConfigError, match="two velocities"):
-            restitution_invariance_probe(RelaxationKernel.elastic(1.0), 1.0, [1.0])
+        """The oracle solves one scaled problem, so v0 changes only the units."""
+        kern = RelaxationKernel.sls(1.0, 0.5, 0.5)
+        omega0 = math.sqrt(kern.k0)  # m = 1
+        runs = [(v0, integrate_impact(kern, 1.0, v0)) for v0 in (0.5, 1.0, 2.0)]
+        assert len({-traj.xdot[-1] / v0 for v0, traj in runs}) == 1
+        assert len({omega0 * traj.t_c for _, traj in runs}) == 1
+        peaks = [np.max(traj.x) / v0 for v0, traj in runs]
+        assert peaks == pytest.approx([peaks[0]] * 3, rel=1e-12)
 
 
 DEFAULT_BLOCK = oracle._BLOCK
@@ -802,6 +738,22 @@ class TestKernelProbe:
     def test_increasing_table_warns(self):
         with pytest.warns(UserWarning, match="non-increasing"):
             RelaxationKernel.from_table([0.0, 1.0, 2.0], [1.0, 0.5, 0.7], k0=1.0, tau_R=1.0)
+
+    def test_table_rising_past_ten_warns(self):
+        """The table's own samples are checked, not a probe on [0, 10]."""
+        with pytest.warns(UserWarning, match="after tau = 10;"):
+            RelaxationKernel.from_table([0.0, 10.0, 20.0], [1.0, 0.5, 0.9], k0=1.0, tau_R=1.0)
+
+    def test_sum_rising_late_warns(self):
+        """``0.5 + 0.6 exp(-tau/20) - 0.1 exp(-tau/1000)`` rises from tau near 116."""
+        with pytest.warns(UserWarning, match="non-increasing"):
+            RelaxationKernel(k0=1.0, tau_R=1.0, c_inf=0.5, cs=(0.6, -0.1), thetas=(20.0, 1000.0))
+
+    def test_probe_past_the_float_range_warns_only_of_the_rise(self):
+        """Probing to 1e308 overflows tau / theta of the fast term, which is then 0."""
+        with pytest.warns(UserWarning, match="non-increasing") as record:
+            RelaxationKernel(k0=1.0, tau_R=1.0, c_inf=0.5, cs=(0.6, -0.1), thetas=(1e-5, 1e307))
+        assert [w.category for w in record] == [UserWarning]
 
     def test_negative_coefficient_is_probed(self, monkeypatch):
         def refuse(self, tau):

@@ -303,6 +303,12 @@ class TestPairLimits:
         with pytest.raises(DomainError):
             sls_perturb_maxwell(0.0, 0.1)
 
+    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: sls_perturb_kv returns a negative "
+                       "contact time once the first-order term outgrows tc0 (ROADMAP item 19)")
+    def test_perturbation_contact_time_stays_positive(self):
+        tc, _ = sls_perturb_kv(0.98, 0.9)
+        assert tc > 0.0
+
 
 def _dead_window(rho):
     """``(Lambda_lo, Lambda_hi)``, the ends of the ``D <= 0`` window at ``rho``."""
