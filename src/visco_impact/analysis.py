@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import maxwell
+from . import _modal, maxwell
 from ._search import _root
 from .errors import DomainError, NoCrossingError, SingularityError
 from .models import (
@@ -258,17 +258,18 @@ def solve_e10(
     if sigma_target == 0.0:
         return 0.0, E_max
     d = params.derived
-    peak = maxwell.mx_metrics(params)
+    T = 1.0 / d.omega0
+    scaled = maxwell._scaled_metrics(d.zeta)
+    peak = _modal.dimensional(scaled, T, params)
     F_target = geom.area * sigma_target
     if peak.F_M < F_target:
         raise NoCrossingError(
             f"peak force {peak.F_M:.6g} N stays below the "
             f"{F_target:.6g} N needed for sigma = {sigma_target:.6g} Pa"
         )
-    T = 1.0 / d.omega0
     _, xi_d, force = maxwell._scaled_solution(d.zeta)
     level = F_target * T / (params.m * params.v0)
-    tau_M = maxwell._scaled_metrics(d.zeta)[4]
+    tau_M = scaled[4]
     top = float(force(tau_M)) - level
     if top <= 0.0 or F_target == peak.F_M:
         return peak.t_M, 0.0
@@ -378,18 +379,14 @@ def linearity_report(records: list[ExperimentRecord]) -> LinearityReport:
     ordered = sorted(records, key=lambda r: r.v0)
     v0 = np.array([r.v0 for r in ordered])
     ratio = np.array([r.sigma_max / r.eps_max for r in ordered])
-    tested = (
-        ("restitution-constant", np.array([r.e_star for r in ordered])),
-        ("peak-modulus-constant", np.array([r.E_max for r in ordered])),
-        ("stiffness-ratio-constant", ratio),
+    spreads = (
+        ("restitution-constant", _relative_spread(np.array([r.e_star for r in ordered]))),
+        ("peak-modulus-constant", _relative_spread(np.array([r.E_max for r in ordered]))),
+        ("stiffness-ratio-constant", _relative_spread(ratio)),
     )
     verdicts = tuple(
-        PredictionVerdict(
-            name=name,
-            spread=_relative_spread(values),
-            passed=_relative_spread(values) <= REL_CONSTANCY_TOL,
-        )
-        for name, values in tested
+        PredictionVerdict(name=name, spread=spread, passed=spread <= REL_CONSTANCY_TOL)
+        for name, spread in spreads
     )
     return LinearityReport(
         v0=tuple(float(x) for x in v0),

@@ -109,11 +109,6 @@ def kv_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
     return _modal.dimensional(_scaled_metrics(d.eta), 1.0 / d.omega0, params)
 
 
-def _peak_force_scaled(eta: float) -> float:
-    """Peak force over ``m v0 omega0`` as a function of the loss factor."""
-    return _scaled_metrics(eta)[5]
-
-
 def kv_fm_minimizer() -> tuple[float, float]:
     """Loss factor minimizing the scaled peak force, by one Brent solve.
 
@@ -132,7 +127,7 @@ def kv_fm_minimizer() -> tuple[float, float]:
         return _peak_angle(eta) - 3.0 * eta * math.sqrt(1.0 - eta * eta)
 
     eta_star = _root(stationary, 1e-3, _ETA_FORCE_BRANCH, stationary(_ETA_FORCE_BRANCH))
-    return eta_star, _peak_force_scaled(eta_star)
+    return eta_star, _scaled_metrics(eta_star)[5]
 
 
 def kv_drop_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:

@@ -60,9 +60,9 @@ __all__ = [
     "integrate_impact_with_gravity",
 ]
 
-# Default step and horizon, in units of the nominal half period pi / sqrt(alpha).
+# Default step and the horizon, in units of the nominal half period pi / sqrt(alpha).
 DEFAULT_DT_FRACTION = 1e-4
-DEFAULT_HORIZON_HALF_PERIODS = 10.0
+HORIZON_HALF_PERIODS = 10.0
 
 # Steps advanced at once: RK4 steps from precomputed powers of the step
 # map, or table-kernel steps from one precomputed linear map.  A block end
@@ -142,17 +142,19 @@ class RelaxationKernel:
         # A sum of decaying exponentials with no negative coefficient cannot
         # increase, and rounding keeps it so; only tables and sums with a
         # negative term are checked.  A table's interpolant rises exactly
-        # where its samples do.  A sum is probed on [0, 10] and out to ten of
-        # its slowest finite time constants.
+        # where its samples do.  A sum is probed at 0 and on one geometric
+        # grid from a tenth of its fastest finite time constant to ten of its
+        # slowest; a term with an infinite time constant is constant.
+        finite = [th for th in self.thetas if math.isfinite(th)]
         if self.kind == "table":
             tau, psi = self.table_tau, self.table_psi
-        elif any(c < 0.0 for c in self.cs):
-            reach = 10.0 * max((th for th in self.thetas if math.isfinite(th)), default=0.0)
-            tau = np.linspace(0.0, 10.0, 1001)
+        elif finite and any(c < 0.0 for c in self.cs):
+            # A tenth of a subnormal time constant underflows to 0.
+            lo = max(0.1 * min(finite), sys.float_info.min)
+            hi = min(10.0 * max(finite), sys.float_info.max)
             # Where tau / theta overflows, that term is exp(-inf) = 0.
             with np.errstate(over="ignore"):
-                if reach > 10.0:
-                    tau = np.append(tau, np.geomspace(10.0, min(reach, sys.float_info.max), 1001))
+                tau = np.append(0.0, np.geomspace(lo, hi, 1001))
                 psi = self.psi(tau)
         else:
             return
@@ -322,8 +324,8 @@ def _first_return(fs, started):
     return (rise + k if hit[k] else None), True
 
 
-def _integrate_linear(kernel, m, v0, g, dt, horizon):
-    """March RK4 until the force returns to zero after its initial rise.
+def _integrate_linear(kernel, m, v0, system, dt, horizon):
+    """March RK4 on ``system = (A, c, fvec)`` until the force returns to zero after its rise.
 
     The step map's powers for 1 .. ``_BLOCK`` steps, ``[D_s, S_s]``, and
     those of the block map for 1 .. ``_BATCH`` blocks, ``(P_b, R_b)``, are
@@ -347,7 +349,7 @@ def _integrate_linear(kernel, m, v0, g, dt, horizon):
     stops at it with no repeated time, and ``t_c`` can differ by one step
     from a march that took the sign from ``fvec @ y``.
     """
-    A, c, fvec = _linear_system(kernel, m, v0, g)
+    A, c, fvec = system
     n = c.size
     Ds, Ss = _step_powers(*_rk4_increment(A, c, dt), _BLOCK)
     DS = np.concatenate([Ds, Ss[:, :, None]], axis=2)  # DS[s] = [D_s, S_s]
@@ -530,7 +532,8 @@ def _no_separation(horizon: float) -> NoSeparationError:
     )
 
 
-def _resolve_grid(kernel, m, dt_scaled, horizon_scaled):
+def _resolve_grid(kernel, m, dt_scaled, A):
+    """Step and horizon in scaled time; ``A`` is the state matrix, None for a table."""
     half_period = math.pi / math.sqrt(kernel.alpha_per_mass / m)
     if dt_scaled is None:
         dt = DEFAULT_DT_FRACTION * half_period
@@ -542,22 +545,19 @@ def _resolve_grid(kernel, m, dt_scaled, horizon_scaled):
         dt = dt_scaled
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ConfigError(f"dt_scaled must be positive, got {dt!r}")
-    if horizon_scaled is not None:
-        horizon = horizon_scaled
-    else:
-        horizon = DEFAULT_HORIZON_HALF_PERIODS * half_period
-        if kernel.kind != "table":
-            # Near critical damping the contact outlasts the nominal half
-            # periods; give it a whole period of the slowest oscillating mode,
-            # or with none ten time constants of the slowest decay (a
-            # three-element contact at D <= 0 ends within two), within the step cap.
-            ev = np.linalg.eigvals(_linear_system(kernel, m, 1.0, 0.0)[0])
-            osc = np.abs(ev.imag)
-            reach = (2.0 * math.pi / np.min(osc, where=osc > 0.0, initial=np.inf) if osc.any()
-                     else 10.0 / np.min(-ev.real, where=ev.real < 0.0, initial=np.inf))
-            horizon = max(horizon, min(reach, (MAX_SCAN_SAMPLES - 1) * dt))
+    horizon = HORIZON_HALF_PERIODS * half_period
+    if A is not None:
+        # Near critical damping the contact outlasts the nominal half
+        # periods; give it a whole period of the slowest oscillating mode,
+        # or with none ten time constants of the slowest decay (a
+        # three-element contact at D <= 0 ends within two), within the step cap.
+        ev = np.linalg.eigvals(A)
+        osc = np.abs(ev.imag)
+        reach = (2.0 * math.pi / np.min(osc, where=osc > 0.0, initial=np.inf) if osc.any()
+                 else 10.0 / np.min(-ev.real, where=ev.real < 0.0, initial=np.inf))
+        horizon = max(horizon, min(reach, (MAX_SCAN_SAMPLES - 1) * dt))
     if not (horizon > dt):
-        raise ConfigError(f"horizon_scaled {horizon:.6g} must exceed the step size {dt:.6g}")
+        raise ConfigError(f"the horizon {horizon:.6g} must exceed the step size {dt:.6g}")
     steps = horizon / dt
     if not steps <= MAX_SCAN_SAMPLES:
         raise ConfigError(
@@ -567,7 +567,7 @@ def _resolve_grid(kernel, m, dt_scaled, horizon_scaled):
     return dt, horizon
 
 
-def _integrate(kernel, m, v0, g, dt_scaled, horizon_scaled):
+def _integrate(kernel, m, v0, g, dt_scaled):
     if not isinstance(kernel, RelaxationKernel):
         raise ConfigError("kernel must be a RelaxationKernel")
     for name, value in (("m", m), ("v0", v0)):
@@ -575,10 +575,12 @@ def _integrate(kernel, m, v0, g, dt_scaled, horizon_scaled):
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     if not (g >= 0.0) or not math.isfinite(g):
         raise ConfigError(f"g must be nonnegative and finite, got {g!r}")
-    dt, horizon = _resolve_grid(kernel, m, dt_scaled, horizon_scaled)
     if kernel.kind == "table":
+        dt, horizon = _resolve_grid(kernel, m, dt_scaled, None)
         return _integrate_table(kernel, m, v0, g, dt, horizon)
-    return _integrate_linear(kernel, m, v0, g, dt, horizon)
+    system = _linear_system(kernel, m, v0, g)
+    dt, horizon = _resolve_grid(kernel, m, dt_scaled, system[0])
+    return _integrate_linear(kernel, m, v0, system, dt, horizon)
 
 
 def integrate_impact(
@@ -586,7 +588,6 @@ def integrate_impact(
     m: float,
     v0: float,
     dt_scaled: float | None = None,
-    horizon_scaled: float | None = None,
 ) -> Trajectory:
     """Integrate a zero-gravity impact against a relaxation kernel.
 
@@ -599,12 +600,12 @@ def integrate_impact(
     dt_scaled : float, optional
         Fixed step in scaled time ``t / tau_R``, for every kernel kind.
         Defaults to 1e-4 of the nominal half period ``pi / sqrt(alpha)``.
-    horizon_scaled : float, optional
-        Give up and raise :class:`NoSeparationError` past this scaled time.
-        Defaults to ten nominal half periods.  For exponential-sum and
-        spring-dashpot kernels it stretches to one period of the slowest
-        oscillating mode of the state equation, as far as
-        ``_search.MAX_SCAN_SAMPLES`` steps allow.
+
+    The horizon, past which the call gives up, is ten nominal half periods.
+    For exponential-sum and spring-dashpot kernels it stretches to one
+    period of the slowest oscillating mode of the state equation, or with
+    none to ten time constants of its slowest decay, as far as
+    ``_search.MAX_SCAN_SAMPLES`` steps allow.
 
     Returns
     -------
@@ -617,13 +618,13 @@ def integrate_impact(
         For a ``kernel`` that is not a :class:`RelaxationKernel`, a
         non-finite or non-positive ``m``, ``v0`` or ``dt_scaled``, a ``g``
         (given to :func:`integrate_impact_with_gravity`) that is negative or
-        not finite, a horizon that does not exceed the step, or when
-        ``horizon_scaled / dt_scaled`` is not finite or exceeds
-        ``_search.MAX_SCAN_SAMPLES`` steps.
+        not finite, a horizon that does not exceed the step, or a horizon
+        that needs more than ``_search.MAX_SCAN_SAMPLES`` steps of
+        ``dt_scaled``.
     NoSeparationError
         When the force has not returned to zero by the end of the horizon.
     """
-    return _integrate(kernel, m, v0, 0.0, dt_scaled, horizon_scaled)
+    return _integrate(kernel, m, v0, 0.0, dt_scaled)
 
 
 def integrate_impact_with_gravity(
@@ -632,11 +633,10 @@ def integrate_impact_with_gravity(
     v0: float,
     g: float,
     dt_scaled: float | None = None,
-    horizon_scaled: float | None = None,
 ) -> Trajectory:
     """Same as :func:`integrate_impact` with gravity acting during contact.
 
     With ``g = 0`` the result is identical bit for bit to the zero-gravity
     entry point.
     """
-    return _integrate(kernel, m, v0, g, dt_scaled, horizon_scaled)
+    return _integrate(kernel, m, v0, g, dt_scaled)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from visco_impact.errors import DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import (
-    _peak_force_scaled,
+    _scaled_metrics,
     kv_drop_metrics,
     kv_drop_metrics_asymptotic,
     kv_drop_trajectory,
@@ -130,7 +130,7 @@ class TestForceMinimizer:
         reference = 0.264932084602776862434
         eta_star, fm_star = kv_fm_minimizer()
         assert abs(eta_star - reference) <= 2.0 * math.ulp(reference)
-        assert fm_star == _peak_force_scaled(eta_star)
+        assert fm_star == _scaled_metrics(eta_star)[5]
 
     def test_is_interior_minimum(self):
         eta_star, fm_star = kv_fm_minimizer()

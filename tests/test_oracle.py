@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -20,6 +21,12 @@ from visco_impact.oracle import (
     integrate_impact_with_gravity,
 )
 from visco_impact.standard_solid import params_from_groups, sls_metrics
+
+
+def _grid(kernel, m=1.0, dt_scaled=None):
+    """The step and horizon the oracle takes for ``kernel`` at mass ``m``."""
+    A = None if kernel.kind == "table" else oracle._linear_system(kernel, m, 1.0, 0.0)[0]
+    return oracle._resolve_grid(kernel, m, dt_scaled, A)
 
 
 class TestKernelValidation:
@@ -254,22 +261,54 @@ class TestGravityAndTermination:
             integrate_impact_with_gravity(kern, 1.0, 1.0, -9.81)
         with pytest.raises(ConfigError):
             integrate_impact(kern, 1.0, 1.0, dt_scaled=-1e-4)
-        with pytest.raises(ConfigError):
-            integrate_impact(kern, 1.0, 1.0, dt_scaled=1.0, horizon_scaled=0.5)
+        # The horizon is ten nominal half periods, 10 pi here.
+        with pytest.raises(ConfigError, match="must exceed the step size"):
+            integrate_impact(kern, 1.0, 1.0, dt_scaled=100.0)
         with pytest.raises(ConfigError, match="RelaxationKernel"):
             integrate_impact("kernel", 1.0, 1.0)
 
     @pytest.mark.parametrize(
-        "grid, needed",
-        [({"horizon_scaled": math.inf}, "inf steps"), ({"dt_scaled": 1e-9}, "3.14e+10 steps")],
+        "kern",
+        [RelaxationKernel.maxwell(1.0, 1.0),
+         RelaxationKernel.from_table([0.0, 1.0], [1.0, 0.5], k0=1.0, tau_R=1.0)],
+        ids=["maxwell", "table"],
     )
-    def test_grid_past_step_cap_rejected(self, grid, needed):
+    def test_grid_past_step_cap_rejected(self, kern):
         """A horizon too long for its step is refused before any state is built."""
-        kern = RelaxationKernel.maxwell(1.0, 1.0)
         with pytest.raises(ConfigError) as info:
-            integrate_impact(kern, 1.0, 1.0, **grid)
-        assert needed in str(info.value)
+            integrate_impact(kern, 1.0, 1.0, dt_scaled=1e-9)
+        assert "3.14e+10 steps" in str(info.value)
         assert "more than the 1e+07 allowed" in str(info.value)
+
+    def test_entry_points_take_only_a_step(self):
+        """The horizon comes from the kernel; the step is the one option."""
+        assert str(inspect.signature(integrate_impact)) == (
+            "(kernel: 'RelaxationKernel', m: 'float', v0: 'float', "
+            "dt_scaled: 'float | None' = None) -> 'Trajectory'"
+        )
+        assert str(inspect.signature(integrate_impact_with_gravity)) == (
+            "(kernel: 'RelaxationKernel', m: 'float', v0: 'float', g: 'float', "
+            "dt_scaled: 'float | None' = None) -> 'Trajectory'"
+        )
+
+    @pytest.mark.parametrize("kern", [
+        RelaxationKernel.elastic(1.0),
+        RelaxationKernel.kv_limit(1.0, 0.6),
+        RelaxationKernel.sls(1.0, 1.0, 0.5),
+        RelaxationKernel(k0=2.0, tau_R=1.0, c_inf=0.3, cs=(0.4, 0.2, 0.1), thetas=(0.5, 2.0, 7.0)),
+    ], ids=["elastic", "kv_limit", "sls", "exp_sum"])
+    def test_state_equation_built_once(self, monkeypatch, kern):
+        """The grid and the march share one ``_linear_system`` build."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        build = oracle._linear_system
+        monkeypatch.setattr(oracle, "_linear_system", counted)
+        integrate_impact_with_gravity(kern, 1.3, 0.7, 0.05)
+        assert calls == [(kern, 1.3, 0.7, 0.05)]
 
     @pytest.mark.parametrize(
         "m, v0, g",
@@ -384,10 +423,13 @@ class TestPropagator:
             assert abs(traj.t_c - met.t_c) < 3e-14
 
     def test_horizon_inside_first_block_raises(self):
-        kern = RelaxationKernel.elastic(1.0)
-        horizon = 0.5 * DEFAULT_BLOCK * 0.01
-        with pytest.raises(NoSeparationError, match="never returned to zero"):
-            integrate_impact(kern, 1.0, 1.0, dt_scaled=0.01, horizon_scaled=horizon)
+        """A plastic drop marched at a step that puts the horizon half a block in."""
+        kern = RelaxationKernel.kv_limit(1.0, 0.6)
+        _, horizon = _grid(kern)
+        dt = horizon / (0.5 * DEFAULT_BLOCK)
+        assert _grid(kern, dt_scaled=dt) == (dt, horizon)
+        with pytest.raises(NoSeparationError, match=f"horizon \\({horizon:.6g} scaled"):
+            integrate_impact_with_gravity(kern, 1.0, 1.0, 100.0, dt_scaled=dt)
 
     @pytest.mark.parametrize(
         "nodes_before_end",
@@ -489,23 +531,23 @@ class TestTableScheme:
         # Place the contact end half a step past node ``nodes_before_end``.
         t_c = integrate_impact_with_gravity(table, 1.0, 1.0, g, dt_scaled=1e-3).t_c
         dt = t_c / table.tau_R / (nodes_before_end + 0.5)
-        horizon = 40.0
+        _, horizon = _grid(table, dt_scaled=dt)
         ref = _heun_reference(table, 1.0, 1.0, g, dt, horizon)
-        traj = integrate_impact_with_gravity(
-            table, 1.0, 1.0, g, dt_scaled=dt, horizon_scaled=horizon
-        )
+        traj = integrate_impact_with_gravity(table, 1.0, 1.0, g, dt_scaled=dt)
         assert traj.times.size == ref["times"].size == nodes_before_end + 2
         for name, expected in ref.items():
             got = getattr(traj, name)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected)), name
 
-    def test_horizon_inside_first_block_raises(self):
+    def test_horizon_inside_first_block_raises(self, monkeypatch):
         """Nodes past the horizon are computed with their block, never used."""
         elastic = RelaxationKernel.from_table([0.0, 1.0], [1.0, 1.0], k0=1.0, tau_R=1.0)
         dt = math.pi / 40.5
         assert integrate_impact(elastic, 1.0, 1.0, dt_scaled=dt).times.size == 42
+        # Thirty steps: the half period is pi.
+        monkeypatch.setattr(oracle, "HORIZON_HALF_PERIODS", 30.0 / 40.5)
         with pytest.raises(NoSeparationError, match="never returned to zero"):
-            integrate_impact(elastic, 1.0, 1.0, dt_scaled=dt, horizon_scaled=30 * dt)
+            integrate_impact(elastic, 1.0, 1.0, dt_scaled=dt)
 
     @pytest.mark.parametrize("Lam, rho", [(0.25, 0.5), (1.0, 0.3), (4.0, 0.7)])
     def test_step_halving_second_order(self, Lam, rho):
@@ -550,7 +592,7 @@ def test_default_horizon_stays_within_step_cap(kind):
         kern = RelaxationKernel.from_params(params)
     else:
         kern = RelaxationKernel.kv_limit(1.0, 2.0 * (1.0 - 1e-12))
-    dt, horizon = oracle._resolve_grid(kern, 1.0, None, None)
+    dt, horizon = _grid(kern)
     assert 0.99 * oracle.MAX_SCAN_SAMPLES < horizon / dt <= oracle.MAX_SCAN_SAMPLES
 
 
@@ -749,6 +791,18 @@ class TestKernelProbe:
         with pytest.warns(UserWarning, match="non-increasing"):
             RelaxationKernel(k0=1.0, tau_R=1.0, c_inf=0.5, cs=(0.6, -0.1), thetas=(20.0, 1000.0))
 
+    def test_fast_rise_warns(self):
+        """``0.5 + 0.6 exp(-tau/1e-5) - 0.1 exp(-tau/1e-4)`` dips to about 0.4 by
+        tau 5e-5 and rises back to 0.5, all within the first 0.01 of tau."""
+        with pytest.warns(UserWarning, match="increases after tau = "):
+            RelaxationKernel(k0=1.0, tau_R=1.0, c_inf=0.5, cs=(0.6, -0.1), thetas=(1e-5, 1e-4))
+
+    def test_subnormal_time_constant_is_probed(self):
+        """A tenth of 5e-324 underflows to 0; the grid starts at the smallest normal float."""
+        with pytest.warns(UserWarning, match="non-increasing") as record:
+            RelaxationKernel(k0=1.0, tau_R=1.0, c_inf=0.5, cs=(0.6, -0.1), thetas=(5e-324, 1.0))
+        assert [w.category for w in record] == [UserWarning]
+
     def test_probe_past_the_float_range_warns_only_of_the_rise(self):
         """Probing to 1e308 overflows tau / theta of the fast term, which is then 0."""
         with pytest.warns(UserWarning, match="non-increasing") as record:
@@ -825,7 +879,7 @@ class TestStateMajorNodes:
 
     @staticmethod
     def _assert_matches_row_major(kernel, m=1.0, v0=1.0, g=0.0, dt_scaled=None):
-        dt, horizon = oracle._resolve_grid(kernel, m, dt_scaled, None)
+        dt, horizon = _grid(kernel, m, dt_scaled)
         expected = _row_major_reference(kernel, m, v0, g, dt, horizon)
         got = integrate_impact_with_gravity(kernel, m, v0, g, dt_scaled=dt_scaled)
         assert got.times.size == expected.times.size
@@ -975,6 +1029,6 @@ def test_overdamped_pair_converges_below_the_default_step():
     does one step at a time; the batched march stays near 1e-7."""
     reference = 0.05991533191682377834576187752261632897967
     kern = RelaxationKernel.kv_limit(1.0, 400.0)
-    dt, _ = oracle._resolve_grid(kern, 1.0, None, None)
+    dt, _ = _grid(kern)
     traj = integrate_impact(kern, 1.0, 1.0, dt_scaled=dt / 16.0)
     assert traj.t_c == pytest.approx(reference, rel=1e-9)

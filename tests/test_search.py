@@ -21,7 +21,7 @@ from visco_impact import _search, maxwell
 from visco_impact.cli import EXIT_PLASTIC, main
 from visco_impact.errors import DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import (
-    _peak_force_scaled,
+    _scaled_metrics,
     kv_drop_trajectory,
     kv_find_critical_eps0,
 )
@@ -544,9 +544,12 @@ def test_brentq_errors_are_scipys(f, a, b, error):
 @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
 def test_golden_is_scipys_when_the_right_interval_is_longer(tol):
     """With ``|xc - xb| > |xb - xa|`` the first probe goes right of ``xb``."""
+    def peak_force(eta):
+        return _scaled_metrics(eta)[5]
+
     brack = (1e-3, 0.25, 0.7)
-    expected = scipy.optimize.golden(_peak_force_scaled, brack=brack, tol=tol)
-    assert _search.golden(_peak_force_scaled, brack, tol) == expected
+    expected = scipy.optimize.golden(peak_force, brack=brack, tol=tol)
+    assert _search.golden(peak_force, brack, tol) == expected
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6])
