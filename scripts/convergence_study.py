@@ -14,14 +14,13 @@ second-order accuracy shows ratios near 4.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
 
 from visco_impact.kelvin_voigt import kv_metrics
 from visco_impact.maxwell import mx_metrics
-from visco_impact.models import KelvinVoigtParams, MaxwellParams
+from visco_impact.models import KelvinVoigtParams, MaxwellParams, write_csv_rows
 from visco_impact.oracle import RelaxationKernel, integrate_impact
 from visco_impact.standard_solid import (
     params_from_groups,
@@ -106,13 +105,10 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     if args.out is not None:
+        rows = [("step-halving", *row[:4]) for row in int_rows]
+        rows += [("rho-halving", *row) for row in exp_rows]
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("study", "case", "parameter", "error", "ratio"))
-            studies = [("step-halving", row[:4]) for row in int_rows]
-            studies += [("rho-halving", row) for row in exp_rows]
-            for study, (label, param, err, ratio) in studies:
-                writer.writerow((study, label, param, repr(float(err)), repr(float(ratio))))
+            write_csv_rows(fh, ("study", "case", "parameter", "error", "ratio"), rows)
         print(f"wrote {args.out}")
 
     orders = [o for *_, o in int_rows if not math.isnan(o)]

@@ -107,22 +107,20 @@ class BiphasicLayer:
 class EquivalentMaxwell:
     """Spring-dashpot series pair equivalent to a thin layer.
 
-    ``chi`` is the pressure-decay rate, the reciprocal of ``tau_R``; the
-    product ``chi * tau_R = 1`` is enforced at construction, and ``k``,
-    ``tau_R`` and ``chi`` must be positive and finite.
+    ``k``, ``tau_R`` and ``chi`` must be positive and finite.
     """
 
     k: float
     tau_R: float
-    chi: float
 
     def __post_init__(self) -> None:
         for name in ("k", "tau_R", "chi"):
             _require_positive(name, getattr(self, name))
-        if abs(self.chi * self.tau_R - 1.0) > 1e-12:
-            raise DomainError(
-                f"chi * tau_R = {self.chi * self.tau_R!r} must equal 1"
-            )
+
+    @property
+    def chi(self) -> float:
+        """Pressure-decay rate, the reciprocal of ``tau_R``."""
+        return 1.0 / self.tau_R
 
 
 def equivalent_maxwell(layer: BiphasicLayer) -> EquivalentMaxwell:
@@ -136,7 +134,7 @@ def equivalent_maxwell(layer: BiphasicLayer) -> EquivalentMaxwell:
     """
     k = _divide(3.0 * layer.mu_s * _power(layer.a, 4), 16.0 * _power(layer.h, 3))
     tau_R = _divide(_power(layer.h, 2), 3.0 * layer.mu_s * layer.kappa)
-    return EquivalentMaxwell(k=k, tau_R=tau_R, chi=_divide(1.0, tau_R))
+    return EquivalentMaxwell(k=k, tau_R=tau_R)
 
 
 def reduce_to_maxwell(layer: BiphasicLayer, m: float, v0: float) -> MaxwellParams:

@@ -16,24 +16,15 @@ and integrate with classical fixed-step fourth-order Runge-Kutta, so the
 global error falls by 16 per step halving.  A spring-dashpot parallel pair
 has the singular kernel ``Psi = 1 + delta(tau)``, whose convolution is
 ``xi + xi'`` and needs no state.  The state equation is linear with
-constant coefficients, ``y' = A y + c``, so one RK4 step is exactly the
-affine map ``y <- y + (D y + q)`` with ``D = M + M^2/2 + M^3/6 + M^4/24``,
-``M = dt A``: the same scheme, kept in increment form so that no step
-rounds ``I + D``.  The powers of that map for a block of steps, and of the
-block map for a batch of blocks, are built by doubling; a batch then
-advances in two products.  One gives its block starts as exact states.
-The other writes every node of every block once, straight into the four
-trajectory columns x, x', x'' and F, through the step powers folded with
-the map from a state to those columns; node states are not kept.  A
+constant coefficients, ``y' = A y + c``, so one RK4 step is exactly an
+affine map, advanced many steps per product (:func:`_integrate_linear`),
+and the fastest rate of ``A`` bounds the step (:func:`_resolve_grid`).  A
 partial RK4 step is a polynomial in its length, so the contact end is
 one Brent solve of the step's own quartic force, and the last force is
 zero to rounding at every step size.
 Tabulated kernels fall back to a second-order predictor-corrector with
-trapezoid history summation.  Its steps are linear too, so a block of them
-is one product with a matrix, itself built by doubling, once the history
-over earlier nodes is known; that part comes from one convolution per
-block, so the cost is O(n^2) multiply-adds in compiled code, not a
-Python loop per step.
+trapezoid history summation, a block of steps per product
+(:func:`_integrate_table`).
 """
 
 from __future__ import annotations
@@ -63,6 +54,11 @@ __all__ = [
 # Default step and the horizon, in units of the nominal half period pi / sqrt(alpha).
 DEFAULT_DT_FRACTION = 1e-4
 HORIZON_HALF_PERIODS = 10.0
+
+# Steps in units of 1 / rho(A), the state matrix's fastest rate: the default
+# step is at most 0.5 and a longer explicit step than 2.5 is refused.  RK4's
+# growth factor is at most 0.87 on the left half circle |z| = 2.5, 1.11 at 2.7.
+_DEFAULT_STEP_RATE, _MAX_STEP_RATE = 0.5, 2.5
 
 # Steps advanced at once: RK4 steps from precomputed powers of the step
 # map, or table-kernel steps from one precomputed linear map.  A block end
@@ -202,7 +198,10 @@ class RelaxationKernel:
 
     @classmethod
     def kv_limit(cls, k: float, b: float) -> "RelaxationKernel":
-        """Spring-dashpot parallel pair, ``Psi = 1 + delta(tau)`` with ``tau_R = b / k``."""
+        """Spring-dashpot parallel pair, ``Psi = 1 + delta(tau)`` with ``tau_R = b / k``.
+
+        Any ``b > 0`` is accepted, overdamped pairs (``b > 2 sqrt(k m)``) included.
+        """
         if not (b > 0.0):
             raise ConfigError("kv_limit needs b > 0; use elastic() for b = 0")
         return cls(k0=k, tau_R=b / k, kind="kv_limit")
@@ -535,29 +534,29 @@ def _no_separation(horizon: float) -> NoSeparationError:
 def _resolve_grid(kernel, m, dt_scaled, A):
     """Step and horizon in scaled time; ``A`` is the state matrix, None for a table."""
     half_period = math.pi / math.sqrt(kernel.alpha_per_mass / m)
-    if dt_scaled is None:
-        dt = DEFAULT_DT_FRACTION * half_period
-        # Heavily damped kernels oscillate far slower than they relax;
-        # keep the explicit stepper inside the decay scale then.
-        if kernel.kind == "exp_sum" and kernel.thetas:
-            dt = min(dt, 0.5 * min(kernel.thetas))
-    else:
-        dt = dt_scaled
+    dt = DEFAULT_DT_FRACTION * half_period if dt_scaled is None else dt_scaled
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ConfigError(f"dt_scaled must be positive, got {dt!r}")
-    horizon = HORIZON_HALF_PERIODS * half_period
+    horizon, rate = HORIZON_HALF_PERIODS * half_period, 0.0  # a table keeps the nominal step
     if A is not None:
+        if not np.isfinite(A).all():
+            raise ConfigError("the kernel's state equation has a rate beyond the float range")
+        ev = np.linalg.eigvals(A)
+        rate = max(map(abs, ev.tolist()))
+        dt = min(dt, _DEFAULT_STEP_RATE / rate) if dt_scaled is None else dt
         # Near critical damping the contact outlasts the nominal half
         # periods; give it a whole period of the slowest oscillating mode,
         # or with none ten time constants of the slowest decay (a
         # three-element contact at D <= 0 ends within two), within the step cap.
-        ev = np.linalg.eigvals(A)
         osc = np.abs(ev.imag)
         reach = (2.0 * math.pi / np.min(osc, where=osc > 0.0, initial=np.inf) if osc.any()
                  else 10.0 / np.min(-ev.real, where=ev.real < 0.0, initial=np.inf))
         horizon = max(horizon, min(reach, (MAX_SCAN_SAMPLES - 1) * dt))
     if not (horizon > dt):
         raise ConfigError(f"the horizon {horizon:.6g} must exceed the step size {dt:.6g}")
+    if not rate * dt <= _MAX_STEP_RATE:
+        raise ConfigError(f"step {dt:.6g} at the state equation's fastest rate {rate:.6g} "
+                          f"is past the {_MAX_STEP_RATE} / rate that RK4 keeps stable")
     steps = horizon / dt
     if not steps <= MAX_SCAN_SAMPLES:
         raise ConfigError(
@@ -599,7 +598,10 @@ def integrate_impact(
         Impactor mass and incoming velocity.
     dt_scaled : float, optional
         Fixed step in scaled time ``t / tau_R``, for every kernel kind.
-        Defaults to 1e-4 of the nominal half period ``pi / sqrt(alpha)``.
+        Defaults to 1e-4 of the nominal half period ``pi / sqrt(alpha)``,
+        capped for exponential-sum and spring-dashpot kernels at
+        ``0.5 / rho(A)``, the spectral radius of the state matrix; a step
+        with ``rho(A) dt_scaled > 2.5`` is refused, past RK4's stability.
 
     The horizon, past which the call gives up, is ten nominal half periods.
     For exponential-sum and spring-dashpot kernels it stretches to one
@@ -618,9 +620,9 @@ def integrate_impact(
         For a ``kernel`` that is not a :class:`RelaxationKernel`, a
         non-finite or non-positive ``m``, ``v0`` or ``dt_scaled``, a ``g``
         (given to :func:`integrate_impact_with_gravity`) that is negative or
-        not finite, a horizon that does not exceed the step, or a horizon
-        that needs more than ``_search.MAX_SCAN_SAMPLES`` steps of
-        ``dt_scaled``.
+        not finite, a state matrix that is not finite, a horizon that does
+        not exceed the step, a step past ``2.5 / rho(A)``, or a horizon that
+        needs more than ``_search.MAX_SCAN_SAMPLES`` steps of ``dt_scaled``.
     NoSeparationError
         When the force has not returned to zero by the end of the horizon.
     """

@@ -93,15 +93,24 @@ class TestReduction:
         assert eq2.tau_R == eq1.tau_R
 
     def test_pair_validation(self):
-        with pytest.raises(DomainError, match="must equal 1"):
+        """``chi`` is derived from ``tau_R``, not given."""
+        assert EquivalentMaxwell(k=1.0, tau_R=2.0).chi == 0.5
+        with pytest.raises(TypeError):
             EquivalentMaxwell(k=1.0, tau_R=2.0, chi=1.0)
         with pytest.raises(DomainError, match="positive"):
-            EquivalentMaxwell(k=-1.0, tau_R=2.0, chi=0.5)
+            EquivalentMaxwell(k=-1.0, tau_R=2.0)
 
-    @pytest.mark.parametrize("name", ["k", "tau_R", "chi"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize(
+        "name, value",
+        [pytest.param(name, value, id=f"{value!r}-{name}")
+         for name in ("k", "tau_R") for value in (math.inf, math.nan, 0.0)]
+        + [pytest.param("chi", math.inf, id="inf-chi")],
+    )
     def test_pair_refuses_each_quantity_out_of_range(self, name, value):
-        fields = {"k": 1.0, "tau_R": 1.0, "chi": 1.0, name: value}
+        # chi = 1 / tau_R overflows at a subnormal tau_R; it is never NaN or 0.
+        fields = {"k": 1.0, "tau_R": 1.0, name: value}
+        if name == "chi":
+            fields = {"k": 1.0, "tau_R": 5e-324}
         with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got {value!r}$"):
             EquivalentMaxwell(**fields)
 

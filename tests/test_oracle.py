@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visco_impact import oracle
-from visco_impact.errors import ConfigError, NoSeparationError
+from visco_impact.cli import run_verification
+from visco_impact.errors import ConfigError, NoSeparationError, ViscoImpactError
 from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_find_critical_eps0, kv_metrics
 from visco_impact.maxwell import mx_metrics
-from visco_impact.models import KelvinVoigtParams, MaxwellParams, StandardSolidParams
+from visco_impact.models import (
+    KelvinVoigtParams,
+    MaxwellParams,
+    StandardSolidParams,
+    Trajectory,
+)
 from visco_impact.oracle import (
     RelaxationKernel,
     integrate_impact,
@@ -27,6 +35,16 @@ def _grid(kernel, m=1.0, dt_scaled=None):
     """The step and horizon the oracle takes for ``kernel`` at mass ``m``."""
     A = None if kernel.kind == "table" else oracle._linear_system(kernel, m, 1.0, 0.0)[0]
     return oracle._resolve_grid(kernel, m, dt_scaled, A)
+
+
+def _nominal_step(kernel, m):
+    """``DEFAULT_DT_FRACTION`` of the nominal half period, as the oracle computes it."""
+    return oracle.DEFAULT_DT_FRACTION * (math.pi / math.sqrt(kernel.alpha_per_mass / m))
+
+
+def _rate(kernel, m=1.0):
+    """Spectral radius of the kernel's state matrix."""
+    return np.max(np.abs(np.linalg.eigvals(oracle._linear_system(kernel, m, 1.0, 0.0)[0])))
 
 
 class TestKernelValidation:
@@ -326,13 +344,15 @@ class TestGravityAndTermination:
             integrate_impact_with_gravity(kern, m, v0, g)
 
     def test_default_step_respects_fast_relaxation(self):
-        """Stiff kernels cap the default step at half the fastest decay."""
+        """Stiff kernels cap the default step at half the inverse fastest rate of ``A``."""
         kern = RelaxationKernel(
             k0=0.01, tau_R=1.0, c_inf=0.5, cs=(0.5,), thetas=(1e-3,)
         )
+        rate = _rate(kern)
+        assert _grid(kern)[0] == 0.5 / rate
         traj = integrate_impact(kern, 1.0, 1.0)
         dt = traj.times[1] - traj.times[0]
-        assert dt == pytest.approx(5e-4 * kern.tau_R, rel=1e-12)
+        assert dt == pytest.approx(0.5 / rate * kern.tau_R, rel=1e-12)
 
 
 class TestVelocityInvariance:
@@ -1032,3 +1052,147 @@ def test_overdamped_pair_converges_below_the_default_step():
     dt, _ = _grid(kern)
     traj = integrate_impact(kern, 1.0, 1.0, dt_scaled=dt / 16.0)
     assert traj.t_c == pytest.approx(reference, rel=1e-9)
+
+
+def _stiff_pair_t_c(eta):
+    """``2 ln(eta + kappa) / kappa``, ``kappa = sqrt(eta**2 - 1)``: t_c of the pair at unit m, k."""
+    kappa = math.sqrt(eta * eta - 1.0)
+    return 2.0 * math.log(eta + kappa) / kappa
+
+
+class TestStepRule:
+    """One default step for every exp-sum and spring-dashpot kernel: the nominal
+    step, capped at half the inverse of the state matrix's fastest rate."""
+
+    @pytest.mark.parametrize("eta", [2e3, 5e3, 1e4, 3e4])
+    def test_stiff_pair_matches_closed_form(self, eta):
+        kern = RelaxationKernel.kv_limit(1.0, 2.0 * eta)
+        assert _grid(kern)[0] == 0.5 / _rate(kern)
+        assert integrate_impact(kern, 1.0, 1.0).t_c == pytest.approx(_stiff_pair_t_c(eta), rel=2e-3)
+
+    @pytest.mark.parametrize("eta", [1e5, 1e6])
+    def test_stiff_pair_past_the_step_cap_is_refused(self, eta):
+        with pytest.raises(ConfigError, match="more than the 1e\\+07 allowed"):
+            integrate_impact(RelaxationKernel.kv_limit(1.0, 2.0 * eta), 1.0, 1.0)
+
+    def test_explicit_step_past_stability_is_refused(self):
+        kern = RelaxationKernel.kv_limit(1.0, 4e3)
+        rate = _rate(kern)
+        assert _grid(kern, dt_scaled=2.4 / rate)[0] == 2.4 / rate
+        message = f"step {2.6 / rate:.6g} at the state equation's fastest rate {rate:.6g} is past"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            integrate_impact(kern, 1.0, 1.0, dt_scaled=2.6 / rate)
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(A):
+            calls.append(A)
+            return eigvals(A)
+
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        integrate_impact(RelaxationKernel.kv_limit(1.0, 4e3), 1.0, 1.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dt_scaled", [None, 0.01], ids=["default", "explicit"])
+    def test_rate_beyond_the_float_range_is_refused(self, dt_scaled):
+        """1 / theta overflows at a subnormal time constant."""
+        with pytest.warns(UserWarning, match="increases"):
+            kern = RelaxationKernel(k0=1.0, tau_R=1.0, c_inf=0.4, cs=(0.7, -0.1),
+                                    thetas=(5e-324, 1.0))
+        with pytest.raises(ConfigError, match="beyond the float range"):
+            integrate_impact(kern, 1.0, 1.0, dt_scaled=dt_scaled)
+
+    def test_stiff_sweep_returns_or_refuses(self):
+        """Every call gives a trajectory or a typed error, and NumPy never warns.
+
+        Spring-dashpot pairs at unit m, k and v0 take loss factors
+        log-uniform on [1, 1e6], some of them under weight; exponential sums
+        take time constants down to 1e-6 of the nominal half period."""
+        rng = np.random.default_rng(7)
+        calls = [(RelaxationKernel.kv_limit(1.0, 2.0 * eta), 0.0)
+                 for eta in 10.0 ** rng.uniform(0.0, 6.0, 30)]
+        # A weighted march that never separates runs to the step cap, 1e7 steps.
+        calls += [(RelaxationKernel.kv_limit(1.0, 2.0 * eta), 0.01)
+                  for eta in 10.0 ** rng.uniform(0.0, 6.0, 4)]
+        for _ in range(16):
+            alpha = 10.0 ** rng.uniform(-1.0, 1.0)
+            terms = int(rng.integers(1, 4))
+            c_inf = rng.uniform(0.0, 0.9)
+            thetas = math.pi / math.sqrt(alpha) * 10.0 ** rng.uniform(-6.0, 0.0, terms)
+            cs = rng.dirichlet(np.ones(terms)) * (1.0 - c_inf)
+            kern = RelaxationKernel(k0=1.0, tau_R=math.sqrt(alpha), c_inf=c_inf,
+                                    cs=tuple(cs.tolist()), thetas=tuple(thetas.tolist()))
+            calls.append((kern, 0.0))
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kern, g in calls:
+                try:
+                    traj = integrate_impact_with_gravity(kern, 1.0, 1.0, g)
+                except ViscoImpactError as exc:
+                    outcomes.add(type(exc).__name__)
+                else:
+                    assert isinstance(traj, Trajectory) and np.all(np.isfinite(traj.F))
+                    outcomes.add("Trajectory")
+        assert outcomes == {"Trajectory", "ConfigError", "NoSeparationError"}
+
+
+class TestBenchmarkSteps:
+    """The benchmark's oracle traffic keeps the nominal default step bit for bit.
+
+    The kernels follow the oracle-crossval ranges stated in
+    ``perfbench/workloads.py``: loss factors 0.05 to 0.95; Lambda and alpha
+    log-uniform on [0.1, 10], rho in [0.1, 0.9]; 2 to 4 exponential terms
+    with c_inf in [0.2, 0.7] and time constants log-uniform on [0.1, 10];
+    m, k and v0 log-uniform on [0.1, 10], [1e2, 1e5] and [10**-0.5, 10**0.7];
+    and the edge kernels, a series pair at zeta 0.996 and the three-element
+    solids at (0.2, 0.05) and (0.1793653, 0.05)."""
+
+    @staticmethod
+    def _kernels(rng, n=100):
+        def dims():
+            return 10.0 ** rng.uniform([-1.0, 2.0, -0.5], [1.0, 5.0, 0.7])
+
+        for _ in range(n):
+            loss = rng.uniform(0.05, 0.95)
+            m, k, v0 = dims()
+            omega0 = math.sqrt(k / m)
+            yield m, RelaxationKernel.elastic(k, 1.0 / omega0)
+            for params in (
+                KelvinVoigtParams(m=m, k=k, b=2.0 * loss * m * omega0, v0=v0),
+                MaxwellParams(m=m, k=k, b=k / (2.0 * omega0 * loss), v0=v0),
+                params_from_groups(10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.1, 0.9),
+                                   m=m, v0=v0),
+            ):
+                yield m, RelaxationKernel.from_params(params)
+            terms = int(rng.integers(2, 5))
+            c_inf = rng.uniform(0.2, 0.7)
+            cs = rng.dirichlet(np.ones(terms)) * (1.0 - c_inf)
+            alpha = 10.0 ** rng.uniform(-1.0, 1.0)
+            yield m, RelaxationKernel(k0=k, tau_R=math.sqrt(alpha * m / k), c_inf=c_inf,
+                                      cs=tuple(cs.tolist()),
+                                      thetas=tuple((10.0 ** rng.uniform(-1.0, 1.0, terms)).tolist()))
+        for params in (MaxwellParams(m=1.0, k=1.0, b=0.5 / 0.996, v0=1.0),
+                       params_from_groups(0.2, 0.05), params_from_groups(0.1793653, 0.05)):
+            yield params.m, RelaxationKernel.from_params(params)
+
+    def test_oracle_crossval_kernels_keep_the_nominal_step(self):
+        for m, kern in self._kernels(np.random.default_rng(1)):
+            assert _grid(kern, m)[0] == _nominal_step(kern, m)
+
+    def test_verify_kernels_keep_the_nominal_step(self, monkeypatch):
+        grids = []
+
+        def recorded(kernel, m, dt_scaled, A):
+            grid = resolve(kernel, m, dt_scaled, A)
+            grids.append((kernel, m, dt_scaled, grid[0]))
+            return grid
+
+        resolve = oracle._resolve_grid
+        monkeypatch.setattr(oracle, "_resolve_grid", recorded)
+        run_verification()
+        assert len(grids) == 13
+        for kern, m, dt_scaled, dt in grids:
+            assert dt_scaled is None and dt == _nominal_step(kern, m)
