@@ -60,6 +60,11 @@ HORIZON_HALF_PERIODS = 10.0
 # growth factor is at most 0.87 on the left half circle |z| = 2.5, 1.11 at 2.7.
 _DEFAULT_STEP_RATE, _MAX_STEP_RATE = 0.5, 2.5
 
+# The accepted alpha = k0 tau_R**2 / m.  A step's RK4 force polynomial
+# (:func:`_step_zero`) forms A^4, of size alpha**2, and the step's fourth
+# power, near 1 / alpha**2 at the default step.
+ALPHA_RANGE = (1e-150, 1e150)
+
 # Steps advanced at once: RK4 steps from precomputed powers of the step
 # map, or table-kernel steps from one precomputed linear map.  A block end
 # is reached from the block start in one product, so rounding in the powers
@@ -252,11 +257,10 @@ def _step_zero(A, c, fvec, y, dt: float) -> float:
     f0 = float(fvec @ y)
     if not f0 > 0.0:
         return 0.0
-    a, u = [], A @ y + c
-    for k in range(1, 5):
-        a.append(float(fvec @ u) * dt**k / math.factorial(k))
-        u = A @ u
-    a1, a2, a3, a4 = a
+    us = [A @ y + c]  # A^(k-1) (A y + c) for k = 1 .. 4, and no unused A^5 to overflow
+    for _ in range(3):
+        us.append(A @ us[-1])
+    a1, a2, a3, a4 = (float(fvec @ u) * dt**k / math.factorial(k) for k, u in enumerate(us, 1))
 
     def force(s: float) -> float:
         return f0 + s * (a1 + s * (a2 + s * (a3 + s * a4)))
@@ -332,9 +336,11 @@ def _integrate_linear(kernel, m, v0, system, dt, horizon):
     increment-form states, ``y + (P_b y + R_b)`` from the batch start, in
     one product.  Its nodes are not kept as states: ``W`` maps an
     augmented state ``[y, 1]`` to the dimensional columns x, x', x'' and
-    F, and ``G[:, :, s] = W [[I + D_s, S_s], [0, 1]]``, so one more
-    product writes every node of the batch straight into a
-    ``(4, capacity)`` array of those columns, grown by doubling.
+    F, and ``G[:, :, s] = W [[I + D_s, S_s], [0, 1]]``, so the block
+    starts times ``G`` give every node of the batch.  A first pass keeps
+    each batch's block starts and forms only its F column, with ``G[3]``;
+    once the contact end is found, a second writes each node once into
+    columns of the contact's exact size by the same products.
 
     The bracketing step is the first whose F column entry is ``<= 0``
     after the rise: it comes from the sign of the folded column, not of
@@ -366,50 +372,49 @@ def _integrate_linear(kernel, m, v0, system, dt, horizon):
 
     n_max = int(math.ceil(horizon / dt)) + 1
     size = _BLOCK * _BATCH  # nodes per batch
-    full = 1 + size * -(-n_max // size)  # node 0, then every batch in whole
-    # Three batches hold a default-step contact (about 1e4 steps); longer
-    # ones double the array as they go.
-    cols = np.empty((4, min(full, 1 + 3 * size)))
     # The batch start, then the end of each of its blocks, each with a trailing 1.
     bounds = np.ones((_BATCH + 1, n + 1))
     bounds[0, :n] = 0.0
     bounds[0, 1] = 1.0
-    cols[:, 0] = W @ bounds[0]
-    started = cols[3, 0] > 0.0
+    node0 = W @ bounds[0]
+    started = node0[3] > 0.0
+    batches, fs = [], np.empty(size)
     i = 0  # node index of the batch start
     while i < n_max:
-        if cols.shape[1] < i + 1 + size:
-            old, cols = cols, np.empty((4, min(full, 2 * cols.shape[1])))
-            cols[:, : i + 1] = old[:, : i + 1]
-            del old
+        batches.append(bounds)
         y = bounds[0, :n]
         bounds[1:, :n] = y + ((P @ y).reshape(_BATCH, n) + R)
-        np.matmul(bounds[:-1], G, out=cols[:, i + 1 : i + 1 + size].reshape(4, _BATCH, _BLOCK))
+        np.matmul(bounds[:-1], G[3], out=fs.reshape(_BATCH, _BLOCK))
         k = min(size, n_max - i)
-        j, started = _first_return(cols[3, i + 1 : i + 1 + k], started)
+        j, started = _first_return(fs[:k], started)
         if j is not None:
-            # The last node with a positive F column, t steps into block b.
-            b, t = divmod(j, _BLOCK)
-            y0 = bounds[b, :n] + DS[t - 1] @ bounds[b] if t else bounds[b, :n]
-            s = _step_zero(A, c, fvec, y0, dt)
-            end = kernel.tau_R * ((i + j) * dt + s * dt)
-            # An end that rounds onto node i + j takes that node's place.
-            N = i + j + 1 + (end > kernel.tau_R * ((i + j) * dt))
-            D_s, q_s = _rk4_increment(A, c, s * dt)
-            cols[:, N - 1] = W @ np.append(y0 + (D_s @ y0 + q_s), 1.0)
-            x, xdot, xddot, F = (row[:N].copy() for row in cols)
-            # The times are built while the column array is alive: built after
-            # it is freed, they would take part of its hole, and a caller that
-            # keeps the last trajectory would find no room there for the next
-            # call's array, so every call would touch fresh memory pages.
-            times = np.arange(N, dtype=float)
-            times *= dt
-            times *= kernel.tau_R
-            times[-1] = end
-            return Trajectory(times=times, x=x, xdot=xdot, xddot=xddot, F=F)
+            break
         i += k
-        bounds[0] = bounds[-1]
-    raise _no_separation(horizon)
+        bounds = np.ones_like(bounds)
+        bounds[0] = batches[-1][-1]
+    else:
+        raise _no_separation(horizon)
+
+    # The last node with a positive F column, t steps into block b.
+    b, t = divmod(j, _BLOCK)
+    y0 = bounds[b, :n] + DS[t - 1] @ bounds[b] if t else bounds[b, :n]
+    s = _step_zero(A, c, fvec, y0, dt)
+    end = kernel.tau_R * ((i + j) * dt + s * dt)
+    # An end that rounds onto node i + j takes that node's place.
+    N = i + j + 1 + (end > kernel.tau_R * ((i + j) * dt))
+    cols = np.empty((4, N))
+    cols[:, 0] = node0
+    for lo, starts in zip(range(1, i + 1, size), batches[:-1]):
+        np.matmul(starts[:-1], G, out=cols[:, lo : lo + size].reshape(4, _BATCH, _BLOCK))
+    cols[:, i + 1 :] = np.matmul(bounds[:-1], G).reshape(4, size)[:, : N - 1 - i]
+    D_s, q_s = _rk4_increment(A, c, s * dt)
+    cols[:, N - 1] = W @ np.append(y0 + (D_s @ y0 + q_s), 1.0)
+    times = np.arange(N, dtype=float)
+    times *= dt
+    times *= kernel.tau_R
+    times[-1] = end
+    x, xdot, xddot, F = cols
+    return Trajectory(times=times, x=x, xdot=xdot, xddot=xddot, F=F)
 
 
 def _heun_block_map(psi, dt, alpha):
@@ -574,6 +579,9 @@ def _integrate(kernel, m, v0, g, dt_scaled):
             raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     if not (g >= 0.0) or not math.isfinite(g):
         raise ConfigError(f"g must be nonnegative and finite, got {g!r}")
+    alpha = kernel.alpha_per_mass / m
+    if not ALPHA_RANGE[0] <= alpha <= ALPHA_RANGE[1]:
+        raise ConfigError(f"alpha = k0 tau_R**2 / m = {alpha!r} lies outside {ALPHA_RANGE}")
     if kernel.kind == "table":
         dt, horizon = _resolve_grid(kernel, m, dt_scaled, None)
         return _integrate_table(kernel, m, v0, g, dt, horizon)
@@ -620,7 +628,8 @@ def integrate_impact(
         For a ``kernel`` that is not a :class:`RelaxationKernel`, a
         non-finite or non-positive ``m``, ``v0`` or ``dt_scaled``, a ``g``
         (given to :func:`integrate_impact_with_gravity`) that is negative or
-        not finite, a state matrix that is not finite, a horizon that does
+        not finite, an ``alpha`` outside ``ALPHA_RANGE`` (1e-150 to 1e150),
+        a state matrix that is not finite, a horizon that does
         not exceed the step, a step past ``2.5 / rho(A)``, or a horizon that
         needs more than ``_search.MAX_SCAN_SAMPLES`` steps of ``dt_scaled``.
     NoSeparationError

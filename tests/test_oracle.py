@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -342,6 +344,35 @@ class TestGravityAndTermination:
         kern = RelaxationKernel.maxwell(1.0, 1.0)
         with pytest.raises(ConfigError, match="finite"):
             integrate_impact_with_gravity(kern, m, v0, g)
+
+    @pytest.mark.parametrize("kern, m", [
+        (RelaxationKernel(k0=1e-300, tau_R=1e-100), 1.0),
+        (RelaxationKernel.from_table([0.0, 1.0], [1.0, 0.5], k0=1e-300, tau_R=1e-100), 1.0),
+        (RelaxationKernel(k0=1e300, tau_R=1e10), 1.0),
+        (RelaxationKernel.maxwell(1.0, 1.0), 1e-320),
+        (RelaxationKernel.elastic(1.0), 1e300),
+    ], ids=["alpha-underflows", "table-alpha-underflows", "alpha-overflows", "subnormal-mass",
+            "alpha-1e-300"])
+    def test_alpha_outside_its_range_is_refused(self, monkeypatch, kern, m):
+        """alpha = k0 tau_R**2 / m is refused before the grid or the state equation is built."""
+        for name in ("_resolve_grid", "_linear_system"):
+            monkeypatch.setattr(oracle, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        with pytest.raises(ConfigError, match="alpha"):
+            integrate_impact(kern, m, 1.0)
+
+    @pytest.mark.parametrize("kern, m", [
+        (RelaxationKernel.elastic(1.0), 1.0 / oracle.ALPHA_RANGE[0]),
+        (RelaxationKernel.elastic(1.0), 1.0 / oracle.ALPHA_RANGE[1]),
+        # alpha = 4 eta**2 for the pair: at the high end it is too stiff for the step cap.
+        (RelaxationKernel.kv_limit(1.0, 1.0), 1.0 / oracle.ALPHA_RANGE[0]),
+        (RelaxationKernel.from_table([0.0, 1.0], [1.0, 0.5], k0=1.0, tau_R=1.0),
+         1.0 / oracle.ALPHA_RANGE[0]),
+        (RelaxationKernel.from_table([0.0, 1.0], [1.0, 0.5], k0=1.0, tau_R=1.0),
+         1.0 / oracle.ALPHA_RANGE[1]),
+    ], ids=["elastic-low", "elastic-high", "kv_limit-low", "table-low", "table-high"])
+    def test_alpha_at_the_ends_of_its_range_integrates(self, kern, m):
+        traj = integrate_impact(kern, m, 1.0)
+        assert 0.99 < -traj.xdot[-1] <= 1.0 + 1e-12
 
     def test_default_step_respects_fast_relaxation(self):
         """Stiff kernels cap the default step at half the inverse fastest rate of ``A``."""
@@ -903,10 +934,12 @@ class TestStateMajorNodes:
         expected = _row_major_reference(kernel, m, v0, g, dt, horizon)
         got = integrate_impact_with_gravity(kernel, m, v0, g, dt_scaled=dt_scaled)
         assert got.times.size == expected.times.size
-        for name in ("times", "x", "xdot", "xddot", "F"):
+        names = ("times", "x", "xdot", "xddot", "F")
+        nbytes = sum(getattr(got, name).nbytes for name in names)
+        for name in names:
             col, ref = getattr(got, name), getattr(expected, name)
-            # No column is a view that keeps the over-allocated node array alive.
-            assert col.base is None
+            # No column keeps an array larger than the trajectory alive.
+            assert (col if col.base is None else col.base).nbytes <= nbytes
             assert np.max(np.abs(col - ref)) <= 1e-15 * np.max(np.abs(ref))
         return got.times.size
 
@@ -923,7 +956,7 @@ class TestStateMajorNodes:
         assert self._assert_matches_row_major(kern, dt_scaled=dt) == nodes_before_end + 2
 
     def test_near_critical_series_pair(self):
-        # Maxwell at zeta 0.996 runs about 1.1e5 nodes, so the array grows five times.
+        # Maxwell at zeta 0.996 runs about 1.1e5 nodes, 27 batches.
         kern = RelaxationKernel.from_params(MaxwellParams(m=1.0, k=1.0, b=1.0 / 1.992, v0=1.0))
         assert self._assert_matches_row_major(kern) > 1e5
 
@@ -944,7 +977,7 @@ class TestStateMajorNodes:
 
 
 class TestContactEndPinned:
-    """The contact end of the linear march, pinned to the last bit.
+    """The contact end and every node of the linear march, pinned to the last bit.
 
     The nodes are written as output columns, but the contact end is found
     from states rebuilt in increment form from their block start, so any
@@ -967,7 +1000,7 @@ class TestContactEndPinned:
         (RelaxationKernel(k0=2.0, tau_R=1.0, c_inf=0.3, cs=(0.4, 0.2, 0.1),
                           thetas=(0.5, 2.0, 1.0)), 1.5, 2.0, 0.4,
          "0x1.0582d35f8eeb9p+2", "0x1.9dcf6ffc01be8p-2"),
-        # zeta 0.996: about 1.1e5 nodes, so the column array grows by doubling.
+        # zeta 0.996: about 1.1e5 nodes, 27 batches.
         (RelaxationKernel.from_params(MaxwellParams(m=1.0, k=1.0, b=1.0 / 1.992, v0=1.0)),
          1.0, 1.0, 0.0, "0x1.19462520afcc6p+5", "0x1.64c32fe03c589p-51"),
     ], ids=["elastic", "kv_limit", "kv_limit-gravity", "maxwell", "sls", "exp-sum-3",
@@ -978,6 +1011,59 @@ class TestContactEndPinned:
         assert float(-traj.xdot[-1] / v0).hex() == e_star
         assert traj.x[0] == 0.0
         assert traj.xdot[0] == v0
+
+    @pytest.mark.parametrize("kernel, m, v0, g, nodes, digest", [
+        (RelaxationKernel.elastic(1.0), 1.0, 1.0, 0.0, 10001, "6bd673c47903ab2f"),
+        (RelaxationKernel.kv_limit(2.0, 0.8), 0.5, 1.0, 0.0, 8054, "8d1b08f2ad1a0347"),
+        (RelaxationKernel.kv_limit(2.0, 0.8), 0.5, 1.0, 0.05, 8364, "8a4db5660d53057b"),
+        (RelaxationKernel.maxwell(1.0, 0.6), 1.0, 1.0, 0.0, 18092, "36586b57fde0c2c9"),
+        (RelaxationKernel.from_params(params_from_groups(1.0, 0.5)), 1.0, 1.0, 0.0,
+         10995, "89409419a493e716"),
+        (RelaxationKernel(k0=2.0, tau_R=1.0, c_inf=0.3, cs=(0.4, 0.2, 0.1),
+                          thetas=(0.5, 2.0, 1.0)), 1.5, 2.0, 0.4, 15020, "8cd2de4e122ae785"),
+        (RelaxationKernel.from_params(MaxwellParams(m=1.0, k=1.0, b=1.0 / 1.992, v0=1.0)),
+         1.0, 1.0, 0.0, 111917, "3749e7fb0c572ea0"),
+    ], ids=["elastic", "kv_limit", "kv_limit-gravity", "maxwell", "sls", "exp-sum-3",
+            "maxwell-zeta-0.996"])
+    def test_every_node_digest(self, kernel, m, v0, g, nodes, digest):
+        """SHA-256 of the five columns' bytes, in the order times, x, xdot, xddot, F."""
+        traj = integrate_impact_with_gravity(kernel, m, v0, g)
+        sha = hashlib.sha256()
+        for col in (traj.times, traj.x, traj.xdot, traj.xddot, traj.F):
+            sha.update(col.tobytes())
+        assert traj.times.size == nodes
+        assert sha.hexdigest()[:16] == digest
+
+
+class TestBoundedMemory:
+    """The march keeps little beside the trajectory it returns (ROADMAP item 8)."""
+
+    @staticmethod
+    def _traced_peak(call):
+        """Peak bytes traced while ``call()`` runs, and its result or its typed error."""
+        tracemalloc.start()
+        try:
+            out = call()
+        except ViscoImpactError as exc:
+            out = exc
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return out, peak
+
+    def test_near_critical_series_pair_peaks_near_its_columns(self):
+        kern = RelaxationKernel.from_params(MaxwellParams(m=1.0, k=1.0, b=1.0 / 1.992, v0=1.0))
+        traj, peak = self._traced_peak(lambda: integrate_impact(kern, 1.0, 1.0))
+        columns = sum(getattr(traj, name).nbytes for name in ("times", "x", "xdot", "xddot", "F"))
+        assert columns > 4e6
+        assert peak <= 1.1 * columns
+
+    def test_march_that_never_separates_keeps_no_nodes(self):
+        # A weighted overdamped pair at eta 100 runs to the end of its horizon.
+        kern = RelaxationKernel.kv_limit(1.0, 200.0)
+        out, peak = self._traced_peak(lambda: integrate_impact_with_gravity(kern, 1.0, 1.0, 0.01))
+        assert isinstance(out, NoSeparationError)
+        assert peak < 10e6
 
 
 class TestStepZero:
