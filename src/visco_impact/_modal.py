@@ -40,18 +40,24 @@ def _scales(T: float, params) -> tuple[float, float, float]:
     return scales
 
 
+def require_finite(values) -> None:
+    """Refuse the first of ``values``, in :class:`ImpactMetrics` order, that is not finite."""
+    if math.isfinite(sum(values)):  # then each is finite
+        return
+    for name, value in zip(ImpactMetrics.__dataclass_fields__, values):
+        if not math.isfinite(value):
+            raise DomainError(f"the metric {name} = {value!r} must be finite")
+
+
 def dimensional(scaled, T: float, params) -> ImpactMetrics:
     """The metrics from their values in the time unit ``T``, in :class:`ImpactMetrics`
     order: times scale by ``T``, depths by ``v0 T`` and forces by ``m v0 / T``.
     A scale or a metric that is not finite raises :class:`DomainError`."""
     x, _, f = _scales(T, params)
     tau_c, e_star, tau_m, xi_m, tau_M, f_M, xi_M, f_m = scaled
-    met = ImpactMetrics(t_c=tau_c * T, e_star=e_star, t_m=tau_m * T, x_m=x * xi_m,
-                        t_M=tau_M * T, F_M=f * f_M, x_M=x * xi_M, F_m=f * f_m)
-    for name, value in vars(met).items():
-        if not math.isfinite(value):
-            raise DomainError(f"the metric {name} = {value!r} must be finite")
-    return met
+    values = (tau_c * T, e_star, tau_m * T, x * xi_m, tau_M * T, f * f_M, x * xi_M, f * f_m)
+    require_finite(values)
+    return ImpactMetrics(*values)
 
 
 def _solve(solution, T: float, walk, params, g: float):

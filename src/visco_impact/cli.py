@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _modal, kelvin_voigt
+from . import _modal, kelvin_voigt, maxwell
 from ._search import MAX_SCAN_SAMPLES
 from .analysis import (
     STANDARD_GRAVITY,
@@ -49,15 +49,9 @@ from .errors import (
     PlasticImpactError,
     ViscoImpactError,
 )
-from .kelvin_voigt import (
-    kv_drop_metrics,
-    kv_drop_metrics_asymptotic,
-    kv_drop_trajectory,
-    kv_metrics,
-)
+from .kelvin_voigt import kv_drop_metrics, kv_drop_trajectory, kv_metrics
 from .maxwell import (
     mx_drop_metrics,
-    mx_drop_metrics_asymptotic,
     mx_drop_trajectory,
     mx_metrics,
     mx_trajectory,
@@ -136,6 +130,12 @@ def _mx(zeta: float, eps0: float = 0.0) -> MaxwellParams:
     return MaxwellParams(m=1.0, k=1.0, b=0.5 / zeta, v0=1.0, g=eps0)
 
 
+def _mx_loss(zeta: float) -> float:
+    """The loss factor ``k / (2 omega0 b)`` of :func:`_mx`'s pair, ``zeta`` rounded
+    through ``b = 0.5 / zeta``; 0 where ``b`` overflows (``zeta`` below about 2.8e-309)."""
+    return 1.0 / (2.0 * (0.5 / zeta))
+
+
 def _rho_point(rho: float, fixed: dict):
     """Three-element metrics near a pair limit and their first-order expansion.
 
@@ -151,7 +151,7 @@ def _rho_point(rho: float, fixed: dict):
         eta = fixed.get("eta", 0.3)
         params = params_near_kv(eta, rho)
         asym = sls_perturb_kv(eta, rho)
-    return sls_metrics(params), asym
+    return vars(sls_metrics(params)).values(), asym
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,10 @@ class _Model:
     ``metrics`` and ``trajectory`` give one solution of the impact, the weight
     ``m g`` included (zero without ``--gravity``).  ``sweeps`` maps each group
     a sweep can vary to ``(reads, point, extra)``: the fixed groups a
-    ``--params`` file may give, the ``point(value, fixed) -> (metrics, extra
-    values)`` at unit mass, frequency and speed, and the names of the extra columns.
+    ``--params`` file may give, the ``point(value, fixed) -> (scaled, extra
+    values)``, and the names of the extra columns.  ``scaled`` is the eight metrics
+    in :class:`ImpactMetrics` order at unit mass, frequency and speed: a pair's
+    scaled closed form, with no params object, or a three-element solid's metrics.
     """
 
     load: Callable
@@ -177,12 +179,9 @@ _MODELS = {
         metrics=kv_drop_metrics,
         trajectory=kv_drop_trajectory,
         sweeps={
-            "eta": (frozenset(), lambda eta, q: (kv_metrics(_kv(eta)), ()), ()),
-            "eps0": (
-                frozenset({"eta"}),
-                lambda eps0, q: (kv_drop_metrics_asymptotic(_kv(q.get("eta", 0.3), eps0)), ()),
-                (),
-            ),
+            "eta": (frozenset(), lambda eta, q: (kelvin_voigt._scaled_metrics(eta), ()), ()),
+            "eps0": (frozenset({"eta"}), lambda eps0, q: (
+                kelvin_voigt._scaled_drop_asymptotic(q.get("eta", 0.3), eps0), ()), ()),
         },
     ),
     "maxwell": _Model(
@@ -190,12 +189,10 @@ _MODELS = {
         metrics=mx_drop_metrics,
         trajectory=mx_drop_trajectory,
         sweeps={
-            "zeta": (frozenset(), lambda zeta, q: (mx_metrics(_mx(zeta)), ()), ()),
-            "eps0": (
-                frozenset({"zeta"}),
-                lambda eps0, q: (mx_drop_metrics_asymptotic(_mx(q.get("zeta", 0.3), eps0)), ()),
-                (),
-            ),
+            "zeta": (frozenset(), lambda zeta, q: (
+                maxwell._scaled_metrics(_mx_loss(zeta)), ()), ()),
+            "eps0": (frozenset({"zeta"}), lambda eps0, q: (
+                maxwell._scaled_drop_asymptotic(_mx_loss(q.get("zeta", 0.3)), eps0), ()), ()),
         },
     ),
     "sls": _Model(
@@ -204,11 +201,8 @@ _MODELS = {
         trajectory=sls_drop_trajectory,
         sweeps={
             "rho": (frozenset({"eta", "zeta"}), _rho_point, _RHO_EXTRA),
-            "Lambda": (
-                frozenset({"rho"}),
-                lambda Lam, q: (sls_metrics(params_from_groups(Lam, q.get("rho", 0.1))), ()),
-                (),
-            ),
+            "Lambda": (frozenset({"rho"}), lambda Lam, q: (
+                vars(sls_metrics(params_from_groups(Lam, q.get("rho", 0.1)))).values(), ()), ()),
         },
     ),
 }
@@ -350,14 +344,14 @@ def cmd_sweep(args) -> int:
     code = EXIT_OK
     for value in map(float, spec.grid()):
         try:
-            met, more = point(value, fixed)
+            scaled, more = point(value, fixed)
+            _modal.require_finite(scaled)
         except (DomainError, PlasticImpactError) as exc:
             # A domain skip anywhere outranks a plastic one: EXIT_DOMAIN < EXIT_PLASTIC.
             skip, code = exc, min(code or exc.exit_code, exc.exit_code)
         else:
-            rows.append(
-                (value, met.t_c, met.e_star, met.t_m, met.t_M, met.x_m, met.F_M, *more)
-            )
+            tau_c, e_star, tau_m, xi_m, tau_M, f_M, *_ = scaled
+            rows.append((value, tau_c, e_star, tau_m, tau_M, xi_m, f_M, *more))
             continue
         print(f"{spec.param} = {value:g} skipped: {skip}", file=sys.stderr)
         rows.append((value, *nan_row))

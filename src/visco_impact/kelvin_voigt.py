@@ -157,10 +157,14 @@ def kv_drop_metrics_asymptotic(params: KelvinVoigtParams) -> ImpactMetrics:
     for them.
     """
     d = params.derived
-    eta, eps0 = d.eta, d.eps0
-    tau_c, e0, *peaks = _scaled_metrics(eta)
-    return _modal.dimensional((tau_c + eps0 * (1.0 + e0) / e0, e0 * (1.0 - 2.0 * eta * eps0),
-                               *peaks), 1.0 / d.omega0, params)
+    return _modal.dimensional(_scaled_drop_asymptotic(d.eta, d.eps0), 1.0 / d.omega0, params)
+
+
+def _scaled_drop_asymptotic(eta: float, eps0: float) -> tuple:
+    """:func:`kv_drop_metrics_asymptotic` in ``omega0`` units, in :class:`ImpactMetrics` order."""
+    tau_c, e0, tau_m, xi_m, tau_M, f_M, xi_M, f_m = _scaled_metrics(eta)
+    return (tau_c + eps0 * (1.0 + e0) / e0, e0 * (1.0 - 2.0 * eta * eps0),
+            tau_m, xi_m, tau_M, f_M, xi_M, f_m)
 
 
 def kv_find_critical_eps0(eta: float) -> float:

@@ -132,11 +132,15 @@ def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:
         ``eps0 > 0``: the duration correction is then unbounded.
     """
     d = params.derived
-    zeta, eps0 = d.zeta, d.eps0
-    tau_c, e0, *peaks = _scaled_metrics(zeta)
+    return _modal.dimensional(_scaled_drop_asymptotic(d.zeta, d.eps0), 1.0 / d.omega0, params)
+
+
+def _scaled_drop_asymptotic(zeta: float, eps0: float) -> tuple:
+    """:func:`mx_drop_metrics_asymptotic` in ``omega0`` units, in :class:`ImpactMetrics` order."""
+    tau_c, e0, tau_m, xi_m, tau_M, f_M, xi_M, f_m = _scaled_metrics(zeta)
     if eps0:
         if e0 == 0.0:
             raise DomainError("the first-order eps0 expansion needs e0 > 0, but e0 "
                               f"underflows to 0 at zeta = {zeta!r}")
         tau_c, e0 = tau_c + eps0 * (1.0 + e0) / e0, e0 - 2.0 * zeta * eps0
-    return _modal.dimensional((tau_c, e0, *peaks), 1.0 / d.omega0, params)
+    return tau_c, e0, tau_m, xi_m, tau_M, f_M, xi_M, f_m

@@ -181,8 +181,11 @@ class RelaxationKernel:
 
     @property
     def alpha_per_mass(self) -> float:
-        """``alpha * m``, i.e. ``k0 * tau_R**2``."""
-        return self.k0 * self.tau_R**2
+        """``alpha * m``, ``k0 * tau_R**2``, or ``(k0 tau_R) tau_R`` where the square overflows."""
+        try:
+            return self.k0 * self.tau_R**2
+        except OverflowError:
+            return self.k0 * self.tau_R * self.tau_R
 
     @classmethod
     def elastic(cls, k0: float, tau_R: float = 1.0) -> "RelaxationKernel":

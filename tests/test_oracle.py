@@ -374,6 +374,26 @@ class TestGravityAndTermination:
         traj = integrate_impact(kern, m, 1.0)
         assert 0.99 < -traj.xdot[-1] <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("table", [False, True], ids=["exp_sum", "table"])
+    @pytest.mark.parametrize("k0, tau_R, alpha", [
+        (1e-300, 1e200, 1e100),
+        (1e-300, 1e155, 1e10),
+        (1e-10, 1e160, math.inf),
+        (1.0, 1e160, math.inf),
+    ])
+    def test_alpha_past_an_overflowing_tau_R_square(self, k0, tau_R, alpha, table):
+        """Where ``tau_R**2`` overflows, alpha is ``(k0 tau_R) tau_R``: an elastic
+        kernel in range lasts ``pi / sqrt(k0 / m)``, and one past it is refused."""
+        kern = (RelaxationKernel.from_table([0.0, 1.0], [1.0, 1.0], k0=k0, tau_R=tau_R)
+                if table else RelaxationKernel(k0=k0, tau_R=tau_R))
+        assert kern.alpha_per_mass == pytest.approx(alpha, rel=1e-15)
+        if math.isinf(alpha):
+            with pytest.raises(ConfigError, match="alpha"):
+                integrate_impact(kern, 1.0, 1.0)
+        else:
+            traj = integrate_impact(kern, 1.0, 1.0)
+            assert traj.t_c == pytest.approx(math.pi / math.sqrt(k0), rel=1e-7)
+
     def test_default_step_respects_fast_relaxation(self):
         """Stiff kernels cap the default step at half the inverse fastest rate of ``A``."""
         kern = RelaxationKernel(
