@@ -49,13 +49,8 @@ from .errors import (
     PlasticImpactError,
     ViscoImpactError,
 )
-from .kelvin_voigt import kv_drop_metrics, kv_drop_trajectory, kv_metrics
-from .maxwell import (
-    mx_drop_metrics,
-    mx_drop_trajectory,
-    mx_metrics,
-    mx_trajectory,
-)
+from .kelvin_voigt import kv_metrics, kv_trajectory
+from .maxwell import mx_metrics, mx_trajectory
 from .models import (
     DEFAULT_SAMPLES,
     ImpactMetrics,
@@ -74,11 +69,10 @@ from .standard_solid import (
     params_from_groups,
     params_near_kv,
     params_near_maxwell,
-    sls_drop_metrics,
-    sls_drop_trajectory,
     sls_metrics,
     sls_perturb_kv,
     sls_perturb_maxwell,
+    sls_trajectory,
 )
 
 __all__ = [
@@ -176,8 +170,8 @@ class _Model:
 _MODELS = {
     "kv": _Model(
         load=load_kv_params,
-        metrics=kv_drop_metrics,
-        trajectory=kv_drop_trajectory,
+        metrics=kv_metrics,
+        trajectory=kv_trajectory,
         sweeps={
             "eta": (frozenset(), lambda eta, q: (kelvin_voigt._scaled_metrics(eta), ()), ()),
             "eps0": (frozenset({"eta"}), lambda eps0, q: (
@@ -186,8 +180,8 @@ _MODELS = {
     ),
     "maxwell": _Model(
         load=load_maxwell_params,
-        metrics=mx_drop_metrics,
-        trajectory=mx_drop_trajectory,
+        metrics=mx_metrics,
+        trajectory=mx_trajectory,
         sweeps={
             "zeta": (frozenset(), lambda zeta, q: (
                 maxwell._scaled_metrics(_mx_loss(zeta)), ()), ()),
@@ -197,8 +191,8 @@ _MODELS = {
     ),
     "sls": _Model(
         load=load_sls_params,
-        metrics=sls_drop_metrics,
-        trajectory=sls_drop_trajectory,
+        metrics=sls_metrics,
+        trajectory=sls_trajectory,
         sweeps={
             "rho": (frozenset({"eta", "zeta"}), _rho_point, _RHO_EXTRA),
             "Lambda": (frozenset({"rho"}), lambda Lam, q: (
@@ -416,13 +410,13 @@ def _suite_analytic_vs_oracle() -> tuple[float, float]:
     for params, metrics in (
         (_kv(0.2), kv_metrics),
         (_kv(0.8), kv_metrics),
-        (_kv(0.3, 0.1), kv_drop_metrics),
+        (_kv(0.3, 0.1), kv_metrics),
         (_mx(0.2), mx_metrics),
         (_mx(0.8), mx_metrics),
-        (_mx(0.3, 0.05), mx_drop_metrics),
+        (_mx(0.3, 0.05), mx_metrics),
         (params_from_groups(0.25, 0.5), sls_metrics),
         (params_from_groups(0.5, 0.3), sls_metrics),
-        (dataclasses.replace(params_from_groups(1.0, 0.5), g=0.1), sls_drop_metrics),
+        (dataclasses.replace(params_from_groups(1.0, 0.5), g=0.1), sls_metrics),
     ):
         err = max(err, _oracle_gap(params, metrics(params)))
     return err, 1e-6

@@ -8,8 +8,8 @@ contact ends at the first return of the transmitted force ``k x + b x'``
 to zero.
 
 The solution is one damped mode in ``omega0`` time (:func:`_scaled_solution`),
-which :mod:`._modal` walks and samples; the zero-gravity trajectory is the
-drop solution at ``g = 0``.
+which :mod:`._modal` walks and samples at the params' ``g``; at ``g = 0`` the
+metrics are the closed forms of :func:`_scaled_metrics`.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ __all__ = [
     "kv_trajectory",
     "kv_metrics",
     "kv_fm_minimizer",
-    "kv_drop_trajectory",
-    "kv_drop_metrics",
+    "kv_drop_trajectory",  # perfbench's workloads call this name for kv_trajectory
     "kv_drop_metrics_asymptotic",
     "kv_find_critical_eps0",
 ]
@@ -88,23 +87,30 @@ def _scaled_metrics(eta: float) -> tuple:
 
 
 def kv_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
-    """Zero-gravity contact history at ``n_samples`` uniform times over ``[0, t_c]``.
+    """Contact history at ``n_samples`` uniform times over ``[0, t_c]``, the
+    weight ``m g`` acting throughout.
 
-    ``params.g`` is ignored.  The history starts at exactly ``x = 0, xdot =
-    v0``, and ``F = k x + b xdot`` at every sample.
+    It starts at exactly ``x = 0, xdot = v0``, and ``F = k x + b xdot`` at
+    every sample.  Past :func:`kv_find_critical_eps0` the impactor never
+    separates: :class:`PlasticImpactError`.
     """
-    return _modal.trajectory(*_model(params), params, 0.0, n_samples)
+    return _modal.trajectory(*_model(params), params, params.g, n_samples)
+
+
+kv_drop_trajectory = kv_trajectory
 
 
 def kv_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
-    """Closed-form scalar metrics of the zero-gravity impact.
+    """Exact scalar metrics of :func:`kv_trajectory`'s impact; closed forms at ``g = 0``.
 
-    In ``omega0`` units they read the loss factor alone: with ``w = sqrt(1 -
+    In ``omega0`` units those read the loss factor alone: with ``w = sqrt(1 -
     eta**2)``, ``t_c = (2 / w) atan(w / eta)``, ``e* = exp(-eta t_c)`` and the
     indentation peaks at ``t_c / 2``.  From ``eta = 1/2`` on the force peaks at
     the dashpot's jump, ``F_M = 2 eta`` at ``t_M = 0``; below, at ``exp(-eta
     t_M)`` where ``w t_M = atan(w (1 - 4 eta^2) / (eta (3 - 4 eta^2)))``.
     """
+    if params.g:
+        return _modal.metrics(*_model(params), params, params.g)
     d = params.derived
     return _modal.dimensional(_scaled_metrics(d.eta), 1.0 / d.omega0, params)
 
@@ -128,22 +134,6 @@ def kv_fm_minimizer() -> tuple[float, float]:
 
     eta_star = _root(stationary, 1e-3, _ETA_FORCE_BRANCH, stationary(_ETA_FORCE_BRANCH))
     return eta_star, _scaled_metrics(eta_star)[5]
-
-
-def kv_drop_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
-    """Contact history with gravity acting throughout contact.
-
-    Gravity delays separation and, beyond a damping-dependent threshold of
-    ``eps0 = g / (omega0 v0)``, suppresses it: :class:`PlasticImpactError`
-    when the first force minimum that stays above zero proves the impactor
-    embedded.
-    """
-    return _modal.trajectory(*_model(params), params, params.g, n_samples)
-
-
-def kv_drop_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
-    """With weight, the exact metrics of :func:`kv_drop_trajectory`; at ``g = 0``, :func:`kv_metrics`."""
-    return _modal.metrics(*_model(params), params, params.g) if params.g else kv_metrics(params)
 
 
 def kv_drop_metrics_asymptotic(params: KelvinVoigtParams) -> ImpactMetrics:

@@ -9,8 +9,9 @@ ends at exactly half a damped period, and a permanent indentation
 With gravity acting during contact, the force carries an offset ``m g`` and
 the indentation the series dashpot's creep at ``2 zeta g / omega0``.  The
 solution is one damped mode in ``omega0`` time (:func:`_scaled_solution`),
-which :mod:`._modal` samples from its exact start ``x = 0, x' = v0, x'' = g``;
-the zero-gravity trajectory is the drop solution at ``g = 0``.
+which :mod:`._modal` walks and samples from its exact start ``x = 0, x' = v0,
+x'' = g`` at the params' ``g``; at ``g = 0`` the metrics are the closed forms
+of :func:`_scaled_metrics`.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .models import (
 __all__ = [
     "mx_trajectory",
     "mx_metrics",
-    "mx_drop_trajectory",
-    "mx_drop_metrics",
+    "mx_drop_trajectory",  # perfbench's workloads call this name for mx_trajectory
     "mx_drop_metrics_asymptotic",
 ]
 
@@ -75,40 +75,32 @@ def _scaled_metrics(zeta: float) -> tuple:
 
 
 def mx_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
-    """Sample the zero-gravity contact history on a uniform grid.
+    """Sample the contact history on a uniform grid, the weight ``m g`` acting throughout.
 
-    The acceleration equals ``-F / m`` throughout, so the force column is
+    The acceleration equals ``g - F / m`` throughout, so the force column is
     also the exact hereditary convolution of the velocity with the
-    exponential relaxation kernel.
-    """
-    return _modal.trajectory(*_model(params), params, 0.0, n_samples)
-
-
-def mx_metrics(params: MaxwellParams) -> ImpactMetrics:
-    """Closed-form scalar metrics of the zero-gravity impact.
-
-    In ``omega0`` units they read the loss factor alone: with ``w = sqrt(1 -
-    zeta**2)``, contact lasts half a damped period, ``t_c = pi / w``, at any
-    amplitude.  The force peaks at ``w t_M = atan(w / zeta)`` and the
-    indentation a quarter period later, at ``w t_m = pi/2 + asin(zeta)``.
-    """
-    d = params.derived
-    return _modal.dimensional(_scaled_metrics(d.zeta), 1.0 / d.omega0, params)
-
-
-def mx_drop_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
-    """Contact history with gravity acting throughout contact.
-
-    Contact ends at the first force zero.  :class:`PlasticImpactError` when
-    the weight's offset is proved to keep the force above zero; near
-    ``zeta = 1`` a tiny ``eps0`` already embeds the impactor.
+    exponential relaxation kernel.  :class:`PlasticImpactError` when the
+    weight's offset is proved to keep the force above zero; near ``zeta = 1``
+    a tiny ``eps0`` already embeds the impactor.
     """
     return _modal.trajectory(*_model(params), params, params.g, n_samples)
 
 
-def mx_drop_metrics(params: MaxwellParams) -> ImpactMetrics:
-    """With weight, the exact metrics of :func:`mx_drop_trajectory`; at ``g = 0``, :func:`mx_metrics`."""
-    return _modal.metrics(*_model(params), params, params.g) if params.g else mx_metrics(params)
+mx_drop_trajectory = mx_trajectory
+
+
+def mx_metrics(params: MaxwellParams) -> ImpactMetrics:
+    """Exact scalar metrics of :func:`mx_trajectory`'s impact; closed forms at ``g = 0``.
+
+    In ``omega0`` units those read the loss factor alone: with ``w = sqrt(1 -
+    zeta**2)``, contact lasts half a damped period, ``t_c = pi / w``, at any
+    amplitude.  The force peaks at ``w t_M = atan(w / zeta)`` and the
+    indentation a quarter period later, at ``w t_m = pi/2 + asin(zeta)``.
+    """
+    if params.g:
+        return _modal.metrics(*_model(params), params, params.g)
+    d = params.derived
+    return _modal.dimensional(_scaled_metrics(d.zeta), 1.0 / d.omega0, params)
 
 
 def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:
@@ -118,11 +110,11 @@ def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:
     same coefficient as for the parallel pair.  The restitution correction
     is the standard first-order estimate ``e0 - 2 zeta eps0``, whose slope
     misses the exact ``de*/deps0 = -2 zeta (1 + e0)`` at ``eps0 = 0`` by
-    ``2 zeta e0``: a Richardson difference of :func:`mx_drop_trajectory`
+    ``2 zeta e0``: a Richardson difference of :func:`mx_trajectory`
     gives -0.345850, -0.823396 and -1.313735 at ``zeta`` 0.1, 0.3 and 0.6,
     ``-2 zeta (1 + e0)`` -0.345850, -0.823396 and -1.313736, and the ``-2 zeta``
     used here -0.2, -0.6 and -1.2.  So its residual decays only linearly in
-    ``eps0``; prefer :func:`mx_drop_trajectory` when accuracy matters.  Peak
+    ``eps0``; prefer :func:`mx_metrics` when accuracy matters.  Peak
     fields keep their zero-gravity values.
 
     Raises

@@ -14,7 +14,7 @@ form and the pair from deflation.  The indentation is the pair's damped
 sinusoid, or its cosh and sinh when ``D <= 0``, plus a pure exponential;
 :mod:`._modal` turns these modes into the contact end, the history and the
 metrics.  The weight of a drop adds a constant particular solution to the
-same modes, so the zero-gravity solution is the drop solution at ``g = 0``.
+same modes, so the metrics and the history take the params' ``g`` on one solution.
 
 The modal form has one domain limit: within about 1e-11 relative of the
 triple root ``Lambda = 1/3, rho = 1/9`` its coefficients cancel to fewer
@@ -50,8 +50,6 @@ __all__ = [
     "sls_characteristic_roots",
     "sls_trajectory",
     "sls_metrics",
-    "sls_drop_trajectory",
-    "sls_drop_metrics",
     "sls_perturb_kv",
     "sls_perturb_maxwell",
     "params_near_kv",
@@ -202,17 +200,8 @@ def _model(params: StandardSolidParams):
 
 
 def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
-    """Zero-gravity contact history, sampled from the exact modal solution."""
-    return _modal.trajectory(*_model(params), params, 0.0, n_samples)
-
-
-def sls_metrics(params: StandardSolidParams) -> ImpactMetrics:
-    """Zero-gravity scalar impact metrics."""
-    return _modal.metrics(*_model(params), params, 0.0)
-
-
-def sls_drop_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
-    """Contact history with the weight ``m g`` acting throughout contact.
+    """Contact history sampled from the exact modal solution, the weight ``m g``
+    acting throughout.
 
     The force ``m (g - xddot)`` settles to ``m g``; past a threshold weight
     it never returns to zero, which raises :class:`PlasticImpactError`.
@@ -220,8 +209,8 @@ def sls_drop_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SA
     return _modal.trajectory(*_model(params), params, params.g, n_samples)
 
 
-def sls_drop_metrics(params: StandardSolidParams) -> ImpactMetrics:
-    """Exact scalar metrics of the drop, as :func:`sls_drop_trajectory`."""
+def sls_metrics(params: StandardSolidParams) -> ImpactMetrics:
+    """Exact scalar metrics of :func:`sls_trajectory`'s impact."""
     return _modal.metrics(*_model(params), params, params.g)
 
 

@@ -24,14 +24,12 @@ from visco_impact.analysis import (
 )
 from visco_impact.kelvin_voigt import (
     kv_drop_metrics_asymptotic,
-    kv_drop_trajectory,
     kv_fm_minimizer,
     kv_metrics,
     kv_trajectory,
 )
 from visco_impact.maxwell import (
     mx_drop_metrics_asymptotic,
-    mx_drop_trajectory,
     mx_metrics,
     mx_trajectory,
 )
@@ -204,8 +202,8 @@ def test_criterion_07_drop_weight_asymptotics():
         return max(abs(traj.t_c - asym.t_c), abs(e_num - asym.e_star))
 
     for make, traj_fn, asym_fn in (
-        (_kv, kv_drop_trajectory, kv_drop_metrics_asymptotic),
-        (_mx, mx_drop_trajectory, mx_drop_metrics_asymptotic),
+        (_kv, kv_trajectory, kv_drop_metrics_asymptotic),
+        (_mx, mx_trajectory, mx_drop_metrics_asymptotic),
     ):
         r_coarse = residual(make, traj_fn, asym_fn, 0.05, 0.02)
         r_fine = residual(make, traj_fn, asym_fn, 0.05, 0.01)
@@ -222,11 +220,11 @@ def test_criterion_07_drop_weight_asymptotics():
         assert abs(c_kv - c_mx) < 1e-12
 
     e_by_g = [
-        -kv_drop_trajectory(_kv(0.3, g=g)).xdot[-1] for g in (0.005, 0.01, 0.02)
+        -kv_trajectory(_kv(0.3, g=g)).xdot[-1] for g in (0.005, 0.01, 0.02)
     ]
     assert e_by_g[0] > e_by_g[1] > e_by_g[2]
     e_by_v0 = [
-        -mx_drop_trajectory(_mx(0.3, v0=v0, g=0.01)).xdot[-1] / v0
+        -mx_trajectory(_mx(0.3, v0=v0, g=0.01)).xdot[-1] / v0
         for v0 in (0.5, 1.0, 2.0)
     ]
     assert e_by_v0[0] < e_by_v0[1] < e_by_v0[2]

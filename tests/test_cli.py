@@ -48,7 +48,6 @@ from visco_impact.models import (
 from visco_impact.standard_solid import (
     params_from_groups,
     params_near_maxwell,
-    sls_drop_trajectory,
     sls_metrics,
     sls_perturb_maxwell,
     sls_trajectory,
@@ -491,10 +490,10 @@ class TestSimulate:
         rc = main(["simulate", "sls", "--params", path, "--gravity", "--out", str(out)])
         assert rc == EXIT_OK
         params = load_sls_params(path)
-        t_c = sls_drop_trajectory(params, n_samples=2).t_c
+        t_c = sls_trajectory(params, n_samples=2).t_c
         assert Trajectory.from_csv(out).t_c == t_c
         standard = dataclasses.replace(params, g=STANDARD_GRAVITY)
-        assert t_c != sls_drop_trajectory(standard, n_samples=2).t_c
+        assert t_c != sls_trajectory(standard, n_samples=2).t_c
 
     @pytest.mark.parametrize(
         "model, params",

@@ -1,8 +1,9 @@
 """CLI outputs compared byte for byte with the corpus in ``tests/golden/``.
 
 The corpus holds the seven tables that ``scripts/metric_sweeps.py`` writes,
-and the exit code, stdout and stderr of the edge sweeps in ``EDGE_SWEEPS``.
-A mismatch names the first moved cell.  Regenerate the corpus with::
+the exit code, stdout and stderr of the edge sweeps in ``EDGE_SWEEPS``, and
+those of the runs in ``SIMULATIONS`` with the trajectory each writes to
+``--out``.  A mismatch names the first moved cell.  Regenerate the corpus with::
 
     PYTHONPATH=src python tests/test_cli_golden.py --update
 
@@ -30,6 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 TABLES = GOLDEN / "metric_sweeps"
 EDGES = GOLDEN / "edge_sweeps.json"
+SIMULATED = GOLDEN / "simulate.json"
+TRAJECTORIES = GOLDEN / "simulate"
 
 # name: (sweep argv, the fixed groups of its --params file or None)
 EDGE_SWEEPS = {
@@ -40,6 +43,19 @@ EDGE_SWEEPS = {
                           None),
     "mx_eps0_subnormal_zeta": (["sweep", "--model", "maxwell", "--sweep", "eps0:0:0.2:3"],
                                {"zeta": 5e-324}),
+}
+
+# Each model at unit mass with g in its params file; the series layout for sls.
+_SIMULATED_PARAMS = {
+    "kv": {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1.0, "g": 0.1},
+    "maxwell": {"m": 1.0, "k": 1.0, "b": 1.6, "v0": 1.0, "g": 0.1},
+    "sls": {"m": 1.0, "k1": 1.0, "k2": 1.0, "b": 1.2, "v0": 1.0, "g": 0.1},
+}
+# name: (simulate argv, its --params file), each run with and without --gravity.
+SIMULATIONS = {
+    f"{model}{suffix}": (["simulate", model, "--dt", "0.05", *flags], params)
+    for model, params in _SIMULATED_PARAMS.items()
+    for suffix, flags in (("", []), ("_gravity", ["--gravity"]))
 }
 
 
@@ -64,18 +80,25 @@ def metric_sweep_tables() -> dict[str, bytes]:
         return {name: (Path(tmp) / name).read_bytes() for name, *_ in script.SWEEPS}
 
 
-def edge_sweeps() -> dict[str, dict]:
-    """Exit code, stdout and stderr of each of ``EDGE_SWEEPS``."""
-    runs = {}
+def cli_runs(runs: dict) -> dict[str, dict]:
+    """Exit code, stdout and stderr of each ``name: (argv, fixed)`` in ``runs``, with
+    ``fixed`` written to the ``--params`` file when it is not None; for a ``simulate``
+    run also the text of the trajectory it writes to ``--out``."""
+    results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (argv, fixed) in EDGE_SWEEPS.items():
+        for name, (argv, fixed) in runs.items():
             if fixed is not None:
                 path = Path(tmp) / f"{name}.json"
                 path.write_text(json.dumps(fixed))
                 argv = [*argv, "--params", str(path)]
-            code, out, err = _captured(cli_main, argv)
-            runs[name] = {"exit": code, "stdout": out, "stderr": err}
-    return runs
+            out, simulate = Path(tmp) / f"{name}.csv", argv[0] == "simulate"
+            if simulate:
+                argv = [*argv, "--out", str(out)]
+            code, stdout, stderr = _captured(cli_main, argv)
+            results[name] = {"exit": code, "stdout": stdout, "stderr": stderr}
+            if simulate:
+                results[name]["out"] = out.read_bytes().decode()
+    return results
 
 
 def first_moved(expected: str, actual: str) -> str | None:
@@ -111,17 +134,32 @@ def test_corpus_holds_every_table(tables):
     assert sorted(tables) == sorted(p.name for p in TABLES.glob("*.csv"))
 
 
+def _assert_same_run(name: str, want: dict, got: dict) -> None:
+    """``got`` has ``want``'s exit code, and its streams match cell for cell."""
+    assert got["exit"] == want["exit"], f"{name}: exit code {got['exit']}, expected {want['exit']}"
+    for stream in ("stdout", "stderr"):
+        moved = first_moved(want[stream], got[stream])
+        assert moved is None, f"{name} {stream}: {moved}"
+
+
 def test_edge_sweeps_match_the_corpus():
-    golden, runs = json.loads(EDGES.read_text()), edge_sweeps()
+    golden, runs = json.loads(EDGES.read_text()), cli_runs(EDGE_SWEEPS)
     assert sorted(golden) == sorted(runs)
     for name, run in runs.items():
-        for stream in ("exit", "stdout", "stderr"):
-            want, got = golden[name][stream], run[stream]
-            if stream == "exit":
-                assert got == want, f"{name}: exit code {got}, expected {want}"
-            else:
-                moved = first_moved(want, got)
-                assert moved is None, f"{name} {stream}: {moved}"
+        _assert_same_run(name, golden[name], run)
+
+
+def test_corpus_holds_every_simulation():
+    assert sorted(json.loads(SIMULATED.read_text())) == sorted(SIMULATIONS)
+    assert sorted(p.stem for p in TRAJECTORIES.glob("*.csv")) == sorted(SIMULATIONS)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATIONS))
+def test_simulation_matches_the_corpus(name):
+    run = cli_runs({name: SIMULATIONS[name]})[name]
+    _assert_same_run(name, json.loads(SIMULATED.read_text())[name], run)
+    moved = first_moved((TRAJECTORIES / f"{name}.csv").read_bytes().decode(), run["out"])
+    assert moved is None, f"{name} --out: {moved}"
 
 
 def test_first_moved_names_the_cell():
@@ -138,12 +176,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--update", action="store_true", required=True,
                         help="rewrite the corpus from the current code")
     parser.parse_args(argv)
-    tables, runs = metric_sweep_tables(), edge_sweeps()
+    tables, runs, simulations = metric_sweep_tables(), cli_runs(EDGE_SWEEPS), cli_runs(SIMULATIONS)
     TABLES.mkdir(parents=True, exist_ok=True)
     for name, data in tables.items():
         (TABLES / name).write_bytes(data)
     EDGES.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(tables)} tables and {len(runs)} edge sweeps to {GOLDEN}")
+    TRAJECTORIES.mkdir(parents=True, exist_ok=True)
+    for name, run in simulations.items():
+        (TRAJECTORIES / f"{name}.csv").write_bytes(run.pop("out").encode())
+    SIMULATED.write_text(json.dumps(simulations, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(tables)} tables, {len(runs)} edge sweeps and "
+          f"{len(simulations)} simulations to {GOLDEN}")
     return 0
 
 

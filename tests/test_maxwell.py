@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from visco_impact.errors import PlasticImpactError
 from visco_impact.maxwell import (
     mx_drop_metrics_asymptotic,
-    mx_drop_trajectory,
     mx_metrics,
     mx_trajectory,
 )
@@ -114,21 +113,17 @@ class TestTrajectory:
 
 class TestDrop:
     def test_zero_gravity_matches_plain_trajectory(self):
-        """With g = 0 the drop solver recovers the half-period contact.
-
-        Its termination comes from a root search rather than the closed
-        form, so agreement holds to solver precision, not bit-exactly.
-        """
-        params = _params(0.3)
-        plain = mx_trajectory(params, n_samples=200)
-        drop = mx_drop_trajectory(params, n_samples=200)
-        assert drop.t_c == pytest.approx(plain.t_c, rel=1e-12)
-        assert np.allclose(drop.x, plain.x, rtol=0.0, atol=1e-12)
-        assert np.allclose(drop.F, plain.F, rtol=0.0, atol=1e-12)
+        """A vanishing weight's walk meets the half-period closed form that ``g = 0`` takes."""
+        plain, light = _params(0.3), _params(0.3, g=1e-12)
+        for name, value in vars(mx_metrics(plain)).items():
+            assert getattr(mx_metrics(light), name) == pytest.approx(value, rel=1e-10), name
+        drop, free = mx_trajectory(light, n_samples=200), mx_trajectory(plain, n_samples=200)
+        assert drop.t_c == pytest.approx(free.t_c, rel=1e-10)
+        assert np.allclose(drop.x, free.x, rtol=0.0, atol=1e-11)
 
     def test_initial_conditions_exact(self):
         params = _params(0.3, g=0.05)
-        traj = mx_drop_trajectory(params, n_samples=200)
+        traj = mx_trajectory(params, n_samples=200)
         assert traj.x[0] == 0.0
         assert traj.xdot[0] == params.v0
         assert traj.xddot[0] == params.g
@@ -149,7 +144,7 @@ class TestDrop:
         """
         params = _params(zeta, m=m, k=k, v0=v0, g=eps0 * math.sqrt(k / m) * v0)
         try:
-            traj = mx_drop_trajectory(params, n_samples=3)
+            traj = mx_trajectory(params, n_samples=3)
         except PlasticImpactError:
             assume(False)
         assert traj.x[0] == 0.0
@@ -159,7 +154,7 @@ class TestDrop:
     def test_force_rate_balance(self):
         """F dot = k (xdot - F / b) must hold with the weight included."""
         params = _params(0.35, g=0.03)
-        traj = mx_drop_trajectory(params, n_samples=4000)
+        traj = mx_trajectory(params, n_samples=4000)
         Fdot = np.gradient(traj.F, traj.times)
         target = params.k * (traj.xdot - traj.F / params.b)
         interior = slice(2, -2)
@@ -175,7 +170,7 @@ class TestDrop:
         residuals_t = []
         for g in (0.02, 0.01):
             params = _params(0.3, g=g)
-            traj = mx_drop_trajectory(params, n_samples=2000)
+            traj = mx_trajectory(params, n_samples=2000)
             met = mx_drop_metrics_asymptotic(params)
             residuals_t.append(abs(met.t_c - traj.t_c))
             e_num = -traj.xdot[-1] / params.v0
@@ -184,17 +179,17 @@ class TestDrop:
 
     def test_weight_lowers_restitution(self):
         es = [
-            -mx_drop_trajectory(_params(0.3, g=g), n_samples=50).xdot[-1]
+            -mx_trajectory(_params(0.3, g=g), n_samples=50).xdot[-1]
             for g in (0.0, 0.02, 0.05, 0.1)
         ]
         assert all(a > b for a, b in zip(es, es[1:]))
 
     def test_plastic_embedding_at_huge_weight(self):
         with pytest.raises(PlasticImpactError):
-            mx_drop_trajectory(_params(0.5, g=9.81), n_samples=50)
+            mx_trajectory(_params(0.5, g=9.81), n_samples=50)
 
     @pytest.mark.parametrize("zeta, eps0", [(0.99, 1e-3), (0.999, 1e-3)])
     def test_unbounded_scan_gives_up_typed(self, zeta, eps0):
         """Near zeta = 1 the weight outlasts the decaying oscillation: a proved embedding."""
         with pytest.raises(PlasticImpactError, match="stays embedded"):
-            mx_drop_trajectory(_params(zeta, g=eps0), n_samples=50)
+            mx_trajectory(_params(zeta, g=eps0), n_samples=50)

@@ -1,36 +1,36 @@
-"""The modal layer: every model's history starts exactly, and the pairs' modes
-give the paper's closed-form metrics."""
+"""The modal layer: every model's history starts exactly, the pairs' modes
+give the paper's closed-form metrics, and each model's one metrics and one
+trajectory function take the params' weight."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import visco_impact
 from visco_impact import _modal, kelvin_voigt, maxwell, standard_solid
 from visco_impact.errors import DiscriminantError, DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import (
-    kv_drop_metrics,
     kv_drop_metrics_asymptotic,
-    kv_drop_trajectory,
     kv_metrics,
     kv_trajectory,
 )
 from visco_impact.maxwell import (
     mx_drop_metrics_asymptotic,
-    mx_drop_trajectory,
     mx_metrics,
     mx_trajectory,
 )
 from visco_impact.models import KelvinVoigtParams, MaxwellParams, StandardSolidParams
+from visco_impact.oracle import RelaxationKernel, integrate_impact_with_gravity
 from visco_impact.standard_solid import (
     params_from_groups,
-    sls_drop_metrics,
-    sls_drop_trajectory,
     sls_metrics,
     sls_perturb_kv,
     sls_perturb_maxwell,
@@ -72,11 +72,7 @@ def test_histories_start_exactly(model, loss, Lam, rho, m, k, v0, eps0):
     else:
         cls = KelvinVoigtParams if model == "kv" else MaxwellParams
         params = _pair(cls, loss, m, k, v0, eps0)
-    run = {
-        "kv": (kv_trajectory, kv_drop_trajectory),
-        "maxwell": (mx_trajectory, mx_drop_trajectory),
-        "sls": (sls_trajectory, sls_drop_trajectory),
-    }[model][eps0 > 0.0]
+    run = {"kv": kv_trajectory, "maxwell": mx_trajectory, "sls": sls_trajectory}[model]
     try:
         traj = run(params, n_samples=3)
     except (PlasticImpactError, DiscriminantError):
@@ -102,11 +98,55 @@ def test_pair_modes_give_the_closed_form_metrics(loss):
             assert getattr(got, name) == expected, name
 
 
+# A drop of each model, weighted as in ``verify``'s analytic-vs-oracle suite.
+WEIGHTED = {
+    "kv": (KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0, g=0.1), kv_metrics, kv_trajectory),
+    "maxwell": (MaxwellParams(m=1.0, k=1.0, b=0.5 / 0.3, v0=1.0, g=0.05), mx_metrics,
+                mx_trajectory),
+    "sls": (dataclasses.replace(params_from_groups(1.0, 0.5), g=0.1), sls_metrics,
+            sls_trajectory),
+}
+
+
+@pytest.mark.parametrize("model", sorted(WEIGHTED))
+def test_metrics_and_trajectory_take_the_weight(model):
+    """The oracle under the same weight agrees to 1e-6, and the history ends at ``t_c``."""
+    params, metrics, trajectory = WEIGHTED[model]
+    met = metrics(params)
+    kernel = RelaxationKernel.from_params(params)
+    oracle = integrate_impact_with_gravity(kernel, params.m, params.v0, params.g)
+    assert abs(met.e_star + oracle.xdot[-1] / params.v0) <= 1e-6
+    assert params.derived.omega0 * abs(met.t_c - oracle.t_c) <= 1e-6
+    traj = trajectory(params, n_samples=50)
+    assert traj.t_c == met.t_c
+    assert np.array_equal(traj.F, params.m * (params.g - traj.xddot))
+
+
+@given(loss=st.floats(0.01, 0.95), m=_log(-3.0, 3.0), k=_log(-3.0, 3.0), v0=_log(-3.0, 3.0))
+@settings(deadline=None, max_examples=100, derandomize=True)
+def test_zero_gravity_metrics_are_the_closed_forms(loss, m, k, v0):
+    """Without weight each pair's metrics are its closed form, field for field."""
+    for cls, module, metrics in ((KelvinVoigtParams, kelvin_voigt, kv_metrics),
+                                 (MaxwellParams, maxwell, mx_metrics)):
+        params = _pair(cls, loss, m, k, v0, 0.0)
+        d = params.derived
+        scaled = module._scaled_metrics(d.eta if cls is KelvinVoigtParams else d.zeta)
+        assert metrics(params) == _modal.dimensional(scaled, 1.0 / d.omega0, params)
+
+
+def test_one_metrics_and_one_trajectory_name_per_model():
+    """The drop trajectory names are the trajectory functions; the drop metrics are gone."""
+    assert kelvin_voigt.kv_drop_trajectory is kv_trajectory
+    assert maxwell.mx_drop_trajectory is mx_trajectory
+    for name in ("kv_drop_metrics", "mx_drop_metrics", "sls_drop_metrics", "sls_drop_trajectory"):
+        assert not hasattr(visco_impact, name), name
+
+
 def test_zeros_early_in_the_period_keep_their_digits():
     """A zero early in its sine's period: the walk's phase there must not lose
     ulp(pi), as ``phi - pi`` would.  The references are 50-digit roots."""
     params = KelvinVoigtParams(m=1.0, k=1.0, b=2.0 * (1.0 - 1e-7), v0=1.0, g=1e-6)
-    assert kv_drop_trajectory(params, n_samples=2).t_c == pytest.approx(
+    assert kv_trajectory(params, n_samples=2).t_c == pytest.approx(
         2.0000084557921601105, rel=1e-15, abs=0.0)
     met = sls_metrics(params_from_groups(0.1793653, 0.05))
     assert met.t_c == pytest.approx(8.080828967198009962, rel=1e-15, abs=0.0)
@@ -166,14 +206,14 @@ def test_sampled_coefficients_that_overflow_are_refused():
     """NaN cells before; the metrics, each finite, still stand."""
     message = r"^a mode coefficient times its scale .* must be finite$"
     with pytest.raises(DomainError, match=message):
-        sls_drop_trajectory(SLS_OVERFLOW)
-    assert all(map(math.isfinite, vars(sls_drop_metrics(SLS_OVERFLOW)).values()))
+        sls_trajectory(SLS_OVERFLOW)
+    assert all(map(math.isfinite, vars(sls_metrics(SLS_OVERFLOW)).values()))
 
 
 def test_metrics_that_overflow_are_refused():
     """``e_star = 5.4e238`` and ``x_m = inf`` before."""
     with pytest.raises(DomainError, match=r"^the metric x_m = inf must be finite$"):
-        kv_drop_metrics(KV_OVERFLOW)
+        kv_metrics(KV_OVERFLOW)
 
 
 @pytest.mark.parametrize("module", [kelvin_voigt, maxwell], ids=["kelvin_voigt", "maxwell"])

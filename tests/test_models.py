@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from visco_impact._search import MAX_SCAN_SAMPLES
 from visco_impact.errors import ConfigError, DomainError, ParseError
-from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_find_critical_eps0, kv_trajectory
-from visco_impact.maxwell import mx_drop_trajectory, mx_trajectory
+from visco_impact.kelvin_voigt import kv_find_critical_eps0, kv_trajectory
+from visco_impact.maxwell import mx_trajectory
 from visco_impact.models import (
     _GROUP_DOMAINS,
     DerivedGroups,
@@ -39,7 +39,6 @@ from visco_impact.standard_solid import (
     params_near_kv,
     params_near_maxwell,
     sls_characteristic_roots,
-    sls_drop_trajectory,
     sls_perturb_kv,
     sls_perturb_maxwell,
     sls_trajectory,
@@ -334,22 +333,26 @@ class TestGroupDomains:
         assert listed == {name: words for name, (_, words) in _GROUP_DOMAINS.items()}
 
 
-SAMPLED = [kv_trajectory, kv_drop_trajectory, mx_trajectory, mx_drop_trajectory,
-           sls_trajectory, sls_drop_trajectory]
+# Each trajectory function without and with weight; ``drop`` in an id marks the weight.
+SAMPLED = [
+    pytest.param(fn, g, id=f"{name}{'_drop' if g else ''}_trajectory")
+    for name, fn in (("kv", kv_trajectory), ("mx", mx_trajectory), ("sls", sls_trajectory))
+    for g in (0.0, 0.05)
+]
 
 
-def _sampled_params(fn):
-    if fn.__name__.startswith("kv"):
-        return KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0)
-    if fn.__name__.startswith("mx"):
-        return MaxwellParams(m=1.0, k=1.0, b=1.0 / 0.6, v0=1.0)
-    return params_from_groups(1.0, 0.5)
+def _sampled_params(fn, g):
+    if fn is kv_trajectory:
+        return KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0, g=g)
+    if fn is mx_trajectory:
+        return MaxwellParams(m=1.0, k=1.0, b=1.0 / 0.6, v0=1.0, g=g)
+    return dataclasses.replace(params_from_groups(1.0, 0.5), g=g)
 
 
 class TestSampleCounts:
     """Every trajectory is sampled on one grid that refuses a bad count as bad input."""
 
-    @pytest.mark.parametrize("fn", SAMPLED, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("fn, g", SAMPLED)
     @pytest.mark.parametrize("n, message", [
         (2.5, "must be an integer"),
         ("3", "must be an integer"),
@@ -358,13 +361,13 @@ class TestSampleCounts:
         (1, "got 1"),
         (MAX_SCAN_SAMPLES + 1, f"got {MAX_SCAN_SAMPLES + 1}"),
     ])
-    def test_bad_count_refused(self, fn, n, message):
+    def test_bad_count_refused(self, fn, g, n, message):
         with pytest.raises(ConfigError, match=message):
-            fn(_sampled_params(fn), n_samples=n)
+            fn(_sampled_params(fn, g), n_samples=n)
 
-    @pytest.mark.parametrize("fn", SAMPLED, ids=lambda fn: fn.__name__)
-    def test_integer_types_accepted(self, fn):
-        params = _sampled_params(fn)
+    @pytest.mark.parametrize("fn, g", SAMPLED)
+    def test_integer_types_accepted(self, fn, g):
+        params = _sampled_params(fn, g)
         plain = fn(params, n_samples=5)
         for n in (np.int64(5), np.uint8(5)):
             assert np.array_equal(fn(params, n_samples=n).times, plain.times)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from visco_impact import oracle
 from visco_impact.cli import run_verification
 from visco_impact.errors import ConfigError, NoSeparationError, ViscoImpactError
-from visco_impact.kelvin_voigt import kv_drop_trajectory, kv_find_critical_eps0, kv_metrics
+from visco_impact.kelvin_voigt import kv_find_critical_eps0, kv_metrics, kv_trajectory
 from visco_impact.maxwell import mx_metrics
 from visco_impact.models import (
     KelvinVoigtParams,
@@ -670,7 +670,7 @@ def test_default_horizon_stays_within_step_cap(kind):
 @pytest.mark.parametrize("eta, eps0", [(0.2, 0.01), (0.6, 0.05)])
 def test_gravity_kv_limit_matches_drop_closed_form(eta, eps0):
     params = KelvinVoigtParams(m=1.0, k=1.0, b=2.0 * eta, v0=1.0, g=eps0)
-    exact = kv_drop_trajectory(params)
+    exact = kv_trajectory(params)
     traj = integrate_impact_with_gravity(
         RelaxationKernel.from_params(params), params.m, params.v0, params.g
     )
@@ -706,7 +706,7 @@ def test_kv_limit_matches_closed_form_at_every_scale(m, k, v0, eta, eps0_share):
         met = kv_metrics(params)
         t_c, e_star = met.t_c, met.e_star
     else:
-        exact = kv_drop_trajectory(params)
+        exact = kv_trajectory(params)
         t_c, e_star = exact.t_c, -exact.xdot[-1] / v0
     traj = integrate_impact_with_gravity(RelaxationKernel.from_params(params), m, v0, params.g)
     assert traj.t_c == pytest.approx(t_c, rel=1e-9)

@@ -22,10 +22,10 @@ from visco_impact.cli import EXIT_PLASTIC, main
 from visco_impact.errors import DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import (
     _scaled_metrics,
-    kv_drop_trajectory,
     kv_find_critical_eps0,
+    kv_trajectory,
 )
-from visco_impact.maxwell import mx_drop_metrics_asymptotic, mx_drop_trajectory, mx_metrics
+from visco_impact.maxwell import mx_drop_metrics_asymptotic, mx_metrics, mx_trajectory
 from visco_impact.models import KelvinVoigtParams, MaxwellParams
 from visco_impact.oracle import RelaxationKernel, integrate_impact
 from visco_impact.standard_solid import (
@@ -120,7 +120,7 @@ class TestDenseReference:
         p = KelvinVoigtParams(m=1.0, k=1.0, b=2.0 * eta, v0=v0, g=eps0 * v0)
         force, period = _kv_force(p)
         dense = _dense_first_zero(force, period, _search.SCAN_HORIZON_PERIODS * period)
-        _assert_same_end(_separation(kv_drop_trajectory, p), dense)
+        _assert_same_end(_separation(kv_trajectory, p), dense)
 
     @given(
         zeta=st.floats(min_value=0.02, max_value=0.95),
@@ -135,7 +135,7 @@ class TestDenseReference:
                           g=10.0**log_eps0 * omega0 * v0)
         force, period = _mx_force(p)
         dense = _dense_first_zero(force, period, _search.SCAN_HORIZON_PERIODS * period)
-        _assert_same_end(_separation(mx_drop_trajectory, p), dense)
+        _assert_same_end(_separation(mx_trajectory, p), dense)
 
     @given(
         log_lambda=st.floats(min_value=-2.0, max_value=2.0),
@@ -373,9 +373,9 @@ _SLS_UNIT = params_from_groups(1.0, 0.5)
 @pytest.mark.parametrize(
     "run, solves",
     [
-        (lambda: kv_drop_trajectory(
+        (lambda: kv_trajectory(
             KelvinVoigtParams(m=1.0, k=1.0, b=0.6, v0=1.0, g=0.05), n_samples=2), 1),
-        (lambda: mx_drop_trajectory(
+        (lambda: mx_trajectory(
             MaxwellParams(m=1.0, k=1.0, b=0.5 / 0.3, v0=1.0, g=0.05), n_samples=2), 1),
         (lambda: sls_metrics(_SLS_UNIT), 3),
         (lambda: sls_trajectory(_SLS_UNIT, n_samples=2), 1),
@@ -417,7 +417,7 @@ def test_near_critical_embedding_is_proved_in_few_evaluations(monkeypatch, eps0)
     monkeypatch.setattr(maxwell, "first_force_zero", counted)
     p = MaxwellParams(m=1.0, k=1.0, b=0.5 / 0.99, v0=1.0, g=eps0)
     with pytest.raises(PlasticImpactError, match="stays embedded"):
-        mx_drop_trajectory(p, n_samples=50)
+        mx_trajectory(p, n_samples=50)
     assert len(modes) == 1
     assert 0 < modes[0].evaluations < 100
 
@@ -432,13 +432,13 @@ class TestCriticalDamping:
     def test_zero_gravity_drop_matches_closed_form(self):
         t_c = mx_metrics(self._params(0.0)).t_c
         assert t_c == pytest.approx(2221.44, rel=1e-5)
-        assert mx_drop_trajectory(self._params(0.0), n_samples=3).t_c == pytest.approx(
+        assert mx_trajectory(self._params(0.0), n_samples=3).t_c == pytest.approx(
             t_c, rel=1e-12
         )
 
     def test_weight_embeds(self):
         with pytest.raises(PlasticImpactError):
-            mx_drop_trajectory(self._params(1e-4), n_samples=3)
+            mx_trajectory(self._params(1e-4), n_samples=3)
 
     def test_expansion_is_typed(self):
         assert mx_drop_metrics_asymptotic(self._params(0.0)) == mx_metrics(self._params(0.0))
