@@ -3,11 +3,11 @@
 Whatever the contact, ``m x'' = m g - F``.  A model supplies, as modes in its
 own time unit ``T``, its indentation ``xi`` (``x = v0 T xi(t / T)``), the rate
 ``xi'`` and the force ``f = gamma - xi''`` (``F = (m v0 / T) f``), where the
-weight enters as ``gamma = g T / v0``.  A model is ``(solution, T, walk)``:
-``solution(gamma)`` gives the modes, and ``walk`` is the ``first_force_zero``
-its own module names, which the benchmark's traced pass replaces there.
-:func:`dimensional` scales metrics in ``T`` units, a model's closed forms or
-the walk's, to :class:`ImpactMetrics`.
+weight enters as ``gamma = g T / v0`` at the params' ``g`` and ``v0``.  A model
+is ``(solution, T, walk)``: ``solution(gamma)`` gives the modes, and ``walk`` is
+the ``first_force_zero`` its own module names, which the benchmark's traced pass
+replaces there.  :func:`dimensional` scales metrics in ``T`` units, a model's
+closed forms or the walk's, to :class:`ImpactMetrics`.
 """
 
 from __future__ import annotations
@@ -16,9 +16,12 @@ import math
 
 import numpy as np
 
-from ._search import SCAN_HORIZON_PERIODS
 from .errors import DomainError
 from .models import ImpactMetrics, Trajectory, _check_groups, _uniform_times
+
+# Walk limit for the contact end, in oscillation periods, of every closed-form
+# model; the oracle keeps its own horizon as the independent reference.
+SCAN_HORIZON_PERIODS = 10.0
 
 
 def _first_zero(mode, walk) -> float:
@@ -60,22 +63,22 @@ def dimensional(scaled, T: float, params) -> ImpactMetrics:
     return ImpactMetrics(*values)
 
 
-def _solve(solution, T: float, walk, params, g: float):
-    """The scales, the modes under gravity ``g`` and the contact end, the force's first zero."""
-    gamma = g * T / params.v0
+def _solve(solution, T: float, walk, params):
+    """The scales, the modes at the params' weight and the contact end, the force's first zero."""
+    gamma = params.g * T / params.v0
     _check_groups("gamma = g T / v0", eps0=gamma)
     scales, modes = _scales(T, params), solution(gamma)
     return scales, modes, _first_zero(modes[2], walk)
 
 
-def trajectory(solution, T: float, walk, params, g: float, n_samples: int) -> Trajectory:
-    """History under gravity ``g`` on a uniform grid spanning the contact.
+def trajectory(solution, T: float, walk, params, n_samples: int) -> Trajectory:
+    """History under the params' gravity ``g`` on a uniform grid spanning the contact.
 
     It starts where the modes do, with ``xddot = g - (v0 / T) f`` exactly
     ``g`` where the force ``f`` is 0.  A mode coefficient times its scale
     that is not finite raises :class:`DomainError`."""
-    (x_s, a_s, f_s), modes, tau_c = _solve(solution, T, walk, params, g)
-    v0, m = params.v0, params.m
+    (x_s, a_s, f_s), modes, tau_c = _solve(solution, T, walk, params)
+    v0, m, g = params.v0, params.m, params.g
     scales = (x_s, v0, -a_s)
     # F = m (g - xddot): the force mode scales by v0 / T and by m v0 / T.
     for s, mode in zip((x_s, v0, max(a_s, f_s)), modes):
@@ -96,11 +99,11 @@ def trajectory(solution, T: float, walk, params, g: float, n_samples: int) -> Tr
                       F=m * (g - xddot) if g else -m * xddot)
 
 
-def metrics(solution, T: float, walk, params, g: float) -> ImpactMetrics:
+def metrics(solution, T: float, walk, params) -> ImpactMetrics:
     """Duration and restitution from the force's first zero, peaks from the
     first zeros of ``xi'`` and of the force's rate, each to Brent's 1e-15.  A force
     not rising at 0 peaks there: it falls to zero, or proves the drop plastic, first."""
-    _, (xi, xi_d, force), tau_c = _solve(solution, T, walk, params, g)
+    _, (xi, xi_d, force), tau_c = _solve(solution, T, walk, params)
     tau_m = _first_zero(xi_d, walk)
     rate = force.derivative()
     tau_M = _first_zero(rate, walk) if float(rate(0.0)) > 0.0 else 0.0

@@ -58,15 +58,6 @@ import numpy as np
 
 from .errors import DomainError, PlasticImpactError
 
-# Walk limit for the contact end, in oscillation periods, shared by every
-# closed-form model; the oracle keeps its own horizon as the independent
-# reference.
-SCAN_HORIZON_PERIODS = 10.0
-
-# Largest sampled grid, in samples, for the CLI's trajectories and the
-# oracle's steps; longer ones would allocate hundreds of megabytes or more.
-MAX_SCAN_SAMPLES = 10_000_000
-
 # Brent's tolerances for the walk: ``rtol``, and ``xtol`` per unit of the
 # piece's width (:func:`_root`).  A fixed ``xtol`` would exceed the whole
 # contact once the period is that short (three-element Lambda above 1e60).

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from . import _modal, kelvin_voigt, maxwell
-from ._search import MAX_SCAN_SAMPLES
 from .analysis import (
     STANDARD_GRAVITY,
     bundled_experiments_path,
@@ -53,6 +52,7 @@ from .kelvin_voigt import kv_metrics, kv_trajectory
 from .maxwell import mx_metrics, mx_trajectory
 from .models import (
     DEFAULT_SAMPLES,
+    MAX_SCAN_SAMPLES,
     ImpactMetrics,
     KelvinVoigtParams,
     MaxwellParams,
@@ -390,7 +390,7 @@ def _suite_parallel_pair_midpoint() -> tuple[float, float]:
     for eta in np.linspace(0.01, 0.98, 50):
         params = _kv(eta)
         t_c = kv_metrics(params).t_c
-        t_m = _modal.metrics(*kelvin_voigt._model(params), params, 0.0).t_m
+        t_m = _modal.metrics(*kelvin_voigt._model(params), params).t_m
         err = max(err, abs(t_m - t_c / 2.0) / t_c)
     return err, 1e-12
 

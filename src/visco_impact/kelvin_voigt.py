@@ -94,7 +94,7 @@ def kv_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -
     every sample.  Past :func:`kv_find_critical_eps0` the impactor never
     separates: :class:`PlasticImpactError`.
     """
-    return _modal.trajectory(*_model(params), params, params.g, n_samples)
+    return _modal.trajectory(*_model(params), params, n_samples)
 
 
 kv_drop_trajectory = kv_trajectory
@@ -110,7 +110,7 @@ def kv_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
     t_M)`` where ``w t_M = atan(w (1 - 4 eta^2) / (eta (3 - 4 eta^2)))``.
     """
     if params.g:
-        return _modal.metrics(*_model(params), params, params.g)
+        return _modal.metrics(*_model(params), params)
     d = params.derived
     return _modal.dimensional(_scaled_metrics(d.eta), 1.0 / d.omega0, params)
 

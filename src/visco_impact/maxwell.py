@@ -83,7 +83,7 @@ def mx_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Tr
     weight's offset is proved to keep the force above zero; near ``zeta = 1``
     a tiny ``eps0`` already embeds the impactor.
     """
-    return _modal.trajectory(*_model(params), params, params.g, n_samples)
+    return _modal.trajectory(*_model(params), params, n_samples)
 
 
 mx_drop_trajectory = mx_trajectory
@@ -98,7 +98,7 @@ def mx_metrics(params: MaxwellParams) -> ImpactMetrics:
     indentation a quarter period later, at ``w t_m = pi/2 + asin(zeta)``.
     """
     if params.g:
-        return _modal.metrics(*_model(params), params, params.g)
+        return _modal.metrics(*_model(params), params)
     d = params.derived
     return _modal.dimensional(_scaled_metrics(d.zeta), 1.0 / d.omega0, params)
 

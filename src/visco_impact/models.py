@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._search import MAX_SCAN_SAMPLES
 from .errors import ConfigError, DomainError, ParseError
 
 __all__ = [
@@ -125,6 +124,11 @@ def _check_groups(where: str = "", **groups: float) -> None:
         inside, words = _GROUP_DOMAINS[name]
         if not inside(value):
             raise DomainError(f"{where or name} must {words}, got {value!r}")
+
+
+# Largest sampled grid, in samples, for the CLI's trajectories and the
+# oracle's steps; longer ones would allocate hundreds of megabytes or more.
+MAX_SCAN_SAMPLES = 10_000_000
 
 
 def _uniform_times(t_end: float, n_samples: int) -> np.ndarray:

@@ -36,9 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._search import MAX_SCAN_SAMPLES, _root
+from ._search import _root
 from .errors import ConfigError, NoSeparationError
 from .models import (
+    MAX_SCAN_SAMPLES,
     KelvinVoigtParams,
     MaxwellParams,
     StandardSolidParams,
@@ -223,16 +224,17 @@ class RelaxationKernel:
     def from_params(
         cls, params: KelvinVoigtParams | MaxwellParams | StandardSolidParams
     ) -> "RelaxationKernel":
-        """Kernel equivalent to a model parameter set."""
+        """Kernel equivalent to a model parameter set, read from its springs, dashpot and
+        mass, not the derived groups it checks; an elastic pair's ``alpha`` is 1 to rounding."""
         if isinstance(params, KelvinVoigtParams):
             if params.b == 0.0:
-                return cls.elastic(params.k, 1.0 / params.derived.omega0)
+                return cls.elastic(params.k, math.sqrt(params.m) / math.sqrt(params.k))
             return cls.kv_limit(params.k, params.b)
         if isinstance(params, MaxwellParams):
-            return cls.maxwell(params.k, params.derived.tau_R)
+            return cls.maxwell(params.k, params.b / params.k)
         if isinstance(params, StandardSolidParams):
-            d = params.derived
-            return cls.sls(params.k0, d.tau_R, d.rho)
+            k1, k2 = params.k1, params.k2
+            return cls.sls(k1, params.b / (k1 + k2), k2 / (k1 + k2))
         raise ConfigError(f"no kernel mapping for {type(params).__name__}")
 
 
@@ -618,7 +620,7 @@ def integrate_impact(
     For exponential-sum and spring-dashpot kernels it stretches to one
     period of the slowest oscillating mode of the state equation, or with
     none to ten time constants of its slowest decay, as far as
-    ``_search.MAX_SCAN_SAMPLES`` steps allow.
+    ``models.MAX_SCAN_SAMPLES`` steps allow.
 
     Returns
     -------
@@ -634,7 +636,7 @@ def integrate_impact(
         not finite, an ``alpha`` outside ``ALPHA_RANGE`` (1e-150 to 1e150),
         a state matrix that is not finite, a horizon that does
         not exceed the step, a step past ``2.5 / rho(A)``, or a horizon that
-        needs more than ``_search.MAX_SCAN_SAMPLES`` steps of ``dt_scaled``.
+        needs more than ``models.MAX_SCAN_SAMPLES`` steps of ``dt_scaled``.
     NoSeparationError
         When the force has not returned to zero by the end of the horizon.
     """

@@ -206,12 +206,12 @@ def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES
     The force ``m (g - xddot)`` settles to ``m g``; past a threshold weight
     it never returns to zero, which raises :class:`PlasticImpactError`.
     """
-    return _modal.trajectory(*_model(params), params, params.g, n_samples)
+    return _modal.trajectory(*_model(params), params, n_samples)
 
 
 def sls_metrics(params: StandardSolidParams) -> ImpactMetrics:
     """Exact scalar metrics of :func:`sls_trajectory`'s impact."""
-    return _modal.metrics(*_model(params), params, params.g)
+    return _modal.metrics(*_model(params), params)
 
 
 def _check_expansion_rho(rho: float) -> None:

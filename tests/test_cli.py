@@ -556,13 +556,20 @@ class TestSimulate:
         ("sls", params_from_groups(lam, rho, m=m, v0=v0), sls_metrics, sls_trajectory)
         for lam, rho, m, v0 in ((4.0, 0.2, 1.0, 1.0), (0.316, 0.1, 0.1, 3.0), (50.0, 0.9, 2.0, 0.5))
     ])
-    def test_model_entries_at_zero_gravity(self, model, params, metrics, trajectory):
-        """The one weight-aware entry per model gives the zero-gravity results bit for bit."""
+    def test_model_entries_at_zero_gravity(self, tmp_path, capsys, model, params, metrics,
+                                           trajectory):
+        """Each model's entry is its one weight-aware metrics and trajectory, and
+        ``simulate`` on the params' file writes that trajectory byte for byte and
+        prints that duration."""
         entry = cli._MODELS[model]
-        assert repr(entry.metrics(params)) == repr(metrics(params))
-        got, want = entry.trajectory(params, n_samples=50), trajectory(params, n_samples=50)
-        for name in ("times", "x", "xdot", "xddot", "F"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert entry.metrics is metrics and entry.trajectory is trajectory
+        fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(params) if f.init}
+        path, out, want = (tmp_path / name for name in ("params.json", "out.csv", "want.csv"))
+        path.write_text(json.dumps(fields))
+        assert main(["simulate", model, "--params", str(path), "--out", str(out)]) == EXIT_OK
+        trajectory(params).to_csv(want)
+        assert out.read_bytes() == want.read_bytes()
+        assert f"  t_c = {metrics(params).t_c:.12g}" in capsys.readouterr().err.splitlines()
 
     def test_missing_params_file(self, tmp_path, capsys):
         rc = main(["simulate", "kv", "--params", str(tmp_path / "absent.json")])

@@ -2,8 +2,10 @@
 
 The corpus holds the seven tables that ``scripts/metric_sweeps.py`` writes,
 the exit code, stdout and stderr of the edge sweeps in ``EDGE_SWEEPS``, and
-those of the runs in ``SIMULATIONS`` with the trajectory each writes to
-``--out``.  A mismatch names the first moved cell.  Regenerate the corpus with::
+those of the runs in ``SIMULATIONS`` and ``COMMANDS`` with the file each writes
+to ``--out``.  A mismatch names the first moved cell.  Text compares exactly,
+except ``verify``'s ``max_error`` cells, which get the absolute budget
+``ERROR_BUDGET``.  Regenerate the corpus with::
 
     PYTHONPATH=src python tests/test_cli_golden.py --update
 
@@ -19,6 +21,7 @@ import importlib.util
 import io
 import itertools
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -33,6 +36,7 @@ TABLES = GOLDEN / "metric_sweeps"
 EDGES = GOLDEN / "edge_sweeps.json"
 SIMULATED = GOLDEN / "simulate.json"
 TRAJECTORIES = GOLDEN / "simulate"
+COMMANDED = GOLDEN / "commands.json"
 
 # name: (sweep argv, the fixed groups of its --params file or None)
 EDGE_SWEEPS = {
@@ -53,10 +57,33 @@ _SIMULATED_PARAMS = {
 }
 # name: (simulate argv, its --params file), each run with and without --gravity.
 SIMULATIONS = {
-    f"{model}{suffix}": (["simulate", model, "--dt", "0.05", *flags], params)
+    f"{model}{suffix}": (["simulate", model, "--dt", "0.05", *flags, "--out"], params)
     for model, params in _SIMULATED_PARAMS.items()
     for suffix, flags in (("", []), ("_gravity", ["--gravity"]))
 }
+
+
+# The reference cartilage layer of the biphasic-pipeline verify suite.
+_LAYER = {"mu_s": 0.25e6, "lambda_s": 0.25e6, "kappa": 2e-15, "h": 0.5e-3, "a": 2.5e-3}
+# name: (argv, its --params file or None)
+COMMANDS = {
+    "verify": (["verify"], None),
+    "verify_out": (["verify", "--out"], None),
+    "biphasic": (["biphasic", "--m", "0.2"], _LAYER),
+    "biphasic_out": (["biphasic", "--m", "0.2", "--dt", "0.05", "--out"], _LAYER),
+    "analyze": (["analyze"], None),
+    "analyze_out": (["analyze", "--out"], None),
+    # One refusal per exit code: 1, 2 and 3.
+    "refuse_malformed_sweep": (["sweep", "--model", "kv", "--sweep", "eta:0:1:x"], None),
+    "refuse_eta_out_of_range": (["sweep", "--model", "kv", "--sweep", "eta:0.5:1.5:3"], None),
+    "refuse_overdamped_layer": (["biphasic", "--m", "0.2", "--out"], {**_LAYER, "kappa": 1e-8}),
+}
+
+# verify's max_error sits at rounding level (1e-16 to 1e-15), where another BLAS
+# build may move it, as in test_oracle.py's TestContactEndPinned: an absolute budget.
+ERROR_BUDGET = 1e-12
+# A max_error in verify's stdout line or in its --out row.
+_MAX_ERROR = re.compile(r"(?m)(max error |^[a-z-]+,)(\d[^,]*)")
 
 
 def _captured(fn, *args):
@@ -82,22 +109,23 @@ def metric_sweep_tables() -> dict[str, bytes]:
 
 def cli_runs(runs: dict) -> dict[str, dict]:
     """Exit code, stdout and stderr of each ``name: (argv, fixed)`` in ``runs``, with
-    ``fixed`` written to the ``--params`` file when it is not None; for a ``simulate``
-    run also the text of the trajectory it writes to ``--out``."""
+    ``fixed`` written to the ``--params`` file when it is not None.  An ``argv``
+    ending in ``--out`` is given a file there, and its text, or None when the run
+    writes none, is the result's ``out``."""
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, fixed) in runs.items():
+            out, writes = Path(tmp) / f"{name}.csv", argv[-1] == "--out"
+            if writes:
+                argv = [*argv, str(out)]
             if fixed is not None:
                 path = Path(tmp) / f"{name}.json"
                 path.write_text(json.dumps(fixed))
                 argv = [*argv, "--params", str(path)]
-            out, simulate = Path(tmp) / f"{name}.csv", argv[0] == "simulate"
-            if simulate:
-                argv = [*argv, "--out", str(out)]
             code, stdout, stderr = _captured(cli_main, argv)
             results[name] = {"exit": code, "stdout": stdout, "stderr": stderr}
-            if simulate:
-                results[name]["out"] = out.read_bytes().decode()
+            if writes:
+                results[name]["out"] = out.read_bytes().decode() if out.exists() else None
     return results
 
 
@@ -134,11 +162,33 @@ def test_corpus_holds_every_table(tables):
     assert sorted(tables) == sorted(p.name for p in TABLES.glob("*.csv"))
 
 
-def _assert_same_run(name: str, want: dict, got: dict) -> None:
-    """``got`` has ``want``'s exit code, and its streams match cell for cell."""
+def budget_moved(expected: str, actual: str, budget: float) -> str | None:
+    """Like :func:`first_moved`, but each verify ``max_error`` may move by ``budget``."""
+    (old, old_errors), (new, new_errors) = (
+        (_MAX_ERROR.sub(r"\1*", text), [float(m[2]) for m in _MAX_ERROR.finditer(text)])
+        for text in (expected, actual))
+    moved = first_moved(old, new)
+    if moved is not None:
+        return moved
+    for i, (a, b) in enumerate(zip(old_errors, new_errors)):
+        if not abs(a - b) <= budget:
+            return f"max_error #{i + 1}: expected {a!r}, got {b!r}, beyond {budget:g}"
+    return None
+
+
+def _assert_same_run(name: str, want: dict, got: dict, budget: float = 0.0) -> None:
+    """``got`` has ``want``'s exit code, and its streams and ``--out`` text match cell for
+    cell, each verify ``max_error`` within ``budget`` when that is not 0."""
     assert got["exit"] == want["exit"], f"{name}: exit code {got['exit']}, expected {want['exit']}"
-    for stream in ("stdout", "stderr"):
-        moved = first_moved(want[stream], got[stream])
+    assert sorted(got) == sorted(want), f"{name}: wrote {sorted(got)}, expected {sorted(want)}"
+    for stream in ("stdout", "stderr", "out"):
+        if want.get(stream) is None:
+            assert got.get(stream) is None, f"{name}: wrote {stream}, expected none"
+            continue
+        if budget:
+            moved = budget_moved(want[stream], got[stream], budget)
+        else:
+            moved = first_moved(want[stream], got[stream])
         assert moved is None, f"{name} {stream}: {moved}"
 
 
@@ -156,10 +206,20 @@ def test_corpus_holds_every_simulation():
 
 @pytest.mark.parametrize("name", sorted(SIMULATIONS))
 def test_simulation_matches_the_corpus(name):
-    run = cli_runs({name: SIMULATIONS[name]})[name]
-    _assert_same_run(name, json.loads(SIMULATED.read_text())[name], run)
-    moved = first_moved((TRAJECTORIES / f"{name}.csv").read_bytes().decode(), run["out"])
-    assert moved is None, f"{name} --out: {moved}"
+    want = {**json.loads(SIMULATED.read_text())[name],
+            "out": (TRAJECTORIES / f"{name}.csv").read_bytes().decode()}
+    _assert_same_run(name, want, cli_runs({name: SIMULATIONS[name]})[name])
+
+
+def test_corpus_holds_every_command():
+    assert sorted(json.loads(COMMANDED.read_text())) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_matches_the_corpus(name):
+    budget = ERROR_BUDGET if COMMANDS[name][0][0] == "verify" else 0.0
+    _assert_same_run(name, json.loads(COMMANDED.read_text())[name],
+                     cli_runs({name: COMMANDS[name]})[name], budget)
 
 
 def test_first_moved_names_the_cell():
@@ -170,6 +230,16 @@ def test_first_moved_names_the_cell():
     assert first_moved(old, old + "0.2,3.1,0.4\r\n").startswith("line 3, cell param")
 
 
+def test_budget_moves_only_max_error():
+    line = "elastic-limit: pass (max error 1.332e-15, tolerance 1.0e-06)\n"
+    row = "suite,max_error,tolerance,status\r\nelastic-limit,1.3322676295501878e-15,1e-06,pass\r\n"
+    assert budget_moved(line, line.replace("1.332e-15", "4.441e-16"), 1e-12) is None
+    assert budget_moved(row, row.replace("1.3322676295501878e-15", "0"), 1e-12) is None
+    assert budget_moved(line, line.replace("1.332e-15", "2.000e-12"), 1e-12).startswith(
+        "max_error #1: expected 1.332e-15")
+    assert budget_moved(row, row.replace("pass", "FAIL"), 1e-12).startswith("line 2, cell status")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the CLI output corpus; "
                                      "pytest checks it.")
@@ -177,6 +247,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="rewrite the corpus from the current code")
     parser.parse_args(argv)
     tables, runs, simulations = metric_sweep_tables(), cli_runs(EDGE_SWEEPS), cli_runs(SIMULATIONS)
+    commands = cli_runs(COMMANDS)
     TABLES.mkdir(parents=True, exist_ok=True)
     for name, data in tables.items():
         (TABLES / name).write_bytes(data)
@@ -185,8 +256,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, run in simulations.items():
         (TRAJECTORIES / f"{name}.csv").write_bytes(run.pop("out").encode())
     SIMULATED.write_text(json.dumps(simulations, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(tables)} tables, {len(runs)} edge sweeps and "
-          f"{len(simulations)} simulations to {GOLDEN}")
+    COMMANDED.write_text(json.dumps(commands, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(tables)} tables, {len(runs)} edge sweeps, {len(simulations)} "
+          f"simulations and {len(commands)} commands to {GOLDEN}")
     return 0
 
 

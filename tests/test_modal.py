@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import visco_impact
-from visco_impact import _modal, kelvin_voigt, maxwell, standard_solid
+from visco_impact import _modal, _search, kelvin_voigt, maxwell, models, oracle, standard_solid
 from visco_impact.errors import DiscriminantError, DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import (
     kv_drop_metrics_asymptotic,
@@ -92,7 +92,7 @@ def test_pair_modes_give_the_closed_form_metrics(loss):
     for cls, module, closed in ((KelvinVoigtParams, kelvin_voigt, kv_metrics),
                                 (MaxwellParams, maxwell, mx_metrics)):
         params = _pair(cls, loss, 1.0, 1.0, 1.0, 0.0)
-        got, want = _modal.metrics(*module._model(params), params, 0.0), closed(params)
+        got, want = _modal.metrics(*module._model(params), params), closed(params)
         for name in ("t_c", "e_star", "t_m", "x_m", "t_M", "F_M"):
             expected = pytest.approx(getattr(want, name), rel=1e-14, abs=0.0)
             assert getattr(got, name) == expected, name
@@ -223,6 +223,29 @@ def test_pair_closed_forms_read_only_derived_groups(module):
     tree = ast.parse(Path(module.__file__).read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not read & {"m", "k", "b", "v0"}
+
+
+def test_oracle_reads_no_derived_groups():
+    """The oracle's side of the cross-check reads the springs, dashpot and mass,
+    never the groups the closed forms read."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "derived"]
+
+
+@pytest.mark.parametrize("module", [models, _search], ids=["models", "_search"])
+def test_lowest_layers_import_only_the_errors(module):
+    """The parameter types and the walk sit below every model: of the package they
+    import the errors alone."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("visco_impact")}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("visco_impact"):
+            imported.add(node.module.removeprefix("visco_impact."))
+    assert imported == {"errors"}
 
 
 def _brent_callers(node, owner="<module>"):

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visco_impact._search import MAX_SCAN_SAMPLES
 from visco_impact.errors import ConfigError, DomainError, ParseError
 from visco_impact.kelvin_voigt import kv_find_critical_eps0, kv_trajectory
 from visco_impact.maxwell import mx_trajectory
 from visco_impact.models import (
     _GROUP_DOMAINS,
+    MAX_SCAN_SAMPLES,
     DerivedGroups,
     KelvinVoigtParams,
     MaxwellParams,

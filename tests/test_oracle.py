@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import inspect
+import json
 import math
 import re
 import tracemalloc
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visco_impact import oracle
+from visco_impact import cli, models, oracle
 from visco_impact.cli import run_verification
 from visco_impact.errors import ConfigError, NoSeparationError, ViscoImpactError
 from visco_impact.kelvin_voigt import kv_find_critical_eps0, kv_metrics, kv_trajectory
@@ -159,6 +161,38 @@ class TestKernelValidation:
         assert sls.c_inf == pytest.approx(0.5, rel=1e-14)
         with pytest.raises(ConfigError, match="no kernel mapping"):
             RelaxationKernel.from_params(object())
+
+    @pytest.mark.parametrize("load, fields", [
+        (models.load_kv_params, {"m": 2.0, "k": 3.0, "b": 0.0, "v0": 1.5}),
+        (models.load_kv_params, {"m": 2.0, "k": 3.0, "b": 0.7, "v0": 1.5}),
+        (models.load_maxwell_params, {"m": 2.0, "k": 3.0, "b": 2.5, "v0": 1.5}),
+        (models.load_sls_params, {"m": 2.0, "k1": 3.0, "k2": 0.7, "b": 2.5, "v0": 1.5}),
+        (models.load_sls_params, {"m": 2.0, "kappa1": 0.6, "kappa2": 2.4, "beta": 2.0,
+                                  "v0": 1.5}),
+    ])
+    def test_from_params_reads_no_derived_groups(self, tmp_path, load, fields):
+        """The kernel comes from the springs, dashpot and mass alone, so the oracle
+        checks the groups the closed forms read instead of sharing them."""
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(fields))
+        params = load(path)
+        want = repr(RelaxationKernel.from_params(params))
+        object.__setattr__(params, "derived", None)
+        assert repr(RelaxationKernel.from_params(params)) == want
+
+
+def test_sls_cross_check_sees_a_wrong_rho(monkeypatch):
+    """A ``derive_sls`` whose rho is off by 1e-3 fails verify's 1e-6 oracle gap
+    on the analytic-vs-oracle suite's three-element case."""
+    derive = models.derive_sls
+
+    def off(params):
+        d = derive(params)
+        return dataclasses.replace(d, rho=d.rho * (1.0 + 1e-3))
+
+    monkeypatch.setattr(models, "derive_sls", off)
+    params = params_from_groups(0.25, 0.5)
+    assert cli._oracle_gap(params, sls_metrics(params)) > 1e-6
 
 
 class TestClosedFormAgreement:

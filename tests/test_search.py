@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import visco_impact
-from visco_impact import _search, maxwell
+from visco_impact import _modal, _search, maxwell
 from visco_impact.cli import EXIT_PLASTIC, main
 from visco_impact.errors import DomainError, PlasticImpactError
 from visco_impact.kelvin_voigt import (
@@ -119,7 +119,7 @@ class TestDenseReference:
         eta, eps0 = drop
         p = KelvinVoigtParams(m=1.0, k=1.0, b=2.0 * eta, v0=v0, g=eps0 * v0)
         force, period = _kv_force(p)
-        dense = _dense_first_zero(force, period, _search.SCAN_HORIZON_PERIODS * period)
+        dense = _dense_first_zero(force, period, _modal.SCAN_HORIZON_PERIODS * period)
         _assert_same_end(_separation(kv_trajectory, p), dense)
 
     @given(
@@ -134,7 +134,7 @@ class TestDenseReference:
         p = MaxwellParams(m=m, k=k, b=m * omega0 / (2.0 * zeta), v0=v0,
                           g=10.0**log_eps0 * omega0 * v0)
         force, period = _mx_force(p)
-        dense = _dense_first_zero(force, period, _search.SCAN_HORIZON_PERIODS * period)
+        dense = _dense_first_zero(force, period, _modal.SCAN_HORIZON_PERIODS * period)
         _assert_same_end(_separation(mx_trajectory, p), dense)
 
     @given(
@@ -158,7 +158,7 @@ def _assert_three_element_roots(Lam: float, rho: float):
     xi_dd = -f
     period = 2.0 * math.pi / r.zeta1
     tau_c = _dense_first_zero(lambda tau: -xi_dd(tau), period,
-                              _search.SCAN_HORIZON_PERIODS * period)
+                              _modal.SCAN_HORIZON_PERIODS * period)
     tau_m = _dense_first_zero(xi_d, period, tau_c)
     tau_M = _dense_first_zero(lambda tau: -xi_dd.derivative()(tau), period, tau_c)
     met, tau_R = sls_metrics(params), params.derived.tau_R
@@ -245,7 +245,7 @@ def test_raw_modes_match_dense_reference(mode):
         assume(abs(slope) >= 0.03 * (abs(mode.R) * math.hypot(mode.beta, mode.omega)
                                      + abs(mode.lam * mode.c)))
     period = 2.0 * math.pi / mode.omega
-    horizon = _search.SCAN_HORIZON_PERIODS * period
+    horizon = _modal.SCAN_HORIZON_PERIODS * period
     try:
         walk = _search.first_force_zero(mode, period, horizon)
     except PlasticImpactError:
@@ -359,7 +359,7 @@ def test_pair_exponential_and_constant_match_dense_reference(mode, offset):
     assume(abs(f0) >= 1e-3 * scale or f0 == 0.0 and abs(slope) >= 0.03 * (
         abs(mode.R) * math.hypot(mode.beta, mode.omega) + abs(mode.lam * mode.c)))
     period = 2.0 * math.pi / mode.omega
-    horizon = _search.SCAN_HORIZON_PERIODS * period
+    horizon = _modal.SCAN_HORIZON_PERIODS * period
     try:
         walk = _search.first_force_zero(force, period, horizon)
     except PlasticImpactError:
