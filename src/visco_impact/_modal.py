@@ -6,8 +6,8 @@ own time unit ``T``, its indentation ``xi`` (``x = v0 T xi(t / T)``), the rate
 weight enters as ``gamma = g T / v0`` at the params' ``g`` and ``v0``.  A model
 is ``(solution, T, walk)``: ``solution(gamma)`` gives the modes, and ``walk`` is
 the ``first_force_zero`` its own module names, which the benchmark's traced pass
-replaces there.  :func:`dimensional` scales metrics in ``T`` units, a model's
-closed forms or the walk's, to :class:`ImpactMetrics`.
+replaces there.  :func:`rescaled` scales metrics in ``T`` units, closed forms or
+:func:`scaled_metrics`' walks, and :func:`dimensional` to :class:`ImpactMetrics`.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ def _first_zero(mode, walk) -> float:
     return walk(mode, period, SCAN_HORIZON_PERIODS * period)
 
 
-def _scales(T: float, params) -> tuple[float, float, float]:
+def _scales(T: float, m: float, v0: float) -> tuple[float, float, float]:
     """``v0 T``, ``v0 / T`` and ``m v0 / T``, which scale every sample and metric, if finite."""
-    v0 = params.v0
-    scales = v0 * T, v0 / T, params.m * v0 / T
+    scales = v0 * T, v0 / T, m * v0 / T
     if not all(map(math.isfinite, scales)):
         raise DomainError(
             "the scales v0 T = {:.3g}, v0 / T = {:.3g} and m v0 / T = {:.3g} "
@@ -52,23 +51,26 @@ def require_finite(values) -> None:
             raise DomainError(f"the metric {name} = {value!r} must be finite")
 
 
-def dimensional(scaled, T: float, params) -> ImpactMetrics:
-    """The metrics from their values in the time unit ``T``, in :class:`ImpactMetrics`
-    order: times scale by ``T``, depths by ``v0 T`` and forces by ``m v0 / T``.
-    A scale or a metric that is not finite raises :class:`DomainError`."""
-    x, _, f = _scales(T, params)
+def rescaled(scaled, T: float, m: float = 1.0, v0: float = 1.0) -> tuple:
+    """The metrics from ``T`` units, in :class:`ImpactMetrics` order: times scale by ``T``,
+    depths by ``v0 T``, forces by ``m v0 / T``; any not finite raises :class:`DomainError`."""
+    x, _, f = _scales(T, m, v0)
     tau_c, e_star, tau_m, xi_m, tau_M, f_M, xi_M, f_m = scaled
     values = (tau_c * T, e_star, tau_m * T, x * xi_m, tau_M * T, f * f_M, x * xi_M, f * f_m)
     require_finite(values)
-    return ImpactMetrics(*values)
+    return values
 
 
-def _solve(solution, T: float, walk, params):
-    """The scales, the modes at the params' weight and the contact end, the force's first zero."""
+def dimensional(scaled, T: float, params) -> ImpactMetrics:
+    """:func:`rescaled` at the params' mass and speed, as :class:`ImpactMetrics`."""
+    return ImpactMetrics(*rescaled(scaled, T, params.m, params.v0))
+
+
+def _solve(solution, T: float, params):
+    """The scales and the modes at the params' weight."""
     gamma = params.g * T / params.v0
     _check_groups("gamma = g T / v0", eps0=gamma)
-    scales, modes = _scales(T, params), solution(gamma)
-    return scales, modes, _first_zero(modes[2], walk)
+    return _scales(T, params.m, params.v0), solution(gamma)
 
 
 def trajectory(solution, T: float, walk, params, n_samples: int) -> Trajectory:
@@ -77,7 +79,8 @@ def trajectory(solution, T: float, walk, params, n_samples: int) -> Trajectory:
     It starts where the modes do, with ``xddot = g - (v0 / T) f`` exactly
     ``g`` where the force ``f`` is 0.  A mode coefficient times its scale
     that is not finite raises :class:`DomainError`."""
-    (x_s, a_s, f_s), modes, tau_c = _solve(solution, T, walk, params)
+    (x_s, a_s, f_s), modes = _solve(solution, T, params)
+    tau_c = _first_zero(modes[2], walk)
     v0, m, g = params.v0, params.m, params.g
     scales = (x_s, v0, -a_s)
     # F = m (g - xddot): the force mode scales by v0 / T and by m v0 / T.
@@ -99,13 +102,18 @@ def trajectory(solution, T: float, walk, params, n_samples: int) -> Trajectory:
                       F=m * (g - xddot) if g else -m * xddot)
 
 
-def metrics(solution, T: float, walk, params) -> ImpactMetrics:
-    """Duration and restitution from the force's first zero, peaks from the
-    first zeros of ``xi'`` and of the force's rate, each to Brent's 1e-15.  A force
-    not rising at 0 peaks there: it falls to zero, or proves the drop plastic, first."""
-    _, (xi, xi_d, force), tau_c = _solve(solution, T, walk, params)
+def scaled_metrics(xi, xi_d, force, walk) -> tuple:
+    """The modes' metrics in their time unit, in :class:`ImpactMetrics` order: ``t_c``, ``e*``
+    from the force's first zero, peaks from the first zeros of ``xi'`` and ``f'``, to Brent's
+    1e-15.  A force not rising at 0 peaks there: it falls to zero, or proves plasticity, first."""
+    tau_c = _first_zero(force, walk)
     tau_m = _first_zero(xi_d, walk)
     rate = force.derivative()
     tau_M = _first_zero(rate, walk) if float(rate(0.0)) > 0.0 else 0.0
-    return dimensional((tau_c, -float(xi_d(tau_c)), tau_m, float(xi(tau_m)), tau_M,
-                        float(force(tau_M)), float(xi(tau_M)), float(force(tau_m))), T, params)
+    return (tau_c, -float(xi_d(tau_c)), tau_m, float(xi(tau_m)), tau_M,
+            float(force(tau_M)), float(xi(tau_M)), float(force(tau_m)))
+
+
+def metrics(solution, T: float, walk, params) -> ImpactMetrics:
+    """:func:`scaled_metrics` of the modes at the params' weight, scaled by :func:`dimensional`."""
+    return dimensional(scaled_metrics(*_solve(solution, T, params)[1], walk), T, params)

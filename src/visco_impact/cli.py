@@ -1,9 +1,9 @@
 """Command-line interface: simulate, sweep, verify, biphasic, analyze.
 
 Ties the model library together behind an argparse surface that emits
-plot-ready CSV.  Scaled sweep outputs use the nondimensional conventions
-``omega0 t``, ``omega0 x / v0``, ``F / (m v0 omega0)``, so one sweep file
-overlays directly onto another regardless of the dimensional parameters.
+plot-ready CSV.  Sweep rows give ``omega0 t``, ``omega0 x / v0`` and
+``F / (m v0 omega0)`` with ``omega0 = sqrt(k0 / m)``, except a ``rho`` sweep
+near the parallel pair, whose ``omega0`` is the long-time ``sqrt(k_inf / m)``.
 
 Exit codes follow the error class; :mod:`visco_impact.errors` lists them.
 """
@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _modal, kelvin_voigt, maxwell
+from . import _modal, kelvin_voigt, maxwell, standard_solid
 from .analysis import (
     STANDARD_GRAVITY,
     bundled_experiments_path,
@@ -68,11 +68,7 @@ from .models import (
 from .oracle import RelaxationKernel, integrate_impact, integrate_impact_with_gravity
 from .standard_solid import (
     params_from_groups,
-    params_near_kv,
-    params_near_maxwell,
     sls_metrics,
-    sls_perturb_kv,
-    sls_perturb_maxwell,
     sls_trajectory,
 )
 
@@ -125,12 +121,6 @@ def _mx(zeta: float, eps0: float = 0.0) -> MaxwellParams:
     return MaxwellParams(m=1.0, k=1.0, b=0.5 / zeta, v0=1.0, g=eps0)
 
 
-def _mx_loss(zeta: float) -> float:
-    """The loss factor ``k / (2 omega0 b)`` of :func:`_mx`'s pair, ``zeta`` rounded
-    through ``b = 0.5 / zeta``; 0 where ``b`` overflows (``zeta`` below about 2.8e-309)."""
-    return 1.0 / (2.0 * (0.5 / zeta))
-
-
 def _rho_point(rho: float, fixed: dict):
     """Three-element metrics near a pair limit and their first-order expansion.
 
@@ -140,13 +130,13 @@ def _rho_point(rho: float, fixed: dict):
     if "zeta" in fixed:
         if "eta" in fixed:
             raise ConfigError("a rho sweep reads eta or zeta, not both")
-        params = params_near_maxwell(fixed["zeta"], rho)
-        asym = sls_perturb_maxwell(fixed["zeta"], rho)
+        T = (1.0 - rho) / (2.0 * fixed["zeta"])
+        Lambda, asym = T * T, standard_solid.sls_perturb_maxwell(fixed["zeta"], rho)
     else:
         eta = fixed.get("eta", 0.3)
-        params = params_near_kv(eta, rho)
-        asym = sls_perturb_kv(eta, rho)
-    return vars(sls_metrics(params)).values(), asym
+        Lambda, T = 4.0 * eta**2 * rho * (1.0 - rho) ** 2, 2.0 * eta * rho * (1.0 - rho)
+        asym = standard_solid.sls_perturb_kv(eta, rho)
+    return _modal.rescaled(standard_solid._scaled_metrics(Lambda, rho), T), asym
 
 
 @dataclass(frozen=True)
@@ -157,9 +147,10 @@ class _Model:
     ``m g`` included (zero without ``--gravity``).  ``sweeps`` maps each group
     a sweep can vary to ``(reads, point, extra)``: the fixed groups a
     ``--params`` file may give, the ``point(value, fixed) -> (scaled, extra
-    values)``, and the names of the extra columns.  ``scaled`` is the eight metrics
-    in :class:`ImpactMetrics` order at unit mass, frequency and speed: a pair's
-    scaled closed form, with no params object, or a three-element solid's metrics.
+    values)``, and the names of the extra columns.  ``scaled`` is the model's
+    scaled closed form at the grid value, with no params object: the eight metrics
+    in :class:`ImpactMetrics` order at unit mass, speed and ``omega0``, the
+    long-time frequency in a ``rho`` sweep near the parallel pair.
     """
 
     load: Callable
@@ -184,10 +175,9 @@ _MODELS = {
         metrics=mx_metrics,
         trajectory=mx_trajectory,
         sweeps={
-            "zeta": (frozenset(), lambda zeta, q: (
-                maxwell._scaled_metrics(_mx_loss(zeta)), ()), ()),
+            "zeta": (frozenset(), lambda zeta, q: (maxwell._scaled_metrics(zeta), ()), ()),
             "eps0": (frozenset({"zeta"}), lambda eps0, q: (
-                maxwell._scaled_drop_asymptotic(_mx_loss(q.get("zeta", 0.3)), eps0), ()), ()),
+                maxwell._scaled_drop_asymptotic(q.get("zeta", 0.3), eps0), ()), ()),
         },
     ),
     "sls": _Model(
@@ -196,8 +186,8 @@ _MODELS = {
         trajectory=sls_trajectory,
         sweeps={
             "rho": (frozenset({"eta", "zeta"}), _rho_point, _RHO_EXTRA),
-            "Lambda": (frozenset({"rho"}), lambda Lam, q: (
-                vars(sls_metrics(params_from_groups(Lam, q.get("rho", 0.1)))).values(), ()), ()),
+            "Lambda": (frozenset({"rho"}), lambda Lam, q: (_modal.rescaled(
+                standard_solid._scaled_metrics(Lam, q.get("rho", 0.1)), math.sqrt(Lam)), ()), ()),
         },
     ),
 }

@@ -129,6 +129,12 @@ def _check_groups(where: str = "", **groups: float) -> None:
             raise DomainError(f"{where or name} must {words}, got {value!r}")
 
 
+def _check_sls_groups(Lambda: float, rho: float) -> None:
+    _check_groups(rho=rho, Lambda=Lambda)
+    if not Lambda * rho > 0.0:
+        raise DomainError(f"Lambda * rho underflows to 0 (Lambda = {Lambda!r}, rho = {rho!r})")
+
+
 # Largest sampled grid, in samples, for the CLI's trajectories and the
 # oracle's steps; longer ones would allocate hundreds of megabytes or more.
 MAX_SCAN_SAMPLES = 10_000_000
@@ -359,9 +365,7 @@ def derive_sls(params: StandardSolidParams) -> DerivedGroups:
     omega0 = math.sqrt(k0 / params.m)
     _require_positive("omega0 = sqrt(k1 / m)", omega0)
     _require_positive("tau_R = b / (k1 + k2)", tau_R)
-    _check_groups(rho=rho, Lambda=Lambda)
-    if not Lambda * rho > 0.0:
-        raise DomainError(f"Lambda * rho underflows to 0 (Lambda = {Lambda!r}, rho = {rho!r})")
+    _check_sls_groups(Lambda, rho)
     return DerivedGroups(omega0=omega0, rho=rho, Lambda=Lambda, tau_R=tau_R)
 
 

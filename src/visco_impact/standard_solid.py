@@ -43,6 +43,7 @@ from .models import (
     StandardSolidParams,
     Trajectory,
     _check_groups,
+    _check_sls_groups,
 )
 
 __all__ = [
@@ -197,6 +198,12 @@ def _model(params: StandardSolidParams):
     """The solid at ``params`` for :mod:`._modal`, in relaxation times."""
     d = params.derived
     return (lambda gamma: _scaled_solution(d.Lambda, d.rho, gamma)), d.tau_R, first_force_zero
+
+
+def _scaled_metrics(Lambda: float, rho: float) -> tuple:
+    """:func:`sls_metrics` at ``g = 0`` in relaxation times, from the groups alone."""
+    _check_sls_groups(Lambda, rho)
+    return _modal.scaled_metrics(*_scaled_solution(Lambda, rho), first_force_zero)
 
 
 def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:

@@ -660,6 +660,16 @@ class TestSweep:
             assert row[7] == pytest.approx(tc_asym, rel=1e-15)
             assert row[8] == pytest.approx(e_asym, rel=1e-15)
 
+    def test_underflowing_rho_point_names_the_groups(self, tmp_path, capsys):
+        """A rho point is refused by the groups' own checks, never by a spring the
+        user did not give: here Lambda * rho underflows, exit 2."""
+        fixed = _write_json(tmp_path, "fixed.json", {"eta": 0.3})
+        argv = ["sweep", "--model", "sls", "--sweep", "rho:1e-320:0.5:2", "--params", fixed]
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "rho = 9.99989e-321 skipped: Lambda * rho underflows to 0 "
+            "(Lambda = 3.6e-321, rho = 1e-320)\n")
+
     def test_wrong_param_for_model(self, capsys):
         rc = main(["sweep", "--model", "kv", "--sweep", "zeta:0.1:0.9:5"])
         assert rc == EXIT_DOMAIN

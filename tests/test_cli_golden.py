@@ -10,18 +10,22 @@ except ``verify``'s ``max_error`` cells, which get the absolute budget
     PYTHONPATH=src python tests/test_cli_golden.py --update
 
 Each regeneration is a test change: CHANGES.md records the cells it moved
-and why.
+and why; ``--update`` prints, for each entry that moved, how many numeric cells
+moved and by how many ulps at most, and where each moved text cell is.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib.util
 import io
 import itertools
 import json
+import math
 import re
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -42,7 +46,7 @@ COMMANDED = GOLDEN / "commands.json"
 EDGE_SWEEPS = {
     # The last point's duration correction overflows: skipped, exit 2.
     "kv_eps0_overflow": (["sweep", "--model", "kv", "--sweep", "eps0:0:1e308:3"], None),
-    # Subnormal loss factors, whose unit pair's dashpot 0.5 / zeta overflows.
+    # Subnormal loss factors: the series pair's elastic limit, to the last place.
     "mx_zeta_subnormal": (["sweep", "--model", "maxwell", "--sweep", "zeta:5e-324:1e-323:2"],
                           None),
     "mx_eps0_subnormal_zeta": (["sweep", "--model", "maxwell", "--sweep", "eps0:0:0.2:3"],
@@ -71,6 +75,8 @@ COMMANDS = {
     "verify_out": (["verify", "--out"], None),
     "biphasic": (["biphasic", "--m", "0.2"], _LAYER),
     "biphasic_out": (["biphasic", "--m", "0.2", "--dt", "0.05", "--out"], _LAYER),
+    # h / a = 0.4: the one-line thick-layer warning.
+    "biphasic_thick": (["biphasic", "--m", "0.2"], {**_LAYER, "h": 1e-3}),
     "analyze": (["analyze"], None),
     "analyze_out": (["analyze", "--out"], None),
     # One refusal per exit code: 1, 2 and 3.
@@ -146,22 +152,78 @@ def cli_runs(runs: dict) -> dict[str, dict]:
     return results
 
 
-def first_moved(expected: str, actual: str) -> str | None:
-    """Where ``actual`` first departs from ``expected``, by line and comma-separated
-    cell, the cell named by the first line's header; None when they are equal."""
-    if expected == actual:
-        return None
+def _moved_cells(expected: str, actual: str):
+    """``(where, old, new)`` for each comma-separated cell of ``actual`` that departs
+    from ``expected``'s, named by line and the first line's header, or for the whole
+    line when only its ending moved."""
     old, new = expected.splitlines(keepends=True), actual.splitlines(keepends=True)
     header = old[0].rstrip("\r\n").split(",") if old else []
     for i, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue="")):
         if a == b:
             continue
         cells = itertools.zip_longest(a.rstrip("\r\n").split(","), b.rstrip("\r\n").split(","))
-        for j, (x, y) in enumerate(cells):
-            if x != y:
-                column = header[j] if j < len(header) else f"#{j + 1}"
-                return f"line {i + 1}, cell {column}: expected {x!r}, got {y!r}"
-        return f"line {i + 1}: expected {a!r}, got {b!r}"
+        moved = [(j, x, y) for j, (x, y) in enumerate(cells) if x != y]
+        for j, x, y in moved:
+            column = header[j] if j < len(header) else f"#{j + 1}"
+            yield f"line {i + 1}, cell {column}", x, y
+        if not moved:
+            yield f"line {i + 1}", a, b
+
+
+def first_moved(expected: str, actual: str) -> str | None:
+    """Where ``actual`` first departs from ``expected``, by line and comma-separated
+    cell, the cell named by the first line's header; None when they are equal."""
+    for where, x, y in _moved_cells(expected, actual):
+        return f"{where}: expected {x!r}, got {y!r}"
+    return None
+
+
+def _ulps(x: str | None, y: str | None) -> int | None:
+    """How many doubles apart the numbers written ``x`` and ``y`` are; None unless
+    both are finite numbers."""
+    try:
+        a, b = float(x), float(y)
+    except (TypeError, ValueError):
+        return None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return None
+    # The bit patterns of doubles, negatives mirrored, count the doubles in order.
+    i, j = (struct.unpack("<q", struct.pack("<d", v))[0] for v in (a, b))
+    i, j = (n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF) for n in (i, j))
+    return abs(i - j)
+
+
+def move_summary(expected: str, actual: str) -> str:
+    """How many numeric cells of ``actual`` moved from ``expected`` and by how many
+    ulps at most, and where each text cell that moved is."""
+    numeric, most, text = 0, 0, []
+    for where, x, y in _moved_cells(expected, actual):
+        ulps = _ulps(x, y)
+        if ulps is None:
+            text.append(where)
+        else:
+            numeric, most = numeric + 1, max(most, ulps)
+    parts = [f"{numeric} numeric cell{'s' * (numeric != 1)} moved, by at most {most} ulp"]
+    if text:
+        parts.append(f"text moved at {'; '.join(text)}")
+    return "; ".join(parts)
+
+
+def entry_moves(old: dict | None, new: dict) -> list[str]:
+    """One line for each stream of a corpus entry that moved: the exit code's old and
+    new values, or a text's :func:`move_summary`; ``["new"]`` when ``old`` is None."""
+    if old is None:
+        return ["new"]
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        if isinstance(a, str) and isinstance(b, str):
+            lines.append(f"{key}: {move_summary(a, b)}")
+        else:
+            lines.append(f"{key}: {a!r} -> {b!r}")
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +294,8 @@ def test_corpus_holds_every_command():
     assert sorted(json.loads(COMMANDED.read_text())) == sorted(COMMANDS)
 
 
+# A library warning reaches stderr as the CLI prints it, as in a plain interpreter.
+@pytest.mark.filterwarnings("default::UserWarning")
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_matches_the_corpus(name):
     budget = ERROR_BUDGET if COMMANDS[name][0][0] == "verify" else 0.0
@@ -245,6 +309,24 @@ def test_first_moved_names_the_cell():
     moved = first_moved(old, old.replace("0.5", "0.50000000000000011"))
     assert moved == "line 2, cell e_star: expected '0.5', got '0.50000000000000011'"
     assert first_moved(old, old + "0.2,3.1,0.4\r\n").startswith("line 3, cell param")
+    assert first_moved(old, old.replace("\r\n", "\n")) == (
+        "line 1: expected 'param,tc_scaled,e_star\\r\\n', got 'param,tc_scaled,e_star\\n'")
+
+
+def test_move_summary_counts_cells_and_ulps():
+    old = "param,tc_scaled,e_star\r\n0.1,3.0,0.5\r\n0.2,-2.0,0.25\r\n"
+    up = lambda x, n: repr(functools.reduce(math.nextafter, [math.inf] * n, x))  # noqa: E731
+    new = (old.replace("3.0", up(3.0, 1)).replace(",0.5", "," + up(0.5, 2))
+           .replace("-2.0", up(-2.0, 3)))
+    assert move_summary(old, new) == "3 numeric cells moved, by at most 3 ulp"
+    assert move_summary(old, old.replace("0.25", "nan").replace("param", "value")) == (
+        "0 numeric cells moved, by at most 0 ulp; "
+        "text moved at line 1, cell param; line 3, cell e_star")
+    assert _ulps("-0.0", "0.0") == 0 and _ulps(repr(-5e-324), repr(5e-324)) == 2
+    assert entry_moves(None, {"exit": 0}) == ["new"]
+    assert entry_moves({"exit": 0, "out": old}, {"exit": 2, "out": new}) == [
+        "exit: 0 -> 2", "out: 3 numeric cells moved, by at most 3 ulp"]
+    assert entry_moves({"exit": 0}, {"exit": 0}) == []
 
 
 def test_budget_moves_only_max_error():
@@ -257,12 +339,28 @@ def test_budget_moves_only_max_error():
     assert budget_moved(row, row.replace("pass", "FAIL"), 1e-12).startswith("line 2, cell status")
 
 
+def _corpus() -> dict[str, dict]:
+    """Every corpus entry on disk, by ``file: name``, as a dict of its streams."""
+    def read(path):
+        return json.loads(path.read_text()) if path.exists() else {}
+    entries = {f"metric_sweeps/{p.name}: table": {"out": p.read_bytes().decode()}
+               for p in TABLES.glob("*.csv")}
+    entries.update({f"{EDGES.name}: {name}": run for name, run in read(EDGES).items()})
+    for name, run in read(SIMULATED).items():
+        path = TRAJECTORIES / f"{name}.csv"
+        entries[f"{SIMULATED.name}: {name}"] = {
+            **run, "out": path.read_bytes().decode() if path.exists() else None}
+    entries.update({f"{COMMANDED.name}: {name}": run for name, run in read(COMMANDED).items()})
+    return entries
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the CLI output corpus; "
                                      "pytest checks it.")
     parser.add_argument("--update", action="store_true", required=True,
-                        help="rewrite the corpus from the current code")
+                        help="rewrite the corpus from the current code and report what moved")
     parser.parse_args(argv)
+    before = _corpus()
     tables, runs, simulations = metric_sweep_tables(), cli_runs(EDGE_SWEEPS), cli_runs(SIMULATIONS)
     commands = cli_runs(COMMANDS)
     TABLES.mkdir(parents=True, exist_ok=True)
@@ -274,6 +372,10 @@ def main(argv: list[str] | None = None) -> int:
         (TRAJECTORIES / f"{name}.csv").write_bytes(run.pop("out").encode())
     SIMULATED.write_text(json.dumps(simulations, indent=1, sort_keys=True) + "\n")
     COMMANDED.write_text(json.dumps(commands, indent=1, sort_keys=True) + "\n")
+    after = _corpus()
+    for entry in sorted(before.keys() | after.keys()):
+        for line in entry_moves(before.get(entry), after.get(entry, {})):
+            print(f"{entry}: {line}")
     print(f"wrote {len(tables)} tables, {len(runs)} edge sweeps, {len(simulations)} "
           f"simulations and {len(commands)} commands to {GOLDEN}")
     return 0
