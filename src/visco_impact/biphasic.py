@@ -33,7 +33,6 @@ from .models import (
     _require_positive,
     _series_groups,
     load_flat_json,
-    read_numeric_csv,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "biphasic_force",
     "biphasic_loss_factor",
     "load_layer_json",
-    "load_delta0_csv",
 ]
 
 # Fraction of the consolidation time over which the short-time reduction
@@ -55,8 +53,6 @@ USABLE_FRACTION = 0.1
 
 # Aspect ratio beyond which the thin-layer asymptotics degrade.
 _THIN_LAYER_RATIO = 0.2
-
-_DELTA0_HEADER = ("t", "delta0")
 
 
 @dataclass(frozen=True)
@@ -283,7 +279,3 @@ def load_layer_json(path: str | Path) -> BiphasicLayer:
     """
     return BiphasicLayer(**load_flat_json(path, _LAYER_KEYS))
 
-
-def load_delta0_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a depth history CSV with header ``t,delta0``."""
-    return tuple(read_numeric_csv(path, _DELTA0_HEADER).T)

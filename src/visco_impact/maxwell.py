@@ -47,7 +47,7 @@ def _scaled_solution(zeta: float, gamma: float = 0.0):
     and ``xi`` creeps at ``2 zeta gamma``.  Each mode starts exactly, ``xi'``
     through its ``start``, and the force holds the weight as its constant.
     """
-    w = math.sqrt(1.0 - zeta * zeta)
+    w = math.sqrt((1.0 - zeta) * (1.0 + zeta))
     creep = 2.0 * zeta * gamma
     Q = 1.0 - creep
     K = 2.0 * zeta * Q + gamma
@@ -65,7 +65,7 @@ def _model(params: MaxwellParams):
 
 def _scaled_metrics(zeta: float) -> tuple:
     """:func:`mx_metrics` in ``omega0`` units, in :class:`ImpactMetrics` order."""
-    w = math.sqrt(1.0 - zeta * zeta)
+    w = math.sqrt((1.0 - zeta) * (1.0 + zeta))
     tau_m = (0.5 * math.pi + math.asin(zeta)) / w
     f_m = math.exp(-zeta * tau_m)
     tau_M = math.atan2(w, zeta) / w

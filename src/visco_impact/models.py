@@ -46,7 +46,6 @@ __all__ = [
     "derive_maxwell",
     "derive_sls",
     "convert_configurations",
-    "invert_configurations",
     "load_kv_params",
     "load_maxwell_params",
     "load_sls_params",
@@ -264,11 +263,6 @@ class StandardSolidParams:
         """Long-time (relaxed) stiffness."""
         return self.k1 * self.k2 / (self.k1 + self.k2)
 
-    def relaxation_stiffness(self, t):
-        """Stress-relaxation stiffness ``k(t)`` at time(s) ``t``."""
-        tau_R = self.derived.tau_R
-        return self.k_inf + (self.k0 - self.k_inf) * np.exp(-np.asarray(t) / tau_R)
-
 
 def derive_kv(params: KelvinVoigtParams) -> DerivedGroups:
     """Derive the nondimensional groups of a spring-dashpot parallel pair.
@@ -384,29 +378,22 @@ def convert_configurations(
     -------
     tuple of float
         ``(k1, k2, b)`` of the equivalent series configuration.
+
+    Raises
+    ------
+    DomainError
+        When an input is not positive and finite, or a result is not finite.
     """
     _require_positive("kappa1", kappa1)
     _require_positive("kappa2", kappa2)
     _require_positive("beta_dashpot", beta_dashpot)
-    k1 = kappa1 + kappa2
-    k2 = (kappa1 + kappa2) * kappa1 / kappa2
-    b = beta_dashpot * (kappa1 + kappa2) ** 2 / kappa2**2
-    return k1, k2, b
-
-
-def invert_configurations(k1: float, k2: float, b: float) -> tuple[float, float, float]:
-    """Inverse of :func:`convert_configurations`.
-
-    Returns ``(kappa1, kappa2, beta_dashpot)`` such that converting them
-    back reproduces ``(k1, k2, b)`` to rounding error.
-    """
-    _require_positive("k1", k1)
-    _require_positive("k2", k2)
-    _require_positive("b", b)
-    kappa1 = k1 * k2 / (k1 + k2)
-    kappa2 = k1 * k1 / (k1 + k2)
-    beta_dashpot = b * k1 * k1 / (k1 + k2) ** 2
-    return kappa1, kappa2, beta_dashpot
+    s = kappa1 + kappa2
+    series = s, s * kappa1 / kappa2, _divide(beta_dashpot * _power(s, 2), _power(kappa2, 2))
+    for name, value in zip(("k1", "k2", "b"), series):
+        if not math.isfinite(value):
+            raise DomainError(f"the parallel configuration converts to {name} = {value!r}, "
+                              "which is not finite")
+    return series
 
 
 @dataclass(frozen=True, eq=False)

@@ -254,7 +254,7 @@ def sls_perturb_maxwell(zeta: float, rho: float) -> tuple[float, float]:
     _check_groups(zeta=zeta)
     _check_expansion_rho(rho)
     tc0, e0 = maxwell._scaled_metrics(zeta)[:2]
-    q = 2.0 * rho * zeta * zeta / (1.0 - zeta * zeta)
+    q = 2.0 * rho * zeta * zeta / ((1.0 - zeta) * (1.0 + zeta))
     return tc0 * (1.0 + q), e0 + 4.0 * rho * zeta * zeta * (1.0 + e0) - q * zeta * tc0 * e0
 
 

@@ -127,7 +127,7 @@ def test_criterion_04_series_pair_termination():
         params = _mx(zeta)
         met = mx_metrics(params)
         d = params.derived
-        assert met.t_c == math.pi / (d.omega0 * math.sqrt(1.0 - d.zeta * d.zeta))
+        assert met.t_c == math.pi / (d.omega0 * math.sqrt((1.0 - d.zeta) * (1.0 + d.zeta)))
         traj = mx_trajectory(params)
         assert abs(traj.F[-1]) < 1e-12 * met.F_M
 

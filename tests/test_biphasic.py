@@ -1,4 +1,4 @@
-"""Thin saturated layer: reduction, pressure field, and loaders."""
+"""Thin saturated layer: reduction, pressure field, and layer loader."""
 
 from __future__ import annotations
 
@@ -18,13 +18,12 @@ from visco_impact.biphasic import (
     biphasic_force,
     biphasic_loss_factor,
     equivalent_maxwell,
-    load_delta0_csv,
     load_layer_json,
     pressure_profile,
     reduce_to_maxwell,
     validity_window,
 )
-from visco_impact.errors import DomainError, ParseError
+from visco_impact.errors import DomainError
 
 
 def _layer(**overrides) -> BiphasicLayer:
@@ -295,25 +294,3 @@ class TestLoaders:
         )
         with pytest.raises(Exception, match="unknown"):
             load_layer_json(path)
-
-    def test_delta0_csv_round_trip(self, tmp_path):
-        path = tmp_path / "depth.csv"
-        path.write_text("t,delta0\n0.0,0.0\n1.0,1e-4\n2.0,1.5e-4\n")
-        t, d = load_delta0_csv(path)
-        assert np.array_equal(t, [0.0, 1.0, 2.0])
-        assert np.array_equal(d, [0.0, 1e-4, 1.5e-4])
-
-    def test_delta0_csv_errors(self, tmp_path):
-        path = tmp_path / "depth.csv"
-        path.write_text("time,depth\n0,0\n")
-        with pytest.raises(ParseError, match="expected header"):
-            load_delta0_csv(path)
-        path.write_text("t,delta0\n0.0,0.0,9\n")
-        with pytest.raises(ParseError, match="expected 2 fields"):
-            load_delta0_csv(path)
-        path.write_text("t,delta0\n0.0,abc\n")
-        with pytest.raises(ParseError, match="non-numeric"):
-            load_delta0_csv(path)
-        path.write_text("")
-        with pytest.raises(ParseError, match="empty"):
-            load_delta0_csv(path)

@@ -354,8 +354,15 @@ class TestSimulate:
             # 2 omega0 b underflows to 0, so zeta = k / (2 omega0 b) is infinite.
             ("maxwell", {"m": 1e46, "k": 1e-168, "b": 1e-283, "v0": 1.0}, [],
              "loss factor zeta = inf is >= 1: relaxation is too fast for an oscillatory rebound"),
+            # (kappa1 + kappa2) kappa1 and (kappa1 + kappa2)**2 overflow.
+            ("sls", {"m": 1.0, "kappa1": 1e300, "kappa2": 1.0, "beta": 1.5e-6, "v0": 1.0}, [],
+             "the parallel configuration converts to k2 = inf, which is not finite"),
+            # kappa2**2 underflows to 0.
+            ("sls", {"m": 1.0, "kappa1": 1.0, "kappa2": 1e-170, "beta": 1.0, "v0": 1.0}, [],
+             "the parallel configuration converts to b = inf, which is not finite"),
         ],
-        ids=["kv-eps0", "maxwell-omega0", "kv-omega0", "sls-gamma", "maxwell-zeta"],
+        ids=["kv-eps0", "maxwell-omega0", "kv-omega0", "sls-gamma", "maxwell-zeta",
+             "sls-parallel-overflow", "sls-parallel-underflow"],
     )
     def test_extreme_magnitudes_exit_domain(self, tmp_path, capsys, model, params, extra, message):
         """Groups that overflow or underflow are refused in one line, with no traceback."""

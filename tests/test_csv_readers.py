@@ -17,7 +17,6 @@ from hypothesis.extra.numpy import arrays
 
 from visco_impact import models
 from visco_impact.analysis import EXPERIMENT_HEADER, ingest_table
-from visco_impact.biphasic import load_delta0_csv
 from visco_impact.cli import SWEEP_HEADER, main, read_csv_rows
 from visco_impact.errors import ParseError
 from visco_impact.models import TRAJECTORY_HEADER, Trajectory, read_numeric_csv, write_csv_rows
@@ -36,11 +35,12 @@ READERS = {
         ("0.1,3,0.9,1.5,1.4,1,1", "0.2,3,0.8,1.5,1.3,0.9,0.9"),
         len,
     ),
+    # The shared reader on a bare two-column table; the key keeps the case's test ids.
     "load_delta0_csv": (
-        load_delta0_csv,
+        lambda path: read_numeric_csv(path, ("t", "delta0")),
         ("t", "delta0"),
         ("0,0", "1,1e-5"),
-        lambda out: out[0].size,
+        len,
     ),
     "ingest_table": (
         ingest_table,
@@ -101,10 +101,10 @@ def test_header_only_file_has_one_column_per_field(tmp_path):
 def test_header_with_known_names_reports_order_or_repeats(tmp_path):
     path = _write(tmp_path, ["delta0,t"])
     with pytest.raises(ParseError, match="columns are out of order"):
-        load_delta0_csv(path)
+        read_numeric_csv(path, ("t", "delta0"))
     path = _write(tmp_path, ["t,delta0,t"])
     with pytest.raises(ParseError, match="columns are repeated"):
-        load_delta0_csv(path)
+        read_numeric_csv(path, ("t", "delta0"))
 
 
 # Edge values every float cell must survive: NaN, both infinities, -0.0,

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from visco_impact import maxwell
 from visco_impact.errors import PlasticImpactError
 from visco_impact.maxwell import (
     mx_drop_metrics_asymptotic,
@@ -49,7 +51,7 @@ class TestMetrics:
         params = _params(zeta)
         met = mx_metrics(params)
         d = params.derived
-        assert met.t_c == math.pi / (d.omega0 * math.sqrt(1.0 - d.zeta * d.zeta))
+        assert met.t_c == math.pi / (d.omega0 * math.sqrt((1.0 - d.zeta) * (1.0 + d.zeta)))
 
     @given(zeta=zetas)
     @settings(deadline=None)
@@ -83,6 +85,31 @@ class TestMetrics:
         assert met.e_star == pytest.approx(unit.e_star, rel=1e-9)
         assert omega0 * met.x_m / v0 == pytest.approx(unit.x_m, rel=1e-9)
         assert met.F_M / (m * v0 * omega0) == pytest.approx(unit.F_M, rel=1e-9)
+
+
+# pi / sqrt(1 - zeta**2) and exp(-pi zeta / sqrt(1 - zeta**2)) at the float zeta, to
+# 50 digits (mpmath at 60).  The last two e* lie below the smallest subnormal.
+NEAR_CRITICAL = {
+    0.999: ("70.265715935743914234251497055370824325659804964822",
+            "3.2696654244982271776224977738828021702679504029956e-31"),
+    0.99999: ("702.48322931593969255455881273428552129152153495257",
+              "8.2882095814242432020515810460454832857520994733610e-306"),
+    0.9999999: ("7024.8149085098773661337204507219902428530404219925", None),
+    0.999999999: ("70248.148321345965421135875619201396808339750297548", None),
+}
+
+
+@pytest.mark.parametrize("zeta", sorted(NEAR_CRITICAL))
+def test_near_critical_closed_form_keeps_its_digits(zeta):
+    """t_c within 2 ulp and e* within 1e-13 of 50-digit values as zeta -> 1: the
+    damped frequency takes 1 - zeta**2 as (1 - zeta)(1 + zeta), exact in 1 - zeta."""
+    tc_ref, e_ref = NEAR_CRITICAL[zeta]
+    t_c, e_star = maxwell._scaled_metrics(zeta)[:2]
+    assert abs(Fraction(t_c) - Fraction(tc_ref)) <= 2 * Fraction(math.ulp(t_c))
+    if e_ref is None:
+        assert e_star == 0.0
+    else:
+        assert e_star == pytest.approx(float(e_ref), rel=1e-13)
 
 
 class TestTrajectory:

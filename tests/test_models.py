@@ -28,7 +28,6 @@ from visco_impact.models import (
     derive_kv,
     derive_maxwell,
     derive_sls,
-    invert_configurations,
     load_flat_json,
     load_kv_params,
     load_maxwell_params,
@@ -45,6 +44,7 @@ from visco_impact.standard_solid import (
 )
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
+any_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestDerivedGroups:
@@ -100,15 +100,6 @@ class TestDerivedGroups:
         assert d.Lambda == pytest.approx(1.0 * 0.25**2, rel=1e-15)
         assert d.omega0 == pytest.approx(1.0, rel=1e-15)
 
-    def test_sls_relaxation_stiffness_limits(self):
-        p = StandardSolidParams(m=1.0, k1=2.0, k2=1.0, b=0.5, v0=1.0)
-        assert p.relaxation_stiffness(0.0) == pytest.approx(p.k0, rel=1e-15)
-        assert p.relaxation_stiffness(1e3) == pytest.approx(p.k_inf, rel=1e-12)
-        t = 0.37
-        tau_R = p.b / (p.k1 + p.k2)
-        expected = p.k_inf + (p.k0 - p.k_inf) * math.exp(-t / tau_R)
-        assert p.relaxation_stiffness(t) == pytest.approx(expected, rel=1e-15)
-
     @pytest.mark.parametrize("field", ["m", "k", "v0"])
     def test_positivity_enforced(self, field):
         values = {"m": 1.0, "k": 1.0, "b": 0.5, "v0": 1.0}
@@ -133,20 +124,6 @@ class TestConfigurationConversion:
     def test_known_pair(self):
         assert convert_configurations(1.0, 1.0, 1.0) == pytest.approx((2.0, 2.0, 4.0))
 
-    def test_round_trip_example(self):
-        k1, k2, b = convert_configurations(3.0, 1.5, 0.8)
-        back = invert_configurations(k1, k2, b)
-        assert back == pytest.approx((3.0, 1.5, 0.8), rel=1e-12)
-
-    @given(kappa1=positive, kappa2=positive, beta=positive)
-    @settings(deadline=None)
-    def test_round_trip_property(self, kappa1, kappa2, beta):
-        k1, k2, b = convert_configurations(kappa1, kappa2, beta)
-        kappa1_b, kappa2_b, beta_b = invert_configurations(k1, k2, b)
-        assert kappa1_b == pytest.approx(kappa1, rel=1e-9)
-        assert kappa2_b == pytest.approx(kappa2, rel=1e-9)
-        assert beta_b == pytest.approx(beta, rel=1e-9)
-
     @given(kappa1=positive, kappa2=positive, beta=positive)
     @settings(deadline=None)
     def test_converted_pair_has_matching_limits(self, kappa1, kappa2, beta):
@@ -154,6 +131,30 @@ class TestConfigurationConversion:
         # both configurations share instantaneous and long-time stiffness
         assert k1 == pytest.approx(kappa1 + kappa2, rel=1e-12)
         assert k1 * k2 / (k1 + k2) == pytest.approx(kappa1, rel=1e-9)
+        # ... and the relaxation time
+        assert b / (k1 + k2) == pytest.approx(beta / kappa2, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "kappa1, kappa2, beta, name",
+        [(1e300, 1.0, 1.5e-6, "k2"), (1.0, 1e-170, 1.0, "b")],
+        ids=["products-overflow", "kappa2-squared-underflows"],
+    )
+    def test_conversion_leaving_the_float_range_is_refused(self, kappa1, kappa2, beta, name):
+        with pytest.raises(DomainError, match=f"converts to {name} = inf, which is not finite"):
+            convert_configurations(kappa1, kappa2, beta)
+
+    @given(kappa1=any_positive, kappa2=any_positive, beta=any_positive)
+    @settings(deadline=None)
+    def test_conversion_is_finite_or_refused(self, kappa1, kappa2, beta):
+        """Any positive finite input converts to finite springs and dashpot, each the
+        plain formula's value, or is refused with a DomainError."""
+        try:
+            series = convert_configurations(kappa1, kappa2, beta)
+        except DomainError:
+            return
+        s = kappa1 + kappa2
+        assert series == (s, s * kappa1 / kappa2, beta * s**2 / kappa2**2)
+        assert all(math.isfinite(value) for value in series)
 
 
 def _make_traj(n=5):

@@ -89,9 +89,9 @@ def test_cells_equal_the_params_path(form, lo, hi, steps, fixed):
 
 
 def test_maxwell_row_is_solved_at_the_grid_loss_factor():
-    """The grid value 0.013087 is swept at itself, not at the unit pair's zeta, whose
+    """The grid value 0.012997 is swept at itself, not at the unit pair's zeta, whose
     restitution differs from the grid value's in the last place."""
-    zeta = 0.013087
+    zeta = 0.012997
     assert _mx(zeta).derived.zeta != zeta
     _, rows, _ = _sweep("maxwell", f"zeta:{zeta!r}:0.5:2")
     assert rows[0, 2] == maxwell._scaled_metrics(zeta)[1] != mx_metrics(_mx(zeta)).e_star
