@@ -3,11 +3,11 @@
 Whatever the contact, ``m x'' = m g - F``.  A model supplies, as modes in its
 own time unit ``T``, its indentation ``xi`` (``x = v0 T xi(t / T)``), the rate
 ``xi'`` and the force ``f = gamma - xi''`` (``F = (m v0 / T) f``), where the
-weight enters as ``gamma = g T / v0`` at the params' ``g`` and ``v0``.  A model
-is ``(solution, T, walk)``: ``solution(gamma)`` gives the modes, and ``walk`` is
-the ``first_force_zero`` its own module names, which the benchmark's traced pass
-replaces there.  :func:`rescaled` scales metrics in ``T`` units, closed forms or
-:func:`scaled_metrics`' walks, and :func:`dimensional` to :class:`ImpactMetrics`.
+weight enters as :func:`scaled_weight`'s ``gamma = g T / v0``.  Its module's
+``_scaled_solution(*groups, gamma)`` gives the modes, and ``_scaled_metrics``
+the metrics, closed forms or :func:`scaled_metrics`' walks through the module's
+own ``first_force_zero``, which the benchmark's traced pass replaces there.
+:func:`rescaled` scales metrics in ``T`` units, and :func:`dimensional` to :class:`ImpactMetrics`.
 """
 
 from __future__ import annotations
@@ -66,20 +66,24 @@ def dimensional(scaled, T: float, params) -> ImpactMetrics:
     return ImpactMetrics(*rescaled(scaled, T, params.m, params.v0))
 
 
-def _solve(solution, T: float, params):
-    """The scales and the modes at the params' weight."""
+def scaled_weight(T: float, params) -> float:
+    """``gamma = g T / v0``, checked before the scales and both before any mode is solved;
+    0 without weight, whose scales :func:`dimensional` and :func:`trajectory` check."""
+    if not params.g:
+        return 0.0
     gamma = params.g * T / params.v0
     _check_groups("gamma = g T / v0", eps0=gamma)
-    return _scales(T, params.m, params.v0), solution(gamma)
+    _scales(T, params.m, params.v0)
+    return gamma
 
 
-def trajectory(solution, T: float, walk, params, n_samples: int) -> Trajectory:
-    """History under the params' gravity ``g`` on a uniform grid spanning the contact.
+def trajectory(modes, T: float, walk, params, n_samples: int) -> Trajectory:
+    """History of the modes at the params' weight on a uniform grid spanning the contact.
 
     It starts where the modes do, with ``xddot = g - (v0 / T) f`` exactly
     ``g`` where the force ``f`` is 0.  A mode coefficient times its scale
     that is not finite raises :class:`DomainError`."""
-    (x_s, a_s, f_s), modes = _solve(solution, T, params)
+    x_s, a_s, f_s = _scales(T, params.m, params.v0)
     tau_c = _first_zero(modes[2], walk)
     v0, m, g = params.v0, params.m, params.g
     scales = (x_s, v0, -a_s)
@@ -113,7 +117,3 @@ def scaled_metrics(xi, xi_d, force, walk) -> tuple:
     return (tau_c, -float(xi_d(tau_c)), tau_m, float(xi(tau_m)), tau_M,
             float(force(tau_M)), float(xi(tau_M)), float(force(tau_m)))
 
-
-def metrics(solution, T: float, walk, params) -> ImpactMetrics:
-    """:func:`scaled_metrics` of the modes at the params' weight, scaled by :func:`dimensional`."""
-    return dimensional(scaled_metrics(*_solve(solution, T, params)[1], walk), T, params)

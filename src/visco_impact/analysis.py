@@ -235,9 +235,9 @@ def solve_e10(
     """Time and modulus at which a series-pair impact reaches a stress level.
 
     Solves ``f(tau) = pi a**2 sigma / (m v0 omega0)`` on the pair's own force
-    mode ``f`` (:mod:`.maxwell`, in ``omega0`` time) by one Brent solve over
-    the force rise ``[0, t_M]``, then evaluates the dynamic modulus there as
-    ``E_max f'(tau) / xi'(tau)``.
+    mode ``f`` (:mod:`.maxwell`, in ``omega0`` time, at the params' weight) by
+    one Brent solve over the force rise ``[0, t_M]``, then evaluates the
+    dynamic modulus there as ``E_max f'(tau) / xi'(tau)``.
 
     Returns
     -------
@@ -251,6 +251,8 @@ def solve_e10(
     ------
     NoCrossingError
         If the peak force stays below ``pi a**2 sigma_target``.
+    PlasticImpactError
+        If the weight keeps the impactor from separating, as in :func:`.mx_metrics`.
     """
     if not sigma_target >= 0.0:
         raise DomainError(f"sigma_target must be nonnegative, got {sigma_target!r}")
@@ -259,7 +261,8 @@ def solve_e10(
         return 0.0, E_max
     d = params.derived
     T = 1.0 / d.omega0
-    scaled = maxwell._scaled_metrics(d.zeta)
+    gamma = _modal.scaled_weight(T, params)
+    scaled = maxwell._scaled_metrics(d.zeta, gamma)
     peak = _modal.dimensional(scaled, T, params)
     F_target = geom.area * sigma_target
     if peak.F_M < F_target:
@@ -267,7 +270,7 @@ def solve_e10(
             f"peak force {peak.F_M:.6g} N stays below the "
             f"{F_target:.6g} N needed for sigma = {sigma_target:.6g} Pa"
         )
-    _, xi_d, force = maxwell._scaled_solution(d.zeta)
+    _, xi_d, force = maxwell._scaled_solution(d.zeta, gamma)
     level = F_target * T / (params.m * params.v0)
     tau_M = scaled[4]
     top = float(force(tau_M)) - level

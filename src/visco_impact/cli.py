@@ -381,7 +381,8 @@ def _suite_parallel_pair_midpoint() -> tuple[float, float]:
     for eta in np.linspace(0.01, 0.98, 50):
         params = _kv(eta)
         t_c = kv_metrics(params).t_c
-        t_m = _modal.metrics(*kelvin_voigt._model(params), params).t_m
+        xi_d = kelvin_voigt._scaled_solution(params.derived.eta)[1]
+        t_m = _modal._first_zero(xi_d, kelvin_voigt.first_force_zero)
         err = max(err, abs(t_m - t_c / 2.0) / t_c)
     return err, 1e-12
 

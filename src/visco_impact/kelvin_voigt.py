@@ -8,8 +8,8 @@ contact ends at the first return of the transmitted force ``k x + b x'``
 to zero.
 
 The solution is one damped mode in ``omega0`` time (:func:`_scaled_solution`),
-which :mod:`._modal` walks and samples at the params' ``g``; at ``g = 0`` the
-metrics are the closed forms of :func:`_scaled_metrics`.
+which :mod:`._modal` samples at the params' weight; :func:`_scaled_metrics` is
+the closed forms without weight and the modes' walks with it.
 """
 
 from __future__ import annotations
@@ -65,14 +65,10 @@ def _scaled_solution(eta: float, gamma: float = 0.0):
             DampedMode(eta, w, (1.0 - 2.0 * eta * eta + gamma * eta) / w, 2.0 * eta - gamma, gamma))
 
 
-def _model(params: KelvinVoigtParams):
-    """The pair at ``params`` for :mod:`._modal`, in ``omega0`` time."""
-    d = params.derived
-    return (lambda gamma: _scaled_solution(d.eta, gamma)), 1.0 / d.omega0, first_force_zero
-
-
-def _scaled_metrics(eta: float) -> tuple:
-    """:func:`kv_metrics` in ``omega0`` units, in :class:`ImpactMetrics` order."""
+def _scaled_metrics(eta: float, gamma: float = 0.0) -> tuple:
+    """:func:`kv_metrics` at the weight ``gamma`` in ``omega0`` units, in ImpactMetrics order."""
+    if gamma:
+        return _modal.scaled_metrics(*_scaled_solution(eta, gamma), first_force_zero)
     w = math.sqrt(1.0 - eta * eta)
     tau_c = 2.0 / w * math.atan2(w, eta)
     tau_m = 0.5 * tau_c
@@ -94,7 +90,10 @@ def kv_trajectory(params: KelvinVoigtParams, n_samples: int = DEFAULT_SAMPLES) -
     every sample.  Past :func:`kv_find_critical_eps0` the impactor never
     separates: :class:`PlasticImpactError`.
     """
-    return _modal.trajectory(*_model(params), params, n_samples)
+    d = params.derived
+    T = 1.0 / d.omega0
+    modes = _scaled_solution(d.eta, _modal.scaled_weight(T, params))
+    return _modal.trajectory(modes, T, first_force_zero, params, n_samples)
 
 
 kv_drop_trajectory = kv_trajectory
@@ -109,10 +108,9 @@ def kv_metrics(params: KelvinVoigtParams) -> ImpactMetrics:
     the dashpot's jump, ``F_M = 2 eta`` at ``t_M = 0``; below, at ``exp(-eta
     t_M)`` where ``w t_M = atan(w (1 - 4 eta^2) / (eta (3 - 4 eta^2)))``.
     """
-    if params.g:
-        return _modal.metrics(*_model(params), params)
     d = params.derived
-    return _modal.dimensional(_scaled_metrics(d.eta), 1.0 / d.omega0, params)
+    T = 1.0 / d.omega0
+    return _modal.dimensional(_scaled_metrics(d.eta, _modal.scaled_weight(T, params)), T, params)
 
 
 def kv_fm_minimizer() -> tuple[float, float]:

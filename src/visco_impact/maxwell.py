@@ -9,9 +9,9 @@ ends at exactly half a damped period, and a permanent indentation
 With gravity acting during contact, the force carries an offset ``m g`` and
 the indentation the series dashpot's creep at ``2 zeta g / omega0``.  The
 solution is one damped mode in ``omega0`` time (:func:`_scaled_solution`),
-which :mod:`._modal` walks and samples from its exact start ``x = 0, x' = v0,
-x'' = g`` at the params' ``g``; at ``g = 0`` the metrics are the closed forms
-of :func:`_scaled_metrics`.
+which :mod:`._modal` samples from its exact start ``x = 0, x' = v0, x'' = g``
+at the params' weight; :func:`_scaled_metrics` is the closed forms without
+weight and the modes' walks with it.
 """
 
 from __future__ import annotations
@@ -57,14 +57,10 @@ def _scaled_solution(zeta: float, gamma: float = 0.0):
             DampedMode(zeta, w, (1.0 - zeta * gamma) / w, -gamma, gamma))
 
 
-def _model(params: MaxwellParams):
-    """The pair at ``params`` for :mod:`._modal`, in ``omega0`` time."""
-    d = params.derived
-    return (lambda gamma: _scaled_solution(d.zeta, gamma)), 1.0 / d.omega0, first_force_zero
-
-
-def _scaled_metrics(zeta: float) -> tuple:
-    """:func:`mx_metrics` in ``omega0`` units, in :class:`ImpactMetrics` order."""
+def _scaled_metrics(zeta: float, gamma: float = 0.0) -> tuple:
+    """:func:`mx_metrics` at the weight ``gamma`` in ``omega0`` units, in ImpactMetrics order."""
+    if gamma:
+        return _modal.scaled_metrics(*_scaled_solution(zeta, gamma), first_force_zero)
     w = math.sqrt((1.0 - zeta) * (1.0 + zeta))
     tau_m = (0.5 * math.pi + math.asin(zeta)) / w
     f_m = math.exp(-zeta * tau_m)
@@ -83,7 +79,10 @@ def mx_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Tr
     weight's offset is proved to keep the force above zero; near ``zeta = 1``
     a tiny ``eps0`` already embeds the impactor.
     """
-    return _modal.trajectory(*_model(params), params, n_samples)
+    d = params.derived
+    T = 1.0 / d.omega0
+    modes = _scaled_solution(d.zeta, _modal.scaled_weight(T, params))
+    return _modal.trajectory(modes, T, first_force_zero, params, n_samples)
 
 
 mx_drop_trajectory = mx_trajectory
@@ -97,10 +96,9 @@ def mx_metrics(params: MaxwellParams) -> ImpactMetrics:
     amplitude.  The force peaks at ``w t_M = atan(w / zeta)`` and the
     indentation a quarter period later, at ``w t_m = pi/2 + asin(zeta)``.
     """
-    if params.g:
-        return _modal.metrics(*_model(params), params)
     d = params.derived
-    return _modal.dimensional(_scaled_metrics(d.zeta), 1.0 / d.omega0, params)
+    T = 1.0 / d.omega0
+    return _modal.dimensional(_scaled_metrics(d.zeta, _modal.scaled_weight(T, params)), T, params)
 
 
 def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:

@@ -194,16 +194,10 @@ def _scaled_solution(Lambda: float, rho: float, gamma: float = 0.0):
     return (OffsetMode(xi, xi_inf), xi_d, OffsetMode(f, gamma)) if gamma else (xi, xi_d, f)
 
 
-def _model(params: StandardSolidParams):
-    """The solid at ``params`` for :mod:`._modal`, in relaxation times."""
-    d = params.derived
-    return (lambda gamma: _scaled_solution(d.Lambda, d.rho, gamma)), d.tau_R, first_force_zero
-
-
-def _scaled_metrics(Lambda: float, rho: float) -> tuple:
-    """:func:`sls_metrics` at ``g = 0`` in relaxation times, from the groups alone."""
+def _scaled_metrics(Lambda: float, rho: float, gamma: float = 0.0) -> tuple:
+    """:func:`sls_metrics` in relaxation times, from the groups and the weight ``gamma`` alone."""
     _check_sls_groups(Lambda, rho)
-    return _modal.scaled_metrics(*_scaled_solution(Lambda, rho), first_force_zero)
+    return _modal.scaled_metrics(*_scaled_solution(Lambda, rho, gamma), first_force_zero)
 
 
 def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES) -> Trajectory:
@@ -213,12 +207,16 @@ def sls_trajectory(params: StandardSolidParams, n_samples: int = DEFAULT_SAMPLES
     The force ``m (g - xddot)`` settles to ``m g``; past a threshold weight
     it never returns to zero, which raises :class:`PlasticImpactError`.
     """
-    return _modal.trajectory(*_model(params), params, n_samples)
+    d = params.derived
+    modes = _scaled_solution(d.Lambda, d.rho, _modal.scaled_weight(d.tau_R, params))
+    return _modal.trajectory(modes, d.tau_R, first_force_zero, params, n_samples)
 
 
 def sls_metrics(params: StandardSolidParams) -> ImpactMetrics:
     """Exact scalar metrics of :func:`sls_trajectory`'s impact."""
-    return _modal.metrics(*_model(params), params)
+    d = params.derived
+    gamma = _modal.scaled_weight(d.tau_R, params)
+    return _modal.dimensional(_scaled_metrics(d.Lambda, d.rho, gamma), d.tau_R, params)
 
 
 def _check_expansion_rho(rho: float) -> None:

@@ -103,7 +103,8 @@ def test_criterion_02_parallel_pair_midpoint_identity():
     for eta in np.linspace(0.01, 0.98, 50):
         params = _kv(eta)
         t_c = kv_metrics(params).t_c
-        t_m = _modal.metrics(*kelvin_voigt._model(params), params).t_m
+        xi_d = kelvin_voigt._scaled_solution(params.derived.eta)[1]
+        t_m = _modal._first_zero(xi_d, kelvin_voigt.first_force_zero)
         assert abs(t_m - t_c / 2.0) <= 1e-12 * t_c
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,10 +25,12 @@ from visco_impact.analysis import (
     solve_e10,
     stress_strain,
 )
+from visco_impact import maxwell
 from visco_impact.errors import (
     DomainError,
     NoCrossingError,
     ParseError,
+    PlasticImpactError,
     SingularityError,
 )
 from visco_impact.kelvin_voigt import kv_trajectory
@@ -212,6 +215,26 @@ class TestSolveE10:
         rhs = GEOM.area * omega * DEFAULT_SIGMA_TARGET / (self.PARAMS.k * self.PARAMS.v0)
         residual = math.exp(-beta * t10) * math.sin(omega * t10) - rhs
         assert abs(residual) < 1e-14
+
+    def test_the_weight_enters_the_crossing(self):
+        """Under the params' weight the level is met on the weighted force: the
+        force mode times ``m v0 omega0`` is ``pi a**2 sigma`` at ``t_10``."""
+        params = dataclasses.replace(self.PARAMS, g=9.81)
+        t10, E10 = solve_e10(params, GEOM)
+        assert t10 == pytest.approx(2.188302e-4, rel=1e-6)
+        assert E10 == pytest.approx(1.5 * 30.1372e6, rel=1e-5)  # 30.1372 MPa at h = 1 mm
+        d = params.derived
+        force = maxwell._scaled_solution(d.zeta, params.g / (d.omega0 * params.v0))[2]
+        F = params.m * params.v0 * d.omega0 * float(force(d.omega0 * t10))
+        assert F == pytest.approx(GEOM.area * DEFAULT_SIGMA_TARGET, rel=1e-12)
+
+    def test_a_weight_that_embeds_is_refused(self):
+        """As :func:`mx_metrics` refuses it: the contact never ends."""
+        params = dataclasses.replace(self.PARAMS, g=1000.0)
+        with pytest.raises(PlasticImpactError):
+            mx_metrics(params)
+        with pytest.raises(PlasticImpactError):
+            solve_e10(params, GEOM)
 
     def test_modulus_below_instantaneous(self):
         _, E10 = solve_e10(self.PARAMS, GEOM)

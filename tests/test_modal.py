@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 import visco_impact
 from visco_impact import _modal, _search, kelvin_voigt, maxwell, models, oracle, standard_solid
-from visco_impact.errors import DiscriminantError, DomainError, PlasticImpactError
+from visco_impact.errors import (
+    DiscriminantError,
+    DomainError,
+    PlasticImpactError,
+    ViscoImpactError,
+)
 from visco_impact.kelvin_voigt import (
     kv_drop_metrics_asymptotic,
     kv_metrics,
@@ -27,7 +32,12 @@ from visco_impact.maxwell import (
     mx_metrics,
     mx_trajectory,
 )
-from visco_impact.models import KelvinVoigtParams, MaxwellParams, StandardSolidParams
+from visco_impact.models import (
+    ImpactMetrics,
+    KelvinVoigtParams,
+    MaxwellParams,
+    StandardSolidParams,
+)
 from visco_impact.oracle import RelaxationKernel, integrate_impact_with_gravity
 from visco_impact.standard_solid import (
     params_from_groups,
@@ -40,6 +50,13 @@ from visco_impact.standard_solid import (
 
 def _log(lo: float, hi: float):
     return st.floats(lo, hi).map(lambda u: 10.0**u)
+
+
+def _groups(params) -> tuple:
+    """The groups a model's scaled entries read."""
+    d = params.derived
+    return {KelvinVoigtParams: (d.eta,), MaxwellParams: (d.zeta,)}.get(
+        type(params), (d.Lambda, d.rho))
 
 
 def _pair(cls, loss, m, k, v0, eps0):
@@ -92,7 +109,9 @@ def test_pair_modes_give_the_closed_form_metrics(loss):
     for cls, module, closed in ((KelvinVoigtParams, kelvin_voigt, kv_metrics),
                                 (MaxwellParams, maxwell, mx_metrics)):
         params = _pair(cls, loss, 1.0, 1.0, 1.0, 0.0)
-        got, want = _modal.metrics(*module._model(params), params), closed(params)
+        modes = module._scaled_solution(*_groups(params))
+        got = ImpactMetrics(*_modal.scaled_metrics(*modes, module.first_force_zero))
+        want = closed(params)
         for name in ("t_c", "e_star", "t_m", "x_m", "t_M", "F_M"):
             expected = pytest.approx(getattr(want, name), rel=1e-14, abs=0.0)
             assert getattr(got, name) == expected, name
@@ -313,10 +332,92 @@ def test_expansions_at_zero_rho_are_the_pair_closed_forms(loss):
     ids=["kelvin_voigt", "maxwell", "sls", "sls-real-roots"],
 )
 def test_every_model_gives_the_force_as_weight_less_acceleration(module, params, gamma):
-    """Each ``_model`` hands the modal layer ``(xi, xi', f = gamma - xi'')``."""
-    solution, _, walk = module._model(params)
-    assert walk is module.first_force_zero
-    _, xi_d, f = solution(gamma)
+    """Each ``_scaled_solution`` hands the modal layer ``(xi, xi', f = gamma - xi'')``."""
+    _, xi_d, f = module._scaled_solution(*_groups(params), gamma)
     xi_dd = xi_d.derivative()
     for tau in (0.0, 0.1, 0.7, 2.3):
         assert float(f(tau)) == pytest.approx(gamma - float(xi_dd(tau)), rel=1e-13, abs=1e-15)
+
+
+_MODULES = {"kv": kelvin_voigt, "maxwell": maxwell, "sls": standard_solid}
+
+
+def _count_walks(monkeypatch) -> dict:
+    """Replace each model module's ``first_force_zero``, the name the traced pass wraps,
+    with a copy that counts its calls."""
+    calls = dict.fromkeys(_MODULES.values(), 0)
+    for module in calls:
+        def counted(*args, module=module, walk=module.first_force_zero):
+            calls[module] += 1
+            return walk(*args)
+        monkeypatch.setattr(module, "first_force_zero", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", sorted(WEIGHTED))
+def test_every_walk_goes_through_its_own_module(model, monkeypatch):
+    """Weighted metrics and every trajectory walk through their own module's
+    ``first_force_zero``, and through no other module's."""
+    params, metrics, trajectory = WEIGHTED[model]
+    module = _MODULES[model]
+    calls = _count_walks(monkeypatch)
+    for run, p in ((metrics, params), (trajectory, params),
+                   (trajectory, dataclasses.replace(params, g=0.0))):
+        before = dict(calls)
+        run(p)
+        assert {m for m in calls if calls[m] != before[m]} == {module}, run.__name__
+
+
+def test_scaled_entries_walk_only_where_no_closed_form_exists(monkeypatch):
+    """Without weight the pair entries are their closed forms, with no walk; the
+    three-element entry walks through its own module at every weight."""
+    calls = _count_walks(monkeypatch)
+    for loss in (1e-9, 0.3, 0.5, 0.9):
+        w = math.sqrt(1.0 - loss * loss)
+        assert kelvin_voigt._scaled_metrics(loss, 0.0)[0] == 2.0 / w * math.atan2(w, loss)
+        w = math.sqrt((1.0 - loss) * (1.0 + loss))
+        assert maxwell._scaled_metrics(loss, 0.0)[0] == math.pi / w
+    assert not any(calls.values())
+    standard_solid._scaled_metrics(1.0, 0.5)
+    assert calls[standard_solid] > 0
+    assert calls[kelvin_voigt] == calls[maxwell] == 0
+
+
+def _outcome(run):
+    """``repr`` of what ``run()`` returns, or its error's class and text."""
+    try:
+        return repr(run())
+    except ViscoImpactError as exc:
+        return type(exc), str(exc)
+
+
+@given(loss=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       eps0=st.one_of(st.just(0.0), _log(-8.0, 0.5)))
+@settings(deadline=None, max_examples=300, derandomize=True)
+def test_pair_metrics_are_their_scaled_entry(loss, eps0):
+    """At unit m, k and v0 (so ``gamma = g``) each pair's metrics are its scaled
+    entry at the params' loss factor, bit for bit, with and without weight."""
+    for cls, module, metrics in ((KelvinVoigtParams, kelvin_voigt, kv_metrics),
+                                 (MaxwellParams, maxwell, mx_metrics)):
+        try:
+            params = _pair(cls, loss, 1.0, 1.0, 1.0, eps0)
+            groups = _groups(params)
+        except DomainError:
+            continue  # the loss factor's dashpot leaves the float range
+        assert params.g == eps0
+        assert _outcome(lambda: metrics(params)) == _outcome(
+            lambda: ImpactMetrics(*module._scaled_metrics(*groups, params.g)))
+
+
+@given(Lam=_log(-2.0, 2.0), rho=st.floats(0.01, 0.99), eps0=st.one_of(st.just(0.0), _log(-8.0, 0.5)))
+@settings(deadline=None, max_examples=200, derandomize=True)
+def test_sls_metrics_are_its_scaled_entry(Lam, rho, eps0):
+    """At ``params_from_groups(Lambda, rho)`` (unit mass and speed), with and without
+    weight, the metrics are the scaled entry rescaled by ``tau_R``, bit for bit."""
+    assume(abs(Lam - 1.0 / 3.0) > 1e-2 or abs(rho - 1.0 / 9.0) > 1e-2)  # the triple root
+    free = params_from_groups(Lam, rho)
+    tau_R = free.derived.tau_R
+    params = dataclasses.replace(free, g=eps0 / tau_R)
+    gamma = params.g * tau_R / params.v0
+    assert _outcome(lambda: sls_metrics(params)) == _outcome(lambda: ImpactMetrics(
+        *_modal.rescaled(standard_solid._scaled_metrics(*_groups(params), gamma), tau_R)))
