@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .models import ImpactMetrics, Trajectory, _check_groups, _uniform_times
+from .models import ImpactMetrics, Trajectory, _check_groups, _uniform_grid
 
 # Walk limit for the contact end, in oscillation periods, of every closed-form
 # model; the oracle keeps its own horizon as the independent reference.
@@ -93,7 +93,7 @@ def trajectory(modes, T: float, walk, params, n_samples: int) -> Trajectory:
             if not math.isfinite(s * c):
                 raise DomainError(f"a mode coefficient times its scale {s:.3g} must be finite")
     # One exp, sin and cos per sample for all columns, and one product for their (u, v) parts.
-    t, uv, decay = modes[1].phases(_uniform_times(tau_c, n_samples))
+    t, uv, decay = modes[1].phases(_uniform_grid(0.0, tau_c, n_samples))
     terms = [mode.terms(t, uv[1], decay) for mode in modes]
     columns = np.array([(s * P, s * Q) for s, (P, Q, _) in zip(scales, terms)]) @ uv
     for column, s, (_, _, rest) in zip(columns, scales, terms):

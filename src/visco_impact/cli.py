@@ -58,6 +58,7 @@ from .models import (
     MaxwellParams,
     _check_groups,
     _open_output,
+    _uniform_grid,
     load_flat_json,
     load_kv_params,
     load_maxwell_params,
@@ -197,8 +198,8 @@ _MODELS = {
 class SweepSpec:
     """One-parameter sweep over a scaled metrics grid.
 
-    ``param`` names the swept quantity; ``steps`` grid points span
-    ``[lo, hi]``.
+    ``param`` names the swept quantity; ``steps`` grid points of
+    ``models._uniform_grid`` span ``[lo, hi]``.
     """
 
     param: str
@@ -225,9 +226,6 @@ class SweepSpec:
             )
         for bound in (self.lo, self.hi):
             _check_groups(f"{self.param} sweep", **{self.param: bound})
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.steps)
 
 
 def parse_sweep_arg(text: str) -> SweepSpec:
@@ -327,7 +325,7 @@ def cmd_sweep(args) -> int:
     nan_row = (math.nan,) * (len(header) - 1)
     rows = []
     code = EXIT_OK
-    for value in map(float, spec.grid()):
+    for value in map(float, _uniform_grid(spec.lo, spec.hi, spec.steps)):
         try:
             scaled, more = point(value, fixed)
             _modal.require_finite(scaled)

@@ -137,7 +137,8 @@ def kv_fm_minimizer() -> tuple[float, float]:
 def kv_drop_metrics_asymptotic(params: KelvinVoigtParams) -> ImpactMetrics:
     """First-order gravity corrections to duration and restitution.
 
-    For small ``eps0 = g / (omega0 v0)`` the contact lasts longer by
+    For a small weight ``eps0``, the exact drop's ``gamma = g T / v0`` at ``T =
+    1 / omega0`` and refused as it is, the contact lasts longer by
     ``eps0 (1 + e0) / e0`` in ``omega0`` time and the restitution drops by
     the factor ``(1 - 2 eta eps0)``, where ``e0`` is the zero-gravity value.
     Only ``t_c`` and ``e_star`` carry corrections; the peak fields keep their
@@ -145,7 +146,9 @@ def kv_drop_metrics_asymptotic(params: KelvinVoigtParams) -> ImpactMetrics:
     for them.
     """
     d = params.derived
-    return _modal.dimensional(_scaled_drop_asymptotic(d.eta, d.eps0), 1.0 / d.omega0, params)
+    T = 1.0 / d.omega0
+    eps0 = _modal.scaled_weight(T, params)
+    return _modal.dimensional(_scaled_drop_asymptotic(d.eta, eps0), T, params)
 
 
 def _scaled_drop_asymptotic(eta: float, eps0: float) -> tuple:

@@ -104,8 +104,10 @@ def mx_metrics(params: MaxwellParams) -> ImpactMetrics:
 def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:
     """First-order gravity corrections to duration and restitution.
 
-    The duration correction ``eps0 (1 + e0) / e0`` in ``omega0`` time has the
-    same coefficient as for the parallel pair.  The restitution correction
+    The weight ``eps0`` is the exact drop's ``gamma = g T / v0`` at ``T = 1 /
+    omega0``, refused as it is.  The duration correction ``eps0 (1 + e0) /
+    e0`` in ``omega0`` time has the same coefficient as for the parallel
+    pair.  The restitution correction
     is the standard first-order estimate ``e0 - 2 zeta eps0``, whose slope
     misses the exact ``de*/deps0 = -2 zeta (1 + e0)`` at ``eps0 = 0`` by
     ``2 zeta e0``: a Richardson difference of :func:`mx_trajectory`
@@ -122,7 +124,9 @@ def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:
         ``eps0 > 0``: the duration correction is then unbounded.
     """
     d = params.derived
-    return _modal.dimensional(_scaled_drop_asymptotic(d.zeta, d.eps0), 1.0 / d.omega0, params)
+    T = 1.0 / d.omega0
+    eps0 = _modal.scaled_weight(T, params)
+    return _modal.dimensional(_scaled_drop_asymptotic(d.zeta, eps0), T, params)
 
 
 def _scaled_drop_asymptotic(zeta: float, eps0: float) -> tuple:

@@ -26,6 +26,7 @@ import math
 import operator
 import os
 import stat
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,8 +87,9 @@ class DerivedGroups:
         Stiffness-relaxation group ``(k0 / m) * tau_R**2``.
     tau_R : float or None
         Relaxation time of the force-decay kernel.
-    eps0 : float or None
-        Gravity-to-impact ratio ``g / (omega0 * v0)``.
+
+    The drop's weight is no group here: ``_modal.scaled_weight`` forms and refuses
+    ``gamma = g T / v0``, for the pairs the paper's ``eps0 = g / (omega0 v0)``.
     """
 
     omega0: float
@@ -96,7 +98,6 @@ class DerivedGroups:
     rho: float | None = None
     Lambda: float | None = None
     tau_R: float | None = None
-    eps0: float | None = None
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -139,13 +140,14 @@ def _check_sls_groups(Lambda: float, rho: float) -> None:
 MAX_SCAN_SAMPLES = 10_000_000
 
 
-def _uniform_times(t_end: float, n_samples: int) -> np.ndarray:
-    """``n_samples`` equally spaced instants from 0 to ``t_end``, both included.
+def _uniform_grid(lo: float, hi: float, n_samples: int) -> np.ndarray:
+    """``n_samples`` equally spaced values from ``lo`` to ``hi``, both included.
 
-    They are ``np.linspace(0.0, t_end, n_samples)``'s wherever its step is
-    normal, by its own arithmetic without its call overhead.  Raises
-    :class:`ConfigError` unless ``n_samples`` is an integer from 2 to
-    ``MAX_SCAN_SAMPLES``.
+    Bit for bit ``np.linspace(lo, hi, n_samples)`` for finite ``0 <= lo < hi``,
+    by its own arithmetic without its call overhead, its rule where the step
+    underflows to 0 included; but ``hi`` is stored, never formed as ``(n - 1)
+    step``, which can overflow.  Raises :class:`ConfigError` unless
+    ``n_samples`` is an integer from 2 to ``MAX_SCAN_SAMPLES``.
     """
     try:
         n = operator.index(n_samples)
@@ -153,9 +155,18 @@ def _uniform_times(t_end: float, n_samples: int) -> np.ndarray:
         raise ConfigError(f"n_samples must be an integer, got {n_samples!r}") from None
     if not 2 <= n <= MAX_SCAN_SAMPLES:
         raise ConfigError(f"n_samples must lie in [2, {MAX_SCAN_SAMPLES:.3g}], got {n}")
-    t = np.arange(n, dtype=float) * (t_end / (n - 1))
-    t[-1] = t_end
-    return t
+    grid = np.arange(n, dtype=float)
+    head = grid[:-1]
+    step = (hi - lo) / (n - 1)
+    if step:
+        head *= step
+    else:  # np.linspace's order where the step underflows to 0
+        head /= n - 1
+        head *= hi - lo
+    if lo:
+        head += lo
+    grid[-1] = hi
+    return grid
 
 
 @dataclass(frozen=True)
@@ -270,14 +281,13 @@ def derive_kv(params: KelvinVoigtParams) -> DerivedGroups:
     Returns
     -------
     DerivedGroups
-        With ``omega0 = sqrt(k/m)``, loss factor ``eta = b / (2m) / omega0``
-        and gravity ratio ``eps0 = g / (omega0 v0)``.
+        With ``omega0 = sqrt(k/m)`` and loss factor ``eta = b / (2m) / omega0``.
 
     Raises
     ------
     DomainError
-        If ``eta >= 1`` (no oscillatory rebound), or if ``omega0`` or
-        ``eps0`` is not finite.
+        If ``eta >= 1`` (no oscillatory rebound), or if ``omega0`` is not
+        positive and finite.
     """
     omega0 = _natural_frequency(params.k, params.m)
     eta = params.b / (2.0 * params.m) / omega0
@@ -286,8 +296,7 @@ def derive_kv(params: KelvinVoigtParams) -> DerivedGroups:
             f"loss factor eta = {eta:.6g} is >= 1: the pair is overdamped "
             "and the oscillatory solution does not apply"
         )
-    eps0 = _gravity_ratio(params, omega0)
-    return DerivedGroups(omega0=omega0, eta=eta, eps0=eps0)
+    return DerivedGroups(omega0=omega0, eta=eta)
 
 
 def _natural_frequency(k: float, m: float) -> float:
@@ -311,17 +320,22 @@ def _power(x: float, n: int) -> float:
         return math.inf
 
 
-def _gravity_ratio(params, omega0: float) -> float:
-    """``eps0 = g / (omega0 v0)``, refused unless finite."""
-    eps0 = _divide(params.g, omega0 * params.v0)
-    _check_groups("eps0 = g / (omega0 v0)", eps0=eps0)
-    return eps0
-
-
 def _series_groups(m: float, k: float, b: float) -> tuple[float, float]:
-    """``(omega0, zeta)`` of a series pair, ``zeta = k / (2 omega0 b)`` unrefused."""
+    """``(omega0, zeta)`` of a series pair, ``zeta = k / (2 omega0 b)`` unrefused.
+
+    Where ``2 omega0 b`` is not a normal float, ``k`` and ``b`` enter by their
+    significands and ``zeta`` takes their exponents last, so it is inf or 0
+    only where it leaves the float range itself.
+    """
     omega0 = _natural_frequency(k, m)
-    return omega0, _divide(k, 2.0 * omega0 * b)
+    scale = 2.0 * omega0 * b
+    if sys.float_info.min <= scale < math.inf or not (k and b):
+        return omega0, _divide(k, scale)
+    (k_frac, k_exp), (b_frac, b_exp) = math.frexp(k), math.frexp(b)
+    try:
+        return omega0, math.ldexp(k_frac / (2.0 * omega0 * b_frac), k_exp - b_exp)
+    except OverflowError:
+        return omega0, math.inf
 
 
 def derive_maxwell(params: MaxwellParams) -> DerivedGroups:
@@ -329,7 +343,7 @@ def derive_maxwell(params: MaxwellParams) -> DerivedGroups:
 
     The loss factor is ``zeta = k / (2 omega0 b)`` and the relaxation time
     is ``tau_R = b / k``.  Raises :class:`DomainError` when ``zeta >= 1``, or
-    when ``omega0`` or ``eps0`` is not finite.
+    when ``omega0`` is not positive and finite.
     """
     omega0, zeta = _series_groups(params.m, params.k, params.b)
     if not zeta < 1.0:
@@ -337,9 +351,7 @@ def derive_maxwell(params: MaxwellParams) -> DerivedGroups:
             f"loss factor zeta = {zeta:.6g} is >= 1: relaxation is too fast "
             "for an oscillatory rebound"
         )
-    tau_R = params.b / params.k
-    eps0 = _gravity_ratio(params, omega0)
-    return DerivedGroups(omega0=omega0, zeta=zeta, tau_R=tau_R, eps0=eps0)
+    return DerivedGroups(omega0=omega0, zeta=zeta, tau_R=params.b / params.k)
 
 
 def derive_sls(params: StandardSolidParams) -> DerivedGroups:

@@ -111,6 +111,11 @@ class RelaxationKernel:
             raise ConfigError(f"k0 must be positive, got {self.k0!r}")
         if not (self.tau_R > 0.0) or not math.isfinite(self.tau_R):
             raise ConfigError(f"tau_R must be positive, got {self.tau_R!r}")
+        # Each kind reads its own fields only; any other would go unread.
+        if self.kind != "exp_sum" and (self.c_inf != 1.0 or self.cs or self.thetas):
+            raise ConfigError(f"a kernel of kind {self.kind!r} takes no c_inf, cs or thetas")
+        if self.kind != "table" and (self.table_tau is not None or self.table_psi is not None):
+            raise ConfigError(f"a kernel of kind {self.kind!r} takes no table_tau or table_psi")
         # Each test below fails on NaN.  An infinite time constant is valid:
         # its term is constant.
         if self.kind == "exp_sum":
@@ -137,10 +142,6 @@ class RelaxationKernel:
                 raise ConfigError(f"Psi(0) = {psi[0]!r} must equal 1")
             object.__setattr__(self, "table_tau", tau)
             object.__setattr__(self, "table_psi", psi)
-        elif self.c_inf != 1.0 or self.cs or self.thetas:  # kv_limit
-            raise ConfigError(
-                "a kv_limit kernel is Psi = 1 + delta(tau); it takes no c_inf, cs or thetas"
-            )
         # A sum of decaying exponentials with no negative coefficient cannot
         # increase, and rounding keeps it so; only tables and sums with a
         # negative term are checked.  A table's interpolant rises exactly

@@ -43,6 +43,7 @@ from visco_impact.models import (
     KelvinVoigtParams,
     MaxwellParams,
     Trajectory,
+    _uniform_grid,
     load_sls_params,
 )
 from visco_impact.standard_solid import (
@@ -229,7 +230,8 @@ class TestSweepSpec:
     def test_parse(self):
         spec = parse_sweep_arg("eta:0.1:0.9:5")
         assert spec == SweepSpec(param="eta", lo=0.1, hi=0.9, steps=5)
-        assert np.array_equal(spec.grid(), np.linspace(0.1, 0.9, 5))
+        grid = _uniform_grid(spec.lo, spec.hi, spec.steps)
+        assert np.array_equal(grid, np.linspace(0.1, 0.9, 5))
 
     def test_parse_errors(self):
         with pytest.raises(ParseError, match="param:lo:hi:steps"):
@@ -340,9 +342,9 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "model, params, extra, message",
         [
-            # omega0 v0 underflows to 0.
+            # g T / v0 overflows, T = 1 / omega0: the drop's weight group, the paper's eps0.
             ("kv", {"m": 1e308, "k": 1e200, "b": 5e-324, "v0": 1e-308, "g": 1.0}, ["--gravity"],
-             "eps0 = g / (omega0 v0) must be nonnegative and finite, got inf"),
+             "gamma = g T / v0 must be nonnegative and finite, got inf"),
             # k / m overflows, so omega0 = inf and eta = NaN.
             ("maxwell", {"m": 1e-308, "k": 2.0, "b": 1e12, "v0": 1.0}, [],
              "omega0 = sqrt(k / m) must be positive and finite, got inf"),
@@ -351,9 +353,10 @@ class TestSimulate:
             # g tau_R / v0 overflows.
             ("sls", {"m": 1e-308, "k1": 1.0, "k2": 0.3, "b": 0.5, "v0": 1e-308}, ["--gravity"],
              "gamma = g T / v0 must be nonnegative and finite, got inf"),
-            # 2 omega0 b underflows to 0, so zeta = k / (2 omega0 b) is infinite.
+            # 2 omega0 b underflows to 0, yet zeta = k / (2 omega0 b) is formed in range.
             ("maxwell", {"m": 1e46, "k": 1e-168, "b": 1e-283, "v0": 1.0}, [],
-             "loss factor zeta = inf is >= 1: relaxation is too fast for an oscillatory rebound"),
+             "loss factor zeta = 5e+221 is >= 1: relaxation is too fast for an oscillatory "
+             "rebound"),
             # (kappa1 + kappa2) kappa1 and (kappa1 + kappa2)**2 overflow.
             ("sls", {"m": 1.0, "kappa1": 1e300, "kappa2": 1.0, "beta": 1.5e-6, "v0": 1.0}, [],
              "the parallel configuration converts to k2 = inf, which is not finite"),
@@ -369,6 +372,26 @@ class TestSimulate:
         path = _write_json(tmp_path, f"{model}.json", params)
         assert main(["simulate", model, "--params", path, *extra]) == EXIT_DOMAIN
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("model, params", [
+        ("kv", {"m": 1.0, "k": 1.0, "b": 0.6, "v0": 1e-10}),
+        ("maxwell", {"m": 1.0, "k": 1.0, "b": 2.0, "v0": 1e-10}),
+        ("sls", {"m": 1.0, "k1": 1.0, "k2": 0.3, "b": 0.5, "v0": 1e-10}),
+    ])
+    def test_a_file_weight_is_read_only_under_gravity(self, tmp_path, capsys, model, params):
+        """A ``g`` whose ``gamma = g T / v0`` overflows changes no byte of a run without
+        ``--gravity``, and a run with it exits 2 naming ``gamma``."""
+        free = _write_json(tmp_path, "free.json", params)
+        heavy = _write_json(tmp_path, "heavy.json", {**params, "g": 1e300})
+        runs = {}
+        for name, path in (("free", free), ("heavy", heavy)):
+            out = tmp_path / f"{name}.csv"
+            assert main(["simulate", model, "--params", path, "--out", str(out)]) == EXIT_OK
+            runs[name] = capsys.readouterr().err, out.read_bytes()
+        assert runs["heavy"] == runs["free"]
+        assert main(["simulate", model, "--params", heavy, "--gravity"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "error: gamma = g T / v0 must be nonnegative and finite, got inf\n")
 
     @pytest.mark.parametrize(
         "params, message",

@@ -1,5 +1,6 @@
 """Fuzz of the command line: ``simulate``, ``sweep`` and ``biphasic`` parameter
-files drawn from the whole float range (NaN, +-inf, +-0, subnormals, negatives).
+files, and the ``--dt`` of ``simulate`` and ``biphasic --out``, drawn from the
+whole float range (NaN, +-inf, +-0, subnormals, negatives).
 
 Every run returns an exit code in {0, 1, 2, 3} and lets no exception escape
 ``main``; a run that ends in an error prints exactly one ``error:`` line, and
@@ -79,17 +80,22 @@ def _check_impact(err: str, out_path) -> None:
     assert np.isfinite(read_numeric_csv(out_path, TRAJECTORY_HEADER)).all()
 
 
+def _dt_option(dt) -> list[str]:
+    # ``--dt=value`` so that argparse reads "-inf" as a value, not an option.
+    return [] if dt is None else [f"--dt={dt!r}"]
+
+
 @given(layout=st.sampled_from(sorted(PARAM_KEYS)), data=st.data(),
-       g=st.one_of(st.none(), FLOATS), gravity=st.booleans())
+       g=st.one_of(st.none(), FLOATS), gravity=st.booleans(), dt=st.one_of(st.none(), FLOATS))
 @settings(deadline=None, max_examples=250, derandomize=True)
-def test_simulate(workdir, layout, data, g, gravity):
+def test_simulate(workdir, layout, data, g, gravity, dt):
     values = {key: data.draw(FLOATS, label=key) for key in PARAM_KEYS[layout]}
     if g is not None:
         values["g"] = g
     out = workdir / "simulate.csv"
     out.unlink(missing_ok=True)
     argv = ["simulate", layout.split("-")[0], "--params", _write(workdir / "p.json", values),
-            "--out", str(out)] + ["--gravity"] * gravity
+            "--out", str(out)] + ["--gravity"] * gravity + _dt_option(dt)
     code, _, err = _run(argv)
     _check_run(code, err)
     if code == 0 and not gravity:
@@ -133,23 +139,20 @@ def test_sweep(workdir, model, data, bounds, steps):
     _check_sweep(workdir, model, param, fixed, with_file, *bounds, steps)
 
 
-@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: a sweep grid up to the largest float "
-                   "overflows inside np.linspace")
 def test_sweep_up_to_the_largest_float(workdir):
     """A fuzz counterexample: ``np.linspace(0, 1.797e308, 4)`` overflows in an
-    intermediate product, whose last value it then overwrites, so every grid
-    value is finite; yet the warning escapes ``main`` under ``-W error`` and
-    prints a ``warning:`` line otherwise."""
+    intermediate product, whose last value it then overwrites; the sweep's grid
+    stores ``hi`` instead, so no warning is raised."""
     _check_sweep(workdir, "kv", "eps0", {}, False, 0.0, 1.7976931348623157e308, 4)
 
 
-def _check_biphasic(workdir, layer: dict, m: float, v0, run: bool) -> None:
+def _check_biphasic(workdir, layer: dict, m: float, v0, run: bool, dt=None) -> None:
     out = workdir / "biphasic.csv"
     out.unlink(missing_ok=True)
     # ``--m=value`` so that argparse reads "-inf" as a value, not an option.
     argv = ["biphasic", "--params", _write(workdir / "layer.json", layer), f"--m={m!r}"]
     argv += [] if v0 is None else [f"--v0={v0!r}"]
-    argv += ["--out", str(out)] if run else []
+    argv += ["--out", str(out)] + _dt_option(dt) if run else []
     code, stdout, err = _run(argv)
     _check_run(code, err)
     if code == 0:
@@ -160,17 +163,28 @@ def _check_biphasic(workdir, layer: dict, m: float, v0, run: bool) -> None:
 
 
 @pytest.mark.filterwarnings("default::UserWarning")  # a thick layer's one-line warning
-@given(data=st.data(), m=FLOATS, v0=st.one_of(st.none(), FLOATS), run=st.booleans())
+@given(data=st.data(), m=FLOATS, v0=st.one_of(st.none(), FLOATS), run=st.booleans(),
+       dt=st.one_of(st.none(), FLOATS))
 @settings(deadline=None, max_examples=150, derandomize=True)
-def test_biphasic(workdir, data, m, v0, run):
+def test_biphasic(workdir, data, m, v0, run, dt):
     layer = {key: data.draw(FLOATS, label=key) for key in LAYER_KEYS}
-    _check_biphasic(workdir, layer, m, v0, run)
+    _check_biphasic(workdir, layer, m, v0, run, dt)
+
+
+@pytest.mark.filterwarnings("default::UserWarning")  # the thick layer's warning, as in test_biphasic
+def test_biphasic_prints_a_finite_loss_factor(workdir):
+    """A fuzz counterexample: ``k`` is 7.3e-231 N/m, so ``2 omega0 b`` underflows, yet
+    ``zeta = k / (2 omega0 b)`` prints its value, about 1.75e115, not inf."""
+    layer = {"mu_s": 1.0, "lambda_s": 0.0, "kappa": 1.0, "h": 1.0, "a": 4.447000157792487e-58}
+    _check_biphasic(workdir, layer, 1.0, None, False)
 
 
 @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: biphasic prints zeta = inf where "
-                   "2 omega0 b underflows")
-def test_biphasic_prints_a_finite_loss_factor(workdir):
-    """A fuzz counterexample: ``k`` is 7.3e-231 N/m, so ``2 omega0 b`` underflows and
-    ``zeta = k / (2 omega0 b)`` prints inf, though it is about 1.75e115."""
-    layer = {"mu_s": 1.0, "lambda_s": 0.0, "kappa": 1.0, "h": 1.0, "a": 4.447000157792487e-58}
-    _check_biphasic(workdir, layer, 1.0, None, False)
+                   "the rounded 2 omega0 b puts k / (2 omega0 b) past the largest float")
+@pytest.mark.filterwarnings("default::UserWarning")  # the thick layer's warning, as in test_biphasic
+def test_biphasic_prints_a_loss_factor_at_the_largest_float(workdir):
+    """A fuzz counterexample: at the rounded ``omega0``, ``k / (2 omega0 b)`` is 3.8e-17
+    relative above the largest float, less than half its ulp, so it rounds to it; yet
+    ``2 omega0 b`` rounds 7.3e-17 low, the division overflows and ``zeta = inf`` prints."""
+    layer = {"mu_s": 479.0, "lambda_s": 0.0, "kappa": 9.968774450594074e191, "h": 1.0, "a": 1.0}
+    _check_biphasic(workdir, layer, 5.657581520993281e228, None, False)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import visco_impact
 from visco_impact import _modal, _search, kelvin_voigt, maxwell, models, oracle, standard_solid
+from visco_impact.analysis import SampleGeometry, solve_e10
 from visco_impact.errors import (
     DiscriminantError,
     DomainError,
@@ -421,3 +422,24 @@ def test_sls_metrics_are_its_scaled_entry(Lam, rho, eps0):
     gamma = params.g * tau_R / params.v0
     assert _outcome(lambda: sls_metrics(params)) == _outcome(lambda: ImpactMetrics(
         *_modal.rescaled(standard_solid._scaled_metrics(*_groups(params), gamma), tau_R)))
+
+
+
+# Each model's params whose weight group gamma = g T / v0 overflows, though every
+# group of the material is in range, and every call that reads the weight.
+@pytest.mark.parametrize("cls, fields, calls", [
+    (KelvinVoigtParams, {"m": 1.0, "k": 1.0, "b": 0.6},
+     (kv_metrics, kv_trajectory, kv_drop_metrics_asymptotic)),
+    (MaxwellParams, {"m": 1.0, "k": 1.0, "b": 2.0},
+     (mx_metrics, mx_trajectory, mx_drop_metrics_asymptotic,
+      lambda p: solve_e10(p, SampleGeometry(a=2.5e-3, h=1.5e-3)))),
+    (StandardSolidParams, {"m": 1.0, "k1": 1.0, "k2": 0.3, "b": 0.5},
+     (sls_metrics, sls_trajectory)),
+], ids=["kv", "maxwell", "sls"])
+def test_the_weight_group_is_refused_at_the_solve(cls, fields, calls):
+    """Such params construct, and every drop and expansion on them refuses ``gamma``."""
+    params = cls(**fields, v0=1e-10, g=1e300)
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call(params)
+        assert str(info.value) == "gamma = g T / v0 must be nonnegative and finite, got inf"

@@ -6,13 +6,16 @@ import dataclasses
 import json
 import math
 import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from visco_impact import _modal
 from visco_impact.errors import ConfigError, DomainError, ParseError
 from visco_impact.kelvin_voigt import kv_find_critical_eps0, kv_trajectory
 from visco_impact.maxwell import mx_trajectory
@@ -24,6 +27,8 @@ from visco_impact.models import (
     MaxwellParams,
     StandardSolidParams,
     Trajectory,
+    _series_groups,
+    _uniform_grid,
     convert_configurations,
     derive_kv,
     derive_maxwell,
@@ -52,7 +57,7 @@ class TestDerivedGroups:
         """The groups only: each pair's damped frequency and decay rate live in its
         own module's closed form."""
         assert [f.name for f in dataclasses.fields(DerivedGroups)] == [
-            "omega0", "eta", "zeta", "rho", "Lambda", "tau_R", "eps0"
+            "omega0", "eta", "zeta", "rho", "Lambda", "tau_R"
         ]
 
     def test_kv_groups(self):
@@ -78,8 +83,10 @@ class TestDerivedGroups:
         assert d.eta is None
 
     def test_mx_gravity_group(self):
+        """The weight is the drop's ``gamma = g T / v0``, the paper's ``g / (omega0 v0)``."""
         p = MaxwellParams(m=1.0, k=100.0, b=20.0, v0=2.0, g=9.81)
-        assert p.derived.eps0 == pytest.approx(9.81 / (10.0 * 2.0), rel=1e-15)
+        gamma = _modal.scaled_weight(1.0 / p.derived.omega0, p)
+        assert gamma == pytest.approx(9.81 / (10.0 * 2.0), rel=1e-15)
 
     def test_mx_overdamped_rejected(self):
         # zeta = sqrt(km) / (2b) >= 1 means no oscillatory rebound
@@ -373,3 +380,66 @@ class TestSampleCounts:
         for n in (np.int64(5), np.uint8(5)):
             assert np.array_equal(fn(params, n_samples=n).times, plain.times)
         assert fn(params, n_samples=2).times.tolist() == [0.0, plain.t_c]
+
+
+def _magnitude(exponents: tuple[int, int]):
+    """A float ``s * 10**e``: ``s`` in [1, 10) and ``e`` drawn from ``exponents``."""
+    return st.builds(lambda s, e: s * 10.0**e, st.floats(1.0, 10.0, exclude_max=True),
+                     st.integers(*exponents))
+
+
+class TestSeriesLossFactor:
+    """``zeta = k / (2 omega0 b)`` is formed in range wherever it is finite itself."""
+
+    @given(data=st.data(), under=st.booleans())
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    def test_exact_where_the_product_leaves_the_normal_range(self, data, under):
+        """Within 2 ulp of the exact quotient at the rounded ``omega0``, where ``2 omega0
+        b`` underflows (then ``k`` < 4 keeps ``zeta`` finite) or overflows."""
+        m = data.draw(_magnitude((-300, 300)), label="m")
+        k = data.draw(_magnitude((-300, 0) if under else (-300, 300)), label="k")
+        try:
+            omega0 = _series_groups(m, k, 1.0)[0]
+        except DomainError:
+            assume(False)  # omega0 = sqrt(k / m) is not positive and finite
+        edge = math.log10(2.0 * omega0)
+        lo, hi = (-323, math.floor(-308 - edge)) if under else (math.ceil(309 - edge), 307)
+        assume(lo <= hi)
+        b = data.draw(_magnitude((lo, hi)), label="b")
+        assume(not sys.float_info.min <= 2.0 * omega0 * b < math.inf)
+        zeta = _series_groups(m, k, b)[1]
+        exact = Fraction(k) / (2 * Fraction(omega0) * Fraction(b))
+        assume(exact < Fraction(sys.float_info.max))
+        assert abs(Fraction(zeta) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+    @given(m=_magnitude((-300, 300)), k=_magnitude((-300, 300)), b=_magnitude((-323, 300)))
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    def test_one_division_where_the_product_is_normal(self, m, k, b):
+        try:
+            omega0, zeta = _series_groups(m, k, b)
+        except DomainError:
+            assume(False)
+        scale = 2.0 * omega0 * b
+        assume(sys.float_info.min <= scale < math.inf)
+        assert zeta == k / scale
+
+
+class TestUniformGrid:
+    @given(bounds=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-300),
+                                     st.floats(0.0, allow_infinity=False)),
+                           min_size=2, max_size=2, unique=True).map(sorted),
+           n=st.integers(2, 40))
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    def test_bit_for_bit_np_linspace(self, bounds, n):
+        """For finite ``0 <= lo < hi``, underflowing steps included; ``np.linspace``
+        may overflow in its last product, which the grid never forms."""
+        lo, hi = bounds
+        with np.errstate(over="ignore"):
+            expected = np.linspace(lo, hi, n)
+        assert _uniform_grid(lo, hi, n).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 5e-324, 3), (0.0, 1e-323, 7),
+                                           (5e-324, 1.5e-323, 40)])
+    def test_np_linspace_rule_where_the_step_underflows(self, lo, hi, n):
+        assert (hi - lo) / (n - 1) == 0.0
+        assert _uniform_grid(lo, hi, n).tobytes() == np.linspace(lo, hi, n).tobytes()

@@ -126,6 +126,25 @@ class TestKernelValidation:
         with pytest.raises(ConfigError, match="kv_limit"):
             RelaxationKernel(k0=1.0, tau_R=0.5, kind="kv_limit", **extra)
 
+    @pytest.mark.parametrize("extra", [{"c_inf": 0.3}, {"cs": (0.7,)}, {"thetas": (1.0,)},
+                                       {"c_inf": 0.3, "cs": (0.7,), "thetas": (1.0,)}])
+    def test_table_takes_no_exponential_terms(self, extra):
+        """A table is interpolated alone; its ``Psi`` would ignore any exponential term."""
+        with pytest.raises(ConfigError,
+                           match="a kernel of kind 'table' takes no c_inf, cs or thetas"):
+            RelaxationKernel(k0=1.0, tau_R=1.0, kind="table", table_tau=[0.0, 1.0],
+                             table_psi=[1.0, 0.5], **extra)
+
+    @pytest.mark.parametrize("kind, terms", [
+        ("exp_sum", {"c_inf": 0.3, "cs": (0.7,), "thetas": (1.0,)}),
+        ("kv_limit", {}),
+    ])
+    @pytest.mark.parametrize("table", [{"table_tau": [0.0, 1.0]}, {"table_psi": [1.0, 0.5]}])
+    def test_only_a_table_kernel_takes_a_table(self, kind, terms, table):
+        with pytest.raises(ConfigError,
+                           match=f"a kernel of kind '{kind}' takes no table_tau or table_psi"):
+            RelaxationKernel(k0=1.0, tau_R=1.0, kind=kind, **terms, **table)
+
     def test_kv_limit_psi_refused(self):
         """The pair's kernel is singular; a finite Psi would be another kernel's."""
         with pytest.raises(ConfigError, match="singular"):

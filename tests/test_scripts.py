@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,36 @@ def test_convergence_study_keeps_both_orders(tmp_path, capsys):
         assert [float(cells[0]) for cells in lines] == list(script.DT_FRACTIONS)
         for cells, quoted in zip(lines, values, strict=True):
             assert [float(c) for c in cells[1:]] == pytest.approx(quoted, rel=5e-3)
+
+
+def _git_checkout() -> bool:
+    if shutil.which("git") is None:
+        return False
+    probe = subprocess.run(["git", "-C", str(SCRIPTS.parent), "rev-parse", "HEAD"],
+                           capture_output=True)
+    return probe.returncode == 0
+
+
+@pytest.mark.skipif(not _git_checkout(), reason="needs git and a git checkout")
+def test_ab_runs_one_pair_of_each_side(tmp_path, capsys):
+    """HEAD against HEAD, one pair of three-case runs: every field, not the timings."""
+    script = _load_script("ab")
+    report = tmp_path / "ab.json"
+    argv = ["--base", "HEAD", "--change", "HEAD", "--workload", "closed-form-grid",
+            "--pairs", "1", "--seed", "1", "--seconds", "1", "--cases", "3",
+            "--json", str(report)]
+    assert script.main(argv) == 0
+    printed = capsys.readouterr().out
+    names = [m["name"] for m in json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+             ["end_to_end"]]
+    result = json.loads(report.read_text())
+    assert [pair["first"] for pair in result["pairs"]] == ["base"]
+    for side in ("base", "change"):
+        assert set(result["pairs"][0][side]) >= set(names)
+    assert list(result["summary"]) == names
+    for name, entry in result["summary"].items():
+        assert entry["won"] in (0, 1) and entry["pairs"] == 1
+        assert entry["base"]["median"] == result["pairs"][0]["base"][name]
+        assert isinstance(entry["past_bound"], bool)
+        assert f"  {name}: " in printed
+    assert printed.startswith("pair 1 (base first): ")
