@@ -32,6 +32,7 @@ from .models import (
     StandardSolidParams,
     Trajectory,
     _power,
+    _require_nonnegative,
     _require_positive,
     read_numeric_csv,
 )
@@ -113,6 +114,8 @@ class ExperimentRecord:
     test (a damage indicator; it drives no computation here).  The
     ``v0_consistent`` flag records whether the stated impact velocity
     matches ``sqrt(2 g h0)`` within 2%.
+    A value that is not finite, a height, speed, modulus, stress or strain that is not
+    positive, a negative sd or an ``e_star`` outside [0, 1] raises :class:`DomainError`.
     """
 
     h0: float
@@ -133,6 +136,14 @@ class ExperimentRecord:
     def __post_init__(self) -> None:
         _require_positive("drop height h0", self.h0)
         _require_positive("impact velocity v0", self.v0)
+        for name in ("E_max", "E_10", "sigma_max", "eps_max"):
+            _require_positive(name, getattr(self, name))
+        for name in ("E_max_sd", "E_10_sd", "sigma_max_sd", "eps_max_sd", "e_star_sd"):
+            _require_nonnegative(name, getattr(self, name))
+        if not 0.0 <= self.e_star <= 1.0:
+            raise DomainError(f"e_star must lie in [0, 1], got {self.e_star!r}")
+        if not math.isfinite(self.delta_m):
+            raise DomainError(f"delta_m must be finite, got {self.delta_m!r}")
         # Two roots, so that no finite h0 overflows to an inf that passes the check.
         v0_free_fall = math.sqrt(2.0 * STANDARD_GRAVITY) * math.sqrt(self.h0)
         consistent = abs(self.v0 - v0_free_fall) <= _V0_CONSISTENCY_TOL * v0_free_fall
@@ -252,7 +263,7 @@ def solve_e10(
     NoCrossingError
         If the peak force stays below ``pi a**2 sigma_target``.
     PlasticImpactError
-        If the weight keeps the impactor from separating, as in :func:`.mx_metrics`.
+        At ``sigma_target > 0``, where :func:`.mx_metrics` does (``zeta >= 1`` included).
     """
     if not sigma_target >= 0.0:
         raise DomainError(f"sigma_target must be nonnegative, got {sigma_target!r}")

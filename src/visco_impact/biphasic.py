@@ -31,7 +31,6 @@ from .models import (
     _power,
     _require_nonnegative,
     _require_positive,
-    _series_groups,
     load_flat_json,
 )
 
@@ -134,14 +133,7 @@ def equivalent_maxwell(layer: BiphasicLayer) -> EquivalentMaxwell:
 
 
 def reduce_to_maxwell(layer: BiphasicLayer, m: float, v0: float) -> MaxwellParams:
-    """Impact parameters of the equivalent series pair.
-
-    Raises
-    ------
-    DomainError
-        If the resulting loss factor is at or above one (relaxation too
-        fast for an oscillatory rebound), via parameter validation.
-    """
+    """Impact parameters of the equivalent series pair, at any loss factor."""
     eq = equivalent_maxwell(layer)
     return MaxwellParams(m=m, k=eq.k, b=eq.k * eq.tau_R, v0=v0)
 
@@ -256,17 +248,13 @@ def biphasic_force(layer: BiphasicLayer, times, delta0) -> np.ndarray:
 def biphasic_loss_factor(layer: BiphasicLayer, m: float) -> float:
     """Loss factor of the equivalent series pair under an impacting mass.
 
-    The series pair's own ``zeta = k / (2 omega0 b)``, bit for bit the one
-    :func:`reduce_to_maxwell` refuses at one, but returned at any value.  It
-    equals ``2 sqrt(3 m mu_s) kappa / (a**2 sqrt(h))``, so it grows with
-    permeability and shear modulus and falls with thickness and contact
-    radius: thicker layers and larger indenters rebound more.  Raises
-    :class:`DomainError` unless ``m``, the pair and ``sqrt(k / m)`` are
-    positive and finite.
+    The zeta of :func:`reduce_to_maxwell`'s pair, plastic from 1 on.  It equals ``2
+    sqrt(3 m mu_s) kappa / (a**2 sqrt(h))``, so it grows with permeability and shear
+    modulus and falls with thickness and contact radius: thicker layers and larger
+    indenters rebound more.  :class:`DomainError` where the pair is refused, a dashpot
+    ``b = k tau_R`` that rounds to 0 or inf and a ``zeta`` past the largest float included.
     """
-    _require_positive("m", m)
-    eq = equivalent_maxwell(layer)
-    return _series_groups(m, eq.k, eq.k * eq.tau_R)[1]
+    return reduce_to_maxwell(layer, m, 1.0).derived.zeta
 
 
 _LAYER_KEYS = frozenset({"mu_s", "lambda_s", "kappa", "h", "a"})

@@ -478,14 +478,6 @@ def cmd_biphasic(args) -> int:
     print(f"usable window = {usable:.6g} s")
     if args.out is None:
         return EXIT_OK
-    if zeta >= 1.0:
-        # An overdamped series pair pushes back with k v0 (e**(r1 t) - e**(r2 t)) / (r1 - r2),
-        # and with k v0 t e**(-beta t) at zeta = 1: positive for every t > 0.
-        _require_dt(args.dt)
-        raise PlasticImpactError(
-            f"loss factor {zeta:.3g} >= 1: no oscillatory rebound, "
-            "so the contact force never returned to zero"
-        )
     params = reduce_to_maxwell(layer, args.m, args.v0)
     metrics, traj = _closed_form(params, args.dt, mx_metrics, mx_trajectory)
     if metrics.t_c > usable:

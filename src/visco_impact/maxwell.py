@@ -2,9 +2,9 @@
 
 The series pair relaxes stress exponentially with time constant
 ``tau_R = b / k``, which makes the contact force a single decaying sine:
-``F(t) = (k v0 / omega) exp(-zeta omega0 t) sin(omega t)``.  Contact always
-ends at exactly half a damped period, and a permanent indentation
-``2 zeta v0 / omega0`` remains after separation.
+``F(t) = (k v0 / omega) exp(-zeta omega0 t) sin(omega t)``.  Below critical
+damping, ``zeta < 1``, contact ends at exactly half a damped period, and a
+permanent indentation ``2 zeta v0 / omega0`` remains; from 1 on, it never ends.
 
 With gravity acting during contact, the force carries an offset ``m g`` and
 the indentation the series dashpot's creep at ``2 zeta g / omega0``.  The
@@ -21,7 +21,7 @@ import math
 from . import _modal
 # Every walk goes through this module's name, which perfbench's traced pass wraps.
 from ._search import DampedMode, OffsetMode, first_force_zero
-from .errors import DomainError
+from .errors import DomainError, PlasticImpactError
 from .models import (
     DEFAULT_SAMPLES,
     ImpactMetrics,
@@ -37,6 +37,20 @@ __all__ = [
 ]
 
 
+def _damped_frequency(zeta: float) -> float:
+    """``w = sqrt(1 - zeta**2)``; at ``zeta >= 1``, :class:`PlasticImpactError`, by this proof.
+
+    The force solves ``f'' + 2 zeta f' + f = gamma``, ``f(0) = 0``, ``f'(0) = 1``, so
+    ``f = h + gamma integral_0^t h`` with ``h`` the free response.  At ``zeta > 1``,
+    ``h = (e**(r1 t) - e**(r2 t)) / (r1 - r2)`` with real rates ``r1 > r2``, and ``t
+    e**(-t)`` at ``zeta = 1``: positive for ``t > 0``, and so is ``f`` at any ``gamma >= 0``.
+    """
+    if zeta >= 1.0:
+        raise PlasticImpactError(f"loss factor {zeta:.3g} >= 1: no oscillatory rebound, "
+                                 "so the contact force never returned to zero")
+    return math.sqrt((1.0 - zeta) * (1.0 + zeta))
+
+
 def _scaled_solution(zeta: float, gamma: float = 0.0):
     """Indentation, its rate and the force in ``omega0`` time, as modes.
 
@@ -47,7 +61,7 @@ def _scaled_solution(zeta: float, gamma: float = 0.0):
     and ``xi`` creeps at ``2 zeta gamma``.  Each mode starts exactly, ``xi'``
     through its ``start``, and the force holds the weight as its constant.
     """
-    w = math.sqrt((1.0 - zeta) * (1.0 + zeta))
+    w = _damped_frequency(zeta)
     creep = 2.0 * zeta * gamma
     Q = 1.0 - creep
     K = 2.0 * zeta * Q + gamma
@@ -61,7 +75,7 @@ def _scaled_metrics(zeta: float, gamma: float = 0.0) -> tuple:
     """:func:`mx_metrics` at the weight ``gamma`` in ``omega0`` units, in ImpactMetrics order."""
     if gamma:
         return _modal.scaled_metrics(*_scaled_solution(zeta, gamma), first_force_zero)
-    w = math.sqrt((1.0 - zeta) * (1.0 + zeta))
+    w = _damped_frequency(zeta)
     tau_m = (0.5 * math.pi + math.asin(zeta)) / w
     f_m = math.exp(-zeta * tau_m)
     tau_M = math.atan2(w, zeta) / w
@@ -75,9 +89,9 @@ def mx_trajectory(params: MaxwellParams, n_samples: int = DEFAULT_SAMPLES) -> Tr
 
     The acceleration equals ``g - F / m`` throughout, so the force column is
     also the exact hereditary convolution of the velocity with the
-    exponential relaxation kernel.  :class:`PlasticImpactError` when the
-    weight's offset is proved to keep the force above zero; near ``zeta = 1``
-    a tiny ``eps0`` already embeds the impactor.
+    exponential relaxation kernel.  :class:`PlasticImpactError` from ``zeta =
+    1`` on at any weight, and below it where the weight's offset is proved to
+    keep the force above zero; near ``zeta = 1`` a tiny ``eps0`` already embeds.
     """
     d = params.derived
     T = 1.0 / d.omega0
@@ -95,6 +109,7 @@ def mx_metrics(params: MaxwellParams) -> ImpactMetrics:
     zeta**2)``, contact lasts half a damped period, ``t_c = pi / w``, at any
     amplitude.  The force peaks at ``w t_M = atan(w / zeta)`` and the
     indentation a quarter period later, at ``w t_m = pi/2 + asin(zeta)``.
+    :class:`PlasticImpactError` where :func:`mx_trajectory` raises it.
     """
     d = params.derived
     T = 1.0 / d.omega0
@@ -119,6 +134,8 @@ def mx_drop_metrics_asymptotic(params: MaxwellParams) -> ImpactMetrics:
 
     Raises
     ------
+    PlasticImpactError
+        At ``zeta >= 1``, where the zeroth order never separates.
     DomainError
         When ``e0`` underflows to 0 (``zeta`` above about 0.99999) and
         ``eps0 > 0``: the duration correction is then unbounded.

@@ -29,6 +29,7 @@ import stat
 import sys
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -213,9 +214,8 @@ class KelvinVoigtParams:
 class MaxwellParams:
     """Spring and dashpot in series, impacted by a rigid mass.
 
-    The dashpot must be stiff enough for the contact to oscillate: the loss
-    factor ``zeta = k / (2 omega0 b)`` has to stay below one, otherwise
-    construction raises :class:`DomainError`.
+    Any loss factor ``zeta = k / (2 omega0 b)`` in the float range constructs; from 1
+    on the impactor never separates, and every solution raises :class:`PlasticImpactError`.
     """
 
     m: float
@@ -321,36 +321,26 @@ def _power(x: float, n: int) -> float:
 
 
 def _series_groups(m: float, k: float, b: float) -> tuple[float, float]:
-    """``(omega0, zeta)`` of a series pair, ``zeta = k / (2 omega0 b)`` unrefused.
-
-    Where ``2 omega0 b`` is not a normal float, ``k`` and ``b`` enter by their
-    significands and ``zeta`` takes their exponents last, so it is inf or 0
-    only where it leaves the float range itself.
-    """
+    """``(omega0, zeta)`` of a series pair, ``zeta = k / (2 omega0 b)`` at the rounded ``omega0``:
+    one division where ``2 omega0 b`` is a normal float and the quotient finite, elsewhere
+    the exact quotient correctly rounded.  :class:`DomainError` where that passes the
+    largest float (``b = 0`` included) or ``omega0`` is not positive and finite."""
     omega0 = _natural_frequency(k, m)
     scale = 2.0 * omega0 * b
-    if sys.float_info.min <= scale < math.inf or not (k and b):
-        return omega0, _divide(k, scale)
-    (k_frac, k_exp), (b_frac, b_exp) = math.frexp(k), math.frexp(b)
+    if sys.float_info.min <= scale < math.inf and (zeta := k / scale) < math.inf:
+        return omega0, zeta
     try:
-        return omega0, math.ldexp(k_frac / (2.0 * omega0 * b_frac), k_exp - b_exp)
-    except OverflowError:
-        return omega0, math.inf
+        return omega0, float(Fraction(k) / Fraction(2.0 * omega0) / Fraction(b))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"loss factor zeta = k / (2 omega0 b) leaves the float range "
+                          f"at k = {k!r}, b = {b!r}") from None
 
 
 def derive_maxwell(params: MaxwellParams) -> DerivedGroups:
-    """Derive the nondimensional groups of a spring-dashpot series pair.
-
-    The loss factor is ``zeta = k / (2 omega0 b)`` and the relaxation time
-    is ``tau_R = b / k``.  Raises :class:`DomainError` when ``zeta >= 1``, or
-    when ``omega0`` is not positive and finite.
-    """
+    """Derive the nondimensional groups of a spring-dashpot series pair: the loss factor
+    ``zeta = k / (2 omega0 b)`` (:func:`_series_groups`; 1 and above kept, for
+    :mod:`.maxwell` to prove plastic) and the relaxation time ``tau_R = b / k``."""
     omega0, zeta = _series_groups(params.m, params.k, params.b)
-    if not zeta < 1.0:
-        raise DomainError(
-            f"loss factor zeta = {zeta:.6g} is >= 1: relaxation is too fast "
-            "for an oscillatory rebound"
-        )
     return DerivedGroups(omega0=omega0, zeta=zeta, tau_R=params.b / params.k)
 
 

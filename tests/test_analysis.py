@@ -93,10 +93,16 @@ class TestGeometryAndRecords:
         assert not _record(v0=1.2).v0_consistent
 
     def test_record_positivity(self):
-        with pytest.raises(DomainError):
-            _record(h0=0.0)
-        with pytest.raises(DomainError):
-            _record(v0=-1.0)
+        """A zero eps_max or E_10 once ended ``analyze`` in a raw ZeroDivisionError."""
+        for name, value in (("h0", 0.0), ("v0", -1.0), ("E_max", 0.0), ("E_10", 0.0),
+                            ("sigma_max", -1.0), ("eps_max", 0.0), ("E_max_sd", -1.0),
+                            ("e_star_sd", -1e-300), ("e_star", -0.1), ("e_star", 1.5)):
+            with pytest.raises(DomainError, match=f"{name} must"):
+                _record(**{name: value})
+
+    def test_record_accepts_its_bounds(self):
+        assert _record(E_max_sd=0.0, e_star=0.0, delta_m=-1.0).e_star == 0.0
+        assert _record(e_star=1.0).e_star == 1.0
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("name, words", [("a", "sample radius a"), ("h", "sample thickness h")])
@@ -107,10 +113,19 @@ class TestGeometryAndRecords:
             SampleGeometry(**fields)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
-    @pytest.mark.parametrize("name, words", [("h0", "drop height h0"), ("v0", "impact velocity v0")])
+    @pytest.mark.parametrize("name, words", [
+        ("h0", "drop height h0"), ("v0", "impact velocity v0"),
+        *((name, name) for name in ("E_max", "E_max_sd", "E_10", "E_10_sd", "sigma_max",
+                                    "sigma_max_sd", "eps_max", "eps_max_sd", "e_star",
+                                    "e_star_sd", "delta_m")),
+    ])
     def test_record_refuses_non_finite(self, name, words, value):
-        """An infinite h0 was once accepted as consistent, as inf <= 0.02 * inf."""
-        with pytest.raises(DomainError, match=f"^{words} must be positive and finite, got {value!r}$"):
+        """An infinite h0 was once accepted as consistent, as inf <= 0.02 * inf; a NaN
+        modulus printed ``relative spread nan`` and exited 0."""
+        rule = ("lie in \\[0, 1\\]" if name == "e_star" else "be finite" if name == "delta_m"
+                else "be nonnegative and finite" if name.endswith("_sd")
+                else "be positive and finite")
+        with pytest.raises(DomainError, match=f"^{words} must {rule}, got {value!r}$"):
             _record(**{name: value})
 
     def test_huge_drop_height_is_not_consistent(self):

@@ -353,10 +353,6 @@ class TestSimulate:
             # g tau_R / v0 overflows.
             ("sls", {"m": 1e-308, "k1": 1.0, "k2": 0.3, "b": 0.5, "v0": 1e-308}, ["--gravity"],
              "gamma = g T / v0 must be nonnegative and finite, got inf"),
-            # 2 omega0 b underflows to 0, yet zeta = k / (2 omega0 b) is formed in range.
-            ("maxwell", {"m": 1e46, "k": 1e-168, "b": 1e-283, "v0": 1.0}, [],
-             "loss factor zeta = 5e+221 is >= 1: relaxation is too fast for an oscillatory "
-             "rebound"),
             # (kappa1 + kappa2) kappa1 and (kappa1 + kappa2)**2 overflow.
             ("sls", {"m": 1.0, "kappa1": 1e300, "kappa2": 1.0, "beta": 1.5e-6, "v0": 1.0}, [],
              "the parallel configuration converts to k2 = inf, which is not finite"),
@@ -364,7 +360,7 @@ class TestSimulate:
             ("sls", {"m": 1.0, "kappa1": 1.0, "kappa2": 1e-170, "beta": 1.0, "v0": 1.0}, [],
              "the parallel configuration converts to b = inf, which is not finite"),
         ],
-        ids=["kv-eps0", "maxwell-omega0", "kv-omega0", "sls-gamma", "maxwell-zeta",
+        ids=["kv-eps0", "maxwell-omega0", "kv-omega0", "sls-gamma",
              "sls-parallel-overflow", "sls-parallel-underflow"],
     )
     def test_extreme_magnitudes_exit_domain(self, tmp_path, capsys, model, params, extra, message):
@@ -960,6 +956,31 @@ class TestBiphasic:
         assert "no oscillatory rebound" in err
         assert "never returned to zero" in err
 
+    @pytest.mark.parametrize("pair, kappa, zeta", [
+        ({"m": 1.0, "k": 1.0, "b": 0.4, "v0": 1.0}, 0.0625, "1.25"),
+        # 2 omega0 b underflows to 0, yet zeta = k / (2 omega0 b) is formed in range.
+        ({"m": 1e46, "k": 1e-168, "b": 1e-283, "v0": 1.0}, 2.5e220, "5e+221"),
+    ], ids=["unit", "maxwell-zeta"])
+    def test_overdamped_pair_and_layer_refuse_alike(self, tmp_path, capsys, pair, kappa, zeta):
+        """A series pair at zeta >= 1, with or without its weight, and a layer that reduces
+        to the same zeta print one and the same line and exit 3."""
+        line = (f"error: loss factor {zeta} >= 1: no oscillatory rebound, "
+                "so the contact force never returned to zero\n")
+        pair_path = _write_json(tmp_path, "pair.json", pair)
+        for extra in ([], ["--gravity"]):
+            assert main(["simulate", "maxwell", "--params", pair_path, *extra]) == EXIT_PLASTIC
+            assert capsys.readouterr() == ("", line)
+        # zeta = 2 sqrt(3 m mu_s) kappa / (a**2 sqrt(h)) = 20 kappa at m = 1/3.
+        layer = {"mu_s": 1.0, "lambda_s": 0.0, "kappa": kappa, "h": 0.01, "a": 1.0}
+        out = tmp_path / "traj.csv"
+        argv = ["biphasic", "--params", _write_json(tmp_path, "layer.json", layer),
+                "--m", repr(1 / 3), "--out", str(out)]
+        assert main(argv) == EXIT_PLASTIC
+        captured = capsys.readouterr()
+        assert f"zeta = {zeta}\n" in captured.out
+        assert captured.err == line
+        assert not out.exists()
+
     def test_overdamped_layer_is_plastic_without_integrating(self, tmp_path, monkeypatch):
         """The loss factor alone decides a layer at zeta >= 1; the oracle never runs."""
         _refuse_oracle(monkeypatch)
@@ -983,15 +1004,11 @@ class TestBiphasic:
     def test_loss_factor_within_rounding_of_one_exits_as_its_pair(self, tmp_path, capsys,
                                                                    layer, m, rc, err):
         """Both echo zeta = 1; the pair's own zeta is 1 - 1e-16 for the first layer,
-        which runs, and 1 + 2e-16 for the second, which reduce_to_maxwell refuses."""
+        which runs, and 1 + 2e-16 for the second, which is plastic."""
         from visco_impact.biphasic import BiphasicLayer, reduce_to_maxwell
 
-        try:
-            reduce_to_maxwell(BiphasicLayer(**layer), m, 1.0)
-        except DomainError:
-            assert rc == EXIT_PLASTIC
-        else:
-            assert rc == EXIT_OK
+        zeta = reduce_to_maxwell(BiphasicLayer(**layer), m, 1.0).derived.zeta
+        assert rc == (EXIT_OK if zeta < 1.0 else EXIT_PLASTIC)
         params = _write_json(tmp_path, "layer.json", layer)
         out = tmp_path / "traj.csv"
         assert main(["biphasic", "--params", params, "--m", repr(m), "--out", str(out)]) == rc
@@ -1094,6 +1111,19 @@ class TestAnalyze:
         copy = tmp_path / "table.csv"
         copy.write_text(bundled_experiments_path().read_text())
         assert main(["analyze", str(copy)]) == EXIT_OK
+
+    @pytest.mark.parametrize("column, field", [("epsmax", "eps_max"), ("E10_MPa", "E_10")])
+    def test_zero_cell_exits_domain(self, tmp_path, capsys, column, field):
+        """The bundled table with one zero cell once ended in a raw ZeroDivisionError."""
+        from visco_impact.analysis import EXPERIMENT_HEADER, bundled_experiments_path
+
+        header, *rows = bundled_experiments_path().read_text().splitlines()
+        cells = rows[1].split(",")
+        cells[EXPERIMENT_HEADER.index(column)] = "0"
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join([header, rows[0], ",".join(cells), *rows[2:]]) + "\n")
+        assert main(["analyze", str(table)]) == EXIT_DOMAIN
+        assert capsys.readouterr() == ("", f"error: {field} must be positive and finite, got 0.0\n")
 
     def test_bad_table_exits_io(self, tmp_path, capsys):
         bad = tmp_path / "table.csv"

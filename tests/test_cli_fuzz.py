@@ -1,12 +1,13 @@
 """Fuzz of the command line: ``simulate``, ``sweep`` and ``biphasic`` parameter
-files, and the ``--dt`` of ``simulate`` and ``biphasic --out``, drawn from the
-whole float range (NaN, +-inf, +-0, subnormals, negatives).
+files, ``analyze`` record tables, and the ``--dt`` of ``simulate`` and ``biphasic
+--out``, drawn from the whole float range (NaN, +-inf, +-0, subnormals, negatives).
 
 Every run returns an exit code in {0, 1, 2, 3} and lets no exception escape
 ``main``; a run that ends in an error prints exactly one ``error:`` line, and
 a sweep that skips rows prints one skip line per NaN row instead.  A finished
 run without weight, and every kept row of a sweep other than ``eps0``, is
-finite with ``e*`` in [0, 1].  The weighted answers are not held to that:
+finite with ``e*`` in [0, 1]; so is every number a finished ``analyze`` prints.
+The weighted answers are not held to that:
 near-elastic heavy drops (ROADMAP item 18) and ``eps0`` sweeps past the
 embedding threshold (item 3) are wrong today, each pinned by a strict xfail
 in ``tests/test_kelvin_voigt.py`` and ``tests/test_cli.py``.  A counterexample
@@ -19,12 +20,14 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from visco_impact.analysis import EXPERIMENT_HEADER
 from visco_impact.cli import _MODELS, SWEEP_HEADER, main
 from visco_impact.models import TRAJECTORY_HEADER, read_numeric_csv
 
@@ -179,12 +182,63 @@ def test_biphasic_prints_a_finite_loss_factor(workdir):
     _check_biphasic(workdir, layer, 1.0, None, False)
 
 
-@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: biphasic prints zeta = inf where "
-                   "the rounded 2 omega0 b puts k / (2 omega0 b) past the largest float")
 @pytest.mark.filterwarnings("default::UserWarning")  # the thick layer's warning, as in test_biphasic
 def test_biphasic_prints_a_loss_factor_at_the_largest_float(workdir):
     """A fuzz counterexample: at the rounded ``omega0``, ``k / (2 omega0 b)`` is 3.8e-17
-    relative above the largest float, less than half its ulp, so it rounds to it; yet
-    ``2 omega0 b`` rounds 7.3e-17 low, the division overflows and ``zeta = inf`` prints."""
+    relative above the largest float, less than half its ulp, so it rounds to it;
+    ``2 omega0 b`` rounds 7.3e-17 low, so one division would overflow to inf."""
     layer = {"mu_s": 479.0, "lambda_s": 0.0, "kappa": 9.968774450594074e191, "h": 1.0, "a": 1.0}
     _check_biphasic(workdir, layer, 5.657581520993281e228, None, False)
+
+
+@pytest.mark.filterwarnings("default::UserWarning")  # the thick layer's warning, as in test_biphasic
+@pytest.mark.parametrize("layer, m", [
+    # The exact zeta is about 4.5e309.
+    ({"mu_s": 1.0, "lambda_s": 0.0, "kappa": 3e307, "h": 1.0, "a": 1.0}, 1875.0),
+    # The dashpot b = k tau_R underflows to 0.
+    ({"mu_s": 1.0, "lambda_s": 0.0, "kappa": 3.3e199, "h": 1.0, "a": 1e-50}, 1.0),
+], ids=["past-the-largest-float", "dashpot-underflows"])
+def test_biphasic_refuses_a_loss_factor_past_the_float_range(workdir, layer, m):
+    """Each printed ``zeta = inf`` and exited 0; no float holds this loss factor."""
+    code, stdout, err = _run(["biphasic", "--params", _write(workdir / "layer.json", layer),
+                              f"--m={m!r}"])
+    assert (code, stdout) == (2, "")
+    assert len(_errors(err)) == 1
+
+
+def _numbers(text: str) -> list[float]:
+    """Every token of ``text`` that ``float`` reads, inf and nan included."""
+    numbers = []
+    for token in re.split(r"[\s,=():%\[\]]+", text):
+        with contextlib.suppress(ValueError):
+            numbers.append(float(token))
+    return numbers
+
+
+def _check_analyze(workdir, rows) -> None:
+    table = workdir / "records.csv"
+    table.write_text(",".join(EXPERIMENT_HEADER) + "\n"
+                     + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    code, out, err = _run(["analyze", str(table)])
+    _check_run(code, err)
+    if code == 0:
+        assert all(math.isfinite(x) for x in _numbers(out)), out
+
+
+@given(data=st.data(), n=st.integers(2, 6))
+@settings(deadline=None, max_examples=60, derandomize=True)
+def test_analyze(workdir, data, n):
+    _check_analyze(workdir, [[data.draw(FLOATS, label=column) for column in EXPERIMENT_HEADER]
+                             for _ in range(n)])
+
+
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: analyze prints inf and nan for "
+                   "valid records whose quotients and sums overflow")
+def test_analyze_prints_finite_numbers_for_huge_records(workdir):
+    """Valid records, found by hand: ``sigma_max / eps_max`` of the first and the mean of
+    ``E_max`` overflow, so ``analyze`` warns, prints ``inf`` and ``relative spread nan``
+    and exits 0."""
+    _check_analyze(workdir, [
+        [25.0, 0.7, 86.0, 22.0, 75.0, 13.0, 1e300, 2.9, 1e-5, 0.06, 0.64, 0.08, 2.2],
+        [50.0, 0.99, 1e302, 32.0, 71.0, 16.0, 1e301, 3.5, 0.6, 0.13, 0.46, 0.14, 2.5],
+    ])

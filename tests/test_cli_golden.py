@@ -79,10 +79,11 @@ COMMANDS = {
     "biphasic_thick": (["biphasic", "--m", "0.2"], {**_LAYER, "h": 1e-3}),
     "analyze": (["analyze"], None),
     "analyze_out": (["analyze", "--out"], None),
-    # One refusal per exit code: 1, 2 and 3.
+    # One refusal per exit code: 1, 2 and 3; the series pair at zeta >= 1 as its layer.
     "refuse_malformed_sweep": (["sweep", "--model", "kv", "--sweep", "eta:0:1:x"], None),
     "refuse_eta_out_of_range": (["sweep", "--model", "kv", "--sweep", "eta:0.5:1.5:3"], None),
     "refuse_overdamped_layer": (["biphasic", "--m", "0.2", "--out"], {**_LAYER, "kappa": 1e-8}),
+    "refuse_overdamped_pair": (["simulate", "maxwell"], {"m": 1.0, "k": 1.0, "b": 0.4, "v0": 1.0}),
     # Every sweep form, on a small grid, to a file.
     "sweep_kv_eta_out": (["sweep", "--model", "kv", "--sweep", "eta:0.1:0.9:5", "--out"], None),
     "sweep_kv_eps0_out": (["sweep", "--model", "kv", "--sweep", "eps0:0:0.2:5", "--out"],

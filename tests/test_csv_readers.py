@@ -45,7 +45,8 @@ READERS = {
     "ingest_table": (
         ingest_table,
         EXPERIMENT_HEADER,
-        (",".join(["1"] * 13), ",".join(["2"] * 13)),
+        # A restitution in [0, 1] in each row.
+        (",".join(["1"] * 13), ",".join(["2"] * 10 + ["1", "2", "2"])),
         len,
     ),
 }

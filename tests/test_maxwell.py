@@ -11,13 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from visco_impact import maxwell
-from visco_impact.errors import PlasticImpactError
+from visco_impact.analysis import SampleGeometry, solve_e10
+from visco_impact.errors import NoSeparationError, PlasticImpactError
 from visco_impact.maxwell import (
     mx_drop_metrics_asymptotic,
     mx_metrics,
     mx_trajectory,
 )
 from visco_impact.models import MaxwellParams
+from visco_impact.oracle import RelaxationKernel, integrate_impact_with_gravity
 
 zetas = st.floats(min_value=1e-3, max_value=0.97)
 
@@ -110,6 +112,25 @@ def test_near_critical_closed_form_keeps_its_digits(zeta):
         assert e_star == 0.0
     else:
         assert e_star == pytest.approx(float(e_ref), rel=1e-13)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.1, 10.0])
+@pytest.mark.parametrize("zeta", [1.0, 1.25, 3.0, 10.0])
+def test_plastic_from_critical_damping_on(zeta, g):
+    """From zeta = 1 on the pair constructs and every solution refuses it as plastic,
+    naming zeta; the oracle finds no separation either.  A zero stress target still
+    needs no solution."""
+    params = _params(zeta, g=g)
+    geom = SampleGeometry(a=1.0, h=1.0)
+    message = f"^loss factor {params.derived.zeta:.3g} >= 1: no oscillatory rebound"
+    for solve in (mx_metrics, mx_trajectory, mx_drop_metrics_asymptotic,
+                  lambda p: solve_e10(p, geom, 1e-3)):
+        with pytest.raises(PlasticImpactError, match=message):
+            solve(params)
+    assert solve_e10(params, geom, 0.0) == (0.0, params.k * geom.h / geom.area)
+    with pytest.raises(NoSeparationError):
+        integrate_impact_with_gravity(RelaxationKernel.from_params(params), params.m,
+                                      params.v0, params.g)
 
 
 class TestTrajectory:

@@ -16,9 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from visco_impact import _modal
-from visco_impact.errors import ConfigError, DomainError, ParseError
+from visco_impact.errors import ConfigError, DomainError, ParseError, PlasticImpactError
 from visco_impact.kelvin_voigt import kv_find_critical_eps0, kv_trajectory
-from visco_impact.maxwell import mx_trajectory
+from visco_impact.maxwell import mx_metrics, mx_trajectory
 from visco_impact.models import (
     _GROUP_DOMAINS,
     MAX_SCAN_SAMPLES,
@@ -89,9 +89,12 @@ class TestDerivedGroups:
         assert gamma == pytest.approx(9.81 / (10.0 * 2.0), rel=1e-15)
 
     def test_mx_overdamped_rejected(self):
-        # zeta = sqrt(km) / (2b) >= 1 means no oscillatory rebound
-        with pytest.raises(DomainError):
-            MaxwellParams(m=1.0, k=1.0, b=0.4, v0=1.0)
+        # zeta = sqrt(km) / (2b) >= 1 means no oscillatory rebound: the pair constructs,
+        # and its impact is plastic.
+        params = MaxwellParams(m=1.0, k=1.0, b=0.4, v0=1.0)
+        assert params.derived.zeta == 1.25
+        with pytest.raises(PlasticImpactError, match="^loss factor 1.25 >= 1: "):
+            mx_metrics(params)
 
     def test_mx_requires_dashpot(self):
         with pytest.raises(DomainError):
@@ -389,13 +392,13 @@ def _magnitude(exponents: tuple[int, int]):
 
 
 class TestSeriesLossFactor:
-    """``zeta = k / (2 omega0 b)`` is formed in range wherever it is finite itself."""
+    """``zeta = k / (2 omega0 b)`` is formed in range wherever it is a float itself."""
 
     @given(data=st.data(), under=st.booleans())
     @settings(deadline=None, max_examples=200, derandomize=True)
     def test_exact_where_the_product_leaves_the_normal_range(self, data, under):
-        """Within 2 ulp of the exact quotient at the rounded ``omega0``, where ``2 omega0
-        b`` underflows (then ``k`` < 4 keeps ``zeta`` finite) or overflows."""
+        """The correctly rounded quotient at the rounded ``omega0``, where ``2 omega0 b``
+        underflows (then ``k`` < 4 keeps ``zeta`` finite) or overflows."""
         m = data.draw(_magnitude((-300, 300)), label="m")
         k = data.draw(_magnitude((-300, 0) if under else (-300, 300)), label="k")
         try:
@@ -407,10 +410,37 @@ class TestSeriesLossFactor:
         assume(lo <= hi)
         b = data.draw(_magnitude((lo, hi)), label="b")
         assume(not sys.float_info.min <= 2.0 * omega0 * b < math.inf)
-        zeta = _series_groups(m, k, b)[1]
         exact = Fraction(k) / (2 * Fraction(omega0) * Fraction(b))
         assume(exact < Fraction(sys.float_info.max))
-        assert abs(Fraction(zeta) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+        assert _series_groups(m, k, b)[1] == float(exact)
+
+    @given(data=st.data(), steps=st.integers(-4, 4))
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    def test_refused_exactly_past_the_largest_float(self, data, steps):
+        """Where ``2 omega0 b`` underflows and the quotient nears the largest float:
+        :class:`DomainError` exactly where the correctly rounded quotient overflows."""
+        m = data.draw(_magnitude((0, 300)), label="m")
+        k = data.draw(_magnitude((-20, 0)), label="k")
+        try:
+            omega0 = _series_groups(m, k, 1.0)[0]
+        except DomainError:
+            assume(False)
+        b = k / (2.0 * omega0) / sys.float_info.max
+        for _ in range(abs(steps)):
+            b = math.nextafter(b, math.copysign(math.inf, steps))
+        assume(0.0 < 2.0 * omega0 * b < sys.float_info.min)
+        exact = Fraction(k) / (2 * Fraction(omega0) * Fraction(b))
+        try:
+            zeta = float(exact)
+        except OverflowError:
+            with pytest.raises(DomainError, match="^loss factor zeta = k / .* leaves the float"):
+                _series_groups(m, k, b)
+        else:
+            assert _series_groups(m, k, b)[1] == zeta
+
+    def test_zero_dashpot_is_refused(self):
+        with pytest.raises(DomainError, match="leaves the float range at k = 1.0, b = 0.0"):
+            _series_groups(1.0, 1.0, 0.0)
 
     @given(m=_magnitude((-300, 300)), k=_magnitude((-300, 300)), b=_magnitude((-323, 300)))
     @settings(deadline=None, max_examples=300, derandomize=True)
