@@ -12,8 +12,11 @@ first alternates from pair to pair: the base leads the odd pairs.
 
 Prints every pair, then for each end-to-end metric of ``BENCHMARK.json``
 each side's median [quartiles], the number of pairs the change won by the
-metric's ``better``, and ``PAST BOUND`` where the change's median is worse than
-the base's by more than the metric's ``bound`` (any rise where the base is 0).
+metric's ``better``, ``PAST BOUND`` where the change's median is worse than
+the base's by more than the metric's ``bound`` (any rise where the base is 0),
+and ``UNRESOLVED`` where the base's own interquartile spread is wider than
+``bound`` times its median, so that a regression within the bound could not be
+told from noise, unless every change run beats every base run.
 Nothing is written into the repository, and no machine setting is changed.
 """
 
@@ -77,7 +80,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(metrics: list[dict], pairs: list[dict]) -> dict[str, dict]:
-    """Each metric's medians, quartiles, pairs won by the change and bound verdict."""
+    """Each metric's medians, quartiles, pairs won by the change and bound verdicts."""
     summary = {}
     for metric in metrics:
         name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
@@ -87,11 +90,13 @@ def summarize(metrics: list[dict], pairs: list[dict]) -> dict[str, dict]:
         c1, c2, c3 = quartiles(change)
         won = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
         worse = (b2 - c2) if higher else (c2 - b2)
+        beats_all = min(change) > max(base) if higher else max(change) < min(base)
         summary[name] = {
             "base": {"median": b2, "q1": b1, "q3": b3},
             "change": {"median": c2, "q1": c1, "q3": c3},
             "won": won, "pairs": len(pairs),
             "past_bound": worse > bound * abs(b2) if b2 else worse > 0.0,
+            "unresolved": b3 - b1 > bound * abs(b2) and not beats_all,
         }
     return summary
 
@@ -138,7 +143,8 @@ def main(argv=None) -> int:
         b, c = s["base"], s["change"]
         print(f"  {name}: {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}] -> "
               f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}], change won "
-              f"{s['won']}/{s['pairs']}" + ("  PAST BOUND" if s["past_bound"] else ""))
+              f"{s['won']}/{s['pairs']}" + ("  PAST BOUND" if s["past_bound"] else "")
+              + ("  UNRESOLVED" if s["unresolved"] else ""))
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"base": args.base, "change": args.change, "workload": args.workload,

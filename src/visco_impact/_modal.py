@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .models import ImpactMetrics, Trajectory, _check_groups, _uniform_grid
+from .models import ImpactMetrics, Trajectory, _formula, _uniform_grid
 
 # Walk limit for the contact end, in oscillation periods, of every closed-form
 # model; the oracle keeps its own horizon as the independent reference.
@@ -32,14 +32,10 @@ def _first_zero(mode, walk) -> float:
 
 
 def _scales(T: float, m: float, v0: float) -> tuple[float, float, float]:
-    """``v0 T``, ``v0 / T`` and ``m v0 / T``, which scale every sample and metric, if finite."""
-    scales = v0 * T, v0 / T, m * v0 / T
-    if not all(map(math.isfinite, scales)):
-        raise DomainError(
-            "the scales v0 T = {:.3g}, v0 / T = {:.3g} and m v0 / T = {:.3g} "
-            "must be finite".format(*scales)
-        )
-    return scales
+    """``v0 T``, ``v0 / T`` and ``m v0 / T``, which scale every sample and metric."""
+    return (_formula("depth scale = v0 * T")(v0=v0, T=T),
+            _formula("rate scale = v0 / T")(v0=v0, T=T),
+            _formula("force scale = m * v0 / T")(m=m, v0=v0, T=T))
 
 
 def require_finite(values) -> None:
@@ -71,8 +67,7 @@ def scaled_weight(T: float, params) -> float:
     0 without weight, whose scales :func:`dimensional` and :func:`trajectory` check."""
     if not params.g:
         return 0.0
-    gamma = params.g * T / params.v0
-    _check_groups("gamma = g T / v0", eps0=gamma)
+    gamma = _formula("gamma = g * T / v0")(g=params.g, T=T, v0=params.v0)
     _scales(T, params.m, params.v0)
     return gamma
 

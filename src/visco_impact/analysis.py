@@ -31,7 +31,7 @@ from .models import (
     MaxwellParams,
     StandardSolidParams,
     Trajectory,
-    _power,
+    _formula,
     _require_nonnegative,
     _require_positive,
     read_numeric_csv,
@@ -91,19 +91,17 @@ EXPERIMENT_HEADER = tuple(column for column, _, _ in _EXPERIMENT_COLUMNS)
 
 @dataclass(frozen=True)
 class SampleGeometry:
-    """Cylindrical sample: contact radius ``a`` and thickness ``h`` [m]."""
+    """Cylindrical sample: contact radius ``a`` and thickness ``h`` [m], and its ``area``."""
 
     a: float
     h: float
+    area: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_positive("sample radius a", self.a)
         _require_positive("sample thickness h", self.h)
-        _require_positive("contact area pi a**2", math.pi * _power(self.a, 2))
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.a**2
+        object.__setattr__(self, "area", _formula("contact area pi a**2 = pi * a ** 2")(a=self.a))
+        _require_positive("contact area pi a**2", self.area)
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,7 @@ class ExperimentRecord:
             raise DomainError(f"e_star must lie in [0, 1], got {self.e_star!r}")
         if not math.isfinite(self.delta_m):
             raise DomainError(f"delta_m must be finite, got {self.delta_m!r}")
-        # Two roots, so that no finite h0 overflows to an inf that passes the check.
-        v0_free_fall = math.sqrt(2.0 * STANDARD_GRAVITY) * math.sqrt(self.h0)
+        v0_free_fall = _formula("v0 = sqrt(2 * g * h0)")(g=STANDARD_GRAVITY, h0=self.h0)
         consistent = abs(self.v0 - v0_free_fall) <= _V0_CONSISTENCY_TOL * v0_free_fall
         object.__setattr__(self, "v0_consistent", consistent)
 
@@ -374,6 +371,8 @@ class LinearityReport:
 
 
 def _relative_spread(values: np.ndarray) -> float:
+    """``(max - min) / |mean|``, of the values over their largest magnitude: no overflow."""
+    values = values / (float(np.max(np.abs(values))) or 1.0)
     mean = float(np.mean(values))
     if mean == 0.0:
         return 0.0 if np.ptp(values) == 0.0 else math.inf
@@ -386,13 +385,14 @@ def linearity_report(records: list[ExperimentRecord]) -> LinearityReport:
     A linear impact model requires the restitution coefficient, the peak
     dynamic modulus, and the peak-stress to peak-strain ratio all to be
     independent of the impact velocity.  Each prediction is tested by the
-    relative spread of the measured values.
+    relative spread of the measured values; a ratio past the float range is refused.
     """
     if len(records) < 2:
         raise DomainError("linearity checks need at least 2 records")
     ordered = sorted(records, key=lambda r: r.v0)
     v0 = np.array([r.v0 for r in ordered])
-    ratio = np.array([r.sigma_max / r.eps_max for r in ordered])
+    ratio = np.array([_formula("sigma_max / eps_max")(sigma_max=r.sigma_max, eps_max=r.eps_max)
+                      for r in ordered])
     spreads = (
         ("restitution-constant", _relative_spread(np.array([r.e_star for r in ordered]))),
         ("peak-modulus-constant", _relative_spread(np.array([r.E_max for r in ordered]))),

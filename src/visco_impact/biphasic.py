@@ -27,8 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .models import (
     MaxwellParams,
-    _divide,
-    _power,
+    _formula,
     _require_nonnegative,
     _require_positive,
     load_flat_json,
@@ -125,11 +124,13 @@ def equivalent_maxwell(layer: BiphasicLayer) -> EquivalentMaxwell:
     the inverse cube of the thickness; the relaxation time grows with the
     square of the thickness.  Doubling ``h`` therefore cuts ``k`` eightfold
     and quadruples ``tau_R``.  A ``k``, ``tau_R`` or ``chi`` that is not
-    positive and finite raises :class:`DomainError`.
+    positive and finite, or passes the largest float, raises :class:`DomainError`.
     """
-    k = _divide(3.0 * layer.mu_s * _power(layer.a, 4), 16.0 * _power(layer.h, 3))
-    tau_R = _divide(_power(layer.h, 2), 3.0 * layer.mu_s * layer.kappa)
-    return EquivalentMaxwell(k=k, tau_R=tau_R)
+    return EquivalentMaxwell(
+        k=_formula("k = 3 * mu_s * a ** 4 / (16 * h ** 3)")(mu_s=layer.mu_s, a=layer.a, h=layer.h),
+        tau_R=_formula("tau_R = h ** 2 / (3 * mu_s * kappa)")(
+            h=layer.h, mu_s=layer.mu_s, kappa=layer.kappa),
+    )
 
 
 def reduce_to_maxwell(layer: BiphasicLayer, m: float, v0: float) -> MaxwellParams:
@@ -150,9 +151,10 @@ def validity_window(layer: BiphasicLayer) -> tuple[float, float]:
     Raises
     ------
     DomainError
-        If ``tau_D`` is not positive and finite.
+        If ``tau_D`` passes the largest float or rounds to 0.
     """
-    tau_D = _divide(_power(layer.h, 2), layer.H_A * layer.kappa)
+    tau_D = _formula("tau_D = h ** 2 / ((lambda_s + 2 * mu_s) * kappa)")(
+        h=layer.h, lambda_s=layer.lambda_s, mu_s=layer.mu_s, kappa=layer.kappa)
     _require_positive("tau_D", tau_D)
     return tau_D, USABLE_FRACTION * tau_D
 

@@ -57,6 +57,7 @@ from .models import (
     KelvinVoigtParams,
     MaxwellParams,
     _check_groups,
+    _formula,
     _open_output,
     _uniform_grid,
     load_flat_json,
@@ -131,11 +132,13 @@ def _rho_point(rho: float, fixed: dict):
     if "zeta" in fixed:
         if "eta" in fixed:
             raise ConfigError("a rho sweep reads eta or zeta, not both")
-        T = (1.0 - rho) / (2.0 * fixed["zeta"])
-        Lambda, asym = T * T, standard_solid.sls_perturb_maxwell(fixed["zeta"], rho)
+        T = _formula("T = (1 - rho) / (2 * zeta)")(rho=rho, zeta=fixed["zeta"])
+        Lambda = _formula("Lambda = T * T")(T=T)
+        asym = standard_solid.sls_perturb_maxwell(fixed["zeta"], rho)
     else:
         eta = fixed.get("eta", 0.3)
-        Lambda, T = 4.0 * eta**2 * rho * (1.0 - rho) ** 2, 2.0 * eta * rho * (1.0 - rho)
+        Lambda = _formula("Lambda = 4 * eta ** 2 * rho * (1 - rho) ** 2")(eta=eta, rho=rho)
+        T = _formula("T = 2 * eta * rho * (1 - rho)")(eta=eta, rho=rho)
         asym = standard_solid.sls_perturb_kv(eta, rho)
     return _modal.rescaled(standard_solid._scaled_metrics(Lambda, rho), T), asym
 
@@ -495,30 +498,21 @@ def cmd_analyze(args) -> int:
     table = args.table if args.table is not None else bundled_experiments_path()
     records = ingest_table(table)
     report = linearity_report(records)
+    rows = [
+        (r.v0, r.e_star, energy_dissipation(r.e_star), ratio / 1e6, r.E_max / 1e6,
+         r.E_10 / 1e6, _formula("E_max / E_10")(E_max=r.E_max, E_10=r.E_10))
+        for r, ratio in zip(sorted(records, key=lambda rec: rec.v0), report.ratio)
+    ]
     for line in report.lines():
         print(line)
     print()
     print("per-record energy dissipation and moduli:")
-    rows = []
-    for r in sorted(records, key=lambda rec: rec.v0):
-        loss = energy_dissipation(r.e_star)
-        ratio = r.sigma_max / r.eps_max
+    for v0, e_star, loss, ratio, E_max, E_10, _ in rows:
         print(
-            f"  v0 = {r.v0:.2f} m/s: e_star = {r.e_star:.2f}, "
+            f"  v0 = {v0:.2f} m/s: e_star = {e_star:.2f}, "
             f"energy lost = {loss * 100:.1f}%, "
-            f"sigma_max/eps_max = {ratio / 1e6:.1f} MPa, "
-            f"E_max = {r.E_max / 1e6:.0f} MPa, E_10 = {r.E_10 / 1e6:.0f} MPa"
-        )
-        rows.append(
-            (
-                r.v0,
-                r.e_star,
-                loss,
-                ratio / 1e6,
-                r.E_max / 1e6,
-                r.E_10 / 1e6,
-                r.E_max / r.E_10,
-            )
+            f"sigma_max/eps_max = {ratio:.1f} MPa, "
+            f"E_max = {E_max:.0f} MPa, E_10 = {E_10:.0f} MPa"
         )
     if args.out is not None:
         _emit_csv(args.out, ANALYZE_HEADER, np.array(rows, dtype=float))

@@ -12,12 +12,13 @@ frequency and ``v0`` the incoming velocity.  Each model solves its impact
 in one time unit ``T``: ``1 / omega0`` for the pairs, whose closed forms
 then read the loss factor alone, and ``tau_R`` for the three-element
 solid.  ``_modal.dimensional`` alone scales the answers back, times by
-``T``, depths by ``v0 T`` and forces by ``m v0 / T``, and refuses a scale
-or an answer that is not finite.
+``T``, depths by ``v0 T`` and forces by ``m v0 / T``, and refuses an answer
+that is not finite.  :func:`_formula` alone forms every group and scale.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import functools
@@ -87,9 +88,9 @@ class DerivedGroups:
     Lambda : float or None
         Stiffness-relaxation group ``(k0 / m) * tau_R**2``.
     tau_R : float or None
-        Relaxation time of the force-decay kernel.
+        Relaxation time ``b / (k1 + k2)`` of the standard solid.
 
-    The drop's weight is no group here: ``_modal.scaled_weight`` forms and refuses
+    The drop's weight is no group here: ``_modal.scaled_weight`` forms
     ``gamma = g T / v0``, for the pairs the paper's ``eps0 = g / (omega0 v0)``.
     """
 
@@ -109,6 +110,53 @@ def _require_positive(name: str, value: float) -> None:
 def _require_nonnegative(name: str, value: float) -> None:
     if value < 0.0 or not math.isfinite(value):
         raise DomainError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
+@functools.cache
+def _formula(text: str):
+    """The one checked evaluator, compiled once, of ``"name = expression"`` over names,
+    integer constants and ``pi`` by ``+``, ``*``, ``/``, ``**`` and an outermost ``sqrt``:
+    the float evaluation bit for bit where every intermediate is normal or a zero of a zero
+    operand, else the exact value correctly rounded; :class:`DomainError` naming the text
+    where that passes the largest float.  A group read by another is its rounded float."""
+    tree = ast.parse(text.rpartition(" = ")[2], mode="eval").body
+    radicand = tree.args[0] if isinstance(tree, ast.Call) else tree
+    code = compile(ast.Expression(radicand), text, "eval")
+    names, steps, checks = {}, [], []
+
+    def emit(node) -> str:
+        if isinstance(node, ast.Name) and node.id != "pi":
+            names.setdefault(node.id)
+        if not isinstance(node, ast.BinOp):
+            return ast.unparse(node)
+        a, b, step = emit(node.left), emit(node.right), f"_{len(steps)}"
+        node.left, node.right = ast.Name(a), ast.Name(b)  # compiled already
+        steps.append(f"        {step} = {ast.unparse(node)}\n")
+        checks.append(f"({sys.float_info.min!r} <= {step} <= {sys.float_info.max!r}"
+                      f" or {step} == 0 in ({a}, {b}))")
+        return step
+
+    result, args = emit(radicand), ", ".join(names)
+
+    def exact(*values: float) -> float:
+        try:
+            q = eval(code, dict(zip(names, map(Fraction, values)), pi=Fraction(math.pi)))
+            if radicand is not tree:
+                # Floats' rounding boundaries are multiples of 2**-1075, so none lies strictly
+                # between r = floor(sqrt(q) 2**1075) and r + 1: r + 1/2 rounds as the root.
+                n, d = q.numerator << 2150, q.denominator
+                r = math.isqrt(n // d)
+                q = Fraction(2 * r + (r * r * d != n), 1 << 1076)
+            return float(q)
+        except ArithmeticError:  # past the largest float, a division by 0, Fraction(inf)
+            at = ", ".join(f"{name} = {v!r}" for name, v in zip(names, values))
+            raise DomainError(f"{text} leaves the float range at {at}") from None
+
+    namespace = {"pi": math.pi, "sqrt": math.sqrt, "exact": exact}
+    exec(f"def evaluate({args}):\n    try:\n{''.join(steps)}        if {' and '.join(checks)}:\n"
+         f"            return {'' if radicand is tree else 'sqrt'}({result})\n"
+         f"    except ArithmeticError:\n        pass\n    return exact({args})\n", namespace)
+    return namespace["evaluate"]
 
 
 # The one domain of each nondimensional group: (test that fails on NaN, words).
@@ -272,7 +320,7 @@ class StandardSolidParams:
     @property
     def k_inf(self) -> float:
         """Long-time (relaxed) stiffness."""
-        return self.k1 * self.k2 / (self.k1 + self.k2)
+        return _formula("k_inf = k1 * k2 / (k1 + k2)")(k1=self.k1, k2=self.k2)
 
 
 def derive_kv(params: KelvinVoigtParams) -> DerivedGroups:
@@ -286,11 +334,11 @@ def derive_kv(params: KelvinVoigtParams) -> DerivedGroups:
     Raises
     ------
     DomainError
-        If ``eta >= 1`` (no oscillatory rebound), or if ``omega0`` is not
-        positive and finite.
+        If ``eta >= 1`` (no oscillatory rebound), or if ``omega0`` or ``eta``
+        passes the largest float (:func:`_formula`).
     """
-    omega0 = _natural_frequency(params.k, params.m)
-    eta = params.b / (2.0 * params.m) / omega0
+    omega0 = _formula("omega0 = sqrt(k / m)")(k=params.k, m=params.m)
+    eta = _formula("loss factor eta = b / (2 * m) / omega0")(b=params.b, m=params.m, omega0=omega0)
     if not eta < 1.0:
         raise DomainError(
             f"loss factor eta = {eta:.6g} is >= 1: the pair is overdamped "
@@ -299,49 +347,14 @@ def derive_kv(params: KelvinVoigtParams) -> DerivedGroups:
     return DerivedGroups(omega0=omega0, eta=eta)
 
 
-def _natural_frequency(k: float, m: float) -> float:
-    """``omega0 = sqrt(k / m)``, refused unless positive and finite."""
-    omega0 = math.sqrt(k / m)
-    _require_positive("omega0 = sqrt(k / m)", omega0)
-    return omega0
-
-
-def _divide(a: float, b: float) -> float:
-    """``a / b`` for ``a, b >= 0``; at ``b = 0``, where a product underflowed, what
-    IEEE division gives: inf, or NaN when ``a = 0``."""
-    return a / b if b else math.inf if a else math.nan
-
-
-def _power(x: float, n: int) -> float:
-    """``x**n``, inf where it overflows, which Python raises on."""
-    try:
-        return x**n
-    except OverflowError:
-        return math.inf
-
-
-def _series_groups(m: float, k: float, b: float) -> tuple[float, float]:
-    """``(omega0, zeta)`` of a series pair, ``zeta = k / (2 omega0 b)`` at the rounded ``omega0``:
-    one division where ``2 omega0 b`` is a normal float and the quotient finite, elsewhere
-    the exact quotient correctly rounded.  :class:`DomainError` where that passes the
-    largest float (``b = 0`` included) or ``omega0`` is not positive and finite."""
-    omega0 = _natural_frequency(k, m)
-    scale = 2.0 * omega0 * b
-    if sys.float_info.min <= scale < math.inf and (zeta := k / scale) < math.inf:
-        return omega0, zeta
-    try:
-        return omega0, float(Fraction(k) / Fraction(2.0 * omega0) / Fraction(b))
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"loss factor zeta = k / (2 omega0 b) leaves the float range "
-                          f"at k = {k!r}, b = {b!r}") from None
-
-
 def derive_maxwell(params: MaxwellParams) -> DerivedGroups:
-    """Derive the nondimensional groups of a spring-dashpot series pair: the loss factor
-    ``zeta = k / (2 omega0 b)`` (:func:`_series_groups`; 1 and above kept, for
-    :mod:`.maxwell` to prove plastic) and the relaxation time ``tau_R = b / k``."""
-    omega0, zeta = _series_groups(params.m, params.k, params.b)
-    return DerivedGroups(omega0=omega0, zeta=zeta, tau_R=params.b / params.k)
+    """Derive the nondimensional groups of a spring-dashpot series pair: ``omega0`` and the
+    loss factor ``zeta = k / (2 omega0 b)``, 1 and above kept, for :mod:`.maxwell` to prove
+    plastic.  :class:`DomainError` where either passes the largest float."""
+    omega0 = _formula("omega0 = sqrt(k / m)")(k=params.k, m=params.m)
+    zeta = _formula("loss factor zeta = k / (2 * omega0 * b)")(
+        k=params.k, omega0=omega0, b=params.b)
+    return DerivedGroups(omega0=omega0, zeta=zeta)
 
 
 def derive_sls(params: StandardSolidParams) -> DerivedGroups:
@@ -350,17 +363,15 @@ def derive_sls(params: StandardSolidParams) -> DerivedGroups:
     ``omega0 = sqrt(k0/m)`` uses the instantaneous stiffness, matching
     ``Lambda = (k0/m) * tau_R**2 = (omega0 * tau_R)**2``.  The stiffness
     ratio ``rho = k_inf / k0`` lies strictly inside (0, 1) for positive
-    springs.  Raises :class:`DomainError` where rounding breaks that: when
-    ``omega0`` or ``tau_R`` is not positive and finite, when ``rho`` or
-    ``Lambda`` leaves its domain, or when ``Lambda * rho`` underflows.
+    springs.  Raises :class:`DomainError` where a group passes the largest
+    float, when ``tau_R`` rounds to 0, when ``rho`` or ``Lambda`` leaves its
+    domain, or when ``Lambda * rho`` underflows.
     """
-    k0 = params.k0
-    rho = params.k_inf / k0
-    tau_R = params.b / (params.k1 + params.k2)
-    Lambda = (k0 / params.m) * tau_R * tau_R
-    omega0 = math.sqrt(k0 / params.m)
-    _require_positive("omega0 = sqrt(k1 / m)", omega0)
+    omega0 = _formula("omega0 = sqrt(k1 / m)")(k1=params.k1, m=params.m)
+    tau_R = _formula("tau_R = b / (k1 + k2)")(b=params.b, k1=params.k1, k2=params.k2)
     _require_positive("tau_R = b / (k1 + k2)", tau_R)
+    rho = _formula("rho = k1 * k2 / (k1 + k2) / k1")(k1=params.k1, k2=params.k2)
+    Lambda = _formula("Lambda = k1 / m * tau_R * tau_R")(k1=params.k1, m=params.m, tau_R=tau_R)
     _check_sls_groups(Lambda, rho)
     return DerivedGroups(omega0=omega0, rho=rho, Lambda=Lambda, tau_R=tau_R)
 
@@ -384,18 +395,15 @@ def convert_configurations(
     Raises
     ------
     DomainError
-        When an input is not positive and finite, or a result is not finite.
+        When an input is not positive and finite, or a result passes the largest float.
     """
     _require_positive("kappa1", kappa1)
     _require_positive("kappa2", kappa2)
     _require_positive("beta_dashpot", beta_dashpot)
-    s = kappa1 + kappa2
-    series = s, s * kappa1 / kappa2, _divide(beta_dashpot * _power(s, 2), _power(kappa2, 2))
-    for name, value in zip(("k1", "k2", "b"), series):
-        if not math.isfinite(value):
-            raise DomainError(f"the parallel configuration converts to {name} = {value!r}, "
-                              "which is not finite")
-    return series
+    return (_formula("k1 = kappa1 + kappa2")(kappa1=kappa1, kappa2=kappa2),
+            _formula("k2 = (kappa1 + kappa2) * kappa1 / kappa2")(kappa1=kappa1, kappa2=kappa2),
+            _formula("b = beta * (kappa1 + kappa2) ** 2 / kappa2 ** 2")(
+                beta=beta_dashpot, kappa1=kappa1, kappa2=kappa2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,22 +119,35 @@ class TestReduction:
         "layer, message",
         [
             (dict(h=1e110), "k must be positive and finite, got 0.0"),
-            (dict(mu_s=1e-200, kappa=1e-200), "tau_R must be positive and finite, got inf"),
+            (dict(mu_s=1e300, kappa=1e300), "tau_R must be positive and finite, got 0.0"),
+            # 3 mu_s kappa underflowed to a ZeroDivisionError.
+            (dict(mu_s=1e-200, kappa=1e-200), "tau_R = h ** 2 / (3 * mu_s * kappa) leaves the "
+             "float range at h = 0.001, mu_s = 1e-200, kappa = 1e-200"),
         ],
     )
     def test_reduction_beyond_the_float_range_is_refused(self, layer, message):
-        """``h**3`` overflowed, and ``3 mu_s kappa`` underflowed to a ZeroDivisionError."""
+        """``h**3`` overflowed; ``k`` and ``tau_R`` that round to 0 or pass the largest
+        float are refused."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(DomainError, match=f"^{message}$"):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 equivalent_maxwell(_layer(**layer))
 
-    @pytest.mark.parametrize(
-        "layer, got", [(dict(mu_s=1e308), "0.0"), (dict(mu_s=1e-200, kappa=1e-200), "inf")]
-    )
-    def test_consolidation_window_beyond_the_float_range_is_refused(self, layer, got):
-        with pytest.raises(DomainError, match=f"^tau_D must be positive and finite, got {got}$"):
+    @pytest.mark.parametrize("layer, message", [
+        (dict(h=1e-200), "tau_D must be positive and finite, got 0.0"),
+        (dict(mu_s=1e-200, kappa=1e-200), "tau_D = h ** 2 / ((lambda_s + 2 * mu_s) * kappa) "
+         "leaves the float range at h = 0.001, lambda_s = 0.0, mu_s = 1e-200, kappa = 1e-200"),
+    ])
+    def test_consolidation_window_beyond_the_float_range_is_refused(self, layer, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             validity_window(_layer(**layer))
+
+    def test_consolidation_window_where_the_aggregate_modulus_overflows(self):
+        """``H_A = lambda_s + 2 mu_s`` overflows, but ``tau_D`` is a float: it was 0 and refused."""
+        layer = _layer(mu_s=1e308)
+        tau_D = Fraction(layer.h) ** 2 / ((Fraction(layer.lambda_s) + 2 * Fraction(layer.mu_s))
+                                          * Fraction(layer.kappa))
+        assert validity_window(layer)[0] == float(tau_D)
 
     def test_consolidation_window(self):
         """tau_D = h**2 / (H_A kappa) = 1000 s for the reference layer."""
@@ -145,7 +160,7 @@ class TestReduction:
         eq = equivalent_maxwell(_layer())
         assert params.k == eq.k
         assert params.b == eq.k * eq.tau_R
-        assert params.derived.tau_R == pytest.approx(eq.tau_R, rel=1e-14)
+        assert params.b / params.k == pytest.approx(eq.tau_R, rel=1e-14)
 
     @given(layer=layer_strategy, m=st.floats(min_value=1e-2, max_value=10.0))
     @settings(deadline=None, max_examples=80)
@@ -164,7 +179,7 @@ class TestReduction:
 
     def test_loss_factor_refuses_an_overflowing_layer(self):
         """``a**2`` once raised a raw OverflowError; the pair's k is refused instead."""
-        with pytest.raises(DomainError, match="^k must be positive and finite, got inf$"):
+        with pytest.raises(DomainError, match=r"^k = .* leaves the float range at mu_s = "):
             biphasic_loss_factor(_layer(a=1e200), 1.0)
 
     def test_loss_factor_needs_mass(self):

@@ -344,21 +344,25 @@ class TestSimulate:
         [
             # g T / v0 overflows, T = 1 / omega0: the drop's weight group, the paper's eps0.
             ("kv", {"m": 1e308, "k": 1e200, "b": 5e-324, "v0": 1e-308, "g": 1.0}, ["--gravity"],
-             "gamma = g T / v0 must be nonnegative and finite, got inf"),
-            # k / m overflows, so omega0 = inf and eta = NaN.
-            ("maxwell", {"m": 1e-308, "k": 2.0, "b": 1e12, "v0": 1.0}, [],
-             "omega0 = sqrt(k / m) must be positive and finite, got inf"),
-            ("kv", {"m": 1e-308, "k": 2.0, "b": 1e12, "v0": 1.0}, [],
-             "omega0 = sqrt(k / m) must be positive and finite, got inf"),
+             "gamma = g * T / v0 leaves the float range at g = 1.0, T = 9.999999999999999e+53, "
+             "v0 = 1e-308"),
+            # k / m and the exact omega0 overflow.
+            ("maxwell", {"m": 5e-324, "k": 1e300, "b": 1e12, "v0": 1.0}, [],
+             "omega0 = sqrt(k / m) leaves the float range at k = 1e+300, m = 5e-324"),
+            ("kv", {"m": 5e-324, "k": 1e300, "b": 1e12, "v0": 1.0}, [],
+             "omega0 = sqrt(k / m) leaves the float range at k = 1e+300, m = 5e-324"),
             # g tau_R / v0 overflows.
             ("sls", {"m": 1e-308, "k1": 1.0, "k2": 0.3, "b": 0.5, "v0": 1e-308}, ["--gravity"],
-             "gamma = g T / v0 must be nonnegative and finite, got inf"),
-            # (kappa1 + kappa2) kappa1 and (kappa1 + kappa2)**2 overflow.
+             "gamma = g * T / v0 leaves the float range at g = 9.81, T = 0.3846153846153846, "
+             "v0 = 1e-308"),
+            # (kappa1 + kappa2) kappa1 / kappa2 passes the largest float.
             ("sls", {"m": 1.0, "kappa1": 1e300, "kappa2": 1.0, "beta": 1.5e-6, "v0": 1.0}, [],
-             "the parallel configuration converts to k2 = inf, which is not finite"),
-            # kappa2**2 underflows to 0.
+             "k2 = (kappa1 + kappa2) * kappa1 / kappa2 leaves the float range at "
+             "kappa1 = 1e+300, kappa2 = 1.0"),
+            # kappa2**2 underflows to 0, and the exact b passes the largest float.
             ("sls", {"m": 1.0, "kappa1": 1.0, "kappa2": 1e-170, "beta": 1.0, "v0": 1.0}, [],
-             "the parallel configuration converts to b = inf, which is not finite"),
+             "b = beta * (kappa1 + kappa2) ** 2 / kappa2 ** 2 leaves the float range at "
+             "beta = 1.0, kappa1 = 1.0, kappa2 = 1e-170"),
         ],
         ids=["kv-eps0", "maxwell-omega0", "kv-omega0", "sls-gamma",
              "sls-parallel-overflow", "sls-parallel-underflow"],
@@ -386,8 +390,8 @@ class TestSimulate:
             runs[name] = capsys.readouterr().err, out.read_bytes()
         assert runs["heavy"] == runs["free"]
         assert main(["simulate", model, "--params", heavy, "--gravity"]) == EXIT_DOMAIN
-        assert capsys.readouterr().err == (
-            "error: gamma = g T / v0 must be nonnegative and finite, got inf\n")
+        assert re.fullmatch(r"error: gamma = g \* T / v0 leaves the float range at g = 1e\+300, "
+                            r"T = \S+, v0 = 1e-10\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "params, message",
@@ -410,7 +414,8 @@ class TestSimulate:
             ({"m": 7.180750831670816e240, "k1": 2.8452084274228e58,
               "k2": 1.0809254475856645e-08, "b": 3.2979756010946127e135,
               "v0": 3.1790135901383877e295},
-             "the scales v0 T = inf, v0 / T = 2.74e+218 and m v0 / T = inf must be finite"),
+             "depth scale = v0 * T leaves the float range at v0 = 3.1790135901383877e+295, "
+             "T = 1.1591332182584354e+77"),
         ],
         ids=["product-underflows", "rho-rounds-to-1", "rate-rounds-to-0", "scales-overflow"],
     )
@@ -1047,18 +1052,24 @@ class TestBiphasic:
 
     @pytest.mark.parametrize("with_out", [False, True], ids=["echo", "out"])
     @pytest.mark.parametrize(
-        "change, got",
+        "change, message",
         [
-            ({"h": 1e-110}, "inf"),  # h**3 underflows to 0
-            # 3 mu_s overflows; h/a = 0.4 also warns that the layer is thick.
-            pytest.param({"mu_s": 1e308, "lambda_s": 1e308}, "inf",
-                         marks=pytest.mark.filterwarnings("default::UserWarning")),
-            ({"a": 1e90}, "inf"),  # a**4 overflows
-            ({"h": 1e120, "a": 1e130}, "nan"),  # a**4 and h**3 both overflow
+            ({"h": 1e-110},  # h**3 underflows to 0
+             "k = 3 * mu_s * a ** 4 / (16 * h ** 3) leaves the float range at "
+             "mu_s = 250000.0, a = 0.0025, h = 1e-110"),
+            # 3 mu_s overflows, and so does the exact k.
+            ({"mu_s": 1e308, "lambda_s": 1e308, "a": 1.0},
+             "k = 3 * mu_s * a ** 4 / (16 * h ** 3) leaves the float range at "
+             "mu_s = 1e+308, a = 1.0, h = 0.001"),
+            ({"a": 1e90},  # a**4 overflows
+             "k = 3 * mu_s * a ** 4 / (16 * h ** 3) leaves the float range at "
+             "mu_s = 250000.0, a = 1e+90, h = 0.001"),
+            # a**4 and h**3 both overflow; k and tau_R are floats, their dashpot is not.
+            ({"h": 1e120, "a": 1e130}, "b must be positive and finite, got inf"),
         ],
         ids=["thin", "stiff", "wide", "huge"],
     )
-    def test_layer_beyond_the_float_range_exits_domain(self, tmp_path, capsys, change, got,
+    def test_layer_beyond_the_float_range_exits_domain(self, tmp_path, capsys, change, message,
                                                        with_out):
         """Each layer once ended in a ZeroDivisionError or OverflowError traceback."""
         layer = {"mu_s": 0.25e6, "lambda_s": 0.25e6, "kappa": 2e-15, "h": 1e-3, "a": 2.5e-3,
@@ -1069,7 +1080,7 @@ class TestBiphasic:
         assert main(argv + ["--out", str(out)] if with_out else argv) == EXIT_DOMAIN
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-        assert errors == [f"error: k must be positive and finite, got {got}"]
+        assert errors == [f"error: {message}"]
         assert captured.out == ""
         assert not out.exists()
 
@@ -1124,6 +1135,40 @@ class TestAnalyze:
         table.write_text("\n".join([header, rows[0], ",".join(cells), *rows[2:]]) + "\n")
         assert main(["analyze", str(table)]) == EXIT_DOMAIN
         assert capsys.readouterr() == ("", f"error: {field} must be positive and finite, got 0.0\n")
+
+    @staticmethod
+    def _table(tmp_path, changes) -> str:
+        """Two plain records, each with its ``changes`` by column."""
+        from visco_impact.analysis import EXPERIMENT_HEADER
+
+        rows = [[25.0, 0.7, 86.0, 22.0, 75.0, 13.0, 10.0, 2.9, 0.3, 0.06, 0.64, 0.08, 2.2],
+                [50.0, 0.99, 90.0, 32.0, 71.0, 16.0, 12.0, 3.5, 0.35, 0.13, 0.46, 0.14, 2.5]]
+        for row, change in zip(rows, changes):
+            for column, value in change.items():
+                row[EXPERIMENT_HEADER.index(column)] = value
+        table = tmp_path / "table.csv"
+        table.write_text(",".join(EXPERIMENT_HEADER) + "\n"
+                         + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        return str(table)
+
+    def test_spread_of_moduli_whose_sum_overflows(self, tmp_path, capsys):
+        """The mean of 1e308 and 1.7e308 Pa once overflowed, so the spread read 0: a PASS."""
+        table = self._table(tmp_path, [{"Emax_MPa": 1e302}, {"Emax_MPa": 1.7e302}])
+        assert main(["analyze", table]) == EXIT_OK
+        assert ("peak-modulus-constant: FAIL (relative spread 0.519, tolerance 0.05)\n"
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"sigmax_MPa": 1e300, "epsmax": 1e-5},
+         "sigma_max / eps_max leaves the float range at sigma_max = 1e+306, eps_max = 1e-05"),
+        ({"Emax_MPa": 1e300, "E10_MPa": 1e-300},
+         "E_max / E_10 leaves the float range at E_max = 1e+306, E_10 = {E_10!r}"),
+    ], ids=["stiffness-ratio", "modulus-ratio"])
+    def test_quotient_past_the_float_range_exits_domain(self, tmp_path, capsys, change, message):
+        """The stiffness ratio printed ``inf``; each quotient is refused, naming it."""
+        table = self._table(tmp_path, [change, {}])
+        assert main(["analyze", table]) == EXIT_DOMAIN
+        assert capsys.readouterr() == ("", f"error: {message.format(E_10=1e-300 * 1e6)}\n")
 
     def test_bad_table_exits_io(self, tmp_path, capsys):
         bad = tmp_path / "table.csv"

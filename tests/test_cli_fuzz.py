@@ -232,12 +232,10 @@ def test_analyze(workdir, data, n):
                              for _ in range(n)])
 
 
-@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: analyze prints inf and nan for "
-                   "valid records whose quotients and sums overflow")
 def test_analyze_prints_finite_numbers_for_huge_records(workdir):
     """Valid records, found by hand: ``sigma_max / eps_max`` of the first and the mean of
-    ``E_max`` overflow, so ``analyze`` warns, prints ``inf`` and ``relative spread nan``
-    and exits 0."""
+    ``E_max`` overflowed, so ``analyze`` warned, printed ``inf`` and ``relative spread nan``
+    and exited 0; now the quotient past the float range exits 2."""
     _check_analyze(workdir, [
         [25.0, 0.7, 86.0, 22.0, 75.0, 13.0, 1e300, 2.9, 1e-5, 0.06, 0.64, 0.08, 2.2],
         [50.0, 0.99, 1e302, 32.0, 71.0, 16.0, 1e301, 3.5, 0.6, 0.13, 0.46, 0.14, 2.5],

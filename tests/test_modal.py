@@ -208,7 +208,7 @@ def test_expansions_keep_the_pair_limit(perturb):
 )
 def test_scales_that_overflow_are_refused(params, run):
     """A length, speed or force scale that overflows would make every sample inf or NaN."""
-    with pytest.raises(DomainError, match=r"^the scales v0 T = .* must be finite$"):
+    with pytest.raises(DomainError, match=r"^depth scale = v0 \* T leaves the float range at v0 = "):
         run(params)
 
 
@@ -440,6 +440,6 @@ def test_the_weight_group_is_refused_at_the_solve(cls, fields, calls):
     """Such params construct, and every drop and expansion on them refuses ``gamma``."""
     params = cls(**fields, v0=1e-10, g=1e300)
     for call in calls:
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(DomainError, match=r"^gamma = g \* T / v0 leaves the float range at "
+                                              r"g = 1e\+300, T = \S+, v0 = 1e-10$"):
             call(params)
-        assert str(info.value) == "gamma = g T / v0 must be nonnegative and finite, got inf"

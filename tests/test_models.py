@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +16,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from visco_impact import _modal
-from visco_impact.errors import ConfigError, DomainError, ParseError, PlasticImpactError
+from visco_impact import _modal, analysis, biphasic, models
+from visco_impact.errors import (
+    ConfigError,
+    DomainError,
+    ParseError,
+    PlasticImpactError,
+    ViscoImpactError,
+)
 from visco_impact.kelvin_voigt import kv_find_critical_eps0, kv_trajectory
 from visco_impact.maxwell import mx_metrics, mx_trajectory
 from visco_impact.models import (
@@ -27,7 +34,7 @@ from visco_impact.models import (
     MaxwellParams,
     StandardSolidParams,
     Trajectory,
-    _series_groups,
+    _formula,
     _uniform_grid,
     convert_configurations,
     derive_kv,
@@ -79,7 +86,6 @@ class TestDerivedGroups:
         p = MaxwellParams(m=1.0, k=1.0, b=1.0, v0=1.0)
         d = p.derived
         assert d.zeta == pytest.approx(0.5, rel=1e-15)
-        assert d.tau_R == pytest.approx(1.0, rel=1e-15)
         assert d.eta is None
 
     def test_mx_gravity_group(self):
@@ -150,21 +156,34 @@ class TestConfigurationConversion:
         ids=["products-overflow", "kappa2-squared-underflows"],
     )
     def test_conversion_leaving_the_float_range_is_refused(self, kappa1, kappa2, beta, name):
-        with pytest.raises(DomainError, match=f"converts to {name} = inf, which is not finite"):
+        with pytest.raises(DomainError, match=f"^{name} = .* leaves the float range at "):
             convert_configurations(kappa1, kappa2, beta)
 
     @given(kappa1=any_positive, kappa2=any_positive, beta=any_positive)
     @settings(deadline=None)
     def test_conversion_is_finite_or_refused(self, kappa1, kappa2, beta):
-        """Any positive finite input converts to finite springs and dashpot, each the
-        plain formula's value, or is refused with a DomainError."""
+        """Any positive finite input converts to finite springs and dashpot, each the plain
+        formula's value or its exact value correctly rounded, or is refused with a
+        DomainError exactly where an exact value rounds past the largest float."""
+        s = Fraction(kappa1) + Fraction(kappa2)
+        exact = (s, s * Fraction(kappa1) / Fraction(kappa2),
+                 Fraction(beta) * s**2 / Fraction(kappa2) ** 2)
         try:
-            series = convert_configurations(kappa1, kappa2, beta)
-        except DomainError:
+            rounded = tuple(map(float, exact))
+        except OverflowError:
+            with pytest.raises(DomainError):
+                convert_configurations(kappa1, kappa2, beta)
             return
+        series = convert_configurations(kappa1, kappa2, beta)
         s = kappa1 + kappa2
-        assert series == (s, s * kappa1 / kappa2, beta * s**2 / kappa2**2)
-        assert all(math.isfinite(value) for value in series)
+        plain = [s]
+        for formula in (lambda: s * kappa1 / kappa2, lambda: beta * s**2 / kappa2**2):
+            try:
+                plain.append(formula())
+            except (OverflowError, ZeroDivisionError):
+                plain.append(None)
+        assert all(v in (p, r) for v, p, r in zip(series, plain, rounded)), (series, rounded)
+        assert all(0.0 < value < math.inf for value in series)
 
 
 def _make_traj(n=5):
@@ -391,6 +410,10 @@ def _magnitude(exponents: tuple[int, int]):
                      st.integers(*exponents))
 
 
+def _series_pair(m: float, k: float, b: float) -> DerivedGroups:
+    return MaxwellParams(m=m, k=k, b=b, v0=1.0).derived
+
+
 class TestSeriesLossFactor:
     """``zeta = k / (2 omega0 b)`` is formed in range wherever it is a float itself."""
 
@@ -402,7 +425,7 @@ class TestSeriesLossFactor:
         m = data.draw(_magnitude((-300, 300)), label="m")
         k = data.draw(_magnitude((-300, 0) if under else (-300, 300)), label="k")
         try:
-            omega0 = _series_groups(m, k, 1.0)[0]
+            omega0 = _series_pair(m, k, 1.0).omega0
         except DomainError:
             assume(False)  # omega0 = sqrt(k / m) is not positive and finite
         edge = math.log10(2.0 * omega0)
@@ -412,7 +435,7 @@ class TestSeriesLossFactor:
         assume(not sys.float_info.min <= 2.0 * omega0 * b < math.inf)
         exact = Fraction(k) / (2 * Fraction(omega0) * Fraction(b))
         assume(exact < Fraction(sys.float_info.max))
-        assert _series_groups(m, k, b)[1] == float(exact)
+        assert _series_pair(m, k, b).zeta == float(exact)
 
     @given(data=st.data(), steps=st.integers(-4, 4))
     @settings(deadline=None, max_examples=200, derandomize=True)
@@ -422,7 +445,7 @@ class TestSeriesLossFactor:
         m = data.draw(_magnitude((0, 300)), label="m")
         k = data.draw(_magnitude((-20, 0)), label="k")
         try:
-            omega0 = _series_groups(m, k, 1.0)[0]
+            omega0 = _series_pair(m, k, 1.0).omega0
         except DomainError:
             assume(False)
         b = k / (2.0 * omega0) / sys.float_info.max
@@ -434,24 +457,245 @@ class TestSeriesLossFactor:
             zeta = float(exact)
         except OverflowError:
             with pytest.raises(DomainError, match="^loss factor zeta = k / .* leaves the float"):
-                _series_groups(m, k, b)
+                _series_pair(m, k, b)
         else:
-            assert _series_groups(m, k, b)[1] == zeta
+            assert _series_pair(m, k, b).zeta == zeta
 
     def test_zero_dashpot_is_refused(self):
-        with pytest.raises(DomainError, match="leaves the float range at k = 1.0, b = 0.0"):
-            _series_groups(1.0, 1.0, 0.0)
+        """The pair refuses ``b = 0`` first; its loss factor's formula refuses it too."""
+        with pytest.raises(DomainError, match="leaves the float range at k = 1.0, omega0 = 1.0, "
+                                              "b = 0.0"):
+            _formula("loss factor zeta = k / (2 * omega0 * b)")(k=1.0, omega0=1.0, b=0.0)
 
     @given(m=_magnitude((-300, 300)), k=_magnitude((-300, 300)), b=_magnitude((-323, 300)))
     @settings(deadline=None, max_examples=300, derandomize=True)
     def test_one_division_where_the_product_is_normal(self, m, k, b):
         try:
-            omega0, zeta = _series_groups(m, k, b)
+            d = _series_pair(m, k, b)
         except DomainError:
             assume(False)
+        omega0, zeta = d.omega0, d.zeta
         scale = 2.0 * omega0 * b
         assume(sys.float_info.min <= scale < math.inf)
         assert zeta == k / scale
+
+
+class _Tracked(float):
+    """A float that notes, as ``normal``, whether every result it was made from was a
+    normal float, a zero made from a zero operand aside."""
+
+    normal = True
+
+    def _apply(self, other, op):
+        a, b = float(self), float(other)
+        result = _Tracked(op(a, b))
+        result.normal = self.normal and getattr(other, "normal", True) and (
+            sys.float_info.min <= result <= sys.float_info.max or result == 0 in (a, b))
+        return result
+
+    def __add__(self, other):
+        return self._apply(other, lambda a, b: a + b)
+
+    def __radd__(self, other):
+        return self._apply(other, lambda a, b: b + a)
+
+    def __mul__(self, other):
+        return self._apply(other, lambda a, b: a * b)
+
+    def __rmul__(self, other):
+        return self._apply(other, lambda a, b: b * a)
+
+    def __truediv__(self, other):
+        return self._apply(other, lambda a, b: a / b)
+
+    def __rtruediv__(self, other):
+        return self._apply(other, lambda a, b: b / a)
+
+    def __pow__(self, n):
+        return self._apply(n, lambda a, b: a ** int(b))
+
+
+# Each group and scale: its formula in the package, whether a root is taken last, and
+# the parent expression of its radicand, which names the inputs.  Its integer constants keep
+# ``Fraction`` arithmetic exact, and are the parent's float constants in float arithmetic.
+_FORMULAS = {
+    "omega0": ("omega0 = sqrt(k / m)", True, lambda k, m: k / m),
+    "eta": ("loss factor eta = b / (2 * m) / omega0", False,
+            lambda b, m, omega0: b / (2 * m) / omega0),
+    "zeta": ("loss factor zeta = k / (2 * omega0 * b)", False,
+             lambda k, omega0, b: k / (2 * omega0 * b)),
+    "sls omega0": ("omega0 = sqrt(k1 / m)", True, lambda k1, m: k1 / m),
+    "k_inf": ("k_inf = k1 * k2 / (k1 + k2)", False, lambda k1, k2: k1 * k2 / (k1 + k2)),
+    "rho": ("rho = k1 * k2 / (k1 + k2) / k1", False,
+            lambda k1, k2: k1 * k2 / (k1 + k2) / k1),
+    "tau_R": ("tau_R = b / (k1 + k2)", False, lambda b, k1, k2: b / (k1 + k2)),
+    "Lambda": ("Lambda = k1 / m * tau_R * tau_R", False,
+               lambda k1, m, tau_R: (k1 / m) * tau_R * tau_R),
+    "series k1": ("k1 = kappa1 + kappa2", False, lambda kappa1, kappa2: kappa1 + kappa2),
+    "series k2": ("k2 = (kappa1 + kappa2) * kappa1 / kappa2", False,
+                  lambda kappa1, kappa2: (kappa1 + kappa2) * kappa1 / kappa2),
+    "series b": ("b = beta * (kappa1 + kappa2) ** 2 / kappa2 ** 2", False,
+                 lambda beta, kappa1, kappa2: beta * (kappa1 + kappa2) ** 2 / kappa2 ** 2),
+    "layer k": ("k = 3 * mu_s * a ** 4 / (16 * h ** 3)", False,
+                lambda mu_s, a, h: 3 * mu_s * a ** 4 / (16 * h ** 3)),
+    "layer tau_R": ("tau_R = h ** 2 / (3 * mu_s * kappa)", False,
+                    lambda h, mu_s, kappa: h ** 2 / (3 * mu_s * kappa)),
+    "tau_D": ("tau_D = h ** 2 / ((lambda_s + 2 * mu_s) * kappa)", False,
+              lambda h, lambda_s, mu_s, kappa: h ** 2 / ((lambda_s + 2 * mu_s) * kappa)),
+    "area": ("contact area pi a**2 = pi * a ** 2", False, lambda a, pi: pi * a ** 2),
+    "depth scale": ("depth scale = v0 * T", False, lambda v0, T: v0 * T),
+    "rate scale": ("rate scale = v0 / T", False, lambda v0, T: v0 / T),
+    "force scale": ("force scale = m * v0 / T", False, lambda m, v0, T: m * v0 / T),
+    "gamma": ("gamma = g * T / v0", False, lambda g, T, v0: g * T / v0),
+    "stiffness ratio": ("sigma_max / eps_max", False,
+                        lambda sigma_max, eps_max: sigma_max / eps_max),
+    "modulus ratio": ("E_max / E_10", False, lambda E_max, E_10: E_max / E_10),
+}
+_HALF_PAST_MAX = Fraction(sys.float_info.max) + Fraction(math.ulp(sys.float_info.max)) / 2
+
+
+def _check_formula(group: str, **values: float):
+    """The group's value at ``values``, after checking the rule of ``models._formula``:
+    the parent expression bit for bit where its every intermediate is normal, else the
+    exact value correctly rounded, refused exactly where that passes the largest float.
+    None where it is refused."""
+    text, root, parent = _FORMULAS[group]
+    evaluate = models._formula(text)
+    constants = {"pi": math.pi} if "pi" in parent.__code__.co_varnames else {}
+    try:
+        plain = parent(**{n: _Tracked(v) for n, v in {**values, **constants}.items()})
+    except (OverflowError, ZeroDivisionError):
+        plain = None
+    if plain is not None and plain.normal:
+        value = evaluate(**values)
+        assert value == (math.sqrt(plain) if root else plain), (group, values)
+        return value
+    try:
+        exact = parent(**{n: Fraction(v) for n, v in {**values, **constants}.items()})
+    except ZeroDivisionError:
+        exact = None
+    past = exact is None or (exact >= _HALF_PAST_MAX**2 if root else exact >= _HALF_PAST_MAX)
+    if past:
+        with pytest.raises(DomainError, match=f"leaves the float range at {next(iter(values))} = "):
+            evaluate(**values)
+        return None
+    value = evaluate(**values)
+    if not root:
+        assert value == float(exact), (group, values)
+        return value
+    # A correctly rounded root lies within half a gap of each neighbour.
+    x = Fraction(value)
+    below = (x + Fraction(math.nextafter(value, 0.0))) / 2
+    above = (x + Fraction(math.nextafter(value, math.inf))) / 2 if value < sys.float_info.max \
+        else _HALF_PAST_MAX
+    assert below**2 <= exact <= above**2, (group, values)
+    return value
+
+
+def _outcome(make):
+    """``make()``, or None where it raises a :class:`ViscoImpactError`; any other
+    exception escapes and fails the test."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the thin-layer warning
+            return make()
+    except ViscoImpactError:
+        return None
+
+
+# The whole positive float range: boundaries, subnormals and every decade.
+_WHOLE = st.one_of(st.floats(5e-324, sys.float_info.max), _magnitude((-323, 307)))
+_WHOLE_OR_ZERO = st.one_of(st.just(0.0), _WHOLE)
+
+
+class TestGroupFormulas:
+    """Every group and scale against exact ``Fraction`` arithmetic, over fields drawn from
+    the whole float range: the parent expression bit for bit where its intermediates are
+    normal, else correctly rounded, else a :class:`DomainError`; no raw exception."""
+
+    @given(st.fixed_dictionaries(dict.fromkeys(
+        ("m", "k", "v0", "k1", "k2", "kappa1", "kappa2", "beta", "mu_s", "kappa", "h", "a",
+         "T", "sigma_max", "eps_max", "E_max", "E_10"), _WHOLE)
+        | dict.fromkeys(("b", "g", "lambda_s"), _WHOLE_OR_ZERO)))
+    @settings(deadline=None, max_examples=250, derandomize=True)
+    def test_every_group_and_scale(self, f):
+        omega0 = _check_formula("omega0", k=f["k"], m=f["m"])
+        assert omega0 is None or omega0 > 0.0  # sqrt(5e-324 / max) is 1.6e-316
+        if omega0 is not None:
+            _check_formula("eta", b=f["b"], m=f["m"], omega0=omega0)
+            _check_formula("zeta", k=f["k"], omega0=omega0, b=f["b"])
+        _check_formula("sls omega0", k1=f["k1"], m=f["m"])
+        _check_formula("k_inf", k1=f["k1"], k2=f["k2"])
+        _check_formula("rho", k1=f["k1"], k2=f["k2"])
+        tau_R = _check_formula("tau_R", b=f["b"], k1=f["k1"], k2=f["k2"])
+        if tau_R is not None:
+            _check_formula("Lambda", k1=f["k1"], m=f["m"], tau_R=tau_R)
+        for group in ("series k1", "series k2"):
+            _check_formula(group, kappa1=f["kappa1"], kappa2=f["kappa2"])
+        _check_formula("series b", beta=f["beta"], kappa1=f["kappa1"], kappa2=f["kappa2"])
+        _check_formula("layer k", mu_s=f["mu_s"], a=f["a"], h=f["h"])
+        _check_formula("layer tau_R", h=f["h"], mu_s=f["mu_s"], kappa=f["kappa"])
+        _check_formula("tau_D", h=f["h"], lambda_s=f["lambda_s"], mu_s=f["mu_s"],
+                       kappa=f["kappa"])
+        _check_formula("area", a=f["a"])
+        for group in ("depth scale", "rate scale"):
+            _check_formula(group, v0=f["v0"], T=f["T"])
+        _check_formula("force scale", m=f["m"], v0=f["v0"], T=f["T"])
+        _check_formula("gamma", g=f["g"], T=f["T"], v0=f["v0"])
+        _check_formula("stiffness ratio", sigma_max=f["sigma_max"], eps_max=f["eps_max"])
+        _check_formula("modulus ratio", E_max=f["E_max"], E_10=f["E_10"])
+
+        # The types read the same evaluators, and refuse only with a typed error.
+        pair = {"m": f["m"], "k": f["k"], "b": f["b"], "v0": f["v0"], "g": f["g"]}
+        kv = _outcome(lambda: KelvinVoigtParams(**pair))
+        if kv is not None:
+            assert kv.derived.eta == _check_formula("eta", b=f["b"], m=f["m"],
+                                                    omega0=kv.derived.omega0)
+        mx = _outcome(lambda: MaxwellParams(**pair))
+        if mx is not None:
+            assert mx.derived.zeta == _check_formula("zeta", k=f["k"], omega0=mx.derived.omega0,
+                                                     b=f["b"])
+        sls = _outcome(lambda: StandardSolidParams(
+            m=f["m"], k1=f["k1"], k2=f["k2"], b=f["b"], v0=f["v0"], g=f["g"]))
+        if sls is not None:
+            assert sls.derived.rho == _check_formula("rho", k1=f["k1"], k2=f["k2"])
+        for params in (kv, mx, sls):
+            if params is not None:
+                _outcome(lambda: _modal.scaled_weight(f["T"], params))
+        _outcome(lambda: convert_configurations(f["kappa1"], f["kappa2"], f["beta"]))
+        layer = _outcome(lambda: biphasic.BiphasicLayer(
+            mu_s=f["mu_s"], lambda_s=f["lambda_s"], kappa=f["kappa"], h=f["h"], a=f["a"]))
+        if layer is not None:
+            _outcome(lambda: biphasic.validity_window(layer))
+            _outcome(lambda: biphasic.reduce_to_maxwell(layer, f["m"], f["v0"]))
+        _outcome(lambda: analysis.SampleGeometry(a=f["a"], h=f["h"]))
+
+    def test_parallel_pair_where_b_over_2m_leaves_the_normal_range(self):
+        """``b / (2m)`` is subnormal, then 0: eta was 1.1e-5 off, then 0."""
+        for b in (1e-20, 3e-24):
+            d = KelvinVoigtParams(m=1e300, k=1e-10, b=b, v0=1.0).derived
+            exact = Fraction(b) / (2 * Fraction(1e300) * Fraction(d.omega0))
+            assert d.eta == float(exact) > 0.0
+        assert d.eta == pytest.approx(1.5e-169, rel=1e-15)
+
+    def test_overdamped_pair_where_2m_overflows(self):
+        """``2 m`` overflowed, so eta was 0 and a pair at eta 9.6e39 constructed as elastic."""
+        with pytest.raises(DomainError, match="^loss factor eta = 9.64033e[+]39 is >= 1"):
+            KelvinVoigtParams(m=1.4316831681307627e308, k=3.6358738582909387e30,
+                              b=4.398955782754728e209, v0=1.0)
+
+    @pytest.mark.parametrize("m, k, omega0", [(1e308, 1e-300, 1e-304),
+                                              (1e-308, 2.0, 1.4142135623730951e154)])
+    def test_frequency_where_k_over_m_leaves_the_normal_range(self, m, k, omega0):
+        """``k / m`` underflowed to 0 or overflowed, so the pair was refused."""
+        d = MaxwellParams(m=m, k=k, b=1.0, v0=1.0).derived
+        assert d.omega0 == _check_formula("omega0", k=k, m=m)
+        assert d.omega0 == pytest.approx(omega0, rel=1e-15)
+
+    def test_stiffness_ratio_where_k1_k2_overflows(self):
+        """``k1 k2`` overflowed, so rho was inf and refused; it is 0.5."""
+        d = StandardSolidParams(m=1.0, k1=1e200, k2=1e200, b=1e200, v0=1.0).derived
+        assert (d.rho, d.tau_R) == (0.5, 0.5)
 
 
 class TestUniformGrid:

@@ -97,5 +97,28 @@ def test_ab_runs_one_pair_of_each_side(tmp_path, capsys):
         assert entry["won"] in (0, 1) and entry["pairs"] == 1
         assert entry["base"]["median"] == result["pairs"][0]["base"][name]
         assert isinstance(entry["past_bound"], bool)
+        assert isinstance(entry["unresolved"], bool)
         assert f"  {name}: " in printed
     assert printed.startswith("pair 1 (base first): ")
+
+
+def test_ab_summary_flags_a_base_spread_wider_than_the_bound():
+    """The base's quartiles 90 and 110 span 0.2 of its median 100: a bound of 0.25 is
+    resolved, one of 0.1 is not, unless every change run beats every base run."""
+    summarize = _load_script("ab").summarize
+    base = [80.0, 90.0, 100.0, 110.0, 120.0]
+
+    def summary(change, better, bound):
+        pairs = [{"base": {"x": b}, "change": {"x": c}} for b, c in zip(base, change)]
+        return summarize([{"name": "x", "better": better, "bound": bound}], pairs)["x"]
+
+    same = [101.0, 91.0, 99.0, 111.0, 119.0]
+    assert not summary(same, "higher", 0.25)["unresolved"]
+    entry = summary(same, "higher", 0.1)
+    assert entry["unresolved"] and not entry["past_bound"]
+    assert entry["won"] == 3 and entry["base"] == {"median": 100.0, "q1": 90.0, "q3": 110.0}
+    assert not summary([121.0, 125.0, 130.0, 122.0, 140.0], "higher", 0.1)["unresolved"]
+    assert summary([121.0, 125.0, 130.0, 122.0, 140.0], "lower", 0.1)["unresolved"]
+    assert not summary([1.0, 2.0, 3.0, 4.0, 79.0], "lower", 0.1)["unresolved"]
+    slower = summary([60.0, 70.0, 75.0, 80.0, 85.0], "higher", 0.1)
+    assert slower["past_bound"] and slower["unresolved"]
